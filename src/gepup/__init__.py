@@ -4,16 +4,15 @@ The evolved velocity is allowed to be slightly non-solenoidal; a discrete
 divergence-free projection and an unconstrained pressure Poisson solve
 recover the physical velocity and pressure after every Runge-Kutta stage.
 Equal-order continuous Lagrange elements are used for velocity and
-pressure, time integration is ERK-ESDIRK, and all linear systems go through
-CG with geometric-multigrid preconditioning.
+pressure, time integration is ERK-ESDIRK, and all linear systems are solved
+directly by fast diagonalization in the 1D generalized eigenbases of the
+tensor-product grid.
 """
 
 from .mesh import (
     RectDomain,
     StructuredQuadMesh,
-    MeshHierarchy,
     build_mesh,
-    build_hierarchy,
     boundary_faces,
     UNIT_SQUARE,
 )
@@ -26,17 +25,8 @@ from .fem import (
     interpolate,
     error_norm,
     vector_error_norm,
-    prolongation_matrix,
 )
-from .linsolve import (
-    cg_solve,
-    neumann_solve,
-    GmgPreconditioner,
-    JacobiPreconditioner,
-    SolverReport,
-    SolverError,
-    NumericalBreakdown,
-)
+from .linsolve import SolverError
 from .operators import CaseDefinition, GepupState, GepupOperators, check_boundary_compatibility
 from .imex import ButcherTableau, StepperConfig, load_tableau, validate_tableau, advance_step, courant_dt
 from .cases import taylor_green_case, single_vortex_case, lid_cavity_case

@@ -9,8 +9,8 @@ import numpy as np
 from . import fem
 from .fem import FeSpace
 from .imex import StepperConfig, advance_step, courant_dt, load_tableau
-from .mesh import build_hierarchy
-from .operators import CaseDefinition, GepupOperators, GepupState, check_boundary_compatibility
+from .mesh import build_mesh
+from .operators import SOLVE_CLASSES, CaseDefinition, GepupOperators, GepupState, check_boundary_compatibility
 
 __all__ = [
     "ConvergenceTable",
@@ -107,10 +107,7 @@ def _monitor_entry(step: int, state: GepupState, dt: float, ops: GepupOperators)
         "dt": dt,
         "div_l2": ops.divergence_l2(state.W),
         "kinetic_energy": ops.kinetic_energy(state.W),
-        "cg_momentum": ops.counters["momentum"],
-        "cg_poisson_phi": ops.counters["poisson_phi"],
-        "cg_poisson_q": ops.counters["poisson_q"],
-        "cg_mass": ops.counters["mass"],
+        **{f"res_{c}": ops.residuals[c] for c in SOLVE_CLASSES},
     }
 
 
@@ -129,22 +126,21 @@ def run_simulation(
     """Advance a case from t0 to t_end with Courant-controlled steps.
 
     The step size is recomputed from the current velocity every
-    ``config.rebuild_interval`` steps (the Helmholtz operator and its
-    multigrid hierarchy are rebuilt whenever dt changes) and the final step
-    is shortened to land exactly on t_end.  ``w_override(x, y) -> (wx, wy)``
+    ``config.rebuild_interval`` steps (a new dt only rescales the diagonal
+    of the momentum solve) and the final step is shortened to land exactly
+    on t_end.  Each monitor row holds the largest backward error of every
+    solve class in that step (``res_<class>``).  ``w_override(x, y) -> (wx, wy)``
     replaces the initial evolved velocity without projecting it.
     """
     if t_end < t0:
         raise ValueError(f"t_end {t_end} precedes t0 {t0}")
     check_boundary_compatibility(case, times=(t0, 0.5 * (t0 + t_end), t_end))
     if ops is None:
-        hierarchy = build_hierarchy(case.domain, base_cells, level)
-        ops = GepupOperators(
-            hierarchy, degree, rel_tol=config.rel_tol, mass_rel_tol=config.mass_rel_tol
-        )
+        mesh = build_mesh(case.domain, base_cells, level)
+        ops = GepupOperators(mesh, degree, rel_tol=config.rel_tol, mass_rel_tol=config.mass_rel_tol)
     tableau = load_tableau(config.tableau)
 
-    ops.reset_counters()
+    ops.reset_residuals()
     state = ops.initial_state(case, t0, w_override=w_override)
     monitors = [_monitor_entry(0, state, 0.0, ops)]
     if on_step is not None:
@@ -166,7 +162,7 @@ def run_simulation(
             if state.t + dt > t_end:
                 dt_step = t_end - state.t
                 mom_step = ops.momentum_operator(case.nu * dt_step * tableau.gamma)
-            ops.reset_counters()
+            ops.reset_residuals()
             state = advance_step(state, dt_step, tableau, case, ops, momentum=mom_step)
             steps += 1
             monitors.append(_monitor_entry(steps, state, dt_step, ops))

@@ -89,7 +89,14 @@ def _add_config_args(p: argparse.ArgumentParser, need_level: bool = True):
     p.add_argument("--courant", type=float, default=0.8, help="Courant number (default 0.8)")
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--base", type=int, default=1, help="base cells per axis at level 0")
-    p.add_argument("--rel-tol", type=float, default=1e-12, dest="rel_tol")
+    p.add_argument(
+        "--rel-tol",
+        type=float,
+        default=1e-12,
+        dest="rel_tol",
+        help="bound on the normwise backward error ||b - Kx|| / (||b|| + ||K|| ||x||) "
+        "of every linear solve (default 1e-12)",
+    )
     p.add_argument("--rebuild-interval", type=int, default=50, dest="rebuild_interval")
     p.add_argument("--snapshot-interval", type=int, default=0, dest="snapshot_interval")
     p.add_argument("--outdir", default=".")

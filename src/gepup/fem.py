@@ -28,7 +28,6 @@ __all__ = [
     "interpolate",
     "error_norm",
     "vector_error_norm",
-    "prolongation_matrix",
 ]
 
 MAX_DEGREE = 4
@@ -452,37 +451,6 @@ def vector_error_norm(space: FeSpace, fields, exact_vec, t: float, norm: str = "
             total += float(np.sum(dxs * dxs @ space.wdet) + np.sum(dys * dys @ space.wdet))
         return np.sqrt(total)
     raise ValueError(f"unknown norm {norm!r}")
-
-
-def prolongation_matrix(coarse: FeSpace, fine: FeSpace) -> sp.csr_matrix:
-    """Exact FE embedding between nested same-degree spaces (fine = half h)."""
-    if coarse.degree != fine.degree:
-        raise ValueError("prolongation requires equal degrees")
-    if fine.mesh.nx != 2 * coarse.mesh.nx or fine.mesh.ny != 2 * coarse.mesh.ny:
-        raise ValueError("prolongation requires exact mesh halving")
-    k = coarse.degree
-    nodes = coarse.ref.nodes_1d
-
-    def embed_1d(n_coarse):
-        nc = k * n_coarse + 1
-        nf = 2 * k * n_coarse + 1
-        P = sp.lil_matrix((nf, nc))
-        vals_lo, _ = lagrange_1d(nodes, nodes / 2.0)
-        vals_hi, _ = lagrange_1d(nodes, 0.5 + nodes / 2.0)
-        for ic in range(n_coarse):
-            for child, vals in ((0, vals_lo), (1, vals_hi)):
-                fbase = k * (2 * ic + child)
-                for a in range(k + 1):
-                    row = vals[a]
-                    row = np.where(np.abs(row) < 1e-14, 0.0, row)
-                    P[fbase + a, k * ic : k * ic + k + 1] = row
-        return sp.csr_matrix(P)
-
-    Px = embed_1d(coarse.mesh.nx)
-    Py = embed_1d(coarse.mesh.ny)
-    P = sp.kron(Py, Px, format="csr")
-    P.sort_indices()
-    return P
 
 
 def boundary_flux(space: FeSpace, g, t: float) -> float:

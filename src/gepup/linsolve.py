@@ -1,265 +1,77 @@
-"""Preconditioned conjugate gradients with a geometric multigrid V-cycle.
+"""Direct solves by fast diagonalization, with a backward-error check.
 
-The V-cycle uses damped Jacobi smoothing (symmetric, so the preconditioner
-stays self-adjoint and CG remains valid) and FE-embedding transfer operators
-between nested same-degree spaces.  Pure-Neumann solves go through
-``neumann_solve``, which enforces compatibility of the right-hand side and
-returns the mass-weighted mean-zero representative.
+On a uniform tensor-product grid every system the scheme solves is
+alpha * M + beta * A with M = My (x) Mx and A = My (x) Kx + Ky (x) Mx.
+The generalized 1D eigenpairs K S = M S diag(lam), S^T M S = I of each
+axis diagonalize it exactly (Lynch, Rice & Thomas, Numer. Math. 6, 1964):
+
+    (alpha M + beta A)^{-1} = S diag(1 / (alpha + beta (lam_y_i + lam_x_j))) S^T,
+
+with S = Sy (x) Sx.  One solve is therefore four dense matmuls on the
+(ndof_y, ndof_x) coefficient array and an elementwise scale.  Every solve
+is followed by a normwise backward-error check, so that a wrong or
+non-finite result raises instead of propagating.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-__all__ = [
-    "SolverError",
-    "NumericalBreakdown",
-    "SolverReport",
-    "cg_solve",
-    "neumann_solve",
-    "GmgPreconditioner",
-    "JacobiPreconditioner",
-]
+__all__ = ["SolverError", "FastDiagonalization", "check_backward_error"]
 
 
 class SolverError(Exception):
     pass
 
 
-class NumericalBreakdown(SolverError):
-    """p^T A p <= 0 inside CG: the operator is not positive definite."""
+class FastDiagonalization:
+    """Generalized eigenpairs of the 1D (stiffness, mass) factors of one grid.
 
-
-@dataclass
-class SolverReport:
-    iterations: int
-    relative_residual: float
-    converged: bool
-
-
-def _check_matrix_finite(A):
-    # cache the check on the operator object: it is reused for many solves
-    if getattr(A, "_finite_ok", False):
-        return
-    data = getattr(A, "data", None)
-    if data is not None and not np.all(np.isfinite(data)):
-        raise SolverError("matrix contains non-finite entries")
-    try:
-        A._finite_ok = True
-    except AttributeError:
-        pass
-
-
-class JacobiPreconditioner:
-    """Diagonal scaling z = D^{-1} r."""
-
-    def __init__(self, A: sp.csr_matrix):
-        d = A.diagonal()
-        if np.any(d <= 0):
-            raise SolverError("Jacobi preconditioner needs a positive diagonal")
-        self.inv_diag = 1.0 / d
-
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        return self.inv_diag * r
-
-
-class GmgPreconditioner:
-    """Symmetric V-cycle on a nested operator hierarchy.
-
-    ``operators`` and ``prolongations`` run coarsest to finest;
-    ``prolongations[l]`` maps level l to level l+1.  ``masks`` holds an
-    optional boolean keep-mask per level (used to confine the cycle to
-    unconstrained rows when Dirichlet rows were eliminated).  The coarsest
-    level is solved directly (Cholesky, or pseudoinverse for a singular
-    operator) when it is small enough, otherwise by smoother sweeps.
+    ``factors`` is (Mx, Kx, My, Ky).  ``lam`` holds the eigenvalues of A
+    relative to M on the (ndof_y, ndof_x) grid, in ascending order along
+    each axis.  ``neumann_scale`` is the pseudo-inverse of that spectrum
+    for a pure-Neumann A, whose nullspace, the constants, is the first mode.
     """
 
-    COARSE_DIRECT_LIMIT = 2000
-    COARSE_SWEEPS = 50
+    def __init__(self, factors):
+        Mx, Kx, My, Ky = (F.toarray() if sp.issparse(F) else np.asarray(F, dtype=float) for F in factors)
+        lam_x, self.Sx = scipy.linalg.eigh(Kx, Mx)
+        lam_y, self.Sy = scipy.linalg.eigh(Ky, My)
+        self.lam = lam_y[:, None] + lam_x[None, :]
+        self.neumann_scale = np.zeros_like(self.lam)
+        self.neumann_scale.flat[1:] = 1.0 / self.lam.flat[1:]
 
-    def __init__(
-        self,
-        operators: list[sp.csr_matrix],
-        prolongations: list[sp.csr_matrix],
-        masks: list[np.ndarray | None] | None = None,
-        omega: float = 0.6,
-        pre_sweeps: int = 3,
-        post_sweeps: int = 3,
-        singular: bool = False,
-    ):
-        if len(prolongations) != len(operators) - 1:
-            raise SolverError("need one prolongation per level pair")
-        self.ops = operators
-        self.P = prolongations
-        self.masks = masks if masks is not None else [None] * len(operators)
-        self.omega = omega
-        self.pre_sweeps = pre_sweeps
-        self.post_sweeps = post_sweeps
-        self.singular = singular
-        self.inv_diags = [1.0 / A.diagonal() for A in operators]
+    def apply(self, b: np.ndarray, scale) -> np.ndarray:
+        """S diag(scale) S^T b for a row-major vector b over the grid."""
+        Y = self.Sy.T @ b.reshape(self.lam.shape) @ self.Sx
+        Y *= scale
+        return (self.Sy @ Y @ self.Sx.T).ravel()
 
-        A0 = operators[0]
-        self.coarse_direct = A0.shape[0] <= self.COARSE_DIRECT_LIMIT
-        if self.coarse_direct:
-            dense = A0.toarray()
-            if singular:
-                self._coarse = ("pinv", scipy.linalg.pinvh(dense))
-            else:
-                self._coarse = ("chol", scipy.linalg.cho_factor(dense))
+    def solve_neumann(self, b: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Solve the singular A x = b (constant nullspace) with weights @ x = 0.
 
-    @property
-    def n_levels(self) -> int:
-        return len(self.ops)
-
-    def _coarse_solve(self, b: np.ndarray) -> np.ndarray:
-        if self.coarse_direct:
-            kind, data = self._coarse
-            if kind == "pinv":
-                return data @ b
-            return scipy.linalg.cho_solve(data, b)
-        z = np.zeros_like(b)
-        invd = self.inv_diags[0]
-        A = self.ops[0]
-        z += self.omega * (invd * b)
-        for _ in range(self.COARSE_SWEEPS - 1):
-            z += self.omega * (invd * (b - A @ z))
-        return z
-
-    def _cycle(self, level: int, b: np.ndarray) -> np.ndarray:
-        if level == 0:
-            return self._coarse_solve(b)
-        A = self.ops[level]
-        invd = self.inv_diags[level]
-        z = self.omega * (invd * b)
-        for _ in range(self.pre_sweeps - 1):
-            z += self.omega * (invd * (b - A @ z))
-        res = b - A @ z
-        mask_c = self.masks[level - 1]
-        rc = self.P[level - 1].T @ res
-        if mask_c is not None:
-            rc = np.where(mask_c, rc, 0.0)
-        ec = self._cycle(level - 1, rc)
-        if mask_c is not None:
-            ec = np.where(mask_c, ec, 0.0)
-        corr = self.P[level - 1] @ ec
-        mask_f = self.masks[level]
-        if mask_f is not None:
-            corr = np.where(mask_f, corr, 0.0)
-        z += corr
-        for _ in range(self.post_sweeps):
-            z += self.omega * (invd * (b - A @ z))
-        return z
-
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        """One V-cycle; linear and self-adjoint in r."""
-        return self._cycle(self.n_levels - 1, r)
+        The right-hand side is first projected onto the range of A (its
+        Euclidean mean removed: compatibility enforcement); the returned x
+        satisfies sum_j weights_j x_j = 0, the discrete zero-integral
+        condition when weights = M @ 1.  Returns x and the projected b.
+        """
+        bc = b - b.mean()
+        x = self.apply(bc, self.neumann_scale)
+        x -= float(weights @ x) / float(weights.sum())
+        return x, bc
 
 
-def cg_solve(
-    A: sp.csr_matrix,
-    b: np.ndarray,
-    precond=None,
-    rel_tol: float = 1e-12,
-    abs_tol: float = 1e-14,
-    max_iter: int | None = None,
-    x0: np.ndarray | None = None,
-):
-    """Preconditioned CG for SPD A.  Returns (x, SolverReport).
+def check_backward_error(name: str, b: np.ndarray, Kx: np.ndarray, x: np.ndarray, norm_K: float, rel_tol: float) -> float:
+    """Normwise backward error ||b - Kx|| / (||b|| + ||K|| ||x||) of a solve.
 
-    Stops when the residual 2-norm drops below max(rel_tol*||b||, abs_tol);
-    the report carries the true (recomputed) relative residual.
+    Raises SolverError naming the solve when it exceeds ``rel_tol``; a NaN or
+    infinite value anywhere fails the check.
     """
-    _check_matrix_finite(A)
-    b = np.asarray(b, dtype=float)
-    if not np.all(np.isfinite(b)):
-        raise SolverError("right-hand side contains non-finite entries")
-    n = len(b)
-    if max_iter is None:
-        max_iter = max(10 * n, 100)
-
-    norm_b = np.linalg.norm(b)
-    if norm_b == 0.0:
-        return np.zeros(n), SolverReport(0, 0.0, True)
-    target = max(rel_tol * norm_b, abs_tol)
-
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    iterations = 0
-    # restart with the recomputed residual if the recurrence drifted at the
-    # target level (happens within a few ulps of machine precision)
-    for _restart in range(4):
-        r = b - A @ x
-        res = float(np.linalg.norm(r))
-        if res <= target or iterations >= max_iter:
-            break
-        z = precond.apply(r) if precond is not None else r.copy()
-        p = z.copy()
-        rz = float(r @ z)
-        while iterations < max_iter:
-            q = A @ p
-            pq = float(p @ q)
-            if pq <= 0.0:
-                raise NumericalBreakdown(f"p^T A p = {pq:.3e} <= 0 at iteration {iterations}")
-            alpha = rz / pq
-            x += alpha * p
-            r -= alpha * q
-            iterations += 1
-            if np.linalg.norm(r) <= target:
-                break
-            z = precond.apply(r) if precond is not None else r
-            rz_new = float(r @ z)
-            beta = rz_new / rz
-            rz = rz_new
-            p = z + beta * p
-
-    res = float(np.linalg.norm(b - A @ x))
-    converged = res <= target * (1.0 + 1e-6)
-    return x, SolverReport(iterations, res / norm_b, bool(converged))
-
-
-class _MeanFreePrecond:
-    """Wraps a preconditioner with Euclidean mean removal on input and output.
-
-    Keeps CG iterates orthogonal to the constant nullspace of a pure-Neumann
-    operator; the projector is symmetric so CG validity is preserved.
-    """
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def apply(self, r):
-        r = r - r.mean()
-        z = self.inner.apply(r) if self.inner is not None else r.copy()
-        return z - z.mean()
-
-
-def neumann_solve(
-    A: sp.csr_matrix,
-    b: np.ndarray,
-    mass_weights: np.ndarray,
-    precond=None,
-    rel_tol: float = 1e-12,
-    abs_tol: float = 1e-14,
-    max_iter: int | None = None,
-    x0: np.ndarray | None = None,
-):
-    """Solve the singular A x = b (constant nullspace) with mean-zero output.
-
-    The right-hand side is first projected onto the range of A (compatibility
-    enforcement); the returned x satisfies sum_j mass_weights_j x_j = 0, the
-    discrete zero-integral condition when mass_weights = M @ 1.
-    """
-    b = np.asarray(b, dtype=float)
-    if not np.all(np.isfinite(b)):
-        raise SolverError("right-hand side contains non-finite entries")
-    bc = b - b.mean()
-    wrapped = _MeanFreePrecond(precond)
-    if x0 is not None:
-        x0 = x0 - x0.mean()
-    x, report = cg_solve(A, bc, precond=wrapped, rel_tol=rel_tol, abs_tol=abs_tol, max_iter=max_iter, x0=x0)
-    total = float(mass_weights @ np.ones_like(x))
-    x = x - float(mass_weights @ x) / total
-    return x, report
+    res = float(np.linalg.norm(b - Kx))
+    scale = float(np.linalg.norm(b)) + norm_K * float(np.linalg.norm(x))
+    if not (res <= rel_tol * scale and scale < np.inf):
+        value = res / scale if scale else res
+        raise SolverError(f"{name} solve: backward error {value:.3e} exceeds rel_tol {rel_tol:g}")
+    return res / scale if scale else 0.0

@@ -2,24 +2,21 @@
 
 Meshes are uniform nx-by-ny grids of rectangles with row-major element and
 vertex numbering (x fastest).  Refinement levels halve the element size, so
-a hierarchy built from one base grid is nested: every coarse element is the
-union of exactly four fine elements, which makes geometric-multigrid
-transfer operators exact interpolation.
+meshes built from one base grid are nested: every element at one level is
+the union of exactly four elements at the next.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "RectDomain",
     "StructuredQuadMesh",
-    "MeshHierarchy",
     "BoundaryFace",
     "build_mesh",
-    "build_hierarchy",
     "boundary_faces",
     "UNIT_SQUARE",
 ]
@@ -101,27 +98,6 @@ class StructuredQuadMesh:
         return np.column_stack([sw, sw + 1, sw + self.nx + 1, sw + self.nx + 2])
 
 
-@dataclass(frozen=True)
-class MeshHierarchy:
-    """Nested meshes from coarsest to finest over one domain."""
-
-    levels: tuple[StructuredQuadMesh, ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        for coarse, fine in zip(self.levels, self.levels[1:]):
-            if coarse.domain != fine.domain:
-                raise ValueError("hierarchy levels must share one domain")
-            if 2 * coarse.nx != fine.nx or 2 * coarse.ny != fine.ny:
-                raise ValueError("hierarchy levels must nest by exact halving")
-
-    @property
-    def finest(self) -> StructuredQuadMesh:
-        return self.levels[-1]
-
-    def __len__(self) -> int:
-        return len(self.levels)
-
-
 def build_mesh(domain: RectDomain, base_cells: tuple[int, int], level: int) -> StructuredQuadMesh:
     """Mesh with base_cells * 2**level cells per axis."""
     bx, by = base_cells
@@ -130,13 +106,6 @@ def build_mesh(domain: RectDomain, base_cells: tuple[int, int], level: int) -> S
     if level < 0:
         raise ValueError(f"level must be nonnegative, got {level}")
     return StructuredQuadMesh(domain, bx * 2**level, by * 2**level, level)
-
-
-def build_hierarchy(domain: RectDomain, base_cells: tuple[int, int], finest_level: int) -> MeshHierarchy:
-    """Nested meshes for levels 0..finest_level."""
-    if finest_level < 0:
-        raise ValueError(f"finest_level must be nonnegative, got {finest_level}")
-    return MeshHierarchy(tuple(build_mesh(domain, base_cells, l) for l in range(finest_level + 1)))
 
 
 @dataclass(frozen=True)

@@ -19,20 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
-from . import fem
-from .fem import FeSpace, prolongation_matrix
-from .linsolve import (
-    GmgPreconditioner,
-    JacobiPreconditioner,
-    SolverError,
-    cg_solve,
-    neumann_solve,
-)
-from .mesh import MeshHierarchy, RectDomain, UNIT_SQUARE
+from . import fem, tensorops
+from .linsolve import FastDiagonalization, check_backward_error
+from .mesh import RectDomain, StructuredQuadMesh, UNIT_SQUARE
+from .tensorops import TensorOperator
 
 __all__ = ["CaseDefinition", "GepupState", "GepupOperators", "check_boundary_compatibility"]
+
+SOLVE_CLASSES = ("momentum", "poisson_phi", "poisson_q", "mass")
 
 
 @dataclass
@@ -119,127 +114,81 @@ class GepupState:
 class ConstrainedOperator:
     """Helmholtz-type operator mass + coeff*stiffness with eliminated Dirichlet rows.
 
-    When the operator is mass-dominated (small coeff relative to the mesh),
-    diagonal-scaled CG beats the V-cycle on total matrix-vector products, so
-    the preconditioner is chosen adaptively; the multigrid hierarchy is used
-    in the diffusion-dominated regime.
+    The Dirichlet rows are pinned to the boundary data and lifted to the
+    right-hand side.  The interior block is again a Kronecker sum of the 1D
+    factors, so it is solved directly in the interior eigenbasis; a new
+    coeff only rescales the diagonal 1 + coeff * (lam_y + lam_x).
     """
 
-    # diffusion-dominance estimate above which the V-cycle pays off
-    GMG_THRESHOLD = 2.0
-
     def __init__(self, ops: "GepupOperators", coeff: float, rel_tol: float):
-        from .tensorops import MaskedOperator, TensorOperator
-
         self.ops = ops
         self.coeff = coeff
         self.rel_tol = rel_tol
-        space = ops.space
-        self.bdofs = space.boundary_dofs
-        self.full_op = TensorOperator(space, 1.0, coeff, ops.factors_per_level[-1])
-        self.K = MaskedOperator(self.full_op, ~space.boundary_mask)
-
-        stiffness_weight = coeff * float(
-            (ops.fast_A.diagonal() / ops.fast_M.diagonal()).max()
-        )
-        if stiffness_weight > self.GMG_THRESHOLD:
-            levels = []
-            masks = []
-            for l, sp_l in enumerate(ops.spaces):
-                keep = ~sp_l.boundary_mask
-                if l == 0 or sp_l.n_dofs <= ops.TENSOR_MIN_DOFS:
-                    K = (ops.mass_levels[l] + coeff * ops.stiff_levels[l]).tocsr()
-                    Z = sp.diags(keep.astype(float))
-                    Kc = (Z @ K @ Z + sp.diags((~keep).astype(float))).tocsr()
-                    Kc.sort_indices()
-                    levels.append(Kc)
-                else:
-                    levels.append(
-                        MaskedOperator(
-                            TensorOperator(sp_l, 1.0, coeff, ops.factors_per_level[l]), keep
-                        )
-                    )
-                masks.append(keep)
-            self.precond = GmgPreconditioner(levels, ops.prolongations, masks=masks)
-        else:
-            self.precond = JacobiPreconditioner(self.K)
+        self.full_op = TensorOperator(ops.factors, 1.0, coeff)
+        self.K = TensorOperator(ops.interior_factors, 1.0, coeff)
+        self.scale = 1.0 / (1.0 + coeff * ops.interior_eig.lam)
 
     def apply_full(self, x: np.ndarray) -> np.ndarray:
         return self.full_op @ x
 
-    def solve(self, rhs: np.ndarray, boundary_values: np.ndarray, x0: np.ndarray | None = None):
+    def solve(self, rhs: np.ndarray, boundary_values: np.ndarray) -> np.ndarray:
         """Solve with x = boundary_values on the Dirichlet rows (strong elimination)."""
-        lift = np.zeros_like(rhs)
-        lift[self.bdofs] = boundary_values
-        b = rhs - self.apply_full(lift)
-        b[self.bdofs] = boundary_values
-        if x0 is not None:
-            x0 = x0.copy()
-            x0[self.bdofs] = boundary_values
-        x, report = cg_solve(self.K, b, precond=self.precond, rel_tol=self.rel_tol, x0=x0)
-        if not report.converged:
-            raise SolverError(
-                f"momentum solve failed: {report.iterations} iterations, "
-                f"residual {report.relative_residual:.3e}"
-            )
-        self.ops.counters["momentum"] += report.iterations
+        ops = self.ops
+        x = np.zeros_like(rhs)
+        x[ops.space.boundary_dofs] = boundary_values
+        b = (rhs - self.apply_full(x)).reshape(self.full_op.grid)[1:-1, 1:-1].ravel()
+        xi = ops.interior_eig.apply(b, self.scale)
+        ops.record_solve("momentum", b, self.K @ xi, xi, self.K.norm_bound, self.rel_tol)
+        x.reshape(self.full_op.grid)[1:-1, 1:-1] = xi.reshape(self.K.grid)
         return x
 
 
 class GepupOperators:
-    """Assembled matrices, transfer operators and the w -> u -> q solve chain.
+    """Assembled matrices, direct solvers and the w -> u -> q solve chain.
 
-    Built over the finest space of a nested hierarchy so the two Poisson-type
-    solves can be preconditioned by geometric multigrid.  ``convection`` can
-    be switched off to reduce the momentum right-hand side to pure forcing
-    and pressure (used by linear-regime diagnostics).
+    Every solve goes through the generalized eigenpairs of the finest
+    space's 1D factors, built once here: the full (Neumann) pairs for the
+    Poisson and mass solves, the interior pairs for the Dirichlet-eliminated
+    momentum solve.  ``residuals`` holds the largest backward error of each
+    solve class since the last ``reset_residuals``.  ``convection`` can be
+    switched off to reduce the momentum right-hand side to pure forcing and
+    pressure (used by linear-regime diagnostics).
     """
-
-    TENSOR_MIN_DOFS = 3000  # below this, plain CSR matvecs are cheap enough
 
     def __init__(
         self,
-        hierarchy: MeshHierarchy,
+        mesh: StructuredQuadMesh,
         degree: int,
         rel_tol: float = 1e-12,
         mass_rel_tol: float | None = None,
         convection: bool = True,
     ):
-        self.spaces = [fem.build_space(m, degree) for m in hierarchy.levels]
-        self.space = self.spaces[-1]
+        self.space = fem.build_space(mesh, degree)
         self.degree = degree
         self.rel_tol = rel_tol
         self.mass_rel_tol = rel_tol if mass_rel_tol is None else mass_rel_tol
         self.convection = convection
 
-        self.mass_levels = [fem.assemble_mass(s) for s in self.spaces]
-        self.stiff_levels = [fem.assemble_stiffness(s) for s in self.spaces]
-        self.M = self.mass_levels[-1]
-        self.A = self.stiff_levels[-1]
-        self.prolongations = [
-            prolongation_matrix(c, f) for c, f in zip(self.spaces, self.spaces[1:])
-        ]
-
-        from .tensorops import TensorOperator, one_dimensional_factors
-
-        self.factors_per_level = [one_dimensional_factors(s) for s in self.spaces]
-        self.fast_M = TensorOperator(self.space, 1.0, 0.0, self.factors_per_level[-1])
-        self.fast_A = TensorOperator(self.space, 0.0, 1.0, self.factors_per_level[-1])
-        stiff_ops = [
-            self.stiff_levels[l]
-            if l == 0 or s.n_dofs <= self.TENSOR_MIN_DOFS
-            else TensorOperator(s, 0.0, 1.0, self.factors_per_level[l])
-            for l, s in enumerate(self.spaces)
-        ]
-
+        self.M = fem.assemble_mass(self.space)
+        self.A = fem.assemble_stiffness(self.space)
         self.mass_weights = self.M @ np.ones(self.space.n_dofs)
-        self.gmg_A = GmgPreconditioner(stiff_ops, self.prolongations, singular=True)
-        self.jacobi_M = JacobiPreconditioner(self.M)
-        self.counters = {"momentum": 0, "poisson_phi": 0, "poisson_q": 0, "mass": 0}
 
-    def reset_counters(self):
-        for key in self.counters:
-            self.counters[key] = 0
+        self.factors = tensorops.one_dimensional_factors(self.space)
+        self.interior_factors = tuple(F[1:-1, 1:-1] for F in self.factors)
+        self.fast_M = TensorOperator(self.factors, 1.0, 0.0)
+        self.fast_A = TensorOperator(self.factors, 0.0, 1.0)
+        self.eig = FastDiagonalization(self.factors)
+        self.interior_eig = FastDiagonalization(self.interior_factors)
+        self.residuals = dict.fromkeys(SOLVE_CLASSES, 0.0)
+
+    def reset_residuals(self):
+        for key in self.residuals:
+            self.residuals[key] = 0.0
+
+    def record_solve(self, name: str, b, Kx, x, norm_K: float, rel_tol: float):
+        """Check a solve's backward error (raises SolverError) and keep the largest per class."""
+        eta = check_backward_error(name, b, Kx, x, norm_K, rel_tol)
+        self.residuals[name] = max(self.residuals[name], eta)
 
     def momentum_operator(self, coeff: float) -> ConstrainedOperator:
         """Constrained mass + coeff*stiffness solver (coeff = nu*dt*gamma)."""
@@ -262,12 +211,8 @@ class GepupOperators:
 
     # ---- load evaluators -----------------------------------------------------
 
-    def eval_Fw(self, U: list[np.ndarray], Q: np.ndarray, case: CaseDefinition, t: float, d: int) -> np.ndarray:
-        """Momentum load (f_d - u . grad u_d - dq/dx_d, eta_i)."""
-        return self.eval_Fw_both(U, Q, case, t)[d]
-
     def eval_Fw_both(self, U: list[np.ndarray], Q: np.ndarray, case: CaseDefinition, t: float) -> list[np.ndarray]:
-        """Both momentum loads in one sweep (the field gathers are shared)."""
+        """Momentum loads (f_d - u . grad u_d - dq/dx_d, eta_i) for d = x, y in one sweep."""
         space = self.space
         ref = space.ref
         ed = space.element_dofs
@@ -354,48 +299,29 @@ class GepupOperators:
 
     # ---- solves ----------------------------------------------------------------
 
-    def solve_poisson(self, load: np.ndarray, counter: str, x0: np.ndarray | None = None) -> np.ndarray:
-        x, report = neumann_solve(
-            self.fast_A,
-            load,
-            self.mass_weights,
-            precond=self.gmg_A,
-            rel_tol=self.rel_tol,
-            x0=x0,
-        )
-        if not report.converged:
-            raise SolverError(
-                f"{counter} solve failed: {report.iterations} iterations, "
-                f"residual {report.relative_residual:.3e}"
-            )
-        self.counters[counter] += report.iterations
+    def solve_poisson(self, load: np.ndarray, counter: str) -> np.ndarray:
+        """Pure-Neumann Poisson solve A x = load with mass-weighted mean-zero output.
+
+        ``counter`` names the solve class for the backward-error record.
+        """
+        x, b = self.eig.solve_neumann(load, self.mass_weights)
+        self.record_solve(counter, b, self.fast_A @ x, x, self.fast_A.norm_bound, self.rel_tol)
         return x
 
-    def solve_mass(self, load: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
-        x, report = cg_solve(
-            self.fast_M, load, precond=self.jacobi_M, rel_tol=self.mass_rel_tol, x0=x0
-        )
-        if not report.converged:
-            raise SolverError(
-                f"mass solve failed: {report.iterations} iterations, "
-                f"residual {report.relative_residual:.3e}"
-            )
-        self.counters["mass"] += report.iterations
+    def solve_mass(self, load: np.ndarray) -> np.ndarray:
+        """M x = load; M^{-1} = S S^T in the full eigenbasis."""
+        x = self.eig.apply(load, 1.0)
+        self.record_solve("mass", load, self.fast_M @ x, x, self.fast_M.norm_bound, self.mass_rel_tol)
         return x
 
-    def leray_project(self, W: list[np.ndarray], case: CaseDefinition, t: float, state_hint: GepupState | None = None):
+    def leray_project(self, W: list[np.ndarray], case: CaseDefinition, t: float):
         """Discrete divergence-free projection: returns (U, Phi)."""
-        load = self.eval_Fphi(W, case, t)
-        x0_phi = state_hint.Phi if state_hint is not None else None
-        Phi = self.solve_poisson(load, "poisson_phi", x0=x0_phi)
-        U = []
-        for d in range(2):
-            x0 = state_hint.U[d] if state_hint is not None else W[d]
-            U.append(self.solve_mass(self.eval_Fu(W[d], Phi, d), x0=x0))
+        Phi = self.solve_poisson(self.eval_Fphi(W, case, t), "poisson_phi")
+        U = [self.solve_mass(self.eval_Fu(W[d], Phi, d)) for d in range(2)]
         return U, Phi
 
-    def compute_pressure(self, U: list[np.ndarray], case: CaseDefinition, t: float, x0: np.ndarray | None = None) -> np.ndarray:
-        return self.solve_poisson(self.eval_Fq(U, case, t), "poisson_q", x0=x0)
+    def compute_pressure(self, U: list[np.ndarray], case: CaseDefinition, t: float) -> np.ndarray:
+        return self.solve_poisson(self.eval_Fq(U, case, t), "poisson_q")
 
     # ---- diagnostics -------------------------------------------------------------
 

@@ -132,12 +132,13 @@ def write_convergence_csv(table: ConvergenceTable, path):
 
 MONITOR_HEADER = [
     "step", "t", "dt", "div_l2", "kinetic_energy",
-    "cg_momentum", "cg_poisson_phi", "cg_poisson_q", "cg_mass",
+    "res_momentum", "res_poisson_phi", "res_poisson_q", "res_mass",
 ]
 
 
 def write_monitor_csv(monitors: list[dict], path):
-    """Per-step monitor series (time, dt, divergence, energy, CG iteration counts)."""
+    """Per-step monitor series (time, dt, divergence, energy, largest backward
+    error of each solve class)."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(MONITOR_HEADER)
@@ -149,9 +150,9 @@ def write_monitor_csv(monitors: list[dict], path):
                     f"{row['dt']:.12g}",
                     f"{row['div_l2']:.6e}",
                     f"{row['kinetic_energy']:.12e}",
-                    row["cg_momentum"],
-                    row["cg_poisson_phi"],
-                    row["cg_poisson_q"],
-                    row["cg_mass"],
+                    f"{row['res_momentum']:.3e}",
+                    f"{row['res_poisson_phi']:.3e}",
+                    f"{row['res_poisson_q']:.3e}",
+                    f"{row['res_mass']:.3e}",
                 ]
             )

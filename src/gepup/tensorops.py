@@ -1,11 +1,12 @@
-"""Fast matrix-free application of the tensor-product operators.
+"""Tensor-product structure of the global mass and stiffness matrices.
 
 On a uniform structured grid with row-major numbering the global mass and
 stiffness matrices factor as M = My (x) Mx and A = My (x) Kx + Ky (x) Mx,
 where Mx, Kx, My, Ky are small 1D mass/stiffness matrices.  Applying the
 1D factors to the coefficient array reshaped to (ndof_y, ndof_x) touches a
-fraction of the memory a 2D CSR matvec moves, which is what the smoothing
-and CG loops spend their time on.  Results agree with the assembled CSR
+fraction of the memory a 2D CSR matvec moves; the solvers use it to form
+residuals, and the generalized eigenpairs of the same factors diagonalize
+every solve (see ``linsolve``).  Results agree with the assembled CSR
 operators to rounding; the CSR matrices remain the assembled artifact (and
 the reference in tests).
 """
@@ -15,31 +16,29 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import FeSpace, lagrange_1d
+from .fem import FeSpace, gauss_legendre_01, lagrange_1d, reference_element
 
-__all__ = ["one_dimensional_factors", "TensorOperator", "MaskedOperator"]
+__all__ = ["one_dimensional_factors", "TensorOperator"]
 
 
 def _global_1d(n_cells: int, h: float, degree: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """1D mass and stiffness on n_cells uniform cells of width h."""
-    from .fem import reference_element
-
     ref = reference_element(degree)
-    q, w = np.polynomial.legendre.leggauss(degree + 2)
-    q = (q + 1) / 2
-    w = w / 2
+    q, w = gauss_legendre_01(degree + 2)
     vals, ders = lagrange_1d(ref.nodes_1d, q)
     M1 = vals.T @ (w[:, None] * vals) * h
     K1 = ders.T @ (w[:, None] * ders) / h
     k = degree
     n = k * n_cells + 1
-    M = sp.lil_matrix((n, n))
-    K = sp.lil_matrix((n, n))
-    for e in range(n_cells):
-        sl = slice(k * e, k * e + k + 1)
-        M[sl, sl] += M1
-        K[sl, sl] += K1
-    return sp.csr_matrix(M), sp.csr_matrix(K)
+    cell_dofs = k * np.arange(n_cells)[:, None] + np.arange(k + 1)[None, :]
+    rows = np.repeat(cell_dofs, k + 1, axis=1).ravel()
+    cols = np.tile(cell_dofs, (1, k + 1)).ravel()
+
+    def assemble(local):
+        data = np.tile(local.ravel(), n_cells)
+        return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+
+    return assemble(M1), assemble(K1)
 
 
 def one_dimensional_factors(space: FeSpace):
@@ -50,29 +49,36 @@ def one_dimensional_factors(space: FeSpace):
     return Mx, Kx, My, Ky
 
 
-class TensorOperator:
-    """alpha * mass + beta * stiffness applied through the 1D factors."""
+def _abs_row_sums(F) -> np.ndarray:
+    return np.asarray(abs(F).sum(axis=1)).ravel()
 
-    def __init__(self, space: FeSpace, alpha: float, beta: float, factors=None):
-        self.space = space
+
+class TensorOperator:
+    """alpha * mass + beta * stiffness applied through sparse 1D factors (Mx, Kx, My, Ky).
+
+    Acts on row-major vectors over the (ndof_y, ndof_x) grid the factors
+    span (for the interior block, pass the factors with their first and last
+    rows and columns removed).  ``norm_bound`` is an upper bound on the
+    operator's infinity norm, hence on its 2-norm (the operator is
+    symmetric), from the absolute row sums of the factors.
+    """
+
+    def __init__(self, factors, alpha: float, beta: float):
+        Mx, Kx, My, Ky = factors
+        self.Mx, self.Kx, self.My, self.Ky = Mx, Kx, My, Ky
         self.alpha = alpha
         self.beta = beta
-        Mx, Kx, My, Ky = factors if factors is not None else one_dimensional_factors(space)
-        self.Mx, self.Kx, self.My, self.Ky = Mx, Kx, My, Ky
         self.MxT = sp.csr_matrix(Mx.T)
         self.KxT = sp.csr_matrix(Kx.T)
-        n = space.n_dofs
+        self.grid = (My.shape[0], Mx.shape[0])
+        n = self.grid[0] * self.grid[1]
         self.shape = (n, n)
-        dmx, dkx = Mx.diagonal(), Kx.diagonal()
-        dmy, dky = My.diagonal(), Ky.diagonal()
-        diag2 = alpha * np.outer(dmy, dmx) + beta * (np.outer(dmy, dkx) + np.outer(dky, dmx))
-        self._diag = diag2.ravel()
-
-    def diagonal(self) -> np.ndarray:
-        return self._diag
+        rmx, rkx, rmy, rky = (_abs_row_sums(F) for F in (Mx, Kx, My, Ky))
+        rows = abs(alpha) * np.outer(rmy, rmx) + abs(beta) * (np.outer(rmy, rkx) + np.outer(rky, rmx))
+        self.norm_bound = float(rows.max()) if rows.size else 0.0
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        X = x.reshape(self.space.ndof_y, self.space.ndof_x)
+        X = x.reshape(self.grid)
         P1 = X @ self.MxT  # (My (x) Mx) building block
         if self.beta != 0.0:
             P2 = X @ self.KxT
@@ -80,30 +86,3 @@ class TensorOperator:
         else:
             out = self.alpha * (self.My @ P1)
         return np.asarray(out).ravel()
-
-    def dot(self, x):
-        return self @ x
-
-
-class MaskedOperator:
-    """Z K Z + (I - Z) for a keep-mask Z: strong Dirichlet elimination wrapper."""
-
-    def __init__(self, inner, keep_mask: np.ndarray):
-        self.inner = inner
-        self.keep = keep_mask
-        self.shape = inner.shape
-        d = inner.diagonal().copy()
-        d[~keep_mask] = 1.0
-        self._diag = d
-
-    def diagonal(self) -> np.ndarray:
-        return self._diag
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        xi = np.where(self.keep, x, 0.0)
-        y = self.inner @ xi
-        y = np.where(self.keep, y, 0.0)
-        return y + np.where(self.keep, 0.0, x)
-
-    def dot(self, x):
-        return self @ x

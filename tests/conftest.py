@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gepup import UNIT_SQUARE, build_hierarchy, build_mesh, build_space
+from gepup import UNIT_SQUARE, build_mesh, build_space
 from gepup.operators import GepupOperators
 
 
@@ -18,12 +18,12 @@ def space_q3_8x8():
 @pytest.fixture(scope="session")
 def ops_q3_l3():
     """Operator chain on the 8x8 cubic space (shared; treat as read-only)."""
-    return GepupOperators(build_hierarchy(UNIT_SQUARE, (1, 1), 3), 3)
+    return GepupOperators(build_mesh(UNIT_SQUARE, (1, 1), 3), 3)
 
 
 @pytest.fixture(scope="session")
 def ops_q3_l4():
-    return GepupOperators(build_hierarchy(UNIT_SQUARE, (1, 1), 4), 3)
+    return GepupOperators(build_mesh(UNIT_SQUARE, (1, 1), 4), 3)
 
 
 @pytest.fixture

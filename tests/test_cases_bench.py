@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from gepup import (
     UNIT_SQUARE,
-    build_hierarchy,
     build_mesh,
     build_space,
     dorfler_mark,

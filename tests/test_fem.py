@@ -12,9 +12,9 @@ from gepup import (
     build_space,
     error_norm,
     interpolate,
-    prolongation_matrix,
     shape_eval,
 )
+from gepup.fem import lagrange_1d
 from fem_oracle import exact_global_matrices, permutation_to_space
 
 
@@ -269,16 +269,50 @@ def test_galerkin_orthogonality_proxy(space_q3_8x8):
     assert np.abs(A @ coeffs - load).max() < 1e-12
 
 
-# ---- prolongation -------------------------------------------------------------
+# ---- nested spaces -------------------------------------------------------------
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_prolongation_embeds_exactly(k):
+    # a coarse Q_k field evaluated at the support points of the space one
+    # level finer reproduces the fine interpolant of the same Q_k polynomial
     coarse = build_space(build_mesh(UNIT_SQUARE, (1, 1), 2), k)
     fine = build_space(build_mesh(UNIT_SQUARE, (1, 1), 3), k)
-    P = prolongation_matrix(coarse, fine)
-    assert np.allclose(P @ np.ones(coarse.n_dofs), 1.0, atol=1e-13)
     f = lambda x, y, t: (x**k) * (y ** min(k, 2)) + 3 * x - y
     cc = interpolate(coarse, f)
     cf = interpolate(fine, f)
-    assert np.abs(P @ cc - cf).max() < 1e-12
+    mesh = coarse.mesh
+    x, y = fine.support_points[:, 0], fine.support_points[:, 1]
+    i = np.minimum((x / mesh.hx).astype(int), mesh.nx - 1)
+    j = np.minimum((y / mesh.hy).astype(int), mesh.ny - 1)
+    nodes = coarse.ref.nodes_1d
+    vx, _ = lagrange_1d(nodes, x / mesh.hx - i)
+    vy, _ = lagrange_1d(nodes, y / mesh.hy - j)
+    phi = (vy[:, :, None] * vx[:, None, :]).reshape(len(x), -1)  # row-major local numbering
+    embedded = np.sum(phi * cc[coarse.element_dofs[j * mesh.nx + i]], axis=1)
+    assert np.abs(embedded - cf).max() < 1e-12
+
+
+# ---- 1D tensor factors ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_one_dimensional_factors_match_cellwise_loop(k):
+    from gepup.fem import gauss_legendre_01, reference_element
+    from gepup.tensorops import _global_1d
+
+    n_cells, h = 5, 0.3
+    q, w = gauss_legendre_01(k + 2)
+    vals, ders = lagrange_1d(reference_element(k).nodes_1d, q)
+    M1 = vals.T @ (w[:, None] * vals) * h
+    K1 = ders.T @ (w[:, None] * ders) / h
+    n = k * n_cells + 1
+    M_ref = np.zeros((n, n))
+    K_ref = np.zeros((n, n))
+    for e in range(n_cells):
+        sl = slice(k * e, k * e + k + 1)
+        M_ref[sl, sl] += M1
+        K_ref[sl, sl] += K1
+    M, K = _global_1d(n_cells, h, k)
+    assert np.array_equal(M.toarray(), M_ref)
+    assert np.array_equal(K.toarray(), K_ref)

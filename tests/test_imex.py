@@ -5,7 +5,6 @@ import scipy.linalg
 from gepup import (
     UNIT_SQUARE,
     ButcherTableau,
-    build_hierarchy,
     build_space,
     build_mesh,
     interpolate,
@@ -147,7 +146,7 @@ def zero_case():
 
 
 def test_rest_state_is_exact():
-    ops = GepupOperators(build_hierarchy(UNIT_SQUARE, (1, 1), 2), 2)
+    ops = GepupOperators(build_mesh(UNIT_SQUARE, (1, 1), 2), 2)
     tab = load_tableau("ark4")
     case = zero_case()
     state = ops.initial_state(case, 0.0)
@@ -159,29 +158,31 @@ def test_rest_state_is_exact():
 
 
 def test_helmholtz_operator_is_spd(rng):
-    ops = GepupOperators(build_hierarchy(UNIT_SQUARE, (1, 1), 2), 3)
-    mom = ops.momentum_operator(0.05)
-    K = mom.K
-    for _ in range(5):
-        x = rng.standard_normal(K.shape[0])
-        assert x @ (K @ x) > 0.0
-    u = rng.standard_normal(K.shape[0])
-    v = rng.standard_normal(K.shape[0])
-    assert u @ (K @ v) == pytest.approx(v @ (K @ u), rel=1e-12)
+    ops = GepupOperators(build_mesh(UNIT_SQUARE, (1, 1), 2), 3)
+    coeff = 0.05
+    mom = ops.momentum_operator(coeff)
+    interior = ops.space.interior_dofs
+    K = (ops.M + coeff * ops.A)[np.ix_(interior, interior)].toarray()
+    assert np.abs(K - K.T).max() <= 1e-15 * np.abs(K).max()
+    assert np.linalg.eigvalsh(K).min() > 0.0
+    # the tensor-product interior block the direct solve diagonalizes is K
+    for _ in range(3):
+        x = rng.standard_normal(len(interior))
+        assert np.abs(mom.K @ x - K @ x).max() <= 1e-14 * np.abs(K @ x).max()
 
 
 def test_richardson_differences_sit_on_the_spatial_floor():
     # at Courant-scale steps the temporal error of the fourth-order pair is
     # far below the per-step projection defect, which lives near the boundary
     # and shrinks with h at the spatial rate; step-pattern differences
-    # therefore measure that floor, not the temporal order (the temporal
-    # order is isolated at scale in the acceptance suite)
+    # therefore measure that floor, not the temporal order (no test isolates
+    # the temporal order yet: that needs a finer mesh or a higher degree)
     case = taylor_green_case(100.0)
     tab = load_tableau("ark4")
     dt = 0.02
     floors = []
     for level in (3, 4):
-        ops = GepupOperators(build_hierarchy(UNIT_SQUARE, (1, 1), level), 3)
+        ops = GepupOperators(build_mesh(UNIT_SQUARE, (1, 1), level), 3)
 
         def run(steps, delta):
             state = ops.initial_state(case, 0.0)
@@ -202,21 +203,35 @@ def test_richardson_differences_sit_on_the_spatial_floor():
     assert floors[1] < floors[0] / 8.0  # measured ~28x drop to h = 1/16
 
 
+def test_taylor_green_q4_l6_step_meets_default_tolerance():
+    # the pressure solve's round-off floor at this size lies above 1e-12
+    # relative residual; the normwise backward error stays far below it
+    case = taylor_green_case(100.0)
+    ops = GepupOperators(build_mesh(UNIT_SQUARE, (1, 1), 6), 4)
+    state = ops.initial_state(case, 0.0)
+    tab = load_tableau("ark4")
+    dt = courant_dt(ops.space, state.U, 0.8)
+    state = advance_step(state, dt, tab, case, ops)
+    assert all(0.0 < r <= ops.rel_tol for r in ops.residuals.values()), ops.residuals
+    err = vector_error_norm(ops.space, state.U, case.exact_u, dt, "L2")
+    assert err < 1e-9
+
+
 def test_stage_solve_matches_scalar_amplification_oracle():
     # convection/projection/pressure disabled: each step is an ESDIRK update
     # of the heat equation, so every (A, M) eigenmode is multiplied by the
     # scalar stability function at z = -nu dt lambda
     class PureDiffusionOps(GepupOperators):
-        def eval_Fw(self, U, Q, case, t, d):
-            return np.zeros(self.space.n_dofs)
+        def eval_Fw_both(self, U, Q, case, t):
+            return [np.zeros(self.space.n_dofs), np.zeros(self.space.n_dofs)]
 
-        def leray_project(self, W, case, t, state_hint=None):
+        def leray_project(self, W, case, t):
             return [w.copy() for w in W], np.zeros(self.space.n_dofs)
 
-        def compute_pressure(self, U, case, t, x0=None):
+        def compute_pressure(self, U, case, t):
             return np.zeros(self.space.n_dofs)
 
-    ops = PureDiffusionOps(build_hierarchy(UNIT_SQUARE, (1, 1), 2), 2)
+    ops = PureDiffusionOps(build_mesh(UNIT_SQUARE, (1, 1), 2), 2)
     case = zero_case()
     tab = load_tableau("ark4")
     interior = ops.space.interior_dofs
@@ -242,7 +257,7 @@ def test_stage_solve_matches_scalar_amplification_oracle():
 def test_kinetic_energy_decays_without_forcing():
     # no-slip, zero forcing: the L-stable scheme must not create energy
     for case, degree in ((single_vortex_case(5000.0), 3), (decaying_tg_case(), 3)):
-        ops = GepupOperators(build_hierarchy(UNIT_SQUARE, (1, 1), 3), degree)
+        ops = GepupOperators(build_mesh(UNIT_SQUARE, (1, 1), 3), degree)
         tab = load_tableau("ark4")
         state = ops.initial_state(case, 0.0)
         dt = courant_dt(ops.space, state.U, 0.8, dt_max=0.05)

@@ -1,203 +1,189 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
+import scipy.linalg
 
-from gepup import (
-    UNIT_SQUARE,
-    GmgPreconditioner,
-    JacobiPreconditioner,
-    NumericalBreakdown,
-    SolverError,
-    assemble_mass,
-    assemble_stiffness,
-    build_hierarchy,
-    build_space,
-    cg_solve,
-    neumann_solve,
-    prolongation_matrix,
-)
+from gepup import RectDomain, SolverError, UNIT_SQUARE, build_mesh
+from gepup.linsolve import FastDiagonalization, check_backward_error
+from gepup.operators import GepupOperators
 
 
-def csr(dense):
-    return sp.csr_matrix(np.asarray(dense, dtype=float))
-
-
-# ---- cg_solve ---------------------------------------------------------------
+# ---- one fast-diagonalization apply on small dense systems --------------------
+# (the test names are kept from the conjugate-gradient solver these tests replace)
 
 
 def test_cg_identity_single_iteration():
-    A = csr(np.eye(5))
+    fdm = one_axis_solver(np.eye(5), np.eye(5))
     b = np.array([1.0, -2.0, 3.0, 0.5, 0.0])
-    x, rep = cg_solve(A, b)
-    assert np.allclose(x, b, atol=1e-14)
-    assert rep.iterations <= 1
-    assert rep.converged
+    assert np.allclose(fdm.apply(b, 1.0 / fdm.lam), b, atol=1e-14)
+    assert np.allclose(fdm.apply(b, 1.0), b, atol=1e-14)
 
 
 def test_cg_tridiagonal_known_solution():
-    A = csr([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+    A = np.array([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], float)
     b = np.array([1.0, 0.0, 0.0])
-    x, rep = cg_solve(A, b, rel_tol=1e-14)
     # dense direct oracle
-    assert np.allclose(np.linalg.solve(A.toarray(), b), [0.75, 0.5, 0.25], atol=1e-14)
-    assert np.allclose(x, [0.75, 0.5, 0.25], atol=1e-12)
-    assert rep.converged
-
-
-def test_cg_zero_rhs():
-    A = csr(np.diag([2.0, 3.0]))
-    x, rep = cg_solve(A, np.zeros(2))
-    assert np.array_equal(x, np.zeros(2))
-    assert rep.iterations == 0 and rep.converged
+    assert np.allclose(np.linalg.solve(A, b), [0.75, 0.5, 0.25], atol=1e-14)
+    fdm = one_axis_solver(np.eye(3), A)
+    x = fdm.apply(b, 1.0 / fdm.lam)
+    assert np.allclose(x, [0.75, 0.5, 0.25], atol=1e-13)
+    assert check_backward_error("tridiagonal", b, A @ x, x, 4.0, 1e-14) <= 1e-15
 
 
 def test_cg_exact_in_n_iterations(rng):
+    # one apply solves alpha M + beta K exactly for any SPD pencil, no iteration needed
     for n in range(2, 11):
         Q = rng.standard_normal((n, n))
-        A = csr(Q @ Q.T + n * np.eye(n))
+        K = Q @ Q.T + n * np.eye(n)
+        R = rng.standard_normal((n, n))
+        M = R @ R.T + n * np.eye(n)
         b = rng.standard_normal(n)
-        x, rep = cg_solve(A, b, rel_tol=1e-14)
-        assert rep.iterations <= n
-        assert np.allclose(x, np.linalg.solve(A.toarray(), b), atol=1e-9)
+        fdm = one_axis_solver(M, K)
+        for alpha, beta in ((0.0, 1.0), (1.0, 0.0), (1.0, 0.3)):
+            x = fdm.apply(b, 1.0 / (alpha + beta * fdm.lam))
+            x_ref = np.linalg.solve(alpha * M + beta * K, b)
+            assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
 
 
-def test_cg_breakdown_on_indefinite_matrix():
-    A = csr(np.diag([1.0, -1.0]))
-    with pytest.raises(NumericalBreakdown):
-        cg_solve(A, np.array([1.0, 1.0]))
-
-
-def test_cg_rejects_nonfinite_inputs():
-    A = csr(np.eye(2))
-    with pytest.raises(SolverError):
-        cg_solve(A, np.array([np.nan, 0.0]))
-    B = csr(np.eye(2))
-    B.data[0] = np.inf
-    with pytest.raises(SolverError):
-        cg_solve(B, np.ones(2))
-
-
-def test_cg_warm_start_converges_immediately():
-    A = csr([[4.0, 1.0], [1.0, 3.0]])
-    b = np.array([1.0, 2.0])
-    x_exact = np.linalg.solve(A.toarray(), b)
-    x, rep = cg_solve(A, b, x0=x_exact)
-    assert rep.iterations == 0
-    assert np.allclose(x, x_exact)
-
-
-# ---- neumann_solve ----------------------------------------------------------
+# ---- pure-Neumann (Poisson) solve ---------------------------------------------
 
 PATH_LAPLACIAN = [[1, -1, 0], [-1, 2, -1], [0, -1, 1]]
 
 
+def one_axis_solver(M, K):
+    # a 1 x n tensor grid whose y factors (My = 1, Ky = 0) make the grid's M, A the given M, K
+    return FastDiagonalization((M, K, np.eye(1), np.zeros((1, 1))))
+
+
+def path_graph_solver():
+    return one_axis_solver(np.eye(3), np.asarray(PATH_LAPLACIAN, float))
+
+
 def test_neumann_path_graph_known_solution():
-    A = csr(PATH_LAPLACIAN)
     b = np.array([1.0, 0.0, -1.0])
-    w = np.ones(3)
-    x, rep = neumann_solve(A, b, w, rel_tol=1e-14)
+    x, bc = path_graph_solver().solve_neumann(b, np.ones(3))
     # pseudoinverse oracle: the compatible mean-zero solution is (1, 0, -1)
     oracle = np.linalg.pinv(np.asarray(PATH_LAPLACIAN, float)) @ b
     assert np.allclose(oracle, [1.0, 0.0, -1.0], atol=1e-12)
-    assert np.allclose(x, oracle, atol=1e-10)
-    assert rep.converged
+    assert np.allclose(x, oracle, atol=1e-13)
+    A = np.asarray(PATH_LAPLACIAN, float)
+    assert check_backward_error("path", bc, A @ x, x, 4.0, 1e-14) <= 1e-15
 
 
-def test_neumann_pure_nullspace_rhs():
-    A = csr(PATH_LAPLACIAN)
-    x, rep = neumann_solve(A, np.full(3, 7.5), np.ones(3))
-    assert np.allclose(x, 0.0, atol=1e-12)
+def test_neumann_pure_nullspace_rhs(ops_q3_l3):
+    assert np.allclose(path_graph_solver().solve_neumann(np.full(3, 7.5), np.ones(3))[0], 0.0, atol=1e-13)
+    x = ops_q3_l3.solve_poisson(np.full(ops_q3_l3.space.n_dofs, 7.5), "poisson_phi")
+    assert np.abs(x).max() < 1e-12
 
 
-def test_neumann_shift_invariance(rng):
-    A = csr(PATH_LAPLACIAN)
-    b = rng.standard_normal(3)
-    b -= b.mean()
-    w = np.array([0.5, 1.0, 0.5])
-    x1, _ = neumann_solve(A, b, w, rel_tol=1e-14)
-    x2, _ = neumann_solve(A, b + 3.25, w, rel_tol=1e-14)
-    assert np.allclose(x1, x2, atol=1e-10)
+def test_neumann_shift_invariance(ops_q3_l3, rng):
+    b = rng.standard_normal(ops_q3_l3.space.n_dofs)
+    x1 = ops_q3_l3.solve_poisson(b, "poisson_phi")
+    x2 = ops_q3_l3.solve_poisson(b + 3.25, "poisson_phi")
+    assert np.abs(x1 - x2).max() <= 1e-12 * np.abs(x1).max()
 
 
 def test_neumann_mass_weighted_mean_zero(ops_q3_l3, rng):
-    A = ops_q3_l3.A
     w = ops_q3_l3.mass_weights
     b = rng.standard_normal(ops_q3_l3.space.n_dofs)
-    x, rep = neumann_solve(A, b, w, precond=ops_q3_l3.gmg_A)
-    assert rep.converged
-    assert abs(w @ x) <= 1e-10 * np.linalg.norm(x) * np.linalg.norm(w)
+    x = ops_q3_l3.solve_poisson(b, "poisson_q")
+    assert abs(w @ x) <= 1e-13 * np.linalg.norm(x) * np.linalg.norm(w)
 
 
-# ---- geometric multigrid ------------------------------------------------------
+def test_neumann_known_discrete_solution(ops_q3_l3):
+    space = ops_q3_l3.space
+    pts = space.support_points
+    x_true = np.cos(np.pi * pts[:, 0]) * np.cos(2 * np.pi * pts[:, 1]) + pts[:, 0] ** 3
+    x_true -= (ops_q3_l3.mass_weights @ x_true) / ops_q3_l3.mass_weights.sum()
+    x = ops_q3_l3.solve_poisson(ops_q3_l3.A @ x_true, "poisson_q")
+    assert np.abs(x - x_true).max() <= 1e-11 * np.abs(x_true).max()
 
 
-def _poisson_gmg(level, degree=3):
-    hier = build_hierarchy(UNIT_SQUARE, (1, 1), level)
-    spaces = [build_space(m, degree) for m in hier.levels]
-    mats = [assemble_stiffness(s) for s in spaces]
-    prolong = [prolongation_matrix(a, b) for a, b in zip(spaces, spaces[1:])]
-    return spaces, mats, GmgPreconditioner(mats, prolong, singular=True)
+# ---- every solve against dense references ------------------------------------------
+
+DOMAIN = RectDomain((0.25, -1.0), (2.0, 3.0))
 
 
-def test_gmg_zero_maps_to_zero():
-    _, _, gmg = _poisson_gmg(2)
-    z = gmg.apply(np.zeros(gmg.ops[-1].shape[0]))
-    assert np.array_equal(z, np.zeros_like(z))
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_direct_solves_match_dense_references(k, rng):
+    ops = GepupOperators(build_mesh(DOMAIN, (2, 1), 1), k)  # 4 x 2 cells, hx != hy
+    space = ops.space
+    assert space.ndof_x != space.ndof_y
+    M = ops.M.toarray()
+    A = ops.A.toarray()
+    w = ops.mass_weights
+    b = rng.standard_normal(space.n_dofs)
+
+    x_ref = scipy.linalg.pinvh(A) @ (b - b.mean())
+    x_ref -= (w @ x_ref) / w.sum()
+    x = ops.solve_poisson(b, "poisson_phi")
+    assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
+
+    x_ref = scipy.linalg.solve(M, b, assume_a="pos")
+    assert np.abs(ops.solve_mass(b) - x_ref).max() <= 1e-11 * np.abs(x_ref).max()
+
+    coeff = 0.03
+    K = M + coeff * A
+    bd, inner = space.boundary_dofs, space.interior_dofs
+    g = rng.standard_normal(len(bd))
+    x_ref = np.zeros(space.n_dofs)
+    x_ref[bd] = g
+    x_ref[inner] = scipy.linalg.solve(K[np.ix_(inner, inner)], b[inner] - K[np.ix_(inner, bd)] @ g)
+    x = ops.momentum_operator(coeff).solve(b, g)
+    assert np.array_equal(x[bd], g)
+    assert np.abs(x - x_ref).max() <= 1e-11 * np.abs(x_ref).max()
+
+    for name in ("momentum", "poisson_phi", "mass"):
+        assert ops.residuals[name] <= 1e-14
 
 
-def test_gmg_is_linear_and_symmetric(rng):
-    _, mats, gmg = _poisson_gmg(2)
-    n = mats[-1].shape[0]
-    for _ in range(4):
-        u = rng.standard_normal(n)
-        v = rng.standard_normal(n)
-        left = u @ gmg.apply(v)
-        right = v @ gmg.apply(u)
-        assert abs(left - right) <= 1e-12 * max(abs(left), abs(right))
-    a, bvec = rng.standard_normal(n), rng.standard_normal(n)
-    assert np.allclose(
-        gmg.apply(2.0 * a - 3.0 * bvec),
-        2.0 * gmg.apply(a) - 3.0 * gmg.apply(bvec),
-        rtol=1e-12,
-        atol=1e-12,
-    )
+def test_cg_zero_rhs(ops_q3_l3):
+    fdm = one_axis_solver(np.eye(2), np.diag([2.0, 3.0]))
+    assert np.array_equal(fdm.apply(np.zeros(2), 1.0 / fdm.lam), np.zeros(2))
+    z = np.zeros(ops_q3_l3.space.n_dofs)
+    assert np.array_equal(ops_q3_l3.solve_mass(z), z)
+    assert np.array_equal(ops_q3_l3.solve_poisson(z, "poisson_q"), z)
+    gz = np.zeros(len(ops_q3_l3.space.boundary_dofs))
+    assert np.array_equal(ops_q3_l3.momentum_operator(0.1).solve(z, gz), z)
 
 
-def test_gmg_single_level_equals_smoother_sweeps(rng):
-    hier = build_hierarchy(UNIT_SQUARE, (1, 1), 0)
-    space = build_space(hier.levels[0], 2)
-    M = assemble_mass(space)
-    gmg = GmgPreconditioner([M], [], singular=False)
-    r = rng.standard_normal(space.n_dofs)
-    # single level: direct coarse solve
-    assert np.allclose(gmg.apply(r), np.linalg.solve(M.toarray(), r), atol=1e-12)
+# ---- the backward-error check ------------------------------------------------------
 
 
-def test_prolongation_transpose_identity(rng):
-    spaces, _, _ = _poisson_gmg(2)
-    P = prolongation_matrix(spaces[-2], spaces[-1])
-    v = rng.standard_normal(P.shape[1])
-    w = rng.standard_normal(P.shape[0])
-    assert (P @ v) @ w == pytest.approx(v @ (P.T @ w), rel=1e-13)
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_cg_rejects_nonfinite_inputs(ops_q3_l3):
+    n = ops_q3_l3.space.n_dofs
+    bad = np.ones(n)
+    bad[n // 3] = np.nan
+    with pytest.raises(SolverError, match="poisson_q"):
+        ops_q3_l3.solve_poisson(bad, "poisson_q")
+    with pytest.raises(SolverError, match="mass"):
+        ops_q3_l3.solve_mass(bad)
+    with pytest.raises(SolverError, match="momentum"):
+        ops_q3_l3.momentum_operator(0.1).solve(bad, np.zeros(len(ops_q3_l3.space.boundary_dofs)))
+    bad[n // 3] = np.inf
+    with pytest.raises(SolverError, match="mass"):
+        ops_q3_l3.solve_mass(bad)
 
 
-def test_prolongation_preserves_constants():
-    spaces, _, _ = _poisson_gmg(3)
-    for a, b in zip(spaces, spaces[1:]):
-        P = prolongation_matrix(a, b)
-        assert np.allclose(P @ np.ones(a.n_dofs), 1.0, atol=1e-13)
+def test_backward_error_check_catches_a_wrong_solve(rng):
+    ops = GepupOperators(build_mesh(UNIT_SQUARE, (1, 1), 2), 3)
+    b = rng.standard_normal(ops.space.n_dofs)
+    ops.solve_poisson(b, "poisson_phi")
+    ops.eig.neumann_scale = 2.0 * ops.eig.neumann_scale
+    with pytest.raises(SolverError, match=r"poisson_phi solve: backward error \d"):
+        ops.solve_poisson(b, "poisson_phi")
+    mom = ops.momentum_operator(0.05)
+    mom.scale = mom.scale * (1.0 + 1e-9)
+    with pytest.raises(SolverError, match="momentum"):
+        mom.solve(b, np.zeros(len(ops.space.boundary_dofs)))
 
 
-def test_gmg_cg_mesh_independent_iterations(rng):
-    counts = []
-    for level in (3, 4, 5, 6):
-        spaces, mats, gmg = _poisson_gmg(level)
-        space = spaces[-1]
-        M = assemble_mass(space)
-        w = M @ np.ones(space.n_dofs)
-        rng_local = np.random.default_rng(99)
-        b = rng_local.standard_normal(space.n_dofs)
-        x, rep = neumann_solve(mats[-1], b, w, precond=gmg, rel_tol=1e-12)
-        assert rep.converged
-        counts.append(rep.iterations)
-    assert max(counts) - min(counts) <= 5, counts
+def test_backward_error_is_normwise_relative():
+    K = np.diag([2.0, 4.0])
+    b = np.array([2.0, 4.0])
+    x = np.array([1.0, 1.0 + 1e-6])
+    # ||b - Kx|| = 4e-6 against ||b|| + ||K|| ||x|| = sqrt(20) + 4 sqrt(2)
+    eta = check_backward_error("toy", b, K @ x, x, 4.0, 1e-5)
+    assert eta == pytest.approx(4e-6 / (np.sqrt(20.0) + 4.0 * np.sqrt(2.0 + 2e-6 + 1e-12)))
+    with pytest.raises(SolverError, match="toy solve"):
+        check_backward_error("toy", b, K @ x, x, 4.0, 1e-7)

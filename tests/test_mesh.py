@@ -5,7 +5,6 @@ from gepup import (
     UNIT_SQUARE,
     RectDomain,
     boundary_faces,
-    build_hierarchy,
     build_mesh,
 )
 
@@ -41,18 +40,16 @@ def test_invalid_arguments():
 
 
 def test_hierarchy_counts():
-    hier = build_hierarchy(UNIT_SQUARE, (1, 1), 2)
-    assert [m.n_elements for m in hier.levels] == [1, 4, 16]
-    single = build_hierarchy(UNIT_SQUARE, (1, 1), 0)
-    assert len(single) == 1
-    fine = build_hierarchy(UNIT_SQUARE, (1, 1), 6)
-    assert fine.finest.hx == pytest.approx(1 / 64)
-    assert fine.finest.nx == build_mesh(UNIT_SQUARE, (1, 1), 6).nx
+    # the refinement levels of one base grid
+    assert [build_mesh(UNIT_SQUARE, (1, 1), l).n_elements for l in range(3)] == [1, 4, 16]
+    fine = build_mesh(UNIT_SQUARE, (1, 1), 6)
+    assert fine.hx == pytest.approx(1 / 64)
+    assert fine.level == 6
 
 
 def test_hierarchy_nesting_by_index_arithmetic():
-    hier = build_hierarchy(UNIT_SQUARE, (2, 1), 3)
-    for coarse, fine in zip(hier.levels, hier.levels[1:]):
+    levels = [build_mesh(UNIT_SQUARE, (2, 1), l) for l in range(4)]
+    for coarse, fine in zip(levels, levels[1:]):
         # coarse element (i, j) covers fine elements (2i + a, 2j + b)
         for e in range(coarse.n_elements):
             j, i = divmod(e, coarse.nx)

@@ -4,7 +4,7 @@ import pytest
 from gepup import (
     UNIT_SQUARE,
     CaseDefinition,
-    build_hierarchy,
+    build_mesh,
     interpolate,
     taylor_green_case,
     vector_error_norm,
@@ -26,7 +26,7 @@ def make_case(nu=0.01, g=zero_vec, f=None, dg_dt=None):
 
 @pytest.fixture(scope="module")
 def ops():
-    return GepupOperators(build_hierarchy(UNIT_SQUARE, (1, 1), 3), 3)
+    return GepupOperators(build_mesh(UNIT_SQUARE, (1, 1), 3), 3)
 
 
 def interp2(space, fn):
@@ -41,7 +41,7 @@ def interp2(space, fn):
 def test_Fw_all_zero(ops):
     N = ops.space.n_dofs
     z = np.zeros(N)
-    load = ops.eval_Fw([z, z], z, make_case(), 0.0, 0)
+    load = ops.eval_Fw_both([z, z], z, make_case(), 0.0)[0]
     assert np.allclose(load, 0.0, atol=1e-15)
 
 
@@ -49,16 +49,16 @@ def test_Fw_constant_forcing_gives_mass_row_sums(ops):
     N = ops.space.n_dofs
     z = np.zeros(N)
     case = make_case(f=lambda x, y, t: (np.ones_like(x), np.zeros_like(x)))
-    load = ops.eval_Fw([z, z], z, case, 0.0, 0)
+    load = ops.eval_Fw_both([z, z], z, case, 0.0)[0]
     assert np.allclose(load, ops.mass_weights, atol=1e-14)
-    assert np.allclose(ops.eval_Fw([z, z], z, case, 0.0, 1), 0.0, atol=1e-15)
+    assert np.allclose(ops.eval_Fw_both([z, z], z, case, 0.0)[1], 0.0, atol=1e-15)
 
 
 def test_Fw_shear_field_has_no_self_advection():
     # u = (y, 0): u . grad u_x = y * 0 + 0 * 1 = 0 pointwise
-    ops1 = GepupOperators(build_hierarchy(UNIT_SQUARE, (1, 1), 0), 2)
+    ops1 = GepupOperators(build_mesh(UNIT_SQUARE, (1, 1), 0), 2)
     U = interp2(ops1.space, lambda x, y: (y, np.zeros_like(x)))
-    load = ops1.eval_Fw(U, np.zeros(ops1.space.n_dofs), make_case(), 0.0, 0)
+    load = ops1.eval_Fw_both(U, np.zeros(ops1.space.n_dofs), make_case(), 0.0)[0]
     assert np.allclose(load, 0.0, atol=1e-14)
 
 
@@ -66,7 +66,7 @@ def test_Fw_includes_pressure_gradient(ops):
     N = ops.space.n_dofs
     z = np.zeros(N)
     Q = interpolate(ops.space, lambda x, y, t: x)
-    load = ops.eval_Fw([z, z], Q, make_case(), 0.0, 0)
+    load = ops.eval_Fw_both([z, z], Q, make_case(), 0.0)[0]
     # (-dq/dx, eta_i) with q = x: every entry is -(1, eta_i)
     assert np.allclose(load, -ops.mass_weights, atol=1e-13)
 
@@ -121,7 +121,7 @@ def test_leray_removes_interpolated_gradient():
     # projects back to U up to discretization error that shrinks ~h^k
     errs = []
     for level in (2, 3):
-        ops_l = GepupOperators(build_hierarchy(UNIT_SQUARE, (1, 1), level), 3)
+        ops_l = GepupOperators(build_mesh(UNIT_SQUARE, (1, 1), level), 3)
         space = ops_l.space
         case = taylor_green_case(100.0)
         U0 = interp2(space, lambda x, y: case.exact_u(x, y, 0.0))
@@ -152,7 +152,7 @@ def test_leray_is_idempotent_up_to_discretization():
     case = taylor_green_case(100.0)
     defects = []
     for level in (2, 3, 5):
-        ops_l = GepupOperators(build_hierarchy(UNIT_SQUARE, (1, 1), level), 3)
+        ops_l = GepupOperators(build_mesh(UNIT_SQUARE, (1, 1), level), 3)
         V = interp2(ops_l.space, lambda x, y: case.exact_u(x, y, 0.0))
         U1, _ = ops_l.leray_project(V, case, 0.0)
         U2, _ = ops_l.leray_project(U1, case, 0.0)
@@ -211,7 +211,7 @@ def test_pressure_from_manufactured_gradient_forcing():
     )
     errs = []
     for level in (2, 3):
-        ops_l = GepupOperators(build_hierarchy(UNIT_SQUARE, (1, 1), level), 3)
+        ops_l = GepupOperators(build_mesh(UNIT_SQUARE, (1, 1), level), 3)
         space = ops_l.space
         case = make_case(f=gpsi)
         z = np.zeros(space.n_dofs)
@@ -228,7 +228,7 @@ def test_pressure_approximates_known_field_from_velocity():
     case = taylor_green_case(100.0)
     errs = []
     for level in (2, 3):
-        ops_l = GepupOperators(build_hierarchy(UNIT_SQUARE, (1, 1), level), 3)
+        ops_l = GepupOperators(build_mesh(UNIT_SQUARE, (1, 1), level), 3)
         space = ops_l.space
         U = interp2(space, lambda x, y: case.exact_u(x, y, 0.0))
         Q = ops_l.compute_pressure(U, case, 0.0)

@@ -126,11 +126,13 @@ def test_monitor_csv_round_trip(tmp_path):
     monitors = [
         {
             "step": 0, "t": 0.0, "dt": 0.0, "div_l2": 1e-9, "kinetic_energy": 0.25,
-            "cg_momentum": 0, "cg_poisson_phi": 7, "cg_poisson_q": 9, "cg_mass": 30,
+            "res_momentum": 0.0, "res_poisson_phi": 3.1e-16, "res_poisson_q": 4.2e-16,
+            "res_mass": 2.5e-16,
         },
         {
             "step": 1, "t": 0.05, "dt": 0.05, "div_l2": 2e-9, "kinetic_energy": 0.24,
-            "cg_momentum": 12, "cg_poisson_phi": 8, "cg_poisson_q": 9, "cg_mass": 28,
+            "res_momentum": 6.2e-16, "res_poisson_phi": 3.3e-16, "res_poisson_q": 4.0e-16,
+            "res_mass": 2.8e-16,
         },
     ]
     path = tmp_path / "mon.csv"
@@ -139,7 +141,8 @@ def test_monitor_csv_round_trip(tmp_path):
         rows = list(csv.DictReader(f))
     assert len(rows) == 2
     assert float(rows[1]["t"]) == 0.05
-    assert int(rows[1]["cg_mass"]) == 28
+    assert float(rows[1]["res_mass"]) == 2.8e-16
+    assert float(rows[0]["res_momentum"]) == 0.0
 
 
 # ---- config parsing ----------------------------------------------------------------

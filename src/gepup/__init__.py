@@ -13,15 +13,12 @@ from .mesh import (
     RectDomain,
     StructuredQuadMesh,
     build_mesh,
-    boundary_faces,
     UNIT_SQUARE,
 )
 from .fem import (
     FeSpace,
     build_space,
     shape_eval,
-    assemble_mass,
-    assemble_stiffness,
     interpolate,
     error_norm,
     vector_error_norm,

@@ -9,6 +9,7 @@ import numpy as np
 from . import fem
 from .fem import FeSpace
 from .imex import StepperConfig, advance_step, courant_dt, load_tableau
+from .linsolve import SolverError
 from .mesh import build_mesh
 from .operators import SOLVE_CLASSES, CaseDefinition, GepupOperators, GepupState, check_boundary_compatibility
 
@@ -22,9 +23,6 @@ __all__ = [
     "vorticity_indicator",
     "dorfler_mark",
 ]
-
-ERROR_KEYS = ("u_L2", "u_H1", "u_Linf", "q_L2", "q_H1", "q_Linf")
-
 
 @dataclass
 class ConvergenceTable:
@@ -130,7 +128,8 @@ def run_simulation(
     of the momentum solve) and the final step is shortened to land exactly
     on t_end.  Each monitor row holds the largest backward error of every
     solve class in that step (``res_<class>``).  ``w_override(x, y) -> (wx, wy)``
-    replaces the initial evolved velocity without projecting it.
+    replaces the initial evolved velocity without projecting it.  A
+    SolverError names the step (0 for the initial state), phase and time.
     """
     if t_end < t0:
         raise ValueError(f"t_end {t_end} precedes t0 {t0}")
@@ -141,7 +140,11 @@ def run_simulation(
     tableau = load_tableau(config.tableau)
 
     ops.reset_residuals()
-    state = ops.initial_state(case, t0, w_override=w_override)
+    try:
+        state = ops.initial_state(case, t0, w_override=w_override)
+    except SolverError as exc:
+        exc.step, exc.phase, exc.t = 0, "initial state", t0
+        raise
     monitors = [_monitor_entry(0, state, 0.0, ops)]
     if on_step is not None:
         on_step(0, state, ops)
@@ -163,7 +166,11 @@ def run_simulation(
                 dt_step = t_end - state.t
                 mom_step = ops.momentum_operator(case.nu * dt_step * tableau.gamma)
             ops.reset_residuals()
-            state = advance_step(state, dt_step, tableau, case, ops, momentum=mom_step)
+            try:
+                state = advance_step(state, dt_step, tableau, case, ops, momentum=mom_step)
+            except SolverError as exc:
+                exc.step = steps + 1
+                raise
             steps += 1
             monitors.append(_monitor_entry(steps, state, dt_step, ops))
             if on_step is not None:

@@ -15,7 +15,7 @@ from .bench import run_convergence, run_simulation
 from .cases import lid_cavity_case, single_vortex_case, taylor_green_case
 from .imex import TABLEAU_IDS, StepperConfig, load_tableau, validate_tableau
 from .linsolve import SolverError
-from .output import write_convergence_csv, write_monitor_csv, write_vtk
+from .output import ERROR_COLUMNS, write_convergence_csv, write_monitor_csv, write_vtk
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "main"]
 
@@ -199,7 +199,7 @@ def _cmd_run(config: RunConfig) -> int:
     last = result.monitors[-1]
     print(f"  div_l2 = {last['div_l2']:.3e}, kinetic energy = {last['kinetic_energy']:.6e}")
     if result.errors is not None:
-        for key in ("u_L2", "u_H1", "u_Linf", "q_L2", "q_H1", "q_Linf"):
+        for key in ERROR_COLUMNS:
             print(f"  {key} = {result.errors[key]:.3e}")
     return 0
 

@@ -3,7 +3,9 @@
 Scalar tensor-product Lagrange spaces of degree 1..4 with Gauss-Lobatto
 support points, tensor Gauss-Legendre quadrature with (k+2)^2 points per
 element (exact for the mass and stiffness integrands on affine cells),
-sparse assembly, nodal interpolation and error norms.
+quadrature loads on elements and boundary faces, nodal interpolation and
+error norms.  The global matrices are never assembled: they are Kronecker
+products of the 1D factors in ``tensorops``.
 
 Vector fields are represented as one coefficient array per component; all
 components share the scalar space.
@@ -14,17 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .mesh import StructuredQuadMesh, boundary_faces
+from .mesh import StructuredQuadMesh
 
 __all__ = [
     "ReferenceElement",
     "FeSpace",
     "shape_eval",
     "build_space",
-    "assemble_mass",
-    "assemble_stiffness",
     "interpolate",
     "error_norm",
     "vector_error_norm",
@@ -294,9 +293,6 @@ class FeSpace:
         gy = (local @ self.ref.dphi[:, :, 1].T) * self.inv_h[1]
         return gx, gy
 
-    def values_on_face(self, face: FaceData, coeffs: np.ndarray) -> np.ndarray:
-        return coeffs[self.element_dofs[face.elements]] @ face.phi.T
-
     def grads_on_face(self, face: FaceData, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         local = coeffs[self.element_dofs[face.elements]]
         gx = (local @ face.dphi[:, :, 0].T) * self.inv_h[0]
@@ -334,40 +330,6 @@ class FeSpace:
 
 def build_space(mesh: StructuredQuadMesh, degree: int) -> FeSpace:
     return FeSpace(mesh, degree)
-
-
-def _local_matrices(space: FeSpace) -> tuple[np.ndarray, np.ndarray]:
-    ref = space.ref
-    w = space.wdet
-    M = ref.phi.T @ (w[:, None] * ref.phi)
-    dx = ref.dphi[:, :, 0] * space.inv_h[0]
-    dy = ref.dphi[:, :, 1] * space.inv_h[1]
-    A = dx.T @ (w[:, None] * dx) + dy.T @ (w[:, None] * dy)
-    return M, A
-
-
-def _scatter(space: FeSpace, local: np.ndarray) -> sp.csr_matrix:
-    nl = space.ref.n_local
-    ed = space.element_dofs
-    rows = np.repeat(ed, nl, axis=1).ravel()
-    cols = np.tile(ed, (1, nl)).ravel()
-    data = np.tile(local.ravel(), space.mesh.n_elements)
-    mat = sp.coo_matrix((data, (rows, cols)), shape=(space.n_dofs, space.n_dofs)).tocsr()
-    mat.sum_duplicates()
-    mat.sort_indices()
-    return mat
-
-
-def assemble_mass(space: FeSpace) -> sp.csr_matrix:
-    """Mass matrix with entries (eta_i, eta_j) over the domain."""
-    M_loc, _ = _local_matrices(space)
-    return _scatter(space, M_loc)
-
-
-def assemble_stiffness(space: FeSpace) -> sp.csr_matrix:
-    """Stiffness matrix with entries (grad eta_i, grad eta_j)."""
-    _, A_loc = _local_matrices(space)
-    return _scatter(space, A_loc)
 
 
 def interpolate(space: FeSpace, fn, t: float = 0.0) -> np.ndarray:
@@ -453,14 +415,15 @@ def vector_error_norm(space: FeSpace, fields, exact_vec, t: float, norm: str = "
     raise ValueError(f"unknown norm {norm!r}")
 
 
+def normal_trace(face: FaceData, g, t: float) -> np.ndarray:
+    """g . n at the quadrature points of one boundary side, (n_faces, n_qf)."""
+    x = face.points[:, :, 0]
+    y = face.points[:, :, 1]
+    gx, gy = g(x, y, t)
+    gn = np.broadcast_to(np.asarray(gx, dtype=float), x.shape) * face.normal[0]
+    return gn + np.broadcast_to(np.asarray(gy, dtype=float), x.shape) * face.normal[1]
+
+
 def boundary_flux(space: FeSpace, g, t: float) -> float:
     """Integral of g . n over the domain boundary by face quadrature."""
-    total = 0.0
-    for face in space.faces:
-        x = face.points[:, :, 0]
-        y = face.points[:, :, 1]
-        gx, gy = g(x, y, t)
-        gn = np.broadcast_to(np.asarray(gx), x.shape) * face.normal[0]
-        gn = gn + np.broadcast_to(np.asarray(gy), x.shape) * face.normal[1]
-        total += float(np.sum(gn @ face.weights))
-    return total
+    return sum(float(np.sum(normal_trace(face, g, t) @ face.weights)) for face in space.faces)

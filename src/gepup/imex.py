@@ -186,7 +186,6 @@ _ARK5_IMPLICIT = (
     ),
 )
 _ARK5_B = _ARK5_IMPLICIT[-1]
-_ARK5_C = None  # derived from the explicit row sums below
 
 _TABLEAU_DATA = {
     "ark4": {
@@ -204,7 +203,7 @@ _TABLEAU_DATA = {
         "explicit": _ARK5_EXPLICIT,
         "implicit": _ARK5_IMPLICIT,
         "b": _ARK5_B,
-        "c": None,
+        "c": None,  # derived from the explicit row sums
         "sha256": "ebb7bd5873cbecee0e7020b511ef1264986e693365b05541874144c55730aec6",
     },
 }
@@ -356,7 +355,10 @@ def advance_step(
     - nu dt sum_j aI[s,j] (A W_j) with the boundary rows pinned to g at the
     stage time, then runs the potential/velocity/pressure chain at that
     time.  The end-of-step update projects the explicitly corrected field
-    and replaces W with the projected velocity.
+    and replaces W with the projected velocity.  Each stage reuses the
+    convection loads of its pressure solve for its explicit load, and the
+    first stage those carried by ``state``.  A SolverError leaves with the
+    stage (or the end-of-step projection) and its time.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -367,45 +369,51 @@ def advance_step(
         momentum = ops.momentum_operator(nu * dt * tableau.gamma)
 
     t0 = state.t
+    t1 = t0 + dt
     N = ops.space.n_dofs
     F = np.zeros((n, 2, N))
     AW = np.zeros((n, 2, N))
-    MWn = [ops.M @ state.W[d] for d in range(2)]
-
-    F[0] = ops.eval_Fw_both(state.U, state.Q, case, t0)
-    for d in range(2):
-        AW[0, d] = ops.A @ state.W[d]
-
-    W_s = list(state.W)
-    for s in range(1, n):
-        ts = t0 + c[s] * dt
-        gb = ops.boundary_values(case, ts)
+    phase, t_phase = "stage 0", t0
+    try:
+        MWn = [ops.fast_M @ state.W[d] for d in range(2)]
+        F[0] = ops.eval_Fw_both(state.U, state.Q, case, t0, conv=state.conv)
         for d in range(2):
-            rhs = MWn[d].copy()
-            for j in range(s):
-                aE = AE[s, j]
-                if aE != 0.0:
-                    rhs += (dt * aE) * F[j, d]
-                aI = AI[s, j]
-                if aI != 0.0:
-                    rhs -= (nu * dt * aI) * AW[j, d]
-            W_s[d] = momentum.solve(rhs, gb[d])
-            AW[s, d] = ops.A @ W_s[d]
-        U_s, _ = ops.leray_project(W_s, case, ts)
-        Q_s = ops.compute_pressure(U_s, case, ts)
-        F[s] = ops.eval_Fw_both(U_s, Q_s, case, ts)
+            AW[0, d] = ops.fast_A @ state.W[d]
 
-    t1 = t0 + dt
-    W_star = []
-    for d in range(2):
-        rhs = ops.M @ W_s[d]
-        for j in range(n):
-            w_j = b[j] - AE[n - 1, j]
-            if w_j != 0.0:
-                rhs += (dt * w_j) * F[j, d]
-        W_star.append(ops.solve_mass(rhs))
-    U1, Phi1 = ops.leray_project(W_star, case, t1)
-    Q1 = ops.compute_pressure(U1, case, t1)
-    if not all(np.all(np.isfinite(u)) for u in U1):
-        raise SolverError(f"non-finite state after step to t = {t1}")
-    return GepupState(t1, [u.copy() for u in U1], U1, Phi1, Q1)
+        W_s = list(state.W)
+        for s in range(1, n):
+            ts = t0 + c[s] * dt
+            phase, t_phase = f"stage {s}", ts
+            gb = ops.boundary_values(case, ts)
+            for d in range(2):
+                rhs = MWn[d].copy()
+                for j in range(s):
+                    aE = AE[s, j]
+                    if aE != 0.0:
+                        rhs += (dt * aE) * F[j, d]
+                    aI = AI[s, j]
+                    if aI != 0.0:
+                        rhs -= (nu * dt * aI) * AW[j, d]
+                W_s[d] = momentum.solve(rhs, gb[d])
+                AW[s, d] = ops.fast_A @ W_s[d]
+            U_s, _ = ops.leray_project(W_s, case, ts)
+            Q_s, conv_s = ops.compute_pressure(U_s, case, ts)
+            F[s] = ops.eval_Fw_both(U_s, Q_s, case, ts, conv=conv_s)
+
+        phase, t_phase = "end-of-step projection", t1
+        W_star = []
+        for d in range(2):
+            rhs = ops.fast_M @ W_s[d]
+            for j in range(n):
+                w_j = b[j] - AE[n - 1, j]
+                if w_j != 0.0:
+                    rhs += (dt * w_j) * F[j, d]
+            W_star.append(ops.solve_mass(rhs))
+        U1, Phi1 = ops.leray_project(W_star, case, t1)
+        Q1, conv1 = ops.compute_pressure(U1, case, t1)
+        if not all(np.all(np.isfinite(u)) for u in U1):
+            raise SolverError("non-finite velocity")
+    except SolverError as exc:
+        exc.phase, exc.t = phase, t_phase
+        raise
+    return GepupState(t1, [u.copy() for u in U1], U1, Phi1, Q1, conv1)

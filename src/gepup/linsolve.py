@@ -23,7 +23,28 @@ __all__ = ["SolverError", "FastDiagonalization", "check_backward_error"]
 
 
 class SolverError(Exception):
-    pass
+    """A solve that failed its backward-error check, or a non-finite state.
+
+    The time loop fills in where it happened as the error passes through:
+    ``phase`` (the Runge-Kutta stage, or the end-of-step projection) and its
+    time ``t`` in ``advance_step``, the ``step`` number in ``run_simulation``.
+    The message puts them in front of the reason.
+    """
+
+    def __init__(self, reason: str, step: int | None = None, phase: str | None = None, t: float | None = None):
+        super().__init__(reason)
+        self.reason = reason
+        self.step = step
+        self.phase = phase
+        self.t = t
+
+    def __str__(self) -> str:
+        where = [f"step {self.step}"] if self.step is not None else []
+        if self.phase is not None:
+            where.append(self.phase)
+        if self.t is not None:
+            where.append(f"t = {self.t:.9g}")
+        return f"{', '.join(where)}: {self.reason}" if where else self.reason
 
 
 class FastDiagonalization:

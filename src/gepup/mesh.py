@@ -15,9 +15,7 @@ import numpy as np
 __all__ = [
     "RectDomain",
     "StructuredQuadMesh",
-    "BoundaryFace",
     "build_mesh",
-    "boundary_faces",
     "UNIT_SQUARE",
 ]
 
@@ -106,38 +104,3 @@ def build_mesh(domain: RectDomain, base_cells: tuple[int, int], level: int) -> S
     if level < 0:
         raise ValueError(f"level must be nonnegative, got {level}")
     return StructuredQuadMesh(domain, bx * 2**level, by * 2**level, level)
-
-
-@dataclass(frozen=True)
-class BoundaryFace:
-    """One element edge lying on the domain boundary.
-
-    ``side`` is 0/1/2/3 for bottom/right/top/left; the normal is the unit
-    outward normal of the domain there.
-    """
-
-    element: int
-    side: int
-    normal: tuple[float, float]
-    length: float
-
-
-_SIDE_NORMALS = ((0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0))
-
-
-def boundary_faces(mesh: StructuredQuadMesh) -> list[BoundaryFace]:
-    """All 2*(nx+ny) boundary faces, each listed once.
-
-    Order: bottom row left-to-right, right column bottom-to-top, top row
-    left-to-right, left column bottom-to-top.
-    """
-    faces = []
-    for i in range(mesh.nx):
-        faces.append(BoundaryFace(i, 0, _SIDE_NORMALS[0], mesh.hx))
-    for j in range(mesh.ny):
-        faces.append(BoundaryFace(j * mesh.nx + mesh.nx - 1, 1, _SIDE_NORMALS[1], mesh.hy))
-    for i in range(mesh.nx):
-        faces.append(BoundaryFace((mesh.ny - 1) * mesh.nx + i, 2, _SIDE_NORMALS[2], mesh.hx))
-    for j in range(mesh.ny):
-        faces.append(BoundaryFace(j * mesh.nx, 3, _SIDE_NORMALS[3], mesh.hy))
-    return faces

@@ -23,7 +23,7 @@ import numpy as np
 from . import fem, tensorops
 from .linsolve import FastDiagonalization, check_backward_error
 from .mesh import RectDomain, StructuredQuadMesh, UNIT_SQUARE
-from .tensorops import TensorOperator
+from .tensorops import TensorGradient, TensorOperator
 
 __all__ = ["CaseDefinition", "GepupState", "GepupOperators", "check_boundary_compatibility"]
 
@@ -93,13 +93,20 @@ def check_boundary_compatibility(case: CaseDefinition, times=(0.0,), tol: float 
 @dataclass
 class GepupState:
     """Discrete fields at one time: evolved velocity W, projected velocity U,
-    projection potential Phi and pressure Q (both mass-mean-zero)."""
+    projection potential Phi and pressure Q (both mass-mean-zero).
+
+    ``conv`` holds the loads (f - u . grad u, eta_i) per component at (U, t),
+    which the pressure load's quadrature pass also produces; the next time
+    step reuses them for its first explicit stage.  None makes the step
+    evaluate them again (set it to None after changing U by hand).
+    """
 
     t: float
     W: list[np.ndarray]
     U: list[np.ndarray]
     Phi: np.ndarray
     Q: np.ndarray
+    conv: list[np.ndarray] | None = None
 
     def copy(self) -> "GepupState":
         return GepupState(
@@ -108,6 +115,7 @@ class GepupState:
             [u.copy() for u in self.U],
             self.Phi.copy(),
             self.Q.copy(),
+            None if self.conv is None else [c.copy() for c in self.conv],
         )
 
 
@@ -144,15 +152,19 @@ class ConstrainedOperator:
 
 
 class GepupOperators:
-    """Assembled matrices, direct solvers and the w -> u -> q solve chain.
+    """Tensor-product operators, direct solvers and the w -> u -> q solve chain.
 
-    Every solve goes through the generalized eigenpairs of the finest
-    space's 1D factors, built once here: the full (Neumann) pairs for the
-    Poisson and mass solves, the interior pairs for the Dirichlet-eliminated
-    momentum solve.  ``residuals`` holds the largest backward error of each
-    solve class since the last ``reset_residuals``.  ``convection`` can be
-    switched off to reduce the momentum right-hand side to pure forcing and
-    pressure (used by linear-regime diagnostics).
+    Every product goes through the 1D factors of the space: mass and
+    stiffness matvecs (``fast_M``, ``fast_A``), and the linear loads, which
+    are 1D-factor products with the derivative factors (``grad``).  Only
+    the nonlinear load f - u . grad u is integrated by element quadrature,
+    once per velocity field.  Every solve goes through the generalized
+    eigenpairs of the same factors, built once here: the full (Neumann)
+    pairs for the Poisson and mass solves, the interior pairs for the
+    Dirichlet-eliminated momentum solve.  ``residuals`` holds the largest
+    backward error of each solve class since the last ``reset_residuals``.
+    ``convection`` can be switched off to reduce the momentum right-hand
+    side to pure forcing and pressure (used by linear-regime diagnostics).
     """
 
     def __init__(
@@ -169,17 +181,22 @@ class GepupOperators:
         self.mass_rel_tol = rel_tol if mass_rel_tol is None else mass_rel_tol
         self.convection = convection
 
-        self.M = fem.assemble_mass(self.space)
-        self.A = fem.assemble_stiffness(self.space)
-        self.mass_weights = self.M @ np.ones(self.space.n_dofs)
-
         self.factors = tensorops.one_dimensional_factors(self.space)
         self.interior_factors = tuple(F[1:-1, 1:-1] for F in self.factors)
         self.fast_M = TensorOperator(self.factors, 1.0, 0.0)
         self.fast_A = TensorOperator(self.factors, 0.0, 1.0)
+        self.grad = TensorGradient(self.factors, tensorops.derivative_factors(self.space))
+        self.mass_weights = self.fast_M @ np.ones(self.space.n_dofs)
         self.eig = FastDiagonalization(self.factors)
         self.interior_eig = FastDiagonalization(self.interior_factors)
         self.residuals = dict.fromkeys(SOLVE_CLASSES, 0.0)
+
+        ref = self.space.ref
+        inv_h = self.space.inv_h
+        # shape values, d/dx and d/dy at the volume quadrature points, (n_local, n_quad) each
+        self._quad_tables = tuple(
+            np.ascontiguousarray(T) for T in (ref.phi.T, ref.dphi[:, :, 0].T * inv_h[0], ref.dphi[:, :, 1].T * inv_h[1])
+        )
 
     def reset_residuals(self):
         for key in self.residuals:
@@ -211,91 +228,68 @@ class GepupOperators:
 
     # ---- load evaluators -----------------------------------------------------
 
-    def eval_Fw_both(self, U: list[np.ndarray], Q: np.ndarray, case: CaseDefinition, t: float) -> list[np.ndarray]:
-        """Momentum loads (f_d - u . grad u_d - dq/dx_d, eta_i) for d = x, y in one sweep."""
+    def _nonlinear_loads(self, U: list[np.ndarray], case: CaseDefinition, t: float):
+        """(f - u . grad u, eta_i) per component and (f - u . grad u, grad eta_i), from one quadrature pass."""
         space = self.space
-        ref = space.ref
-        ed = space.element_dofs
-        q_loc = Q[ed]
-        dqx = (q_loc @ ref.dphi[:, :, 0].T) * space.inv_h[0]
-        dqy = (q_loc @ ref.dphi[:, :, 1].T) * space.inv_h[1]
-        vals = [-dqx, -dqy]
-        forcing = self._forcing(case, t)
-        if forcing is not None:
-            vals[0] = vals[0] + forcing[0]
-            vals[1] = vals[1] + forcing[1]
         if self.convection:
-            ux_loc = U[0][ed]
-            uy_loc = U[1][ed]
-            ux = ux_loc @ ref.phi.T
-            uy = uy_loc @ ref.phi.T
-            dphix = ref.dphi[:, :, 0].T * space.inv_h[0]
-            dphiy = ref.dphi[:, :, 1].T * space.inv_h[1]
-            vals[0] -= ux * (ux_loc @ dphix) + uy * (ux_loc @ dphiy)
-            vals[1] -= ux * (uy_loc @ dphix) + uy * (uy_loc @ dphiy)
-        return [space.assemble_load(v) for v in vals]
-
-    def eval_Fphi(self, W: list[np.ndarray], case: CaseDefinition, t: float) -> np.ndarray:
-        """Potential load (w, grad eta_i) - (n.g, eta_i) over the boundary."""
-        space = self.space
-        wx = space.values_at_quad(W[0])
-        wy = space.values_at_quad(W[1])
-        load = space.assemble_gradtest_load(wx, wy)
-        for face in space.faces:
-            x = face.points[:, :, 0]
-            y = face.points[:, :, 1]
-            gx, gy = case.g(x, y, t)
-            gn = np.broadcast_to(np.asarray(gx, dtype=float), x.shape) * face.normal[0]
-            gn = gn + np.broadcast_to(np.asarray(gy, dtype=float), x.shape) * face.normal[1]
-            space.add_face_load(load, face, gn, scale=-1.0)
-        return load
-
-    def eval_Fu(self, W_d: np.ndarray, Phi: np.ndarray, d: int) -> np.ndarray:
-        """Projection load (w_d - dphi/dx_d, eta_i)."""
-        space = self.space
-        vals = space.values_at_quad(W_d) - space.grads_at_quad(Phi)[d]
-        return space.assemble_load(vals)
-
-    def eval_Fq(self, U: list[np.ndarray], case: CaseDefinition, t: float) -> np.ndarray:
-        """Pressure load (f - u.grad u, grad eta_i) + nu * curl boundary term - g_t flux term."""
-        space = self.space
-        ux_loc = U[0][space.element_dofs]
-        uy_loc = U[1][space.element_dofs]
-        ref = space.ref
-        ux = ux_loc @ ref.phi.T
-        uy = uy_loc @ ref.phi.T
-        uxx = (ux_loc @ ref.dphi[:, :, 0].T) * space.inv_h[0]
-        uxy = (ux_loc @ ref.dphi[:, :, 1].T) * space.inv_h[1]
-        uyx = (uy_loc @ ref.dphi[:, :, 0].T) * space.inv_h[0]
-        uyy = (uy_loc @ ref.dphi[:, :, 1].T) * space.inv_h[1]
-        if self.convection:
-            vx = -(ux * uxx + uy * uxy)
-            vy = -(ux * uyx + uy * uyy)
+            phi, dx, dy = self._quad_tables
+            lx, ly = U[0][space.element_dofs], U[1][space.element_dofs]
+            ux, uy = lx @ phi, ly @ phi
+            vx = -(ux * (lx @ dx) + uy * (lx @ dy))
+            vy = -(ux * (ly @ dx) + uy * (ly @ dy))
         else:
-            vx = np.zeros_like(ux)
-            vy = np.zeros_like(uy)
+            vx, vy = np.zeros(space.quad_coords.shape[:2]), np.zeros(space.quad_coords.shape[:2])
         forcing = self._forcing(case, t)
         if forcing is not None:
             vx += forcing[0]
             vy += forcing[1]
-        load = space.assemble_gradtest_load(vx, vy)
+        return [space.assemble_load(vx), space.assemble_load(vy)], space.assemble_gradtest_load(vx, vy)
 
+    def _add_flux_load(self, load: np.ndarray, g, t: float):
+        """Subtract the boundary load (g . n, eta_i) from ``load``."""
+        for face in self.space.faces:
+            self.space.add_face_load(load, face, fem.normal_trace(face, g, t), scale=-1.0)
+
+    def eval_Fw_both(
+        self, U: list[np.ndarray], Q: np.ndarray, case: CaseDefinition, t: float, conv: list[np.ndarray] | None = None
+    ) -> list[np.ndarray]:
+        """Momentum loads (f_d - u . grad u_d - dq/dx_d, eta_i) for d = x, y.
+
+        ``conv`` are the loads (f - u . grad u, eta_i) at (U, t) from
+        ``eval_Fq``; without them the quadrature pass runs here.  The
+        pressure gradient is a 1D-factor product.
+        """
+        if conv is None:
+            conv, _ = self._nonlinear_loads(U, case, t)
+        return [conv[d] - self.grad.apply(Q, d) for d in range(2)]
+
+    def eval_Fphi(self, W: list[np.ndarray], case: CaseDefinition, t: float) -> np.ndarray:
+        """Potential load (w, grad eta_i) - (n.g, eta_i) over the boundary."""
+        load = self.grad.apply_transpose(W[0], 0) + self.grad.apply_transpose(W[1], 1)
+        self._add_flux_load(load, case.g, t)
+        return load
+
+    def eval_Fu(self, W_d: np.ndarray, Phi: np.ndarray, d: int) -> np.ndarray:
+        """Projection load (w_d - dphi/dx_d, eta_i) = M w_d - G_d phi."""
+        return self.fast_M @ W_d - self.grad.apply(Phi, d)
+
+    def eval_Fq(self, U: list[np.ndarray], case: CaseDefinition, t: float) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Pressure load (f - u.grad u, grad eta_i) + nu * curl boundary term - g_t flux term.
+
+        Also returns the loads (f - u . grad u, eta_i) per component that the
+        same quadrature pass yields, for ``eval_Fw_both`` at the same (U, t).
+        """
+        space = self.space
+        conv, load = self._nonlinear_loads(U, case, t)
         if case.nu != 0.0:
             for face in space.faces:
                 gx_x, gx_y = space.grads_on_face(face, U[0])
                 gy_x, _ = space.grads_on_face(face, U[1])
                 curl = gy_x - gx_y
                 space.add_face_tangent_grad_load(load, face, curl, scale=case.nu)
-
         if case.dg_dt is not None:
-            for face in space.faces:
-                x = face.points[:, :, 0]
-                y = face.points[:, :, 1]
-                gtx, gty = case.dg_dt(x, y, t)
-                gn = np.broadcast_to(np.asarray(gtx, dtype=float), x.shape) * face.normal[0]
-                gn = gn + np.broadcast_to(np.asarray(gty, dtype=float), x.shape) * face.normal[1]
-                space.add_face_load(load, face, gn, scale=-1.0)
-        return load
+            self._add_flux_load(load, case.dg_dt, t)
+        return load, conv
 
     # ---- solves ----------------------------------------------------------------
 
@@ -320,8 +314,10 @@ class GepupOperators:
         U = [self.solve_mass(self.eval_Fu(W[d], Phi, d)) for d in range(2)]
         return U, Phi
 
-    def compute_pressure(self, U: list[np.ndarray], case: CaseDefinition, t: float) -> np.ndarray:
-        return self.solve_poisson(self.eval_Fq(U, case, t), "poisson_q")
+    def compute_pressure(self, U: list[np.ndarray], case: CaseDefinition, t: float):
+        """Pressure Q at (U, t), and the convection loads of ``eval_Fq`` for ``eval_Fw_both``."""
+        load, conv = self.eval_Fq(U, case, t)
+        return self.solve_poisson(load, "poisson_q"), conv
 
     # ---- diagnostics -------------------------------------------------------------
 
@@ -333,7 +329,7 @@ class GepupOperators:
         return float(np.sqrt(np.sum(div * div @ space.wdet)))
 
     def kinetic_energy(self, W: list[np.ndarray]) -> float:
-        return 0.5 * sum(float(w @ (self.M @ w)) for w in W)
+        return 0.5 * sum(float(w @ (self.fast_M @ w)) for w in W)
 
     def boundary_values(self, case: CaseDefinition, t: float) -> tuple[np.ndarray, np.ndarray]:
         """g evaluated at the boundary support points (per component)."""
@@ -368,5 +364,5 @@ class GepupOperators:
             ]
             U, Phi = self.leray_project(V, case, t0)
             W = [u.copy() for u in U]
-        Q = self.compute_pressure(U, case, t0)
-        return GepupState(t0, W, U, Phi, Q)
+        Q, conv = self.compute_pressure(U, case, t0)
+        return GepupState(t0, W, U, Phi, Q, conv)

@@ -34,19 +34,22 @@ def nodal_curl_and_div(space: FeSpace, velocity) -> tuple[np.ndarray, np.ndarray
 
 
 def _subcell_connectivity(space: FeSpace) -> np.ndarray:
-    """Each element split into degree^2 bilinear sub-quads on the support lattice."""
+    """Each element split into degree^2 bilinear sub-quads on the support lattice.
+
+    Rows run over the elements (row-major), then over each element's
+    sub-quads (row-major); corners are listed counterclockwise from SW.
+    """
     k = space.degree
     mesh = space.mesh
-    cells = []
-    for j in range(mesh.ny):
-        for i in range(mesh.nx):
-            for b in range(k):
-                for a in range(k):
-                    gx = k * i + a
-                    gy = k * j + b
-                    sw = gy * space.ndof_x + gx
-                    cells.append((sw, sw + 1, sw + 1 + space.ndof_x, sw + space.ndof_x))
-    return np.asarray(cells, dtype=int)
+    gy = k * np.arange(mesh.ny)[:, None, None, None] + np.arange(k)[None, None, :, None]
+    gx = k * np.arange(mesh.nx)[None, :, None, None] + np.arange(k)[None, None, None, :]
+    sw = (gy * space.ndof_x + gx).ravel()
+    return np.column_stack([sw, sw + 1, sw + 1 + space.ndof_x, sw + space.ndof_x])
+
+
+def _write_rows(f, row_format: str, values: np.ndarray):
+    """One ``row_format`` line per row of ``values``, formatted in a single pass."""
+    f.write((row_format * len(values)) % tuple(values.ravel().tolist()))
 
 
 def write_vtk(space: FeSpace, path, velocity=None, pressure=None, title: str = "fields"):
@@ -58,7 +61,6 @@ def write_vtk(space: FeSpace, path, velocity=None, pressure=None, title: str = "
     scalar vorticity and divergence (the latter two derived from the
     velocity).
     """
-    pts = space.support_points
     n = space.n_dofs
     cells = _subcell_connectivity(space)
     with open(path, "w") as f:
@@ -67,31 +69,25 @@ def write_vtk(space: FeSpace, path, velocity=None, pressure=None, title: str = "
         f.write("ASCII\n")
         f.write("DATASET UNSTRUCTURED_GRID\n")
         f.write(f"POINTS {n} double\n")
-        for x, y in pts:
-            f.write(f"{x:.16g} {y:.16g} 0\n")
+        _write_rows(f, "%.16g %.16g 0\n", space.support_points)
         f.write(f"CELLS {len(cells)} {5 * len(cells)}\n")
-        for quad in cells:
-            f.write("4 " + " ".join(str(v) for v in quad) + "\n")
+        _write_rows(f, "4 %d %d %d %d\n", cells)
         f.write(f"CELL_TYPES {len(cells)}\n")
         f.write("9\n" * len(cells))
 
         f.write(f"POINT_DATA {n}\n")
         if velocity is not None:
             f.write("VECTORS velocity double\n")
-            for vx, vy in zip(velocity[0], velocity[1]):
-                f.write(f"{vx:.16g} {vy:.16g} 0\n")
+            _write_rows(f, "%.16g %.16g 0\n", np.column_stack([velocity[0], velocity[1]]))
         if pressure is not None:
             f.write("SCALARS pressure double\nLOOKUP_TABLE default\n")
-            for q in pressure:
-                f.write(f"{q:.16g}\n")
+            _write_rows(f, "%.16g\n", np.asarray(pressure))
         if velocity is not None:
             curl, div = nodal_curl_and_div(space, velocity)
             f.write("SCALARS vorticity double\nLOOKUP_TABLE default\n")
-            for w in curl:
-                f.write(f"{w:.16g}\n")
+            _write_rows(f, "%.16g\n", curl)
             f.write("SCALARS divergence double\nLOOKUP_TABLE default\n")
-            for d in div:
-                f.write(f"{d:.16g}\n")
+            _write_rows(f, "%.16g\n", div)
 
 
 CSV_HEADER = [
@@ -105,7 +101,7 @@ CSV_HEADER = [
     "u_H1semi", "q_H1semi",
 ]
 
-_ERROR_COLUMNS = ("u_L2", "u_H1", "u_Linf", "q_L2", "q_H1", "q_Linf")
+ERROR_COLUMNS = ("u_L2", "u_H1", "u_Linf", "q_L2", "q_H1", "q_Linf")  # in CSV column order
 
 
 def write_convergence_csv(table: ConvergenceTable, path):
@@ -116,13 +112,13 @@ def write_convergence_csv(table: ConvergenceTable, path):
     """
     if len(table) == 0:
         raise ValueError("cannot write an empty convergence table")
-    rates = {key: table.rates(key) for key in _ERROR_COLUMNS}
+    rates = {key: table.rates(key) for key in ERROR_COLUMNS}
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(CSV_HEADER)
         for i in range(len(table)):
             row = [f"{table.h[i]:.6g}"]
-            for key in _ERROR_COLUMNS:
+            for key in ERROR_COLUMNS:
                 row.append(f"{table.errors[i][key]:.2e}")
                 row.append("" if i == 0 else f"{rates[key][i - 1]:.2f}")
             row.append(f"{table.errors[i].get('u_H1semi', float('nan')):.2e}")

@@ -1,19 +1,59 @@
-"""Exact-integration oracle for element matrices, independent of the package's
-quadrature assembly path.
+"""Oracles for the global matrices, which the package itself never assembles.
 
-1D Lagrange basis polynomials are built as coefficient lists and multiplied /
-integrated term by term in 50-digit mpmath arithmetic (float64 polynomial
-coefficients lose ~1e-12 to cancellation at degree 4); 2D element matrices
-follow from the tensor structure, and the global scatter matches local nodes
-to global indices by geometric position only.
+``assemble_mass``/``assemble_stiffness`` build the 2D CSR matrices by
+element quadrature and a scatter through the element dof table, the way
+the package once did; tests use them as references for the tensor-product
+operators.
+
+The exact-integration oracle is independent of that path: 1D Lagrange basis
+polynomials are built as coefficient lists and multiplied / integrated term
+by term in 50-digit mpmath arithmetic (float64 polynomial coefficients lose
+~1e-12 to cancellation at degree 4); 2D element matrices follow from the
+tensor structure, and the global scatter matches local nodes to global
+indices by geometric position only.
 """
 
 import mpmath
 import numpy as np
+import scipy.sparse as sp
 
 from gepup.fem import gauss_lobatto_01
 
 mpmath.mp.dps = 50
+
+
+def _local_matrices(space):
+    ref = space.ref
+    w = space.wdet
+    M = ref.phi.T @ (w[:, None] * ref.phi)
+    dx = ref.dphi[:, :, 0] * space.inv_h[0]
+    dy = ref.dphi[:, :, 1] * space.inv_h[1]
+    A = dx.T @ (w[:, None] * dx) + dy.T @ (w[:, None] * dy)
+    return M, A
+
+
+def _scatter(space, local):
+    nl = space.ref.n_local
+    ed = space.element_dofs
+    rows = np.repeat(ed, nl, axis=1).ravel()
+    cols = np.tile(ed, (1, nl)).ravel()
+    data = np.tile(local.ravel(), space.mesh.n_elements)
+    mat = sp.coo_matrix((data, (rows, cols)), shape=(space.n_dofs, space.n_dofs)).tocsr()
+    mat.sum_duplicates()
+    mat.sort_indices()
+    return mat
+
+
+def assemble_mass(space):
+    """CSR mass matrix with entries (eta_i, eta_j) over the domain."""
+    M_loc, _ = _local_matrices(space)
+    return _scatter(space, M_loc)
+
+
+def assemble_stiffness(space):
+    """CSR stiffness matrix with entries (grad eta_i, grad eta_j)."""
+    _, A_loc = _local_matrices(space)
+    return _scatter(space, A_loc)
 
 
 def _poly_mul(a, b):

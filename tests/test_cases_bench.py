@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gepup import (
     UNIT_SQUARE,
+    SolverError,
     build_mesh,
     build_space,
     dorfler_mark,
@@ -248,6 +249,18 @@ def test_zero_case_run_is_flat():
         assert np.abs(w).max() < 1e-12
     assert all(m["div_l2"] < 1e-12 for m in res.monitors)
     assert all(m["kinetic_energy"] < 1e-24 for m in res.monitors)
+
+
+def test_blow_up_error_names_step_phase_time_and_solve():
+    # with the default dt_max of 1 the resting cavity gets a unit step and
+    # blows up within a few steps; the failing solve must say where it was
+    with np.errstate(all="ignore"), pytest.raises(SolverError) as info:
+        run_simulation(lid_cavity_case(1000.0), 2, 4, StepperConfig(), t_end=3.0)
+    err = info.value
+    assert err.step >= 1 and err.phase.startswith("stage ") and 0.0 < err.t < 3.0
+    assert str(err).startswith(f"step {err.step}, {err.phase}, t = {err.t:.9g}: ")
+    assert " solve: backward error " in str(err)
+    assert err.reason.split(" solve:")[0] in ("momentum", "poisson_phi", "poisson_q", "mass")
 
 
 def test_zero_step_path_gives_projection_error_and_k_plus_1_rates():

@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 from gepup import (
     UNIT_SQUARE,
     RectDomain,
-    assemble_mass,
-    assemble_stiffness,
     build_mesh,
     build_space,
     error_norm,
@@ -15,7 +13,7 @@ from gepup import (
     shape_eval,
 )
 from gepup.fem import lagrange_1d
-from fem_oracle import exact_global_matrices, permutation_to_space
+from fem_oracle import assemble_mass, assemble_stiffness, exact_global_matrices, permutation_to_space
 
 
 # ---- reference element ------------------------------------------------------
@@ -304,15 +302,37 @@ def test_one_dimensional_factors_match_cellwise_loop(k):
     n_cells, h = 5, 0.3
     q, w = gauss_legendre_01(k + 2)
     vals, ders = lagrange_1d(reference_element(k).nodes_1d, q)
-    M1 = vals.T @ (w[:, None] * vals) * h
-    K1 = ders.T @ (w[:, None] * ders) / h
+    locals_1d = (
+        vals.T @ (w[:, None] * vals) * h,
+        ders.T @ (w[:, None] * ders) / h,
+        vals.T @ (w[:, None] * ders),
+    )
     n = k * n_cells + 1
-    M_ref = np.zeros((n, n))
-    K_ref = np.zeros((n, n))
-    for e in range(n_cells):
-        sl = slice(k * e, k * e + k + 1)
-        M_ref[sl, sl] += M1
-        K_ref[sl, sl] += K1
-    M, K = _global_1d(n_cells, h, k)
-    assert np.array_equal(M.toarray(), M_ref)
-    assert np.array_equal(K.toarray(), K_ref)
+    for local, assembled in zip(locals_1d, _global_1d(n_cells, h, k)):
+        ref = np.zeros((n, n))
+        for e in range(n_cells):
+            sl = slice(k * e, k * e + k + 1)
+            ref[sl, sl] += local
+        assert np.array_equal(assembled.toarray(), ref)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("alpha,beta", [(1.0, 0.0), (0.0, 1.0), (1.0, 0.3)])
+def test_tensor_matvec_is_bitwise_the_dense_times_csr_product(k, alpha, beta, rng):
+    import scipy.sparse as sp
+
+    from gepup.tensorops import TensorOperator, one_dimensional_factors
+
+    space = build_space(build_mesh(RectDomain((0.25, -1.0), (2.0, 3.0)), (2, 1), 1), k)
+    Mx, Kx, My, Ky = factors = one_dimensional_factors(space)
+    op = TensorOperator(factors, alpha, beta)
+    x = rng.standard_normal(space.n_dofs)
+    X = x.reshape(space.ndof_y, space.ndof_x)
+    P1 = X @ sp.csr_matrix(Mx.T)
+    if beta == 0.0:
+        expected = alpha * (My @ P1)
+    else:
+        expected = My @ (alpha * P1 + beta * (X @ sp.csr_matrix(Kx.T))) + beta * (Ky @ P1)
+    assert np.array_equal(op @ x, np.asarray(expected).ravel())
+    K = alpha * assemble_mass(space) + beta * assemble_stiffness(space)
+    assert np.abs(op @ x - K @ x).max() <= 1e-14 * np.abs(K @ x).max()

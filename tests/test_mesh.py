@@ -4,7 +4,6 @@ import pytest
 from gepup import (
     UNIT_SQUARE,
     RectDomain,
-    boundary_faces,
     build_mesh,
 )
 
@@ -61,25 +60,6 @@ def test_hierarchy_nesting_by_index_arithmetic():
                 cx, cy = fine.element_origin(child)
                 assert ox - 1e-15 <= cx < ox + coarse.hx
                 assert oy - 1e-15 <= cy < oy + coarse.hy
-
-
-def test_boundary_faces_unit_cell():
-    faces = boundary_faces(build_mesh(UNIT_SQUARE, (1, 1), 0))
-    assert len(faces) == 4
-    normals = {f.normal for f in faces}
-    assert normals == {(0.0, -1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)}
-
-
-def test_boundary_faces_counts_and_closure():
-    m = build_mesh(UNIT_SQUARE, (1, 1), 3)
-    faces = boundary_faces(m)
-    assert len(faces) == 2 * (m.nx + m.ny) == 32
-    seen = {(f.element, f.side) for f in faces}
-    assert len(seen) == len(faces)
-    total = np.zeros(2)
-    for f in faces:
-        total += f.length * np.asarray(f.normal)
-    assert np.allclose(total, 0.0, atol=1e-14)
 
 
 def test_element_areas_sum_to_domain_area():

@@ -4,6 +4,7 @@ import pytest
 from gepup import (
     UNIT_SQUARE,
     CaseDefinition,
+    RectDomain,
     build_mesh,
     interpolate,
     taylor_green_case,
@@ -11,6 +12,7 @@ from gepup import (
 )
 from gepup.fem import boundary_flux
 from gepup.operators import GepupOperators, check_boundary_compatibility
+from load_oracle import fphi_terms, fq_terms, fu_terms, fw_terms
 
 
 def zero_vec(x, y, t=0.0):
@@ -174,7 +176,7 @@ def test_leray_is_idempotent_up_to_discretization():
 
 def test_Fq_zero_state(ops):
     z = np.zeros(ops.space.n_dofs)
-    load = ops.eval_Fq([z, z], make_case(), 0.0)
+    load, _ = ops.eval_Fq([z, z], make_case(), 0.0)
     assert np.allclose(load, 0.0, atol=1e-15)
 
 
@@ -182,8 +184,8 @@ def test_Fq_constant_curl_has_zero_boundary_term(ops):
     # rigid rotation: curl = 2 everywhere; the closed-contour integral of a
     # tangential gradient vanishes, so the nu-dependent part must vanish
     U = interp2(ops.space, lambda x, y: (-y, x))
-    load_nu = ops.eval_Fq(U, make_case(nu=0.7), 0.0)
-    load_00 = ops.eval_Fq(U, make_case(nu=0.0), 0.0)
+    load_nu = ops.eval_Fq(U, make_case(nu=0.7), 0.0)[0]
+    load_00 = ops.eval_Fq(U, make_case(nu=0.0), 0.0)[0]
     assert np.abs(load_nu - load_00).max() < 1e-12
 
 
@@ -191,14 +193,14 @@ def test_Fq_boundary_term_sign_on_shear(ops):
     # u = (y^2, 0): curl = -2y; on the right face (tangent +e_y) the term
     # integrates -2y d(eta)/dy against nu, nonzero -> loads must differ
     U = interp2(ops.space, lambda x, y: (y**2, np.zeros_like(x)))
-    load_nu = ops.eval_Fq(U, make_case(nu=1.0), 0.0)
-    load_00 = ops.eval_Fq(U, make_case(nu=0.0), 0.0)
+    load_nu = ops.eval_Fq(U, make_case(nu=1.0), 0.0)[0]
+    load_00 = ops.eval_Fq(U, make_case(nu=0.0), 0.0)[0]
     assert np.abs(load_nu - load_00).max() > 1e-3
 
 
 def test_pressure_zero_for_rest_state(ops):
     z = np.zeros(ops.space.n_dofs)
-    Q = ops.compute_pressure([z, z], make_case(), 0.0)
+    Q, _ = ops.compute_pressure([z, z], make_case(), 0.0)
     assert np.abs(Q).max() < 1e-12
 
 
@@ -215,7 +217,7 @@ def test_pressure_from_manufactured_gradient_forcing():
         space = ops_l.space
         case = make_case(f=gpsi)
         z = np.zeros(space.n_dofs)
-        Q = ops_l.compute_pressure([z, z], case, 0.0)
+        Q, _ = ops_l.compute_pressure([z, z], case, 0.0)
         mean = 4.0 / np.pi**2  # int of sin sin over the unit square
         from gepup import error_norm
 
@@ -231,7 +233,7 @@ def test_pressure_approximates_known_field_from_velocity():
         ops_l = GepupOperators(build_mesh(UNIT_SQUARE, (1, 1), level), 3)
         space = ops_l.space
         U = interp2(space, lambda x, y: case.exact_u(x, y, 0.0))
-        Q = ops_l.compute_pressure(U, case, 0.0)
+        Q, _ = ops_l.compute_pressure(U, case, 0.0)
         from gepup import error_norm
 
         errs.append(
@@ -243,7 +245,7 @@ def test_pressure_approximates_known_field_from_velocity():
 def test_pressure_is_mass_mean_zero_and_gauge_invariant(ops, rng):
     case = taylor_green_case(50.0)
     U = interp2(ops.space, lambda x, y: case.exact_u(x, y, 0.0))
-    Q = ops.compute_pressure(U, case, 0.0)
+    Q, _ = ops.compute_pressure(U, case, 0.0)
     w = ops.mass_weights
     assert abs(w @ Q) <= 1e-10 * np.linalg.norm(Q) * np.linalg.norm(w)
     # shifting the potential by a constant must not change the projected velocity
@@ -252,6 +254,91 @@ def test_pressure_is_mass_mean_zero_and_gauge_invariant(ops, rng):
     u1 = ops.solve_mass(ops.eval_Fu(W[0], Phi, 0))
     u2 = ops.solve_mass(ops.eval_Fu(W[0], Phi + 5.0, 0))
     assert np.abs(u1 - u2).max() < 1e-10
+
+
+# ---- tensor-form loads against element quadrature ---------------------------------
+
+LOAD_DOMAIN = RectDomain((0.25, -1.0), (2.0, 3.0))
+
+
+def load_setup(k, convection=True):
+    """Q_k operators on 4 x 2 cells (hx != hy), random fields and a case with every data term."""
+    ops = GepupOperators(build_mesh(LOAD_DOMAIN, (2, 1), 1), k, convection=convection)
+    rng = np.random.default_rng(100 + k)
+    U, W = ([rng.standard_normal(ops.space.n_dofs) for _ in range(2)] for _ in range(2))
+    Q, Phi = (rng.standard_normal(ops.space.n_dofs) for _ in range(2))
+    case = CaseDefinition(
+        name="loads",
+        nu=0.3,
+        g=lambda x, y, t: (np.cos(x + y) + t, np.sin(x * y)),
+        u0=zero_vec,
+        f=lambda x, y, t: (np.sin(x) * np.cos(y), x * y - t),
+        dg_dt=lambda x, y, t: (x**2, 1.0 - y),
+    )
+    return ops, U, W, Q, Phi, case
+
+
+def assert_matches_terms(load, terms):
+    # rounding relative to the largest term, not to the (possibly cancelled) sum
+    scale = max(np.abs(term).max() for term in terms)
+    assert scale > 0.0
+    assert np.abs(load - sum(terms)).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_Fu_tensor_form_matches_quadrature(k):
+    ops, U, W, Q, Phi, case = load_setup(k)
+    for d in range(2):
+        assert_matches_terms(ops.eval_Fu(W[d], Phi, d), fu_terms(ops.space, W[d], Phi, d))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_Fphi_tensor_form_matches_quadrature(k):
+    ops, U, W, Q, Phi, case = load_setup(k)
+    assert_matches_terms(ops.eval_Fphi(W, case, 0.4), fphi_terms(ops.space, W, case, 0.4))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_Fw_tensor_form_matches_quadrature(k):
+    ops, U, W, Q, Phi, case = load_setup(k)
+    expected = fw_terms(ops.space, U, Q, case, 0.4)
+    for d, load in enumerate(ops.eval_Fw_both(U, Q, case, 0.4)):
+        assert_matches_terms(load, expected[d])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_Fq_and_its_convection_loads_match_quadrature(k):
+    ops, U, W, Q, Phi, case = load_setup(k)
+    load, conv = ops.eval_Fq(U, case, 0.4)
+    assert_matches_terms(load, fq_terms(ops.space, U, case, 0.4))
+    expected = fw_terms(ops.space, U, Q, case, 0.4)
+    for d in range(2):
+        assert_matches_terms(conv[d], expected[d][:2])
+    # the loads handed on are exactly those eval_Fw_both computes on its own
+    fw_own = ops.eval_Fw_both(U, Q, case, 0.4)
+    fw_reused = ops.eval_Fw_both(U, Q, case, 0.4, conv=conv)
+    Q2, conv2 = ops.compute_pressure(U, case, 0.4)
+    for d in range(2):
+        assert np.array_equal(fw_own[d], fw_reused[d])
+        assert np.array_equal(conv2[d], conv[d])
+
+
+def test_loads_without_convection_keep_forcing_and_pressure():
+    ops, U, W, Q, Phi, case = load_setup(2, convection=False)
+    expected = fw_terms(ops.space, U, Q, case, 0.4)
+    for d, load in enumerate(ops.eval_Fw_both(U, Q, case, 0.4)):
+        assert_matches_terms(load, [expected[d][0], expected[d][2]])
+    load, _ = ops.eval_Fq(U, case, 0.4)
+    terms = fq_terms(ops.space, U, case, 0.4)
+    assert_matches_terms(load, terms[:2] + terms[4:])
+
+
+def test_state_carries_convection_loads_of_its_velocity():
+    ops, U, W, Q, Phi, case = load_setup(2)
+    state = ops.initial_state(case, 0.0, w_override=lambda x, y: (np.sin(y), np.cos(x)))
+    _, conv = ops.eval_Fq(state.U, case, state.t)
+    for d in range(2):
+        assert np.array_equal(state.conv[d], conv[d])
 
 
 # ---- divergence monitor -----------------------------------------------------------

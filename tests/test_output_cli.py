@@ -3,11 +3,11 @@ import csv
 import numpy as np
 import pytest
 
-from gepup import UNIT_SQUARE, build_mesh, build_space, interpolate, taylor_green_case
+from gepup import UNIT_SQUARE, RectDomain, build_mesh, build_space, interpolate, taylor_green_case
 from gepup.bench import ConvergenceTable
 from gepup.cli import RunConfig, UsageError, main, parse_config, serialize_config
 from gepup.output import write_convergence_csv, write_monitor_csv, write_vtk
-from vtk_check import read_legacy_vtk
+from vtk_check import read_legacy_vtk, write_vtk_per_value
 
 
 # ---- VTK writer -------------------------------------------------------------
@@ -66,6 +66,24 @@ def test_vtk_divergence_and_vorticity_of_linear_fields(tmp_path):
     data = read_legacy_vtk(path)
     assert np.allclose(data["point_data"]["divergence"], 2.0, atol=1e-12)
     assert np.allclose(data["point_data"]["vorticity"], 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("fields", ["none", "velocity", "pressure", "both"])
+def test_vtk_bytes_match_per_value_writer(tmp_path, k, fields):
+    space = build_space(build_mesh(RectDomain((0.25, -1.0), (2.0, 3.0)), (3, 2), 0), k)
+    rng = np.random.default_rng(k)
+    # values spanning many magnitudes, signs, exact integers and a negative zero
+    U = [rng.standard_normal(space.n_dofs) * 10.0 ** rng.integers(-20, 20, space.n_dofs) for _ in range(2)]
+    U[0][:3] = (0.0, -0.0, 7.0)
+    Q = rng.standard_normal(space.n_dofs) / 3.0
+    kwargs = {
+        "velocity": U if fields in ("velocity", "both") else None,
+        "pressure": Q if fields in ("pressure", "both") else None,
+    }
+    write_vtk(space, tmp_path / "fast.vtk", title="check", **kwargs)
+    write_vtk_per_value(space, tmp_path / "reference.vtk", title="check", **kwargs)
+    assert (tmp_path / "fast.vtk").read_bytes() == (tmp_path / "reference.vtk").read_bytes()
 
 
 # ---- CSV writers ---------------------------------------------------------------

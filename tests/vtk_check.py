@@ -1,4 +1,5 @@
-"""Minimal legacy-VTK reader used only to validate writer output structurally."""
+"""Minimal legacy-VTK reader used only to validate writer output structurally,
+and a per-value reference writer to compare the package's writer against."""
 
 import numpy as np
 
@@ -64,3 +65,58 @@ def read_legacy_vtk(path):
         "cell_types": cell_types,
         "point_data": point_data,
     }
+
+
+def _subcell_connectivity_loop(space):
+    k = space.degree
+    mesh = space.mesh
+    cells = []
+    for j in range(mesh.ny):
+        for i in range(mesh.nx):
+            for b in range(k):
+                for a in range(k):
+                    gx = k * i + a
+                    gy = k * j + b
+                    sw = gy * space.ndof_x + gx
+                    cells.append((sw, sw + 1, sw + 1 + space.ndof_x, sw + space.ndof_x))
+    return np.asarray(cells, dtype=int)
+
+
+def write_vtk_per_value(space, path, velocity=None, pressure=None, title="fields"):
+    """Reference VTK writer: the connectivity by nested loops and one write per value."""
+    from gepup.output import nodal_curl_and_div
+
+    pts = space.support_points
+    n = space.n_dofs
+    cells = _subcell_connectivity_loop(space)
+    with open(path, "w") as f:
+        f.write("# vtk DataFile Version 2.0\n")
+        f.write(f"{title}\n")
+        f.write("ASCII\n")
+        f.write("DATASET UNSTRUCTURED_GRID\n")
+        f.write(f"POINTS {n} double\n")
+        for x, y in pts:
+            f.write(f"{x:.16g} {y:.16g} 0\n")
+        f.write(f"CELLS {len(cells)} {5 * len(cells)}\n")
+        for quad in cells:
+            f.write("4 " + " ".join(str(v) for v in quad) + "\n")
+        f.write(f"CELL_TYPES {len(cells)}\n")
+        f.write("9\n" * len(cells))
+
+        f.write(f"POINT_DATA {n}\n")
+        if velocity is not None:
+            f.write("VECTORS velocity double\n")
+            for vx, vy in zip(velocity[0], velocity[1]):
+                f.write(f"{vx:.16g} {vy:.16g} 0\n")
+        if pressure is not None:
+            f.write("SCALARS pressure double\nLOOKUP_TABLE default\n")
+            for q in pressure:
+                f.write(f"{q:.16g}\n")
+        if velocity is not None:
+            curl, div = nodal_curl_and_div(space, velocity)
+            f.write("SCALARS vorticity double\nLOOKUP_TABLE default\n")
+            for w in curl:
+                f.write(f"{w:.16g}\n")
+            f.write("SCALARS divergence double\nLOOKUP_TABLE default\n")
+            for d in div:
+                f.write(f"{d:.16g}\n")

@@ -20,8 +20,7 @@ from .fem import (
     build_space,
     shape_eval,
     interpolate,
-    error_norm,
-    vector_error_norm,
+    error_norms,
 )
 from .linsolve import SolverError
 from .operators import CaseDefinition, GepupState, GepupOperators, check_boundary_compatibility

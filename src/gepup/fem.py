@@ -3,17 +3,16 @@
 Scalar tensor-product Lagrange spaces of degree 1..4 with Gauss-Lobatto
 support points, tensor Gauss-Legendre quadrature with (k+2)^2 points per
 element (exact for the mass and stiffness integrands on affine cells),
-quadrature loads on elements and boundary faces, nodal interpolation and
+element quadrature loads for the nonlinear term, nodal interpolation and
 error norms.  The global matrices are never assembled: they are Kronecker
-products of the 1D factors in ``tensorops``.
+products of the 1D factors in ``tensorops``, which also carries the
+boundary loads.
 
 Vector fields are represented as one coefficient array per component; all
 components share the scalar space.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,8 +24,7 @@ __all__ = [
     "shape_eval",
     "build_space",
     "interpolate",
-    "error_norm",
-    "vector_error_norm",
+    "error_norms",
 ]
 
 MAX_DEGREE = 4
@@ -77,8 +75,7 @@ class ReferenceElement:
 
     Local numbering is row-major over the (k+1)^2 node lattice (x fastest).
     Tabulates shape values/gradients at the (k+2)^2 Gauss-Legendre volume
-    quadrature points and at the (k+2)-point rules of the four edges
-    (0 bottom, 1 right, 2 top, 3 left).
+    quadrature points and at the nodes.
     """
 
     def __init__(self, degree: int):
@@ -90,8 +87,6 @@ class ReferenceElement:
         self.n_local = (k + 1) ** 2
 
         q1, w1 = gauss_legendre_01(k + 2)
-        self.quad_1d = q1
-        self.quad_w1d = w1
         QX, QY = np.meshgrid(q1, q1, indexing="xy")
         self.quad_points = np.column_stack([QX.ravel(), QY.ravel()])
         self.quad_weights = np.outer(w1, w1).ravel()  # y slow, x fast
@@ -104,24 +99,6 @@ class ReferenceElement:
         )
         self.node_points = node_grid
         self.phi_nodes, self.dphi_nodes = self._tabulate(node_grid)
-
-        self.face_phi = []
-        self.face_dphi = []
-        for side in range(4):
-            pts = self._face_points(side, q1)
-            fphi, fdphi = self._tabulate(pts)
-            self.face_phi.append(fphi)
-            self.face_dphi.append(fdphi)
-
-    @staticmethod
-    def _face_points(side: int, t: np.ndarray) -> np.ndarray:
-        if side == 0:
-            return np.column_stack([t, np.zeros_like(t)])
-        if side == 1:
-            return np.column_stack([np.ones_like(t), t])
-        if side == 2:
-            return np.column_stack([t, np.ones_like(t)])
-        return np.column_stack([np.zeros_like(t), t])
 
     def _tabulate(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         vx, dx = lagrange_1d(self.nodes_1d, points[:, 0])
@@ -158,20 +135,6 @@ def shape_eval(degree: int, point) -> tuple[np.ndarray, np.ndarray]:
     return phi[0], dphi[0]
 
 
-@dataclass(frozen=True)
-class FaceData:
-    """Boundary quadrature tables for one side of the domain (shared by all faces there)."""
-
-    side: int
-    elements: np.ndarray        # element ids along this side
-    normal: np.ndarray          # unit outward normal (2,)
-    tangent: np.ndarray         # counterclockwise tangent (-ny, nx)
-    weights: np.ndarray         # 1D quadrature weights * face length
-    points: np.ndarray          # (n_faces, n_qf, 2) global quad coordinates
-    phi: np.ndarray             # (n_qf, n_local) shape values on the face
-    dphi: np.ndarray            # (n_qf, n_local, 2) reference gradients on the face
-
-
 class FeSpace:
     """Scalar continuous Lagrange space of degree k over a structured mesh."""
 
@@ -197,7 +160,6 @@ class FeSpace:
         self.wdet = self.ref.quad_weights * self.detJ
         self.inv_h = np.array([1.0 / mesh.hx, 1.0 / mesh.hy])
         self.quad_coords = self._build_quad_coords()
-        self.faces = self._build_faces()
 
     def _build_element_dofs(self) -> np.ndarray:
         k = self.degree
@@ -236,50 +198,6 @@ class FeSpace:
         pts[:, :, 1] = oy[:, None] + self.ref.quad_points[None, :, 1] * mesh.hy
         return pts
 
-    def _build_faces(self) -> list[FaceData]:
-        mesh = self.mesh
-        q1 = self.ref.quad_1d
-        w1 = self.ref.quad_w1d
-        ox, oy = mesh.domain.origin
-        ex, ey = mesh.domain.extent
-        out = []
-        for face in range(4):
-            if face == 0:
-                els = np.arange(mesh.nx)
-                xq = ox + (np.arange(mesh.nx)[:, None] + q1[None, :]) * mesh.hx
-                yq = np.full_like(xq, oy)
-                length = mesh.hx
-            elif face == 1:
-                els = np.arange(mesh.ny) * mesh.nx + mesh.nx - 1
-                yq = oy + (np.arange(mesh.ny)[:, None] + q1[None, :]) * mesh.hy
-                xq = np.full_like(yq, ox + ex)
-                length = mesh.hy
-            elif face == 2:
-                els = (mesh.ny - 1) * mesh.nx + np.arange(mesh.nx)
-                xq = ox + (np.arange(mesh.nx)[:, None] + q1[None, :]) * mesh.hx
-                yq = np.full_like(xq, oy + ey)
-                length = mesh.hx
-            else:
-                els = np.arange(mesh.ny) * mesh.nx
-                yq = oy + (np.arange(mesh.ny)[:, None] + q1[None, :]) * mesh.hy
-                xq = np.full_like(yq, ox)
-                length = mesh.hy
-            normal = np.array(((0, -1), (1, 0), (0, 1), (-1, 0))[face], dtype=float)
-            tangent = np.array([-normal[1], normal[0]])
-            out.append(
-                FaceData(
-                    side=face,
-                    elements=els,
-                    normal=normal,
-                    tangent=tangent,
-                    weights=w1 * length,
-                    points=np.stack([xq, yq], axis=-1),
-                    phi=self.ref.face_phi[face],
-                    dphi=self.ref.face_dphi[face],
-                )
-            )
-        return out
-
     # ---- field evaluation --------------------------------------------------
 
     def values_at_quad(self, coeffs: np.ndarray) -> np.ndarray:
@@ -291,12 +209,6 @@ class FeSpace:
         local = coeffs[self.element_dofs]
         gx = (local @ self.ref.dphi[:, :, 0].T) * self.inv_h[0]
         gy = (local @ self.ref.dphi[:, :, 1].T) * self.inv_h[1]
-        return gx, gy
-
-    def grads_on_face(self, face: FaceData, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        local = coeffs[self.element_dofs[face.elements]]
-        gx = (local @ face.dphi[:, :, 0].T) * self.inv_h[0]
-        gy = (local @ face.dphi[:, :, 1].T) * self.inv_h[1]
         return gx, gy
 
     # ---- load assembly -----------------------------------------------------
@@ -312,21 +224,6 @@ class FeSpace:
         contrib += (vy * self.wdet[None, :]) @ (self.ref.dphi[:, :, 1] * self.inv_h[1])
         return np.bincount(self.element_dofs.ravel(), weights=contrib.ravel(), minlength=self.n_dofs)
 
-    def add_face_load(self, load: np.ndarray, face: FaceData, face_values: np.ndarray, scale: float = 1.0):
-        """Accumulate sum_q w_q v(x_q) eta_i(x_q) over one boundary side into ``load``."""
-        contrib = (face_values * face.weights[None, :]) @ face.phi * scale
-        rows = self.element_dofs[face.elements]
-        np.add.at(load, rows.ravel(), contrib.ravel())
-
-    def add_face_tangent_grad_load(self, load: np.ndarray, face: FaceData, face_values: np.ndarray, scale: float = 1.0):
-        """Accumulate sum_q w_q v(x_q) (tangent . grad eta_i)(x_q) over one side."""
-        tgrad = face.dphi[:, :, 0] * (face.tangent[0] * self.inv_h[0]) + face.dphi[:, :, 1] * (
-            face.tangent[1] * self.inv_h[1]
-        )
-        contrib = (face_values * face.weights[None, :]) @ tgrad * scale
-        rows = self.element_dofs[face.elements]
-        np.add.at(load, rows.ravel(), contrib.ravel())
-
 
 def build_space(mesh: StructuredQuadMesh, degree: int) -> FeSpace:
     return FeSpace(mesh, degree)
@@ -338,92 +235,38 @@ def interpolate(space: FeSpace, fn, t: float = 0.0) -> np.ndarray:
     return np.asarray(fn(pts[:, 0], pts[:, 1], t), dtype=float)
 
 
-def _as_diff_samples(space: FeSpace, field, exact, t):
-    vals = space.values_at_quad(field)
+def error_norms(space: FeSpace, fields, exact, t: float, exact_grads=None) -> dict:
+    """Errors of ``fields`` against ``exact``: {"L2", "Linf"} and, given ``exact_grads``, "H1".
+
+    A vector field is a list of per-component coefficient arrays, with
+    ``exact(x, y, t)`` returning its components and ``exact_grads(x, y, t)``
+    one (d/dx, d/dy) pair per component; a scalar field is one array, with
+    ``exact`` returning values and ``exact_grads`` one pair.  L2 and H1
+    (full norm) sum the components in quadrature; Linf is the largest
+    Euclidean magnitude of the error at the quadrature and support points.
+    ``exact`` is evaluated once at each point set, ``exact_grads`` once at
+    the quadrature points.
+    """
+    if isinstance(fields, np.ndarray):
+        grads = None if exact_grads is None else (lambda x, y, tt: (exact_grads(x, y, tt),))
+        return error_norms(space, [fields], lambda x, y, tt: (exact(x, y, tt),), t, grads)
     x = space.quad_coords[:, :, 0]
     y = space.quad_coords[:, :, 1]
-    return vals - exact(x, y, t)
-
-
-def error_norm(space: FeSpace, field: np.ndarray, exact, t: float, norm: str = "L2", exact_grad=None) -> float:
-    """Error ||field - exact|| in the L2, H1 (full) or Linf norm.
-
-    ``exact_grad(x, y, t) -> (dx, dy)`` is required for the H1 norm.  Linf is
-    sampled at the quadrature and support points.
-    """
-    if norm == "Linf":
-        diff = _as_diff_samples(space, field, exact, t)
-        pts = space.support_points
-        nodal = field - exact(pts[:, 0], pts[:, 1], t)
-        return max(np.abs(diff).max(), np.abs(nodal).max())
-    diff = _as_diff_samples(space, field, exact, t)
-    l2sq = float(np.sum(diff * diff @ space.wdet))
-    if norm == "L2":
-        return np.sqrt(l2sq)
-    if norm == "H1":
-        if exact_grad is None:
-            raise ValueError("H1 norm needs exact_grad")
-        gx, gy = space.grads_at_quad(field)
-        x = space.quad_coords[:, :, 0]
-        y = space.quad_coords[:, :, 1]
-        ex, ey = exact_grad(x, y, t)
-        dxs = gx - ex
-        dys = gy - ey
-        h1sq = float(np.sum(dxs * dxs @ space.wdet) + np.sum(dys * dys @ space.wdet))
-        return np.sqrt(l2sq + h1sq)
-    raise ValueError(f"unknown norm {norm!r}")
-
-
-def vector_error_norm(space: FeSpace, fields, exact_vec, t: float, norm: str = "L2", exact_grads=None) -> float:
-    """Error norm of a vector field stored as per-component coefficient arrays.
-
-    L2/H1 combine components in quadrature; Linf is the max Euclidean
-    magnitude of the error over quadrature and support points.
-    ``exact_grads(x, y, t)`` must return ((dux_dx, dux_dy), (duy_dx, duy_dy)).
-    """
-    x = space.quad_coords[:, :, 0]
-    y = space.quad_coords[:, :, 1]
-    ex = exact_vec(x, y, t)
-    if norm == "Linf":
-        magsq = 0.0
-        for d, f in enumerate(fields):
-            diff = space.values_at_quad(f) - ex[d]
-            magsq = magsq + diff * diff
-        pts = space.support_points
-        en = exact_vec(pts[:, 0], pts[:, 1], t)
-        nodsq = 0.0
-        for d, f in enumerate(fields):
-            diff = f - en[d]
-            nodsq = nodsq + diff * diff
-        return float(np.sqrt(max(magsq.max(), nodsq.max())))
-    total = 0.0
-    for d, f in enumerate(fields):
-        diff = space.values_at_quad(f) - ex[d]
-        total += float(np.sum(diff * diff @ space.wdet))
-    if norm == "L2":
-        return np.sqrt(total)
-    if norm == "H1":
-        if exact_grads is None:
-            raise ValueError("H1 norm needs exact_grads")
-        eg = exact_grads(x, y, t)
-        for d, f in enumerate(fields):
+    pts = space.support_points
+    l2sq = 0.0
+    quad_sq = nodal_sq = 0.0
+    for f, e_quad, e_nodal in zip(fields, exact(x, y, t), exact(pts[:, 0], pts[:, 1], t)):
+        diff = space.values_at_quad(f) - e_quad
+        l2sq += float(np.sum(diff * diff @ space.wdet))
+        quad_sq = quad_sq + diff * diff
+        nodal_sq = nodal_sq + (f - e_nodal) ** 2
+    out = {"L2": np.sqrt(l2sq), "Linf": float(np.sqrt(max(np.max(quad_sq), np.max(nodal_sq))))}
+    if exact_grads is not None:
+        h1sq = l2sq
+        for f, (ex, ey) in zip(fields, exact_grads(x, y, t)):
             gx, gy = space.grads_at_quad(f)
-            dxs = gx - eg[d][0]
-            dys = gy - eg[d][1]
-            total += float(np.sum(dxs * dxs @ space.wdet) + np.sum(dys * dys @ space.wdet))
-        return np.sqrt(total)
-    raise ValueError(f"unknown norm {norm!r}")
-
-
-def normal_trace(face: FaceData, g, t: float) -> np.ndarray:
-    """g . n at the quadrature points of one boundary side, (n_faces, n_qf)."""
-    x = face.points[:, :, 0]
-    y = face.points[:, :, 1]
-    gx, gy = g(x, y, t)
-    gn = np.broadcast_to(np.asarray(gx, dtype=float), x.shape) * face.normal[0]
-    return gn + np.broadcast_to(np.asarray(gy, dtype=float), x.shape) * face.normal[1]
-
-
-def boundary_flux(space: FeSpace, g, t: float) -> float:
-    """Integral of g . n over the domain boundary by face quadrature."""
-    return sum(float(np.sum(normal_trace(face, g, t) @ face.weights)) for face in space.faces)
+            dxs = gx - ex
+            dys = gy - ey
+            h1sq += float(np.sum(dxs * dxs @ space.wdet) + np.sum(dys * dys @ space.wdet))
+        out["H1"] = np.sqrt(h1sq)
+    return out

@@ -304,16 +304,14 @@ class StepperConfig:
     """Time-integration settings: tableau id, Courant number, linear tolerances.
 
     Every linear solve is direct; ``rel_tol`` bounds the normwise backward
-    error ||b - K x|| / (||b|| + ||K|| ||x||) each momentum and Poisson
-    solve must meet, and ``mass_rel_tol`` (default: ``rel_tol``) does the
-    same for the mass solves.  A solve above its bound, or with a NaN or
+    error ||b - K x|| / (||b|| + ||K|| ||x||) every momentum, Poisson and
+    mass solve must meet.  A solve above its bound, or with a NaN or
     infinite result, raises SolverError.
     """
 
     tableau: str = "ark4"
     courant: float = 0.8
     rel_tol: float = 1e-12
-    mass_rel_tol: float | None = None
     dt_max: float = 1.0
     rebuild_interval: int = 50
 
@@ -322,23 +320,25 @@ class StepperConfig:
             raise ValueError(f"Courant number must be positive, got {self.courant}")
 
 
-def courant_dt(space, U, courant: float, degree: int | None = None, dt_max: float = 1.0, speed_floor: float = 1e-12) -> float:
+SPEED_FLOOR = 1e-12  # below this sampled speed the flow counts as at rest
+
+
+def courant_dt(space, U, courant: float, dt_max: float = 1.0) -> float:
     """Convection-limited step size from the sampled maximum speed.
 
     The speed is the Euclidean velocity magnitude, sampled at the support
     points and the volume quadrature points; the element size is max(hx, hy).
     Returns dt_max when the flow is essentially at rest.
     """
-    k = space.degree if degree is None else degree
     speed_sq = U[0] ** 2 + U[1] ** 2
     umax_sq = float(speed_sq.max())
     qx = space.values_at_quad(U[0])
     qy = space.values_at_quad(U[1])
     umax_sq = max(umax_sq, float((qx * qx + qy * qy).max()))
     umax = np.sqrt(umax_sq)
-    if umax < speed_floor:
+    if umax < SPEED_FLOOR:
         return dt_max
-    return min(courant * space.mesh.h_max / (k * umax), dt_max)
+    return min(courant * space.mesh.h_max / (space.degree * umax), dt_max)
 
 
 def advance_step(

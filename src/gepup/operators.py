@@ -5,18 +5,20 @@ The evolved velocity w is not constrained to be solenoidal; the chain
     w  --(potential solve)-->  phi  --(mass solves)-->  u  --(pressure solve)-->  q
 
 recovers the divergence-free velocity u = w - grad(phi) and extracts the
-pressure q from u.  All right-hand sides are plain quadrature loads against
-the scalar test basis; the two Poisson solves are pure-Neumann problems
-posed in the mean-zero subspace.
+pressure q from u.  All right-hand sides are loads against the scalar test
+basis; the two Poisson solves are pure-Neumann problems posed in the
+mean-zero subspace.
 
 In 2D the curl is the scalar du_y/dx - du_x/dy and the boundary term of the
 pressure equation integrates curl(u) against the tangential derivative of
-the test function, with the counterclockwise tangent (-n_y, n_x).
+the test function, with the counterclockwise tangent (-n_y, n_x).  It and
+the boundary fluxes (g . n, eta) are products of the 1D axes of
+``tensorops`` on the boundary rows and columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,27 +64,15 @@ class CaseDefinition:
 def check_boundary_compatibility(case: CaseDefinition, times=(0.0,), tol: float = 1e-10, panels: int = 64):
     """Verify the net boundary flux of g vanishes (solvability of the potential solve).
 
-    Uses a composite 6-point Gauss rule with ``panels`` panels per side,
-    independent of any mesh.
+    Sums the boundary load of g on ``panels`` Q4 cells per side, a composite
+    6-point Gauss rule independent of any mesh.
     """
-    q, w = fem.gauss_legendre_01(6)
-    ox, oy = case.domain.origin
-    ex, ey = case.domain.extent
-    s = (np.arange(panels)[:, None] + q[None, :]).ravel() / panels
-    ws = np.tile(w, panels) / panels
-    sides = [
-        (ox + s * ex, np.full_like(s, oy), (0.0, -1.0), ex),
-        (np.full_like(s, ox + ex), oy + s * ey, (1.0, 0.0), ey),
-        (ox + s * ex, np.full_like(s, oy + ey), (0.0, 1.0), ex),
-        (np.full_like(s, ox), oy + s * ey, (-1.0, 0.0), ey),
+    axes = [
+        tensorops.Axis(panels, length / panels, 4, origin)
+        for origin, length in zip(case.domain.origin, case.domain.extent)
     ]
     for t in times:
-        flux = 0.0
-        for x, y, n, length in sides:
-            gx, gy = case.g(x, y, t)
-            gn = np.broadcast_to(np.asarray(gx, dtype=float), x.shape) * n[0]
-            gn = gn + np.broadcast_to(np.asarray(gy, dtype=float), x.shape) * n[1]
-            flux += float(gn @ ws) * length
+        flux = float(tensorops.boundary_normal_load(axes, case.g, t).sum())
         if abs(flux) > tol:
             raise ValueError(
                 f"case {case.name!r}: net boundary flux {flux:.3e} at t={t} violates the "
@@ -108,16 +98,6 @@ class GepupState:
     Q: np.ndarray
     conv: list[np.ndarray] | None = None
 
-    def copy(self) -> "GepupState":
-        return GepupState(
-            self.t,
-            [w.copy() for w in self.W],
-            [u.copy() for u in self.U],
-            self.Phi.copy(),
-            self.Q.copy(),
-            None if self.conv is None else [c.copy() for c in self.conv],
-        )
-
 
 class ConstrainedOperator:
     """Helmholtz-type operator mass + coeff*stiffness with eliminated Dirichlet rows.
@@ -136,15 +116,12 @@ class ConstrainedOperator:
         self.K = TensorOperator(ops.interior_factors, 1.0, coeff)
         self.scale = 1.0 / (1.0 + coeff * ops.interior_eig.lam)
 
-    def apply_full(self, x: np.ndarray) -> np.ndarray:
-        return self.full_op @ x
-
     def solve(self, rhs: np.ndarray, boundary_values: np.ndarray) -> np.ndarray:
         """Solve with x = boundary_values on the Dirichlet rows (strong elimination)."""
         ops = self.ops
         x = np.zeros_like(rhs)
         x[ops.space.boundary_dofs] = boundary_values
-        b = (rhs - self.apply_full(x)).reshape(self.full_op.grid)[1:-1, 1:-1].ravel()
+        b = (rhs - self.full_op @ x).reshape(self.full_op.grid)[1:-1, 1:-1].ravel()
         xi = ops.interior_eig.apply(b, self.scale)
         ops.record_solve("momentum", b, self.K @ xi, xi, self.K.norm_bound, self.rel_tol)
         x.reshape(self.full_op.grid)[1:-1, 1:-1] = xi.reshape(self.K.grid)
@@ -154,11 +131,12 @@ class ConstrainedOperator:
 class GepupOperators:
     """Tensor-product operators, direct solvers and the w -> u -> q solve chain.
 
-    Every product goes through the 1D factors of the space: mass and
-    stiffness matvecs (``fast_M``, ``fast_A``), and the linear loads, which
-    are 1D-factor products with the derivative factors (``grad``).  Only
-    the nonlinear load f - u . grad u is integrated by element quadrature,
-    once per velocity field.  Every solve goes through the generalized
+    Every product goes through the 1D axes of the space (``axes``): mass
+    and stiffness matvecs (``fast_M``, ``fast_A``), the linear loads, which
+    are 1D-factor products with the derivative factors (``grad``), and the
+    boundary loads on the boundary rows and columns.  Only the nonlinear
+    load f - u . grad u is integrated by element quadrature, once per
+    velocity field.  Every solve goes through the generalized
     eigenpairs of the same factors, built once here: the full (Neumann)
     pairs for the Poisson and mass solves, the interior pairs for the
     Dirichlet-eliminated momentum solve.  ``residuals`` holds the largest
@@ -172,20 +150,20 @@ class GepupOperators:
         mesh: StructuredQuadMesh,
         degree: int,
         rel_tol: float = 1e-12,
-        mass_rel_tol: float | None = None,
         convection: bool = True,
     ):
         self.space = fem.build_space(mesh, degree)
         self.degree = degree
         self.rel_tol = rel_tol
-        self.mass_rel_tol = rel_tol if mass_rel_tol is None else mass_rel_tol
         self.convection = convection
 
-        self.factors = tensorops.one_dimensional_factors(self.space)
+        self.axes = tensorops.one_dimensional_factors(self.space)
+        ax, ay = self.axes
+        self.factors = (ax.M, ax.K, ay.M, ay.K)
         self.interior_factors = tuple(F[1:-1, 1:-1] for F in self.factors)
         self.fast_M = TensorOperator(self.factors, 1.0, 0.0)
         self.fast_A = TensorOperator(self.factors, 0.0, 1.0)
-        self.grad = TensorGradient(self.factors, tensorops.derivative_factors(self.space))
+        self.grad = TensorGradient(self.axes)
         self.mass_weights = self.fast_M @ np.ones(self.space.n_dofs)
         self.eig = FastDiagonalization(self.factors)
         self.interior_eig = FastDiagonalization(self.interior_factors)
@@ -245,11 +223,6 @@ class GepupOperators:
             vy += forcing[1]
         return [space.assemble_load(vx), space.assemble_load(vy)], space.assemble_gradtest_load(vx, vy)
 
-    def _add_flux_load(self, load: np.ndarray, g, t: float):
-        """Subtract the boundary load (g . n, eta_i) from ``load``."""
-        for face in self.space.faces:
-            self.space.add_face_load(load, face, fem.normal_trace(face, g, t), scale=-1.0)
-
     def eval_Fw_both(
         self, U: list[np.ndarray], Q: np.ndarray, case: CaseDefinition, t: float, conv: list[np.ndarray] | None = None
     ) -> list[np.ndarray]:
@@ -266,8 +239,7 @@ class GepupOperators:
     def eval_Fphi(self, W: list[np.ndarray], case: CaseDefinition, t: float) -> np.ndarray:
         """Potential load (w, grad eta_i) - (n.g, eta_i) over the boundary."""
         load = self.grad.apply_transpose(W[0], 0) + self.grad.apply_transpose(W[1], 1)
-        self._add_flux_load(load, case.g, t)
-        return load
+        return load - tensorops.boundary_normal_load(self.axes, case.g, t).ravel()
 
     def eval_Fu(self, W_d: np.ndarray, Phi: np.ndarray, d: int) -> np.ndarray:
         """Projection load (w_d - dphi/dx_d, eta_i) = M w_d - G_d phi."""
@@ -279,16 +251,11 @@ class GepupOperators:
         Also returns the loads (f - u . grad u, eta_i) per component that the
         same quadrature pass yields, for ``eval_Fw_both`` at the same (U, t).
         """
-        space = self.space
         conv, load = self._nonlinear_loads(U, case, t)
         if case.nu != 0.0:
-            for face in space.faces:
-                gx_x, gx_y = space.grads_on_face(face, U[0])
-                gy_x, _ = space.grads_on_face(face, U[1])
-                curl = gy_x - gx_y
-                space.add_face_tangent_grad_load(load, face, curl, scale=case.nu)
+            load += case.nu * tensorops.curl_boundary_load(self.axes, U).ravel()
         if case.dg_dt is not None:
-            self._add_flux_load(load, case.dg_dt, t)
+            load -= tensorops.boundary_normal_load(self.axes, case.dg_dt, t).ravel()
         return load, conv
 
     # ---- solves ----------------------------------------------------------------
@@ -305,7 +272,7 @@ class GepupOperators:
     def solve_mass(self, load: np.ndarray) -> np.ndarray:
         """M x = load; M^{-1} = S S^T in the full eigenbasis."""
         x = self.eig.apply(load, 1.0)
-        self.record_solve("mass", load, self.fast_M @ x, x, self.fast_M.norm_bound, self.mass_rel_tol)
+        self.record_solve("mass", load, self.fast_M @ x, x, self.fast_M.norm_bound, self.rel_tol)
         return x
 
     def leray_project(self, W: list[np.ndarray], case: CaseDefinition, t: float):

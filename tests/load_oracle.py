@@ -1,8 +1,10 @@
 """Quadrature oracle for the operator chain's loads.
 
 Every load is integrated element by element with the (k+2)^2-point Gauss
-rule and scattered through the element dof table, the way the package
-assembled all of them before its linear loads became 1D-factor products.
+rule, and every boundary load side by side with the (k+2)-point rule on
+the element faces, and scattered through the element dof table: the way
+the package assembled all of them before its linear and boundary loads
+became 1D-factor products.
 Each function returns the load split into its terms, so that a comparison
 can be scaled by the size of each term rather than by the sum, which may
 be a small remainder of large terms.
@@ -10,7 +12,7 @@ be a small remainder of large terms.
 
 import numpy as np
 
-from gepup.fem import normal_trace
+from gepup.fem import gauss_legendre_01, shape_eval
 
 
 def value_load(space, vals):
@@ -31,10 +33,46 @@ def _at_quad(space, fn, t):
     return [np.broadcast_to(np.asarray(v, dtype=float), x.shape) for v in fn(x, y, t)]
 
 
+def _sides(space):
+    """Per boundary side: its elements, outward normal, global (x, y) of the
+    face quadrature points, weights times face length, and the shape values
+    and physical gradients at the points."""
+    mesh = space.mesh
+    q, w = gauss_legendre_01(space.degree + 2)
+    zero, one = np.zeros_like(q), np.ones_like(q)
+    i, j = np.arange(mesh.nx), np.arange(mesh.ny)
+    for els, normal, ref_pts in (
+        (i, (0.0, -1.0), np.column_stack([q, zero])),
+        ((mesh.ny - 1) * mesh.nx + i, (0.0, 1.0), np.column_stack([q, one])),
+        (j * mesh.nx, (-1.0, 0.0), np.column_stack([zero, q])),
+        (j * mesh.nx + mesh.nx - 1, (1.0, 0.0), np.column_stack([one, q])),
+    ):
+        tables = [shape_eval(space.degree, pt) for pt in ref_pts]
+        phi = np.array([v for v, _ in tables])
+        dphi = np.array([g for _, g in tables]) * space.inv_h
+        x = mesh.domain.origin[0] + (els[:, None] % mesh.nx + ref_pts[None, :, 0]) * mesh.hx
+        y = mesh.domain.origin[1] + (els[:, None] // mesh.nx + ref_pts[None, :, 1]) * mesh.hy
+        length = mesh.hx if normal[0] == 0.0 else mesh.hy
+        yield els, normal, x, y, w * length, phi, dphi
+
+
 def _flux_load(space, g, t):
+    """-(g . n, eta_i) over the boundary."""
     load = np.zeros(space.n_dofs)
-    for face in space.faces:
-        space.add_face_load(load, face, normal_trace(face, g, t), scale=-1.0)
+    for els, n, x, y, w, phi, _ in _sides(space):
+        gx, gy = (np.broadcast_to(np.asarray(v, dtype=float), x.shape) for v in g(x, y, t))
+        np.add.at(load, space.element_dofs[els].ravel(), -(((gx * n[0] + gy * n[1]) * w) @ phi).ravel())
+    return load
+
+
+def _curl_load(space, U, nu):
+    """nu (curl u, tau . grad eta_i) over the boundary, tau = (-n_y, n_x)."""
+    load = np.zeros(space.n_dofs)
+    for els, n, _, _, w, _, dphi in _sides(space):
+        ux, uy = (U[d][space.element_dofs[els]] for d in range(2))
+        curl = uy @ dphi[:, :, 0].T - ux @ dphi[:, :, 1].T
+        tangent_grad = dphi[:, :, 0] * -n[1] + dphi[:, :, 1] * n[0]
+        np.add.at(load, space.element_dofs[els].ravel(), nu * ((curl * w) @ tangent_grad).ravel())
     return load
 
 
@@ -76,11 +114,6 @@ def fq_terms(space, U, case, t):
     boundary term and -(g_t . n, eta_i) on the boundary."""
     f = _at_quad(space, case.f, t)
     adv = _advection(space, U)
-    curl_term = np.zeros(space.n_dofs)
-    for face in space.faces:
-        gx_x, gx_y = space.grads_on_face(face, U[0])
-        gy_x, _ = space.grads_on_face(face, U[1])
-        space.add_face_tangent_grad_load(curl_term, face, gy_x - gx_y, scale=case.nu)
     terms = [derivative_load(space, f[d], d) for d in range(2)]
     terms += [-derivative_load(space, adv[d], d) for d in range(2)]
-    return terms + [curl_term, _flux_load(space, case.dg_dt, t)]
+    return terms + [_curl_load(space, U, case.nu), _flux_load(space, case.dg_dt, t)]

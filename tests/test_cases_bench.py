@@ -17,10 +17,9 @@ from gepup import (
     taylor_green_case,
     vorticity_indicator,
 )
-from gepup.bench import ConvergenceTable, run_convergence, run_simulation, solution_errors
+from gepup.bench import ConvergenceTable, run_convergence, run_simulation
 from gepup.cases import vortex_u_theta
 from gepup.imex import StepperConfig
-from gepup.operators import GepupOperators
 
 
 # ---- case definitions ---------------------------------------------------------

@@ -11,14 +11,13 @@ from gepup import (
     load_tableau,
     single_vortex_case,
     taylor_green_case,
+    error_norms,
     validate_tableau,
-    vector_error_norm,
 )
 from gepup.imex import advance_step, courant_dt
 from gepup.operators import CaseDefinition, GepupOperators
 from fem_oracle import assemble_mass, assemble_stiffness
 from ark_order_oracle import (
-    additive_order_residuals,
     esdirk_stability,
     max_residual_through_order,
 )
@@ -197,9 +196,7 @@ def test_richardson_differences_sit_on_the_spatial_floor():
         y4 = run(4, dt / 4)
         zero = lambda x, y, t: (np.zeros_like(x), np.zeros_like(x))
         floors.append(
-            vector_error_norm(
-                ops.space, [y1.U[0] - y4.U[0], y1.U[1] - y4.U[1]], zero, 0.0, "L2"
-            )
+            error_norms(ops.space, [y1.U[0] - y4.U[0], y1.U[1] - y4.U[1]], zero, 0.0)["L2"]
         )
     assert floors[0] < 2e-5   # measured 4.4e-6 at h = 1/8
     assert floors[1] < floors[0] / 8.0  # measured ~28x drop to h = 1/16
@@ -215,7 +212,7 @@ def test_taylor_green_q4_l6_step_meets_default_tolerance():
     dt = courant_dt(ops.space, state.U, 0.8)
     state = advance_step(state, dt, tab, case, ops)
     assert all(0.0 < r <= ops.rel_tol for r in ops.residuals.values()), ops.residuals
-    err = vector_error_norm(ops.space, state.U, case.exact_u, dt, "L2")
+    err = error_norms(ops.space, state.U, case.exact_u, dt)["L2"]
     assert err < 1e-9
 
 

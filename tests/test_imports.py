@@ -1,0 +1,51 @@
+"""Import hygiene of the package and the test suite.
+
+No linter ships with the toolchain, so the sources are parsed with ``ast``.
+An imported name counts as used when it appears as a name anywhere in its
+module (the root of an attribute chain included) or in the module's
+``__all__``.  Package ``__init__`` modules exist to re-export names and are
+exempt, as are ``from __future__`` imports.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "gepup"
+SOURCES = [p for p in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")) if p.name != "__init__.py"]
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(elt.value for elt in node.value.elts)
+    return [f"{name} (line {line})" for name, line in sorted(imported.items()) if name not in used]
+
+
+def test_gate_flags_an_unused_import():
+    source = "from __future__ import annotations\nimport os\nimport numpy as np\nfrom a import b, c\n__all__ = ['c']\nnp.zeros(b)\n"
+    assert unused_imports(source) == ["os (line 2)"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("name", [p.stem for p in sorted(PACKAGE.glob("*.py")) if p.stem != "__init__"])
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(f"gepup.{name}")
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []

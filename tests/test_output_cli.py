@@ -5,7 +5,7 @@ import pytest
 
 from gepup import UNIT_SQUARE, RectDomain, build_mesh, build_space, interpolate, taylor_green_case
 from gepup.bench import ConvergenceTable
-from gepup.cli import RunConfig, UsageError, main, parse_config, serialize_config
+from gepup.cli import UsageError, main, parse_config, serialize_config
 from gepup.output import write_convergence_csv, write_monitor_csv, write_vtk
 from vtk_check import read_legacy_vtk, write_vtk_per_value
 

@@ -24,6 +24,9 @@ __all__ = [
     "dorfler_mark",
 ]
 
+MAX_STEPS_LEFT = 1e8  # a Courant step that needs more steps than this to reach t_end has collapsed
+
+
 @dataclass
 class ConvergenceTable:
     """Rows keyed by decreasing h (exact halving); rates are log2 error ratios."""
@@ -46,9 +49,6 @@ class ConvergenceTable:
         for a, b in zip(vals, vals[1:]):
             out.append(np.log2(a / b) if a > 0 and b > 0 else np.nan)
         return out
-
-    def column(self, key: str) -> list[float]:
-        return [row[key] for row in self.errors]
 
     def __len__(self):
         return len(self.h)
@@ -116,12 +116,14 @@ def run_simulation(
 ) -> SimulationResult:
     """Advance a case from t0 to t_end with Courant-controlled steps.
 
-    The step size is recomputed from the current velocity every
-    ``config.rebuild_interval`` steps (a new dt only rescales the diagonal
-    of the momentum solve) and the final step is shortened to land exactly
-    on t_end.  Each monitor row holds the largest backward error of every
+    The step size is recomputed from the current velocity before every
+    step (``courant_dt``; a new dt only rescales the diagonal of the
+    momentum solve), and the final step is shortened to land exactly on
+    t_end.  Each monitor row holds the largest backward error of every
     solve class in that step (``res_<class>``).  A SolverError names the
-    step (0 for the initial state), phase and time.
+    step (0 for the initial state), phase and time; it is also raised when
+    the Courant step has collapsed so far that more than ``MAX_STEPS_LEFT``
+    further steps would be needed to reach t_end.
     """
     if t_end < t0:
         raise ValueError(f"t_end {t_end} precedes t0 {t0}")
@@ -140,33 +142,29 @@ def run_simulation(
         on_step(0, state, ops)
 
     steps = 0
-    if t_end > t0:
+    while t_end - state.t > 1e-13 * max(1.0, abs(t_end)):
         dt = courant_dt(ops.space, state.U, config.courant, dt_max=config.dt_max)
-        momentum = ops.momentum_operator(case.nu * dt * tableau.gamma)
-        time_left = t_end - state.t
-        while time_left > 1e-13 * max(1.0, abs(t_end)):
-            if steps > 0 and steps % config.rebuild_interval == 0:
-                dt_new = courant_dt(ops.space, state.U, config.courant, dt_max=config.dt_max)
-                if dt_new != dt:
-                    dt = dt_new
-                    momentum = ops.momentum_operator(case.nu * dt * tableau.gamma)
-            dt_step = dt
-            mom_step = momentum
-            if state.t + dt > t_end:
-                dt_step = t_end - state.t
-                mom_step = ops.momentum_operator(case.nu * dt_step * tableau.gamma)
-            ops.reset_residuals()
-            try:
-                state = advance_step(state, dt_step, tableau, case, ops, momentum=mom_step)
-            except SolverError as exc:
-                exc.step = steps + 1
-                raise
-            steps += 1
-            monitors.append(_monitor_entry(steps, state, dt_step, ops))
-            if on_step is not None:
-                on_step(steps, state, ops)
-            time_left = t_end - state.t
-        state.t = t_end
+        if not t_end - state.t <= MAX_STEPS_LEFT * dt:
+            raise SolverError(
+                f"Courant step dt = {dt:.3e} would need more than {MAX_STEPS_LEFT:.0e} steps "
+                f"to reach t_end = {t_end:g}",
+                step=steps + 1,
+                phase="step size",
+                t=state.t,
+            )
+        if state.t + dt > t_end:
+            dt = t_end - state.t
+        ops.reset_residuals()
+        try:
+            state = advance_step(state, dt, tableau, case, ops)
+        except SolverError as exc:
+            exc.step = steps + 1
+            raise
+        steps += 1
+        monitors.append(_monitor_entry(steps, state, dt, ops))
+        if on_step is not None:
+            on_step(steps, state, ops)
+    state.t = t_end
 
     errors = None
     if case.exact_u is not None and case.exact_p is not None:
@@ -177,21 +175,18 @@ def run_simulation(
 def run_convergence(
     case: CaseDefinition,
     degree: int,
-    tableau: str,
+    config: StepperConfig,
     levels: list[int],
-    courant: float = 0.8,
     t0: float = 0.0,
     t_end: float = 1.0,
-    rel_tol: float = 1e-12,
     base_cells: tuple[int, int] = (1, 1),
     verbose: bool = False,
 ) -> ConvergenceTable:
-    """Errors and rates across uniformly refined meshes."""
+    """Errors and rates across uniformly refined meshes, each run with ``config``."""
     if len(levels) < 2:
         raise ValueError("need at least two levels for a convergence study")
     table = ConvergenceTable()
     for level in levels:
-        config = StepperConfig(tableau=tableau, courant=courant, rel_tol=rel_tol)
         res = run_simulation(case, degree, level, config, t0=t0, t_end=t_end, base_cells=base_cells)
         h = res.ops.space.mesh.h_max
         table.add_row(h, res.errors)
@@ -205,15 +200,10 @@ def run_convergence(
 
 def vorticity_indicator(space: FeSpace, U: list[np.ndarray]) -> np.ndarray:
     """Per-element h_K * max |curl u| sampled at quadrature and node points."""
-    ref = space.ref
     ux_loc = U[0][space.element_dofs]
     uy_loc = U[1][space.element_dofs]
-    curl_q = (uy_loc @ ref.dphi[:, :, 0].T) * space.inv_h[0] - (
-        ux_loc @ ref.dphi[:, :, 1].T
-    ) * space.inv_h[1]
-    curl_n = (uy_loc @ ref.dphi_nodes[:, :, 0].T) * space.inv_h[0] - (
-        ux_loc @ ref.dphi_nodes[:, :, 1].T
-    ) * space.inv_h[1]
+    curl_q = uy_loc @ space.quad_dx - ux_loc @ space.quad_dy
+    curl_n = uy_loc @ space.node_dx - ux_loc @ space.node_dy
     peak = np.maximum(np.abs(curl_q).max(axis=1), np.abs(curl_n).max(axis=1))
     return space.mesh.h_max * peak
 

@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .bench import run_convergence, run_simulation
 from .cases import lid_cavity_case, single_vortex_case, taylor_green_case
+from .fem import MAX_DEGREE
 from .imex import TABLEAU_IDS, StepperConfig, load_tableau, validate_tableau
 from .linsolve import SolverError
 from .output import ERROR_COLUMNS, write_convergence_csv, write_monitor_csv, write_vtk
@@ -42,7 +43,6 @@ class RunConfig:
     t0: float = 0.0
     base: int = 1
     rel_tol: float = 1e-12
-    rebuild_interval: int = 50
     snapshot_interval: int = 0
     outdir: str = "."
     levels: tuple[int, ...] = ()
@@ -52,8 +52,8 @@ class RunConfig:
             raise UsageError(
                 f"--case: unknown case {self.case!r}; choose from {', '.join(sorted(CASE_BUILDERS))}"
             )
-        if not 1 <= self.degree <= 4:
-            raise UsageError(f"--degree: must be in 1..4, got {self.degree}")
+        if not 1 <= self.degree <= MAX_DEGREE:
+            raise UsageError(f"--degree: must be in 1..{MAX_DEGREE}, got {self.degree}")
         if self.level < 0:
             raise UsageError(f"--level: must be nonnegative, got {self.level}")
         if self.t_end < self.t0:
@@ -70,8 +70,6 @@ class RunConfig:
             raise UsageError(f"--base: must be at least 1, got {self.base}")
         if self.rel_tol <= 0 or self.rel_tol >= 1:
             raise UsageError(f"--rel-tol: must lie in (0, 1), got {self.rel_tol}")
-        if self.rebuild_interval < 1:
-            raise UsageError(f"--rebuild-interval: must be positive, got {self.rebuild_interval}")
         if self.snapshot_interval < 0:
             raise UsageError(f"--snapshot-interval: must be nonnegative, got {self.snapshot_interval}")
         if any(l < 0 for l in self.levels):
@@ -80,7 +78,7 @@ class RunConfig:
 
 def _add_config_args(p: argparse.ArgumentParser, need_level: bool = True):
     p.add_argument("--case", required=True, help="taylor-green | single-vortex | lid-cavity")
-    p.add_argument("--degree", type=int, required=True, help="Lagrange element degree (1..4)")
+    p.add_argument("--degree", type=int, required=True, help=f"Lagrange element degree (1..{MAX_DEGREE})")
     if need_level:
         p.add_argument("--level", type=int, required=True, help="mesh refinement level")
     p.add_argument("--t-end", type=float, required=True, dest="t_end")
@@ -97,7 +95,6 @@ def _add_config_args(p: argparse.ArgumentParser, need_level: bool = True):
         help="bound on the normwise backward error ||b - Kx|| / (||b|| + ||K|| ||x||) "
         "of every linear solve (default 1e-12)",
     )
-    p.add_argument("--rebuild-interval", type=int, default=50, dest="rebuild_interval")
     p.add_argument("--snapshot-interval", type=int, default=0, dest="snapshot_interval")
     p.add_argument("--outdir", default=".")
 
@@ -156,14 +153,12 @@ def serialize_config(config: RunConfig) -> list[str]:
     return out
 
 
+def _stepper(config: RunConfig) -> StepperConfig:
+    return StepperConfig(tableau=config.integrator, courant=config.courant, rel_tol=config.rel_tol)
+
+
 def _cmd_run(config: RunConfig) -> int:
     case = CASE_BUILDERS[config.case](config.re)
-    stepper = StepperConfig(
-        tableau=config.integrator,
-        courant=config.courant,
-        rel_tol=config.rel_tol,
-        rebuild_interval=config.rebuild_interval,
-    )
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -181,7 +176,7 @@ def _cmd_run(config: RunConfig) -> int:
         case,
         config.degree,
         config.level,
-        stepper,
+        _stepper(config),
         t0=config.t0,
         t_end=config.t_end,
         base_cells=(config.base, config.base),
@@ -209,12 +204,10 @@ def _cmd_converge(config: RunConfig) -> int:
     table = run_convergence(
         case,
         config.degree,
-        config.integrator,
+        _stepper(config),
         list(config.levels),
-        courant=config.courant,
         t0=config.t0,
         t_end=config.t_end,
-        rel_tol=config.rel_tol,
         base_cells=(config.base, config.base),
         verbose=True,
     )

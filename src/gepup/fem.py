@@ -1,12 +1,17 @@
-"""Continuous Lagrange Q_k finite elements on structured quad meshes.
+"""Continuous Lagrange Q_k finite elements on uniform tensor-product grids.
 
-Scalar tensor-product Lagrange spaces of degree 1..4 with Gauss-Lobatto
-support points, tensor Gauss-Legendre quadrature with (k+2)^2 points per
-element (exact for the mass and stiffness integrands on affine cells),
-element quadrature loads for the nonlinear term, nodal interpolation and
-error norms.  The global matrices are never assembled: they are Kronecker
-products of the 1D factors in ``tensorops``, which also carries the
-boundary loads.
+Scalar Lagrange spaces of degree 1..4 with Gauss-Lobatto support points and
+tensor Gauss-Legendre quadrature with (k+2)^2 points per element (exact
+for the mass and stiffness integrands on affine cells).  Everything is
+built from one cached 1D tabulation, ``basis_1d``: an ``Axis`` lays it out
+along one axis of the grid (1D mass, stiffness and derivative factors,
+support coordinates, Gauss points), and a ``FeSpace`` is the product of its
+two axes, whose element dofs, support and quadrature points and element
+tables are Kronecker products of the 1D ones (sum factorization, Orszag,
+J. Comput. Phys. 37, 1980).  The module also holds the element quadrature
+loads of the nonlinear term, nodal interpolation and error norms.  The
+global matrices are never assembled: ``tensorops`` applies them, and the
+boundary loads, as products on the axes.
 
 Vector fields are represented as one coefficient array per component; all
 components share the scalar space.
@@ -14,12 +19,19 @@ components share the scalar space.
 
 from __future__ import annotations
 
+import functools
+from typing import NamedTuple
+
 import numpy as np
+import scipy.sparse as sp
 
 from .mesh import StructuredQuadMesh
 
 __all__ = [
+    "Basis1D",
+    "basis_1d",
     "ReferenceElement",
+    "Axis",
     "FeSpace",
     "shape_eval",
     "build_space",
@@ -70,59 +82,71 @@ def lagrange_1d(nodes: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return vals, ders
 
 
+class Basis1D(NamedTuple):
+    """The 1D Lagrange basis of degree k on [0, 1] and its (k+2)-point Gauss rule.
+
+    ``vals`` and ``ders`` are (k+2, k+1): basis values and derivatives at
+    the Gauss ``points``.  ``node_vals`` and ``node_ders`` are (k+1, k+1),
+    at the Gauss-Lobatto ``nodes``; the first and last rows of
+    ``node_ders`` are the basis derivatives at 0 and 1.
+    """
+
+    nodes: np.ndarray
+    points: np.ndarray
+    weights: np.ndarray
+    vals: np.ndarray
+    ders: np.ndarray
+    node_vals: np.ndarray
+    node_ders: np.ndarray
+
+
+@functools.cache
+def basis_1d(degree: int) -> Basis1D:
+    """The one 1D tabulation every element table, axis factor and load is built from."""
+    nodes = gauss_lobatto_01(degree + 1)
+    q, w = gauss_legendre_01(degree + 2)
+    vals, ders = lagrange_1d(nodes, np.concatenate([q, nodes]))
+    n = len(q)
+    return Basis1D(nodes, q, w, vals[:n], ders[:n], vals[n:], ders[n:])
+
+
+def _tensor_tables(vx, dx, vy, dy) -> tuple[np.ndarray, np.ndarray]:
+    """Values (npt, n_local) and gradients (npt, n_local, 2) of the tensor basis
+    from 1D tables in x and in y; rows run over the point lattice (y slow)."""
+    return np.kron(vy, vx), np.stack([np.kron(vy, dx), np.kron(dy, vx)], axis=-1)
+
+
 class ReferenceElement:
     """Tensor-product Lagrange element of degree k on [0,1]^2.
 
     Local numbering is row-major over the (k+1)^2 node lattice (x fastest).
-    Tabulates shape values/gradients at the (k+2)^2 Gauss-Legendre volume
-    quadrature points and at the nodes.
+    Shape values ``phi`` and gradients ``dphi`` at the (k+2)^2 Gauss-Legendre
+    quadrature points, and ``phi_nodes``, ``dphi_nodes`` at the nodes, are
+    Kronecker products of the 1D tables of ``basis_1d``.
     """
 
     def __init__(self, degree: int):
         if not 1 <= degree <= MAX_DEGREE:
             raise ValueError(f"degree must be in 1..{MAX_DEGREE}, got {degree}")
         self.degree = degree
-        k = degree
-        self.nodes_1d = gauss_lobatto_01(k + 1)
-        self.n_local = (k + 1) ** 2
+        b = basis_1d(degree)
+        self.nodes_1d = b.nodes
+        self.n_local = (degree + 1) ** 2
 
-        q1, w1 = gauss_legendre_01(k + 2)
-        QX, QY = np.meshgrid(q1, q1, indexing="xy")
+        QX, QY = np.meshgrid(b.points, b.points, indexing="xy")
         self.quad_points = np.column_stack([QX.ravel(), QY.ravel()])
-        self.quad_weights = np.outer(w1, w1).ravel()  # y slow, x fast
+        self.quad_weights = np.kron(b.weights, b.weights)  # y slow, x fast
         self.n_quad = len(self.quad_weights)
+        NX, NY = np.meshgrid(b.nodes, b.nodes, indexing="xy")
+        self.node_points = np.column_stack([NX.ravel(), NY.ravel()])
 
-        self.phi, self.dphi = self._tabulate(self.quad_points)
-
-        node_grid = np.column_stack(
-            [np.tile(self.nodes_1d, k + 1), np.repeat(self.nodes_1d, k + 1)]
-        )
-        self.node_points = node_grid
-        self.phi_nodes, self.dphi_nodes = self._tabulate(node_grid)
-
-    def _tabulate(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        vx, dx = lagrange_1d(self.nodes_1d, points[:, 0])
-        vy, dy = lagrange_1d(self.nodes_1d, points[:, 1])
-        k1 = self.degree + 1
-        npt = len(points)
-        phi = np.empty((npt, self.n_local))
-        dphi = np.empty((npt, self.n_local, 2))
-        for b in range(k1):
-            for a in range(k1):
-                n = b * k1 + a
-                phi[:, n] = vx[:, a] * vy[:, b]
-                dphi[:, n, 0] = dx[:, a] * vy[:, b]
-                dphi[:, n, 1] = vx[:, a] * dy[:, b]
-        return phi, dphi
+        self.phi, self.dphi = _tensor_tables(b.vals, b.ders, b.vals, b.ders)
+        self.phi_nodes, self.dphi_nodes = _tensor_tables(b.node_vals, b.node_ders, b.node_vals, b.node_ders)
 
 
-_REF_CACHE: dict[int, ReferenceElement] = {}
-
-
+@functools.cache
 def reference_element(degree: int) -> ReferenceElement:
-    if degree not in _REF_CACHE:
-        _REF_CACHE[degree] = ReferenceElement(degree)
-    return _REF_CACHE[degree]
+    return ReferenceElement(degree)
 
 
 def shape_eval(degree: int, point) -> tuple[np.ndarray, np.ndarray]:
@@ -131,97 +155,128 @@ def shape_eval(degree: int, point) -> tuple[np.ndarray, np.ndarray]:
     pt = np.atleast_2d(np.asarray(point, dtype=float))
     if pt.shape != (1, 2) or pt.min() < -1e-12 or pt.max() > 1.0 + 1e-12:
         raise ValueError(f"point must lie in the closed unit square, got {point}")
-    phi, dphi = ref._tabulate(pt)
+    phi, dphi = _tensor_tables(*lagrange_1d(ref.nodes_1d, pt[:, 0]), *lagrange_1d(ref.nodes_1d, pt[:, 1]))
     return phi[0], dphi[0]
 
 
+class Axis:
+    """One axis of the grid: n_cells uniform cells of width h from ``origin``, degree k.
+
+    Holds the 1D mass, stiffness and derivative factors ``M``, ``K`` and
+    ``C`` (C[i, j] = int phi_i phi_j'); the support coordinates ``nodes``
+    (n,); the (k+2)-point Gauss points of each cell, ``points``
+    (n_cells, k+2), with the weighted basis values that turn samples there
+    into a 1D load (``load``); and the basis derivatives at the two ends,
+    ``d0`` and ``d1``, so that d0 @ c is the end derivative of the 1D field
+    with coefficients c.
+    """
+
+    def __init__(self, n_cells: int, h: float, degree: int, origin: float = 0.0):
+        k = degree
+        b = basis_1d(degree)
+        cells = np.arange(n_cells)[:, None]
+        self.n = k * n_cells + 1
+        self.ends = (origin, origin + n_cells * h)
+        self.cell_dofs = k * cells + np.arange(k + 1)[None, :]
+        self.nodes = np.empty(self.n)
+        self.nodes[self.cell_dofs] = origin + (cells + b.nodes[None, :]) * h  # shared nodes agree exactly
+        self.points = origin + (cells + b.points[None, :]) * h
+        self.weighted_basis = (b.weights * h)[:, None] * b.vals
+
+        rows = np.repeat(self.cell_dofs, k + 1, axis=1).ravel()
+        cols = np.tile(self.cell_dofs, (1, k + 1)).ravel()
+
+        def assemble(local):
+            data = np.tile(local.ravel(), n_cells)
+            return sp.coo_matrix((data, (rows, cols)), shape=(self.n, self.n)).tocsr()
+
+        w, vals, ders = b.weights[:, None], b.vals, b.ders
+        self.M = assemble(vals.T @ (w * vals) * h)
+        self.K = assemble(ders.T @ (w * ders) / h)
+        self.C = assemble(vals.T @ (w * ders))
+
+        self.d0 = np.zeros(self.n)
+        self.d0[: k + 1] = b.node_ders[0] / h
+        self.d1 = np.zeros(self.n)
+        self.d1[-(k + 1):] = b.node_ders[-1] / h
+
+    def load(self, values) -> np.ndarray:
+        """1D load sum_q w_q v(x_q) phi_i(x_q) from samples v at ``points``."""
+        v = np.broadcast_to(np.asarray(values, dtype=float), self.points.shape)
+        contrib = v @ self.weighted_basis
+        return np.bincount(self.cell_dofs.ravel(), weights=contrib.ravel(), minlength=self.n)
+
+
 class FeSpace:
-    """Scalar continuous Lagrange space of degree k over a structured mesh."""
+    """Scalar continuous Lagrange space of degree k over a structured mesh.
+
+    Built from its two axes, ``axes`` = (x, y) ``Axis``: the global mass
+    and stiffness matrices are My (x) Mx and My (x) Kx + Ky (x) Mx.  Element
+    e = j*nx + i has the dofs ay.cell_dofs[j] (x) ax.cell_dofs[i] in local
+    order, the support points are the grid of the axes' ``nodes`` and the
+    quadrature points the grid of their Gauss ``points``.  The element tables
+    are scaled to physical derivatives once: ``quad_phi``, ``quad_dx``,
+    ``quad_dy`` (n_local, n_quad) at the quadrature points and ``node_dx``,
+    ``node_dy`` (n_local, n_local) at the nodes, C-contiguous, so that
+    coeffs[element_dofs] @ table evaluates a field on every element.
+    """
 
     def __init__(self, mesh: StructuredQuadMesh, degree: int):
         self.mesh = mesh
         self.degree = degree
-        self.ref = reference_element(degree)
-        k = degree
-        self.ndof_x = k * mesh.nx + 1
-        self.ndof_y = k * mesh.ny + 1
-        self.n_dofs = self.ndof_x * self.ndof_y
+        self.ref = ref = reference_element(degree)
+        ox, oy = mesh.domain.origin
+        self.axes = ax, ay = Axis(mesh.nx, mesh.hx, degree, ox), Axis(mesh.ny, mesh.hy, degree, oy)
+        self.ndof_x, self.ndof_y = ax.n, ay.n
+        self.n_dofs = ax.n * ay.n
 
-        self.element_dofs = self._build_element_dofs()
-        self.support_points = self._build_support_points()
+        n_el = mesh.n_elements
+        self.element_dofs = (ay.cell_dofs[:, None, :, None] * ax.n + ax.cell_dofs[None, :, None, :]).reshape(n_el, -1)
+        X, Y = np.meshgrid(ax.nodes, ay.nodes, indexing="xy")
+        self.support_points = np.column_stack([X.ravel(), Y.ravel()])
+        grid = np.broadcast_arrays(ax.points[None, :, None, :], ay.points[:, None, :, None])
+        self.quad_coords = np.stack(grid, axis=-1).reshape(n_el, ref.n_quad, 2)
 
-        gx = np.arange(self.n_dofs) % self.ndof_x
-        gy = np.arange(self.n_dofs) // self.ndof_x
-        self.boundary_mask = (gx == 0) | (gx == self.ndof_x - 1) | (gy == 0) | (gy == self.ndof_y - 1)
-        self.boundary_dofs = np.flatnonzero(self.boundary_mask)
-        self.interior_dofs = np.flatnonzero(~self.boundary_mask)
+        on_boundary = np.ones((ay.n, ax.n), dtype=bool)
+        on_boundary[1:-1, 1:-1] = False
+        self.boundary_dofs = np.flatnonzero(on_boundary)
+        self.interior_dofs = np.flatnonzero(~on_boundary)
 
-        self.detJ = mesh.hx * mesh.hy
-        self.wdet = self.ref.quad_weights * self.detJ
+        self.wdet = ref.quad_weights * (mesh.hx * mesh.hy)
         self.inv_h = np.array([1.0 / mesh.hx, 1.0 / mesh.hy])
-        self.quad_coords = self._build_quad_coords()
-
-    def _build_element_dofs(self) -> np.ndarray:
-        k = self.degree
-        mesh = self.mesh
-        i = np.arange(mesh.nx)
-        j = np.arange(mesh.ny)
-        I, J = np.meshgrid(i, j, indexing="xy")
-        base = (k * J * self.ndof_x + k * I).ravel()  # dof at local (0,0)
-        a = np.arange(k + 1)
-        local = (a[None, :] + self.ndof_x * a[:, None]).ravel()  # row-major (k+1)^2 offsets
-        return base[:, None] + local[None, :]
-
-    def _build_support_points(self) -> np.ndarray:
-        k = self.degree
-        mesh = self.mesh
-        nodes = self.ref.nodes_1d
-
-        def axis_coords(n_cells, origin, h, ndof):
-            g = np.arange(ndof)
-            cell = np.minimum(g // k, n_cells - 1)
-            a = g - k * cell
-            return origin + (cell + nodes[a]) * h
-
-        xs = axis_coords(mesh.nx, mesh.domain.origin[0], mesh.hx, self.ndof_x)
-        ys = axis_coords(mesh.ny, mesh.domain.origin[1], mesh.hy, self.ndof_y)
-        X, Y = np.meshgrid(xs, ys, indexing="xy")
-        return np.column_stack([X.ravel(), Y.ravel()])
-
-    def _build_quad_coords(self) -> np.ndarray:
-        mesh = self.mesh
-        e = np.arange(mesh.n_elements)
-        ox = mesh.domain.origin[0] + (e % mesh.nx) * mesh.hx
-        oy = mesh.domain.origin[1] + (e // mesh.nx) * mesh.hy
-        pts = np.empty((mesh.n_elements, self.ref.n_quad, 2))
-        pts[:, :, 0] = ox[:, None] + self.ref.quad_points[None, :, 0] * mesh.hx
-        pts[:, :, 1] = oy[:, None] + self.ref.quad_points[None, :, 1] * mesh.hy
-        return pts
+        self.quad_phi, self.quad_dx, self.quad_dy, self.node_dx, self.node_dy = (
+            np.ascontiguousarray(T)
+            for T in (
+                ref.phi.T,
+                ref.dphi[:, :, 0].T * self.inv_h[0],
+                ref.dphi[:, :, 1].T * self.inv_h[1],
+                ref.dphi_nodes[:, :, 0].T * self.inv_h[0],
+                ref.dphi_nodes[:, :, 1].T * self.inv_h[1],
+            )
+        )
 
     # ---- field evaluation --------------------------------------------------
 
     def values_at_quad(self, coeffs: np.ndarray) -> np.ndarray:
         """(n_elements, n_quad) field values at the volume quadrature points."""
-        return coeffs[self.element_dofs] @ self.ref.phi.T
+        return coeffs[self.element_dofs] @ self.quad_phi
 
     def grads_at_quad(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """d/dx and d/dy of the field at the volume quadrature points."""
         local = coeffs[self.element_dofs]
-        gx = (local @ self.ref.dphi[:, :, 0].T) * self.inv_h[0]
-        gy = (local @ self.ref.dphi[:, :, 1].T) * self.inv_h[1]
-        return gx, gy
+        return local @ self.quad_dx, local @ self.quad_dy
 
     # ---- load assembly -----------------------------------------------------
 
     def assemble_load(self, quad_values: np.ndarray) -> np.ndarray:
         """Load vector with entries sum_q w_q v(x_q) eta_i(x_q) from (nE, nq) values."""
-        contrib = (quad_values * self.wdet[None, :]) @ self.ref.phi
+        contrib = (quad_values * self.wdet[None, :]) @ self.quad_phi.T
         return np.bincount(self.element_dofs.ravel(), weights=contrib.ravel(), minlength=self.n_dofs)
 
     def assemble_gradtest_load(self, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
         """Load with entries sum_q w_q v(x_q) . grad eta_i(x_q)."""
-        contrib = (vx * self.wdet[None, :]) @ (self.ref.dphi[:, :, 0] * self.inv_h[0])
-        contrib += (vy * self.wdet[None, :]) @ (self.ref.dphi[:, :, 1] * self.inv_h[1])
+        contrib = (vx * self.wdet[None, :]) @ self.quad_dx.T
+        contrib += (vy * self.wdet[None, :]) @ self.quad_dy.T
         return np.bincount(self.element_dofs.ravel(), weights=contrib.ravel(), minlength=self.n_dofs)
 
 

@@ -313,7 +313,6 @@ class StepperConfig:
     courant: float = 0.8
     rel_tol: float = 1e-12
     dt_max: float = 1.0
-    rebuild_interval: int = 50
 
     def __post_init__(self):
         if self.courant <= 0:
@@ -347,13 +346,13 @@ def advance_step(
     tableau: ButcherTableau,
     case: CaseDefinition,
     ops: GepupOperators,
-    momentum=None,
 ) -> GepupState:
     """One ERK-ESDIRK step of the fully discrete scheme.
 
     Stage s solves (M + nu dt gamma A) W_d = M W^n_d + dt sum_j aE[s,j] Fw_j
     - nu dt sum_j aI[s,j] (A W_j) with the boundary rows pinned to g at the
-    stage time, then runs the potential/velocity/pressure chain at that
+    stage time (one ``momentum_operator`` for the step's dt serves every
+    stage), then runs the potential/velocity/pressure chain at that
     time.  The end-of-step update projects the explicitly corrected field
     and replaces W with the projected velocity.  Each stage reuses the
     convection loads of its pressure solve for its explicit load, and the
@@ -365,8 +364,7 @@ def advance_step(
     n = tableau.n_stages
     AE, AI, b, c = tableau.a_explicit, tableau.a_implicit, tableau.b, tableau.c
     nu = case.nu
-    if momentum is None:
-        momentum = ops.momentum_operator(nu * dt * tableau.gamma)
+    momentum = ops.momentum_operator(nu * dt * tableau.gamma)
 
     t0 = state.t
     t1 = t0 + dt

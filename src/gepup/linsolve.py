@@ -23,12 +23,14 @@ __all__ = ["SolverError", "FastDiagonalization", "check_backward_error"]
 
 
 class SolverError(Exception):
-    """A solve that failed its backward-error check, or a non-finite state.
+    """A solve that failed its backward-error check, a non-finite state, or a
+    collapsed step size.
 
     The time loop fills in where it happened as the error passes through:
     ``phase`` (the Runge-Kutta stage, or the end-of-step projection) and its
     time ``t`` in ``advance_step``, the ``step`` number in ``run_simulation``.
-    The message puts them in front of the reason.
+    A collapsed Courant step is raised by ``run_simulation`` with the phase
+    "step size".  The message puts them in front of the reason.
     """
 
     def __init__(self, reason: str, step: int | None = None, phase: str | None = None, t: float | None = None):

@@ -12,8 +12,9 @@ mean-zero subspace.
 In 2D the curl is the scalar du_y/dx - du_x/dy and the boundary term of the
 pressure equation integrates curl(u) against the tangential derivative of
 the test function, with the counterclockwise tangent (-n_y, n_x).  It and
-the boundary fluxes (g . n, eta) are products of the 1D axes of
-``tensorops`` on the boundary rows and columns.
+the boundary fluxes (g . n, eta) are ``tensorops`` products on the space's
+1D axes, on the boundary rows and columns; the nonlinear term reads the
+space's physical element tables.
 """
 
 from __future__ import annotations
@@ -61,22 +62,26 @@ class CaseDefinition:
             raise ValueError(f"viscosity must be nonnegative, got {self.nu}")
 
 
-def check_boundary_compatibility(case: CaseDefinition, times=(0.0,), tol: float = 1e-10, panels: int = 64):
+FLUX_TOL = 1e-10  # largest net boundary flux of g that counts as compatible
+FLUX_PANELS = 64  # Q4 cells per side of the flux quadrature
+
+
+def check_boundary_compatibility(case: CaseDefinition, times=(0.0,)):
     """Verify the net boundary flux of g vanishes (solvability of the potential solve).
 
-    Sums the boundary load of g on ``panels`` Q4 cells per side, a composite
-    6-point Gauss rule independent of any mesh.
+    Sums the boundary load of g on ``FLUX_PANELS`` Q4 cells per side, a
+    composite 6-point Gauss rule independent of any mesh.  A NaN flux fails.
     """
     axes = [
-        tensorops.Axis(panels, length / panels, 4, origin)
+        fem.Axis(FLUX_PANELS, length / FLUX_PANELS, 4, origin)
         for origin, length in zip(case.domain.origin, case.domain.extent)
     ]
     for t in times:
         flux = float(tensorops.boundary_normal_load(axes, case.g, t).sum())
-        if abs(flux) > tol:
+        if not abs(flux) <= FLUX_TOL:
             raise ValueError(
                 f"case {case.name!r}: net boundary flux {flux:.3e} at t={t} violates the "
-                f"compatibility condition (|flux| <= {tol:g})"
+                f"compatibility condition (|flux| <= {FLUX_TOL:g})"
             )
 
 
@@ -131,12 +136,13 @@ class ConstrainedOperator:
 class GepupOperators:
     """Tensor-product operators, direct solvers and the w -> u -> q solve chain.
 
-    Every product goes through the 1D axes of the space (``axes``): mass
-    and stiffness matvecs (``fast_M``, ``fast_A``), the linear loads, which
-    are 1D-factor products with the derivative factors (``grad``), and the
-    boundary loads on the boundary rows and columns.  Only the nonlinear
-    load f - u . grad u is integrated by element quadrature, once per
-    velocity field.  Every solve goes through the generalized
+    Every product goes through the two 1D axes of the space
+    (``space.axes``): mass and stiffness matvecs (``fast_M``, ``fast_A``),
+    the linear loads, which are 1D-factor products with the derivative
+    factors (``grad``), and the boundary loads on the boundary rows and
+    columns.  Only the nonlinear load f - u . grad u is integrated by
+    element quadrature, once per velocity field, with the space's physical
+    element tables.  Every solve goes through the generalized
     eigenpairs of the same factors, built once here: the full (Neumann)
     pairs for the Poisson and mass solves, the interior pairs for the
     Dirichlet-eliminated momentum solve.  ``residuals`` holds the largest
@@ -157,24 +163,16 @@ class GepupOperators:
         self.rel_tol = rel_tol
         self.convection = convection
 
-        self.axes = tensorops.one_dimensional_factors(self.space)
-        ax, ay = self.axes
+        ax, ay = self.space.axes
         self.factors = (ax.M, ax.K, ay.M, ay.K)
         self.interior_factors = tuple(F[1:-1, 1:-1] for F in self.factors)
         self.fast_M = TensorOperator(self.factors, 1.0, 0.0)
         self.fast_A = TensorOperator(self.factors, 0.0, 1.0)
-        self.grad = TensorGradient(self.axes)
+        self.grad = TensorGradient(self.space.axes)
         self.mass_weights = self.fast_M @ np.ones(self.space.n_dofs)
         self.eig = FastDiagonalization(self.factors)
         self.interior_eig = FastDiagonalization(self.interior_factors)
         self.residuals = dict.fromkeys(SOLVE_CLASSES, 0.0)
-
-        ref = self.space.ref
-        inv_h = self.space.inv_h
-        # shape values, d/dx and d/dy at the volume quadrature points, (n_local, n_quad) each
-        self._quad_tables = tuple(
-            np.ascontiguousarray(T) for T in (ref.phi.T, ref.dphi[:, :, 0].T * inv_h[0], ref.dphi[:, :, 1].T * inv_h[1])
-        )
 
     def reset_residuals(self):
         for key in self.residuals:
@@ -210,7 +208,7 @@ class GepupOperators:
         """(f - u . grad u, eta_i) per component and (f - u . grad u, grad eta_i), from one quadrature pass."""
         space = self.space
         if self.convection:
-            phi, dx, dy = self._quad_tables
+            phi, dx, dy = space.quad_phi, space.quad_dx, space.quad_dy
             lx, ly = U[0][space.element_dofs], U[1][space.element_dofs]
             ux, uy = lx @ phi, ly @ phi
             vx = -(ux * (lx @ dx) + uy * (lx @ dy))
@@ -239,7 +237,7 @@ class GepupOperators:
     def eval_Fphi(self, W: list[np.ndarray], case: CaseDefinition, t: float) -> np.ndarray:
         """Potential load (w, grad eta_i) - (n.g, eta_i) over the boundary."""
         load = self.grad.apply_transpose(W[0], 0) + self.grad.apply_transpose(W[1], 1)
-        return load - tensorops.boundary_normal_load(self.axes, case.g, t).ravel()
+        return load - tensorops.boundary_normal_load(self.space.axes, case.g, t).ravel()
 
     def eval_Fu(self, W_d: np.ndarray, Phi: np.ndarray, d: int) -> np.ndarray:
         """Projection load (w_d - dphi/dx_d, eta_i) = M w_d - G_d phi."""
@@ -253,9 +251,9 @@ class GepupOperators:
         """
         conv, load = self._nonlinear_loads(U, case, t)
         if case.nu != 0.0:
-            load += case.nu * tensorops.curl_boundary_load(self.axes, U).ravel()
+            load += case.nu * tensorops.curl_boundary_load(self.space.axes, U).ravel()
         if case.dg_dt is not None:
-            load -= tensorops.boundary_normal_load(self.axes, case.dg_dt, t).ravel()
+            load -= tensorops.boundary_normal_load(self.space.axes, case.dg_dt, t).ravel()
         return load, conv
 
     # ---- solves ----------------------------------------------------------------
@@ -290,9 +288,7 @@ class GepupOperators:
 
     def divergence_l2(self, W: list[np.ndarray]) -> float:
         space = self.space
-        dx, _ = space.grads_at_quad(W[0])
-        _, dy = space.grads_at_quad(W[1])
-        div = dx + dy
+        div = W[0][space.element_dofs] @ space.quad_dx + W[1][space.element_dofs] @ space.quad_dy
         return float(np.sqrt(np.sum(div * div @ space.wdet)))
 
     def kinetic_energy(self, W: list[np.ndarray]) -> float:

@@ -19,14 +19,11 @@ def nodal_curl_and_div(space: FeSpace, velocity) -> tuple[np.ndarray, np.ndarray
     over the elements sharing each point (gradients are discontinuous
     across element boundaries).
     """
-    ref = space.ref
     ed = space.element_dofs
     ux_loc = velocity[0][ed]
     uy_loc = velocity[1][ed]
-    dnx = ref.dphi_nodes[:, :, 0].T * space.inv_h[0]
-    dny = ref.dphi_nodes[:, :, 1].T * space.inv_h[1]
-    curl = uy_loc @ dnx - ux_loc @ dny
-    div = ux_loc @ dnx + uy_loc @ dny
+    curl = uy_loc @ space.node_dx - ux_loc @ space.node_dy
+    div = ux_loc @ space.node_dx + uy_loc @ space.node_dy
     counts = np.bincount(ed.ravel(), minlength=space.n_dofs)
     curl_sum = np.bincount(ed.ravel(), weights=curl.ravel(), minlength=space.n_dofs)
     div_sum = np.bincount(ed.ravel(), weights=div.ravel(), minlength=space.n_dofs)

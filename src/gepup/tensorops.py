@@ -1,100 +1,33 @@
-"""Tensor-product structure of the global matrices and linear loads.
+"""Products on the 1D axes: matvecs, linear loads and boundary loads.
 
 On a uniform structured grid with row-major numbering the global mass and
 stiffness matrices factor as M = My (x) Mx and A = My (x) Kx + Ky (x) Mx,
-where Mx, Kx, My, Ky are small 1D mass/stiffness matrices.  With the 1D
-derivative factor C[i, j] = int phi_i phi_j' the loads of a partial
-derivative factor the same way: (dq/dx, eta) = My Q Cx^T and
-(dq/dy, eta) = Cy Q Mx^T for the coefficient array Q reshaped to
-(ndof_y, ndof_x).  The boundary loads are 1D too: on a side of the
-rectangle only one row or column of test functions is nonzero, so a flux
-(g . n, eta) is a 1D quadrature load along that side, and the curl term
-(curl u, tangent . grad eta) is a product of the 1D factors with the basis
-derivatives at the axis ends.  Every product of the solver is applied
-through these 1D axes: matvecs, linear and boundary loads and residuals,
-and the generalized eigenpairs of the same factors diagonalize every solve
-(see ``linsolve``).  No 2D matrix is assembled.
+where Mx, Kx, My, Ky are the 1D mass/stiffness factors of the space's two
+``fem.Axis`` objects.  With the 1D derivative factor C[i, j] = int phi_i
+phi_j' the loads of a partial derivative factor the same way:
+(dq/dx, eta) = My Q Cx^T and (dq/dy, eta) = Cy Q Mx^T for the coefficient
+array Q reshaped to (ndof_y, ndof_x).  The boundary loads are 1D too: on a
+side of the rectangle only one row or column of test functions is nonzero,
+so a flux (g . n, eta) is a 1D quadrature load along that side, and the
+curl term (curl u, tangent . grad eta) is a product of the 1D factors with
+the basis derivatives at the axis ends.  Every product of the solver is
+applied here, on the axes: matvecs (``TensorOperator``), linear loads
+(``TensorGradient``) and boundary loads; the generalized eigenpairs of the
+same factors diagonalize every solve (see ``linsolve``).  No 2D matrix is
+assembled.
 """
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import FeSpace, gauss_legendre_01, gauss_lobatto_01, lagrange_1d
-
 __all__ = [
-    "Axis",
-    "one_dimensional_factors",
     "boundary_normal_load",
     "curl_boundary_load",
     "TensorOperator",
     "TensorGradient",
 ]
-
-
-@functools.cache
-def _basis_1d(degree: int):
-    """(k+2)-point Gauss rule on [0, 1], the Lagrange basis values and derivatives
-    at its points, and the basis derivatives at 0 and 1.
-
-    Cached because every ``check_boundary_compatibility`` call builds axes.
-    """
-    q, w = gauss_legendre_01(degree + 2)
-    vals, ders = lagrange_1d(gauss_lobatto_01(degree + 1), np.concatenate([q, [0.0, 1.0]]))
-    return q, w, vals[:-2], ders[:-2], ders[-2:]
-
-
-class Axis:
-    """One axis of the grid: n_cells uniform cells of width h from ``origin``, degree k.
-
-    Holds the 1D mass, stiffness and derivative factors ``M``, ``K`` and
-    ``C`` (C[i, j] = int phi_i phi_j'); the (k+2)-point Gauss points of each
-    cell, ``points`` (n_cells, k+2), with the weighted basis values that turn
-    samples there into a 1D load (``load``); and the basis derivatives at the
-    two ends, ``d0`` and ``d1``, so that d0 @ c is the end derivative of the
-    1D field with coefficients c.
-    """
-
-    def __init__(self, n_cells: int, h: float, degree: int, origin: float = 0.0):
-        k = degree
-        q, w, vals, ders, end_ders = _basis_1d(degree)
-        self.n = k * n_cells + 1
-        self.ends = (origin, origin + n_cells * h)
-        self.cell_dofs = k * np.arange(n_cells)[:, None] + np.arange(k + 1)[None, :]
-        self.points = origin + (np.arange(n_cells)[:, None] + q[None, :]) * h
-        self.weighted_basis = (w * h)[:, None] * vals
-
-        rows = np.repeat(self.cell_dofs, k + 1, axis=1).ravel()
-        cols = np.tile(self.cell_dofs, (1, k + 1)).ravel()
-
-        def assemble(local):
-            data = np.tile(local.ravel(), n_cells)
-            return sp.coo_matrix((data, (rows, cols)), shape=(self.n, self.n)).tocsr()
-
-        self.M = assemble(vals.T @ (w[:, None] * vals) * h)
-        self.K = assemble(ders.T @ (w[:, None] * ders) / h)
-        self.C = assemble(vals.T @ (w[:, None] * ders))
-
-        self.d0 = np.zeros(self.n)
-        self.d0[: k + 1] = end_ders[0] / h
-        self.d1 = np.zeros(self.n)
-        self.d1[-(k + 1):] = end_ders[1] / h
-
-    def load(self, values) -> np.ndarray:
-        """1D load sum_q w_q v(x_q) phi_i(x_q) from samples v at ``points``."""
-        v = np.broadcast_to(np.asarray(values, dtype=float), self.points.shape)
-        contrib = v @ self.weighted_basis
-        return np.bincount(self.cell_dofs.ravel(), weights=contrib.ravel(), minlength=self.n)
-
-
-def one_dimensional_factors(space: FeSpace) -> tuple[Axis, Axis]:
-    """The x and y axes of the space's grid, with M2D = My (x) Mx and A2D = My (x) Kx + Ky (x) Mx."""
-    mesh = space.mesh
-    ox, oy = mesh.domain.origin
-    return Axis(mesh.nx, mesh.hx, space.degree, ox), Axis(mesh.ny, mesh.hy, space.degree, oy)
 
 
 def boundary_normal_load(axes, g, t: float) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -19,7 +20,7 @@ from gepup import (
 )
 from gepup.bench import ConvergenceTable, run_convergence, run_simulation
 from gepup.cases import vortex_u_theta
-from gepup.imex import StepperConfig
+from gepup.imex import StepperConfig, courant_dt
 
 
 # ---- case definitions ---------------------------------------------------------
@@ -251,10 +252,15 @@ def test_zero_case_run_is_flat():
 
 
 def test_blow_up_error_names_step_phase_time_and_solve():
-    # with the default dt_max of 1 the resting cavity gets a unit step and
-    # blows up within a few steps; the failing solve must say where it was
+    # a forcing that turns NaN at t = 1 makes the first pressure solve past
+    # that time fail mid-run; the failing solve must say where it was
+    def f(x, y, t):
+        value = np.nan if t > 1.0 else 0.0
+        return np.full_like(x, value), np.full_like(x, value)
+
+    case = dataclasses.replace(lid_cavity_case(1000.0), f=f)
     with np.errstate(all="ignore"), pytest.raises(SolverError) as info:
-        run_simulation(lid_cavity_case(1000.0), 2, 4, StepperConfig(), t_end=3.0)
+        run_simulation(case, 2, 4, StepperConfig(), t_end=3.0)
     err = info.value
     assert err.step >= 1 and err.phase.startswith("stage ") and 0.0 < err.t < 3.0
     assert str(err).startswith(f"step {err.step}, {err.phase}, t = {err.t:.9g}: ")
@@ -262,9 +268,38 @@ def test_blow_up_error_names_step_phase_time_and_solve():
     assert err.reason.split(" solve:")[0] in ("momentum", "poisson_phi", "poisson_q", "mass")
 
 
+def test_collapsed_courant_step_raises_at_step_one():
+    # a projected initial field of speed ~1e12 (the vortex peaks near 0.056)
+    # gives a Courant step that would need ~5e12 steps to reach t_end; the
+    # run must stop before stepping
+    base = single_vortex_case(100.0)
+    case = dataclasses.replace(base, u0=lambda x, y: tuple(2e13 * c for c in base.u0(x, y)))
+    stepped = []
+    with pytest.raises(SolverError) as info:
+        run_simulation(case, 1, 2, StepperConfig(), t_end=1.0, on_step=lambda step, *_: stepped.append(step))
+    err = info.value
+    assert stepped == [0]
+    assert err.step == 1 and err.t == 0.0
+    assert "Courant step dt = " in str(err)
+
+
+def test_courant_step_is_recomputed_every_step():
+    config = StepperConfig(tableau="ark4")
+    expected = []
+
+    def on_step(step, state, ops):
+        expected.append(courant_dt(ops.space, state.U, config.courant, dt_max=config.dt_max))
+
+    res = run_simulation(taylor_green_case(100.0), 2, 3, config, t_end=0.2, on_step=on_step)
+    dts = [m["dt"] for m in res.monitors[1:]]
+    assert res.steps >= 3
+    assert dts[:-1] == expected[: res.steps - 1]
+    assert dts[-1] <= expected[res.steps - 1]
+
+
 def test_zero_step_path_gives_projection_error_and_k_plus_1_rates():
     case = taylor_green_case(100.0)
-    table = run_convergence(case, 2, "ark4", [2, 3, 4], t0=0.0, t_end=0.0)
+    table = run_convergence(case, 2, StepperConfig(tableau="ark4"), [2, 3, 4], t0=0.0, t_end=0.0)
     rates = table.rates("u_L2")
     assert all(r > 2.7 for r in rates), rates  # k + 1 = 3 expected
 
@@ -272,7 +307,7 @@ def test_zero_step_path_gives_projection_error_and_k_plus_1_rates():
 def test_simulation_and_convergence_zero_step_agree():
     case = taylor_green_case(100.0)
     res = run_simulation(case, 2, 3, StepperConfig(tableau="ark4"), t0=0.0, t_end=0.0)
-    table = run_convergence(case, 2, "ark4", [2, 3], t0=0.0, t_end=0.0)
+    table = run_convergence(case, 2, StepperConfig(tableau="ark4"), [2, 3], t0=0.0, t_end=0.0)
     assert res.steps == 0
     assert res.errors["u_L2"] == pytest.approx(table.errors[1]["u_L2"], rel=1e-12)
 

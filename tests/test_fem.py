@@ -297,8 +297,7 @@ def test_prolongation_embeds_exactly(k):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_one_dimensional_factors_match_cellwise_loop(k):
-    from gepup.fem import gauss_legendre_01, reference_element
-    from gepup.tensorops import Axis
+    from gepup.fem import Axis, gauss_legendre_01, reference_element
 
     n_cells, h = 5, 0.3
     q, w = gauss_legendre_01(k + 2)
@@ -323,10 +322,10 @@ def test_one_dimensional_factors_match_cellwise_loop(k):
 def test_tensor_matvec_is_bitwise_the_dense_times_csr_product(k, alpha, beta, rng):
     import scipy.sparse as sp
 
-    from gepup.tensorops import TensorOperator, one_dimensional_factors
+    from gepup.tensorops import TensorOperator
 
     space = build_space(build_mesh(RectDomain((0.25, -1.0), (2.0, 3.0)), (2, 1), 1), k)
-    ax, ay = one_dimensional_factors(space)
+    ax, ay = space.axes
     Mx, Kx, My, Ky = factors = (ax.M, ax.K, ay.M, ay.K)
     op = TensorOperator(factors, alpha, beta)
     x = rng.standard_normal(space.n_dofs)
@@ -339,3 +338,25 @@ def test_tensor_matvec_is_bitwise_the_dense_times_csr_product(k, alpha, beta, rn
     assert np.array_equal(op @ x, np.asarray(expected).ravel())
     K = alpha * assemble_mass(space) + beta * assemble_stiffness(space)
     assert np.abs(op @ x - K @ x).max() <= 1e-14 * np.abs(K @ x).max()
+
+
+# ---- the space as a product of its axes ------------------------------------------
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_space_geometry_and_tables_come_from_the_axes(k):
+    mesh = build_mesh(RectDomain((0.25, -1.0), (2.0, 3.0)), (3, 2), 1)
+    space = build_space(mesh, k)
+    ref = space.ref
+    h = np.array([mesh.hx, mesh.hy])
+    for e in range(mesh.n_elements):
+        origin = np.array(mesh.element_origin(e))
+        assert np.abs(space.quad_coords[e] - (origin + ref.quad_points * h)).max() <= 1e-15
+        nodes = space.support_points[space.element_dofs[e]]
+        assert np.abs(nodes - (origin + ref.node_points * h)).max() <= 1e-15
+    assert np.array_equal(space.quad_phi, ref.phi.T)
+    for d, (quad, node) in enumerate(((space.quad_dx, space.node_dx), (space.quad_dy, space.node_dy))):
+        assert np.array_equal(quad, ref.dphi[:, :, d].T * space.inv_h[d])
+        assert np.array_equal(node, ref.dphi_nodes[:, :, d].T * space.inv_h[d])
+    for table in (space.quad_phi, space.quad_dx, space.quad_dy, space.node_dx, space.node_dy):
+        assert table.flags.c_contiguous

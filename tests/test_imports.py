@@ -1,10 +1,15 @@
-"""Import hygiene of the package and the test suite.
+"""Import hygiene and module structure of the package and the test suite.
 
 No linter ships with the toolchain, so the sources are parsed with ``ast``.
 An imported name counts as used when it appears as a name anywhere in its
 module (the root of an attribute chain included) or in the module's
 ``__all__``.  Package ``__init__`` modules exist to re-export names and are
 exempt, as are ``from __future__`` imports.
+
+The structure gate keeps the reference element and the inverse cell sizes
+inside ``fem``: every other module reads the space's physical tables
+(``quad_phi``, ``quad_dx``, ...) instead of scaling ``ref`` tables by
+``inv_h`` itself.
 """
 
 import ast
@@ -49,3 +54,29 @@ def test_no_unused_imports(path):
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"gepup.{name}")
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+FEM_INTERNALS = ("ref", "inv_h")
+
+
+def fem_internal_reads(source: str) -> list[str]:
+    """Lines that read ``.ref`` or ``.inv_h`` (or a bare ``inv_h``)."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in FEM_INTERNALS:
+            hits.append((node.lineno, f".{node.attr}"))
+        elif isinstance(node, ast.Name) and node.id == "inv_h":
+            hits.append((node.lineno, "inv_h"))
+    return [f"{name} (line {line})" for line, name in sorted(hits)]
+
+
+def test_structure_gate_flags_fem_internals():
+    source = "a = space.ref.phi\nb = x @ space.quad_dx\ninv_h = space.inv_h\n"
+    assert fem_internal_reads(source) == [".ref (line 1)", ".inv_h (line 3)", "inv_h (line 3)"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(PACKAGE.glob("*.py")) if p.stem not in ("__init__", "fem")], ids=lambda p: p.name
+)
+def test_only_fem_reads_the_reference_element(path):
+    assert fem_internal_reads(path.read_text()) == []

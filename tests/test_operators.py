@@ -375,3 +375,12 @@ def test_boundary_flux_on_a_shifted_rectangle():
     ops_r = GepupOperators(build_mesh(LOAD_DOMAIN, (2, 1), 1), 3)
     W = interp2(ops_r.space, lambda x, y: outflow(x, y, 0.0))
     assert ops_r.eval_Fphi(W, case, 0.0).sum() == pytest.approx(-6.0, abs=1e-12)
+
+
+def test_nan_boundary_data_fails_the_flux_check():
+    def nan_g(x, y, t):
+        return np.full_like(x, np.nan), np.full_like(x, np.nan)
+
+    case = CaseDefinition(name="nan", nu=1.0, g=nan_g, u0=zero_vec)
+    with pytest.raises(ValueError, match="net boundary flux nan"):
+        check_boundary_compatibility(case)

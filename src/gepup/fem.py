@@ -28,8 +28,6 @@ import scipy.sparse as sp
 from .mesh import StructuredQuadMesh
 
 __all__ = [
-    "Basis1D",
-    "basis_1d",
     "ReferenceElement",
     "Axis",
     "FeSpace",

@@ -117,8 +117,8 @@ class ConstrainedOperator:
         self.ops = ops
         self.coeff = coeff
         self.rel_tol = rel_tol
-        self.full_op = TensorOperator(ops.factors, 1.0, coeff)
-        self.K = TensorOperator(ops.interior_factors, 1.0, coeff)
+        self.full_op = ops.fast_M.with_coefficients(1.0, coeff)
+        self.K = ops.interior_M.with_coefficients(1.0, coeff)
         self.scale = 1.0 / (1.0 + coeff * ops.interior_eig.lam)
 
     def solve(self, rhs: np.ndarray, boundary_values: np.ndarray) -> np.ndarray:
@@ -167,7 +167,8 @@ class GepupOperators:
         self.factors = (ax.M, ax.K, ay.M, ay.K)
         self.interior_factors = tuple(F[1:-1, 1:-1] for F in self.factors)
         self.fast_M = TensorOperator(self.factors, 1.0, 0.0)
-        self.fast_A = TensorOperator(self.factors, 0.0, 1.0)
+        self.fast_A = self.fast_M.with_coefficients(0.0, 1.0)
+        self.interior_M = TensorOperator(self.interior_factors, 1.0, 0.0)
         self.grad = TensorGradient(self.space.axes)
         self.mass_weights = self.fast_M @ np.ones(self.space.n_dofs)
         self.eig = FastDiagonalization(self.factors)

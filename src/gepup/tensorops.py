@@ -19,6 +19,8 @@ assembled.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -82,20 +84,33 @@ class TensorOperator:
     span (for the interior block, pass the factors with their first and last
     rows and columns removed).  ``norm_bound`` is an upper bound on the
     operator's infinity norm, hence on its 2-norm (the operator is
-    symmetric), from the absolute row sums of the factors.
+    symmetric), from the absolute row sums of the factors.  Those row sums
+    are taken once; ``with_coefficients`` gives the operator for another
+    (alpha, beta) on the same factors without taking them again.
     """
 
     def __init__(self, factors, alpha: float, beta: float):
         Mx, Kx, My, Ky = factors
         self.Mx, self.Kx, self.My, self.Ky = Mx, Kx, My, Ky
-        self.alpha = alpha
-        self.beta = beta
         self.grid = (My.shape[0], Mx.shape[0])
         n = self.grid[0] * self.grid[1]
         self.shape = (n, n)
         rmx, rkx, rmy, rky = (_abs_row_sums(F) for F in (Mx, Kx, My, Ky))
-        rows = abs(alpha) * np.outer(rmy, rmx) + abs(beta) * (np.outer(rmy, rkx) + np.outer(rky, rmx))
+        self._mass_rows = np.outer(rmy, rmx)
+        self._stiffness_rows = np.outer(rmy, rkx) + np.outer(rky, rmx)
+        self._set_coefficients(alpha, beta)
+
+    def _set_coefficients(self, alpha: float, beta: float):
+        self.alpha = alpha
+        self.beta = beta
+        rows = abs(alpha) * self._mass_rows + abs(beta) * self._stiffness_rows
         self.norm_bound = float(rows.max()) if rows.size else 0.0
+
+    def with_coefficients(self, alpha: float, beta: float) -> "TensorOperator":
+        """alpha * mass + beta * stiffness on the same factors and row sums."""
+        op = copy.copy(self)
+        op._set_coefficients(alpha, beta)
+        return op
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         XT = np.ascontiguousarray(x.reshape(self.grid).T)

@@ -216,7 +216,10 @@ class FeSpace:
     are scaled to physical derivatives once: ``quad_phi``, ``quad_dx``,
     ``quad_dy`` (n_local, n_quad) at the quadrature points and ``node_dx``,
     ``node_dy`` (n_local, n_local) at the nodes, C-contiguous, so that
-    coeffs[element_dofs] @ table evaluates a field on every element.
+    coeffs[element_dofs] @ table evaluates a field on every element.  The
+    load tables ``load_phi``, ``load_dx``, ``load_dy`` (n_quad, n_local) are
+    their transposes with the quadrature weights folded in, so that
+    values @ table integrates (n_elements, n_quad) samples against the basis.
     """
 
     def __init__(self, mesh: StructuredQuadMesh, degree: int):
@@ -252,6 +255,9 @@ class FeSpace:
                 ref.dphi_nodes[:, :, 1].T * self.inv_h[1],
             )
         )
+        self.load_phi, self.load_dx, self.load_dy = (
+            np.ascontiguousarray(self.wdet[:, None] * T.T) for T in (self.quad_phi, self.quad_dx, self.quad_dy)
+        )
 
     # ---- field evaluation --------------------------------------------------
 
@@ -268,13 +274,13 @@ class FeSpace:
 
     def assemble_load(self, quad_values: np.ndarray) -> np.ndarray:
         """Load vector with entries sum_q w_q v(x_q) eta_i(x_q) from (nE, nq) values."""
-        contrib = (quad_values * self.wdet[None, :]) @ self.quad_phi.T
+        contrib = quad_values @ self.load_phi
         return np.bincount(self.element_dofs.ravel(), weights=contrib.ravel(), minlength=self.n_dofs)
 
     def assemble_gradtest_load(self, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
         """Load with entries sum_q w_q v(x_q) . grad eta_i(x_q)."""
-        contrib = (vx * self.wdet[None, :]) @ self.quad_dx.T
-        contrib += (vy * self.wdet[None, :]) @ self.quad_dy.T
+        contrib = vx @ self.load_dx
+        contrib += vy @ self.load_dy
         return np.bincount(self.element_dofs.ravel(), weights=contrib.ravel(), minlength=self.n_dofs)
 
 

@@ -2,12 +2,14 @@
 
 The evolved velocity w is not constrained to be solenoidal; the chain
 
-    w  --(potential solve)-->  phi  --(mass solves)-->  u  --(pressure solve)-->  q
+    w  --(potential solve)-->  phi  --(1D mass solves)-->  u  --(pressure solve)-->  q
 
 recovers the divergence-free velocity u = w - grad(phi) and extracts the
 pressure q from u.  All right-hand sides are loads against the scalar test
 basis; the two Poisson solves are pure-Neumann problems posed in the
-mean-zero subspace.
+mean-zero subspace.  The velocity needs no 2D solve: the mass matrix
+cancels against the mass factor of the load of d(phi)/dx_d, leaving
+u_d = w_d - (Mx^{-1} Cx or My^{-1} Cy products of phi).
 
 In 2D the curl is the scalar du_y/dx - du_x/dy and the boundary term of the
 pressure equation integrates curl(u) against the tangential derivative of
@@ -142,11 +144,14 @@ class GepupOperators:
     factors (``grad``), and the boundary loads on the boundary rows and
     columns.  Only the nonlinear load f - u . grad u is integrated by
     element quadrature, once per velocity field, with the space's physical
-    element tables.  Every solve goes through the generalized
+    element tables.  Every 2D solve goes through the generalized
     eigenpairs of the same factors, built once here: the full (Neumann)
-    pairs for the Poisson and mass solves, the interior pairs for the
-    Dirichlet-eliminated momentum solve.  ``residuals`` holds the largest
-    backward error of each solve class since the last ``reset_residuals``.
+    pairs for the Poisson solves and the end-of-step mass solve, the
+    interior pairs for the Dirichlet-eliminated momentum solve.  The
+    projection's mass solves are 1D, the dense factors M^{-1} C of ``grad``.
+    ``residuals`` holds the largest backward error of each solve class since
+    the last ``reset_residuals``; the "mass" class covers the projection's
+    1D mass solves and the end-of-step solve.
     ``convection`` can be switched off to reduce the momentum right-hand
     side to pure forcing and pressure (used by linear-regime diagnostics).
     """
@@ -212,8 +217,13 @@ class GepupOperators:
             phi, dx, dy = space.quad_phi, space.quad_dx, space.quad_dy
             lx, ly = U[0][space.element_dofs], U[1][space.element_dofs]
             ux, uy = lx @ phi, ly @ phi
-            vx = -(ux * (lx @ dx) + uy * (lx @ dy))
-            vy = -(ux * (ly @ dx) + uy * (ly @ dy))
+            vx, vy = lx @ dx, ly @ dx
+            vx *= ux
+            vy *= ux
+            vx += np.multiply(uy, lx @ dy, out=ux)  # ux is no longer needed: reuse it
+            vy += np.multiply(uy, ly @ dy, out=ux)
+            vx *= -1.0
+            vy *= -1.0
         else:
             vx, vy = np.zeros(space.quad_coords.shape[:2]), np.zeros(space.quad_coords.shape[:2])
         forcing = self._forcing(case, t)
@@ -239,10 +249,6 @@ class GepupOperators:
         """Potential load (w, grad eta_i) - (n.g, eta_i) over the boundary."""
         load = self.grad.apply_transpose(W[0], 0) + self.grad.apply_transpose(W[1], 1)
         return load - tensorops.boundary_normal_load(self.space.axes, case.g, t).ravel()
-
-    def eval_Fu(self, W_d: np.ndarray, Phi: np.ndarray, d: int) -> np.ndarray:
-        """Projection load (w_d - dphi/dx_d, eta_i) = M w_d - G_d phi."""
-        return self.fast_M @ W_d - self.grad.apply(Phi, d)
 
     def eval_Fq(self, U: list[np.ndarray], case: CaseDefinition, t: float) -> tuple[np.ndarray, list[np.ndarray]]:
         """Pressure load (f - u.grad u, grad eta_i) + nu * curl boundary term - g_t flux term.
@@ -275,9 +281,19 @@ class GepupOperators:
         return x
 
     def leray_project(self, W: list[np.ndarray], case: CaseDefinition, t: float):
-        """Discrete divergence-free projection: returns (U, Phi)."""
+        """Discrete divergence-free projection: returns (U, Phi).
+
+        U_d solves M U_d = M W_d - G_d Phi, so U_d = W_d - Z_d with
+        Z_d = M^{-1} G_d Phi, a 1D product on the axes (``grad.l2_projection``).
+        Each Z_d passes the mass solve's backward-error check against the
+        load G_d Phi.
+        """
         Phi = self.solve_poisson(self.eval_Fphi(W, case, t), "poisson_phi")
-        U = [self.solve_mass(self.eval_Fu(W[d], Phi, d)) for d in range(2)]
+        U = []
+        for d in range(2):
+            Z = self.grad.l2_projection(Phi, d)
+            self.record_solve("mass", self.grad.apply(Phi, d), self.fast_M @ Z, Z, self.fast_M.norm_bound, self.rel_tol)
+            U.append(W[d] - Z)
         return U, Phi
 
     def compute_pressure(self, U: list[np.ndarray], case: CaseDefinition, t: float):

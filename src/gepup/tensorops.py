@@ -6,15 +6,17 @@ where Mx, Kx, My, Ky are the 1D mass/stiffness factors of the space's two
 ``fem.Axis`` objects.  With the 1D derivative factor C[i, j] = int phi_i
 phi_j' the loads of a partial derivative factor the same way:
 (dq/dx, eta) = My Q Cx^T and (dq/dy, eta) = Cy Q Mx^T for the coefficient
-array Q reshaped to (ndof_y, ndof_x).  The boundary loads are 1D too: on a
+array Q reshaped to (ndof_y, ndof_x), and a mass solve of such a load
+cancels the mass factor: M^{-1} (dq/dx, eta) = Q (Mx^{-1} Cx)^T and
+M^{-1} (dq/dy, eta) = (My^{-1} Cy) Q.  The boundary loads are 1D too: on a
 side of the rectangle only one row or column of test functions is nonzero,
 so a flux (g . n, eta) is a 1D quadrature load along that side, and the
 curl term (curl u, tangent . grad eta) is a product of the 1D factors with
 the basis derivatives at the axis ends.  Every product of the solver is
 applied here, on the axes: matvecs (``TensorOperator``), linear loads
-(``TensorGradient``) and boundary loads; the generalized eigenpairs of the
-same factors diagonalize every solve (see ``linsolve``).  No 2D matrix is
-assembled.
+(``TensorGradient``, with the projection's mass-solved gradients) and
+boundary loads; the generalized eigenpairs of the same factors diagonalize
+every 2D solve (see ``linsolve``).  No 2D matrix is assembled.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import copy
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 __all__ = [
@@ -121,6 +124,11 @@ class TensorOperator:
         return (self.My @ (self.alpha * P1 + self.beta * P2) + self.beta * (self.Ky @ P1)).ravel()
 
 
+def _mass_solved(M: sp.csr_matrix, C: sp.csr_matrix) -> np.ndarray:
+    """The dense 1D factor M^{-1} C, by a Cholesky solve of the 1D mass factor."""
+    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(M.toarray()), C.toarray())
+
+
 class TensorGradient:
     """Loads of partial derivatives through the 1D factors of the axes (x, y).
 
@@ -128,6 +136,9 @@ class TensorGradient:
     ``apply_transpose(w, d)`` the load (w, d eta_i/dx_d); both equal the
     (k+2)-point quadrature loads to rounding, since the rule integrates
     every product of two basis functions and a derivative exactly.
+    ``l2_projection(q, d)`` is M^{-1} (dq/dx_d, eta_i): with M = My (x) Mx
+    the 2D mass solve cancels against the mass factor of the load, leaving
+    the dense 1D factors Dx = Mx^{-1} Cx and Dy = My^{-1} Cy, built once.
     """
 
     def __init__(self, axes):
@@ -135,6 +146,8 @@ class TensorGradient:
         self.Mx, self.Cx, self.My, self.Cy = ax.M, ax.C, ay.M, ay.C
         self.CxT = sp.csr_matrix(self.Cx.T)
         self.CyT = sp.csr_matrix(self.Cy.T)
+        self.Dx = _mass_solved(self.Mx, self.Cx)
+        self.Dy = _mass_solved(self.My, self.Cy)
         self.grid = (self.My.shape[0], self.Mx.shape[0])
 
     def apply(self, q: np.ndarray, d: int) -> np.ndarray:
@@ -148,3 +161,8 @@ class TensorGradient:
         if d == 0:
             return (self.My @ _times_transpose(W, self.CxT)).ravel()
         return _times_transpose(self.CyT @ W, self.Mx).ravel()
+
+    def l2_projection(self, q: np.ndarray, d: int) -> np.ndarray:
+        """M^{-1} (dq/dx_d, eta_i): Q Dx^T for d = 0, Dy Q for d = 1, one dense matmul."""
+        Q = q.reshape(self.grid)
+        return (Q @ self.Dx.T if d == 0 else self.Dy @ Q).ravel()

@@ -15,6 +15,8 @@ from gepup import (
     validate_tableau,
 )
 from gepup.imex import advance_step, courant_dt
+from gepup.linsolve import FastDiagonalization
+from gepup.tensorops import TensorOperator
 from gepup.operators import CaseDefinition, GepupOperators
 from fem_oracle import assemble_mass, assemble_stiffness
 from ark_order_oracle import (
@@ -251,6 +253,32 @@ def test_stage_solve_matches_scalar_amplification_oracle():
         expected = esdirk_stability(tab, z).real * v
         assert np.abs(out.W[0][interior] - expected).max() < 1e-9
         assert np.abs(out.W[1]).max() < 1e-10
+
+
+@pytest.mark.parametrize(
+    "tableau, fdm_applies, matvecs, mass_checks", [("ark4", 24, 62, 14), ("ark5", 32, 82, 18)]
+)
+def test_work_per_step(monkeypatch, tableau, fdm_applies, matvecs, mass_checks):
+    # per stage: two momentum solves and two Poisson solves, and no 2D mass
+    # solve in the projection; the end-of-step update adds the two W* mass
+    # solves.  A 2D mass solve back in the projection would add 2 applies
+    # and 2 matvecs per projection (36 / 74 for ark4, 48 / 98 for ark5)
+    ops = GepupOperators(build_mesh(UNIT_SQUARE, (1, 1), 2), 2)
+    case = taylor_green_case(100.0)
+    state = ops.initial_state(case, 0.0)
+    counts = {"fdm": 0, "matvec": 0, "mass": 0}
+
+    def counted(key, method, solve_class=None):
+        def wrapper(self, *args):
+            counts[key] += solve_class is None or args[0] == solve_class
+            return method(self, *args)
+        return wrapper
+
+    monkeypatch.setattr(FastDiagonalization, "apply", counted("fdm", FastDiagonalization.apply))
+    monkeypatch.setattr(TensorOperator, "__matmul__", counted("matvec", TensorOperator.__matmul__))
+    monkeypatch.setattr(GepupOperators, "record_solve", counted("mass", GepupOperators.record_solve, "mass"))
+    advance_step(state, 0.01, load_tableau(tableau), case, ops)
+    assert counts == {"fdm": fdm_applies, "matvec": matvecs, "mass": mass_checks}
 
 
 def test_kinetic_energy_decays_without_forcing():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from gepup import (
     UNIT_SQUARE,
@@ -10,7 +11,9 @@ from gepup import (
     interpolate,
     taylor_green_case,
 )
+from gepup.linsolve import SolverError
 from gepup.operators import GepupOperators, check_boundary_compatibility
+from fem_oracle import assemble_mass
 from load_oracle import fphi_terms, fq_terms, fu_terms, fw_terms
 
 
@@ -164,6 +167,24 @@ def test_leray_is_idempotent_up_to_discretization():
     assert defects[2] <= 1e-9
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_projection_passes_the_mass_check(monkeypatch):
+    ops, U, W, Q, Phi, case = load_setup(3)
+    ops.reset_residuals()
+    ops.leray_project(W, case, 0.4)
+    assert 0.0 < ops.residuals["mass"] <= ops.rel_tol
+    # a non-finite potential fails the check of its gradient's mass solve
+    Phi[7] = np.nan
+    monkeypatch.setattr(ops, "solve_poisson", lambda load, counter: Phi)
+    with pytest.raises(SolverError, match="mass solve"):
+        ops.leray_project(W, case, 0.4)
+    monkeypatch.undo()
+    # a non-finite velocity fails the potential solve's check before it gets there
+    W[1][3] = np.nan
+    with pytest.raises(SolverError, match="poisson_phi solve"):
+        ops.leray_project(W, case, 0.4)
+
+
 # ---- pressure load and extraction ------------------------------------------------
 
 
@@ -238,8 +259,8 @@ def test_pressure_is_mass_mean_zero_and_gauge_invariant(ops, rng):
     # shifting the potential by a constant must not change the projected velocity
     W = interp2(ops.space, lambda x, y: case.exact_u(x, y, 0.0))
     Phi = rng.standard_normal(ops.space.n_dofs)
-    u1 = ops.solve_mass(ops.eval_Fu(W[0], Phi, 0))
-    u2 = ops.solve_mass(ops.eval_Fu(W[0], Phi + 5.0, 0))
+    u1 = W[0] - ops.grad.l2_projection(Phi, 0)
+    u2 = W[0] - ops.grad.l2_projection(Phi + 5.0, 0)
     assert np.abs(u1 - u2).max() < 1e-10
 
 
@@ -273,10 +294,18 @@ def assert_matches_terms(load, terms):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_Fu_tensor_form_matches_quadrature(k):
+def test_projection_matches_the_assembled_mass_solve(k):
+    # the 1D factors M^{-1} C of the projection must reproduce the solve of
+    # M U_d = (w_d, eta_i) - (dphi/dx_d, eta_i) with the assembled 2D mass matrix
     ops, U, W, Q, Phi, case = load_setup(k)
+    for axis, D in zip(ops.space.axes, (ops.grad.Dx, ops.grad.Dy)):
+        C = axis.C.toarray()
+        assert np.abs(axis.M @ D - C).max() <= 1e-13 * np.abs(C).max()
+    U, Phi = ops.leray_project(W, case, 0.4)
+    M = assemble_mass(ops.space)
     for d in range(2):
-        assert_matches_terms(ops.eval_Fu(W[d], Phi, d), fu_terms(ops.space, W[d], Phi, d))
+        expected = scipy.sparse.linalg.spsolve(M.tocsc(), sum(fu_terms(ops.space, W[d], Phi, d)))
+        assert np.abs(U[d] - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

@@ -9,13 +9,9 @@ directly by fast diagonalization in the 1D generalized eigenbases of the
 tensor-product grid.
 """
 
-from .mesh import (
-    RectDomain,
-    StructuredQuadMesh,
-    build_mesh,
-    UNIT_SQUARE,
-)
 from .fem import (
+    RectDomain,
+    UNIT_SQUARE,
     FeSpace,
     build_space,
     shape_eval,

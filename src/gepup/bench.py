@@ -10,7 +10,6 @@ from . import fem
 from .fem import FeSpace
 from .imex import StepperConfig, advance_step, courant_dt, load_tableau
 from .linsolve import SolverError
-from .mesh import build_mesh
 from .operators import SOLVE_CLASSES, CaseDefinition, GepupOperators, GepupState, check_boundary_compatibility
 
 __all__ = [
@@ -116,7 +115,8 @@ def run_simulation(
 ) -> SimulationResult:
     """Advance a case from t0 to t_end with Courant-controlled steps.
 
-    The step size is recomputed from the current velocity before every
+    The grid cuts ``case.domain`` into base_cells * 2**level equal cells per
+    axis.  The step size is recomputed from the current velocity before every
     step (``courant_dt``; a new dt only rescales the diagonal of the
     momentum solve), and the final step is shortened to land exactly on
     t_end.  Each monitor row holds the largest backward error of every
@@ -127,8 +127,11 @@ def run_simulation(
     """
     if t_end < t0:
         raise ValueError(f"t_end {t_end} precedes t0 {t0}")
+    if level < 0:
+        raise ValueError(f"level must be nonnegative, got {level}")
     check_boundary_compatibility(case, times=(t0, 0.5 * (t0 + t_end), t_end))
-    ops = GepupOperators(build_mesh(case.domain, base_cells, level), degree, rel_tol=config.rel_tol)
+    cells = (base_cells[0] * 2**level, base_cells[1] * 2**level)
+    ops = GepupOperators(case.domain, cells, degree, rel_tol=config.rel_tol)
     tableau = load_tableau(config.tableau)
 
     ops.reset_residuals()
@@ -188,7 +191,7 @@ def run_convergence(
     table = ConvergenceTable()
     for level in levels:
         res = run_simulation(case, degree, level, config, t0=t0, t_end=t_end, base_cells=base_cells)
-        h = res.ops.space.mesh.h_max
+        h = res.ops.space.h_max
         table.add_row(h, res.errors)
         if verbose:
             print(
@@ -205,7 +208,7 @@ def vorticity_indicator(space: FeSpace, U: list[np.ndarray]) -> np.ndarray:
     curl_q = uy_loc @ space.quad_dx - ux_loc @ space.quad_dy
     curl_n = uy_loc @ space.node_dx - ux_loc @ space.node_dy
     peak = np.maximum(np.abs(curl_q).max(axis=1), np.abs(curl_n).max(axis=1))
-    return space.mesh.h_max * peak
+    return space.h_max * peak
 
 
 @dataclass(frozen=True)

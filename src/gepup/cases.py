@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import UNIT_SQUARE
+from .fem import UNIT_SQUARE
 from .operators import CaseDefinition
 
-__all__ = ["taylor_green_case", "single_vortex_case", "lid_cavity_case", "vortex_u_theta"]
+__all__ = ["taylor_green_case", "single_vortex_case", "lid_cavity_case"]
 
 TWO_PI_SQ = 2.0 * np.pi**2
 

@@ -1,8 +1,11 @@
 """Continuous Lagrange Q_k finite elements on uniform tensor-product grids.
 
-Scalar Lagrange spaces of degree 1..4 with Gauss-Lobatto support points and
-tensor Gauss-Legendre quadrature with (k+2)^2 points per element (exact
-for the mass and stiffness integrands on affine cells).  Everything is
+The grid is a ``RectDomain`` cut into nx-by-ny equal cells; it has no
+object of its own, because its two ``Axis`` objects hold the cell counts,
+widths and origins.  Scalar Lagrange spaces of degree 1..4 with
+Gauss-Lobatto support points and tensor Gauss-Legendre quadrature with
+(k+2)^2 points per element (exact for the mass and stiffness integrands on
+affine cells).  Everything is
 built from one cached 1D tabulation, ``basis_1d``: an ``Axis`` lays it out
 along one axis of the grid (1D mass, stiffness and derivative factors,
 support coordinates, Gauss points), and a ``FeSpace`` is the product of its
@@ -20,15 +23,15 @@ components share the scalar space.
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import StructuredQuadMesh
-
 __all__ = [
-    "ReferenceElement",
+    "RectDomain",
+    "UNIT_SQUARE",
     "Axis",
     "FeSpace",
     "shape_eval",
@@ -38,6 +41,21 @@ __all__ = [
 ]
 
 MAX_DEGREE = 4
+
+
+@dataclass(frozen=True)
+class RectDomain:
+    """Axis-aligned rectangle given by its lower-left corner and side lengths."""
+
+    origin: tuple[float, float] = (0.0, 0.0)
+    extent: tuple[float, float] = (1.0, 1.0)
+
+    def __post_init__(self):
+        if self.extent[0] <= 0.0 or self.extent[1] <= 0.0:
+            raise ValueError(f"domain extent must be positive, got {self.extent}")
+
+
+UNIT_SQUARE = RectDomain((0.0, 0.0), (1.0, 1.0))
 
 
 def gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -101,6 +119,8 @@ class Basis1D(NamedTuple):
 @functools.cache
 def basis_1d(degree: int) -> Basis1D:
     """The one 1D tabulation every element table, axis factor and load is built from."""
+    if not 1 <= degree <= MAX_DEGREE:
+        raise ValueError(f"degree must be in 1..{MAX_DEGREE}, got {degree}")
     nodes = gauss_lobatto_01(degree + 1)
     q, w = gauss_legendre_01(degree + 2)
     vals, ders = lagrange_1d(nodes, np.concatenate([q, nodes]))
@@ -114,51 +134,23 @@ def _tensor_tables(vx, dx, vy, dy) -> tuple[np.ndarray, np.ndarray]:
     return np.kron(vy, vx), np.stack([np.kron(vy, dx), np.kron(dy, vx)], axis=-1)
 
 
-class ReferenceElement:
-    """Tensor-product Lagrange element of degree k on [0,1]^2.
-
-    Local numbering is row-major over the (k+1)^2 node lattice (x fastest).
-    Shape values ``phi`` and gradients ``dphi`` at the (k+2)^2 Gauss-Legendre
-    quadrature points, and ``phi_nodes``, ``dphi_nodes`` at the nodes, are
-    Kronecker products of the 1D tables of ``basis_1d``.
-    """
-
-    def __init__(self, degree: int):
-        if not 1 <= degree <= MAX_DEGREE:
-            raise ValueError(f"degree must be in 1..{MAX_DEGREE}, got {degree}")
-        self.degree = degree
-        b = basis_1d(degree)
-        self.nodes_1d = b.nodes
-        self.n_local = (degree + 1) ** 2
-
-        QX, QY = np.meshgrid(b.points, b.points, indexing="xy")
-        self.quad_points = np.column_stack([QX.ravel(), QY.ravel()])
-        self.quad_weights = np.kron(b.weights, b.weights)  # y slow, x fast
-        self.n_quad = len(self.quad_weights)
-        NX, NY = np.meshgrid(b.nodes, b.nodes, indexing="xy")
-        self.node_points = np.column_stack([NX.ravel(), NY.ravel()])
-
-        self.phi, self.dphi = _tensor_tables(b.vals, b.ders, b.vals, b.ders)
-        self.phi_nodes, self.dphi_nodes = _tensor_tables(b.node_vals, b.node_ders, b.node_vals, b.node_ders)
-
-
-@functools.cache
-def reference_element(degree: int) -> ReferenceElement:
-    return ReferenceElement(degree)
-
-
 def shape_eval(degree: int, point) -> tuple[np.ndarray, np.ndarray]:
-    """Shape values ((k+1)^2,) and gradients ((k+1)^2, 2) at one reference point."""
-    ref = reference_element(degree)
+    """Shape values ((k+1)^2,) and gradients ((k+1)^2, 2) at one reference point.
+
+    Local numbering is row-major over the (k+1)^2 Gauss-Lobatto node lattice
+    of the unit square (x fastest).
+    """
+    nodes = basis_1d(degree).nodes
     pt = np.atleast_2d(np.asarray(point, dtype=float))
     if pt.shape != (1, 2) or pt.min() < -1e-12 or pt.max() > 1.0 + 1e-12:
         raise ValueError(f"point must lie in the closed unit square, got {point}")
-    phi, dphi = _tensor_tables(*lagrange_1d(ref.nodes_1d, pt[:, 0]), *lagrange_1d(ref.nodes_1d, pt[:, 1]))
+    phi, dphi = _tensor_tables(*lagrange_1d(nodes, pt[:, 0]), *lagrange_1d(nodes, pt[:, 1]))
     return phi[0], dphi[0]
 
 
 class Axis:
-    """One axis of the grid: n_cells uniform cells of width h from ``origin``, degree k.
+    """One axis of the grid: ``n_cells`` uniform cells of width ``h`` = length / n_cells
+    from ``origin``, degree k.
 
     Holds the 1D mass, stiffness and derivative factors ``M``, ``K`` and
     ``C`` (C[i, j] = int phi_i phi_j'); the support coordinates ``nodes``
@@ -169,9 +161,13 @@ class Axis:
     with coefficients c.
     """
 
-    def __init__(self, n_cells: int, h: float, degree: int, origin: float = 0.0):
+    def __init__(self, n_cells: int, length: float, degree: int, origin: float = 0.0):
+        if n_cells < 1:
+            raise ValueError(f"cell counts must be positive, got {n_cells}")
         k = degree
         b = basis_1d(degree)
+        self.n_cells = n_cells
+        self.h = h = length / n_cells
         cells = np.arange(n_cells)[:, None]
         self.n = k * n_cells + 1
         self.ends = (origin, origin + n_cells * h)
@@ -206,53 +202,57 @@ class Axis:
 
 
 class FeSpace:
-    """Scalar continuous Lagrange space of degree k over a structured mesh.
+    """Scalar continuous Lagrange space of degree k on ``domain`` cut into
+    ``cells`` = (nx, ny) equal cells.
 
     Built from its two axes, ``axes`` = (x, y) ``Axis``: the global mass
     and stiffness matrices are My (x) Mx and My (x) Kx + Ky (x) Mx.  Element
     e = j*nx + i has the dofs ay.cell_dofs[j] (x) ax.cell_dofs[i] in local
     order, the support points are the grid of the axes' ``nodes`` and the
-    quadrature points the grid of their Gauss ``points``.  The element tables
-    are scaled to physical derivatives once: ``quad_phi``, ``quad_dx``,
-    ``quad_dy`` (n_local, n_quad) at the quadrature points and ``node_dx``,
-    ``node_dy`` (n_local, n_local) at the nodes, C-contiguous, so that
-    coeffs[element_dofs] @ table evaluates a field on every element.  The
-    load tables ``load_phi``, ``load_dx``, ``load_dy`` (n_quad, n_local) are
-    their transposes with the quadrature weights folded in, so that
-    values @ table integrates (n_elements, n_quad) samples against the basis.
+    quadrature points the grid of their Gauss ``points``.  ``h_max`` is the
+    larger cell width.  The element tables are Kronecker products of the 1D
+    tables of ``basis_1d``, scaled to physical derivatives once: ``quad_phi``,
+    ``quad_dx``, ``quad_dy`` (n_local, n_quad) at the quadrature points and
+    ``node_dx``, ``node_dy`` (n_local, n_local) at the nodes, C-contiguous,
+    so that coeffs[element_dofs] @ table evaluates a field on every element.
+    ``wdet`` holds the quadrature weights of one element.  The load tables
+    ``load_phi``, ``load_dx``, ``load_dy`` (n_quad, n_local) are the
+    transposes with the weights folded in, so that values @ table integrates
+    (n_elements, n_quad) samples against the basis.
     """
 
-    def __init__(self, mesh: StructuredQuadMesh, degree: int):
-        self.mesh = mesh
+    def __init__(self, domain: RectDomain, cells: tuple[int, int], degree: int):
         self.degree = degree
-        self.ref = ref = reference_element(degree)
-        ox, oy = mesh.domain.origin
-        self.axes = ax, ay = Axis(mesh.nx, mesh.hx, degree, ox), Axis(mesh.ny, mesh.hy, degree, oy)
+        b = basis_1d(degree)
+        (nx, ny), (ox, oy), (lx, ly) = cells, domain.origin, domain.extent
+        self.axes = ax, ay = Axis(nx, lx, degree, ox), Axis(ny, ly, degree, oy)
+        self.h_max = max(ax.h, ay.h)
         self.ndof_x, self.ndof_y = ax.n, ay.n
         self.n_dofs = ax.n * ay.n
 
-        n_el = mesh.n_elements
+        n_el = nx * ny
         self.element_dofs = (ay.cell_dofs[:, None, :, None] * ax.n + ax.cell_dofs[None, :, None, :]).reshape(n_el, -1)
         X, Y = np.meshgrid(ax.nodes, ay.nodes, indexing="xy")
         self.support_points = np.column_stack([X.ravel(), Y.ravel()])
         grid = np.broadcast_arrays(ax.points[None, :, None, :], ay.points[:, None, :, None])
-        self.quad_coords = np.stack(grid, axis=-1).reshape(n_el, ref.n_quad, 2)
+        self.quad_coords = np.stack(grid, axis=-1).reshape(n_el, -1, 2)
 
         on_boundary = np.ones((ay.n, ax.n), dtype=bool)
         on_boundary[1:-1, 1:-1] = False
         self.boundary_dofs = np.flatnonzero(on_boundary)
         self.interior_dofs = np.flatnonzero(~on_boundary)
 
-        self.wdet = ref.quad_weights * (mesh.hx * mesh.hy)
-        self.inv_h = np.array([1.0 / mesh.hx, 1.0 / mesh.hy])
+        self.wdet = np.kron(b.weights, b.weights) * (ax.h * ay.h)
+        phi, dphi = _tensor_tables(b.vals, b.ders, b.vals, b.ders)
+        _, dphi_nodes = _tensor_tables(b.node_vals, b.node_ders, b.node_vals, b.node_ders)
         self.quad_phi, self.quad_dx, self.quad_dy, self.node_dx, self.node_dy = (
             np.ascontiguousarray(T)
             for T in (
-                ref.phi.T,
-                ref.dphi[:, :, 0].T * self.inv_h[0],
-                ref.dphi[:, :, 1].T * self.inv_h[1],
-                ref.dphi_nodes[:, :, 0].T * self.inv_h[0],
-                ref.dphi_nodes[:, :, 1].T * self.inv_h[1],
+                phi.T,
+                dphi[:, :, 0].T * (1.0 / ax.h),
+                dphi[:, :, 1].T * (1.0 / ay.h),
+                dphi_nodes[:, :, 0].T * (1.0 / ax.h),
+                dphi_nodes[:, :, 1].T * (1.0 / ay.h),
             )
         )
         self.load_phi, self.load_dx, self.load_dy = (
@@ -284,8 +284,8 @@ class FeSpace:
         return np.bincount(self.element_dofs.ravel(), weights=contrib.ravel(), minlength=self.n_dofs)
 
 
-def build_space(mesh: StructuredQuadMesh, degree: int) -> FeSpace:
-    return FeSpace(mesh, degree)
+def build_space(domain: RectDomain, cells: tuple[int, int], degree: int) -> FeSpace:
+    return FeSpace(domain, cells, degree)
 
 
 def interpolate(space: FeSpace, fn, t: float = 0.0) -> np.ndarray:

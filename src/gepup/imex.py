@@ -337,7 +337,7 @@ def courant_dt(space, U, courant: float, dt_max: float = 1.0) -> float:
     umax = np.sqrt(umax_sq)
     if umax < SPEED_FLOOR:
         return dt_max
-    return min(courant * space.mesh.h_max / (space.degree * umax), dt_max)
+    return min(courant * space.h_max / (space.degree * umax), dt_max)
 
 
 def advance_step(

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fem, tensorops
+from .fem import UNIT_SQUARE, RectDomain
 from .linsolve import FastDiagonalization, check_backward_error
-from .mesh import RectDomain, StructuredQuadMesh, UNIT_SQUARE
 from .tensorops import TensorGradient, TensorOperator
 
 __all__ = ["CaseDefinition", "GepupState", "GepupOperators", "check_boundary_compatibility"]
@@ -74,10 +74,7 @@ def check_boundary_compatibility(case: CaseDefinition, times=(0.0,)):
     Sums the boundary load of g on ``FLUX_PANELS`` Q4 cells per side, a
     composite 6-point Gauss rule independent of any mesh.  A NaN flux fails.
     """
-    axes = [
-        fem.Axis(FLUX_PANELS, length / FLUX_PANELS, 4, origin)
-        for origin, length in zip(case.domain.origin, case.domain.extent)
-    ]
+    axes = [fem.Axis(FLUX_PANELS, length, 4, origin) for origin, length in zip(case.domain.origin, case.domain.extent)]
     for t in times:
         flux = float(tensorops.boundary_normal_load(axes, case.g, t).sum())
         if not abs(flux) <= FLUX_TOL:
@@ -138,7 +135,9 @@ class ConstrainedOperator:
 class GepupOperators:
     """Tensor-product operators, direct solvers and the w -> u -> q solve chain.
 
-    Every product goes through the two 1D axes of the space
+    The space is ``fem.build_space(domain, cells, degree)``: degree k on
+    ``domain`` cut into ``cells`` = (nx, ny) equal cells, and the one owner
+    of the degree and the grid.  Every product goes through its two 1D axes
     (``space.axes``): mass and stiffness matvecs (``fast_M``, ``fast_A``),
     the linear loads, which are 1D-factor products with the derivative
     factors (``grad``), and the boundary loads on the boundary rows and
@@ -158,13 +157,13 @@ class GepupOperators:
 
     def __init__(
         self,
-        mesh: StructuredQuadMesh,
+        domain: RectDomain,
+        cells: tuple[int, int],
         degree: int,
         rel_tol: float = 1e-12,
         convection: bool = True,
     ):
-        self.space = fem.build_space(mesh, degree)
-        self.degree = degree
+        self.space = fem.build_space(domain, cells, degree)
         self.rel_tol = rel_tol
         self.convection = convection
 
@@ -321,28 +320,14 @@ class GepupOperators:
             np.broadcast_to(np.asarray(gy, dtype=float), shape).copy(),
         )
 
-    def initial_state(self, case: CaseDefinition, t0: float, w_override=None) -> GepupState:
-        """Interpolate the initial velocity, project it, and prime the chain.
-
-        ``w_override`` (callable (x, y) -> (wx, wy)) replaces the initial
-        field without projection, for experiments that start from a
-        deliberately non-solenoidal state.
-        """
-        space = self.space
-        if w_override is not None:
-            W = [
-                fem.interpolate(space, lambda x, y, t, d=d: np.broadcast_to(
-                    np.asarray(w_override(x, y)[d], dtype=float), x.shape), t0)
-                for d in range(2)
-            ]
-            U, Phi = self.leray_project(W, case, t0)
-        else:
-            V = [
-                fem.interpolate(space, lambda x, y, t, d=d: np.broadcast_to(
-                    np.asarray(case.u0(x, y)[d], dtype=float), x.shape), t0)
-                for d in range(2)
-            ]
-            U, Phi = self.leray_project(V, case, t0)
-            W = [u.copy() for u in U]
+    def initial_state(self, case: CaseDefinition, t0: float) -> GepupState:
+        """Interpolate the initial velocity, project it, and prime the chain."""
+        V = [
+            fem.interpolate(self.space, lambda x, y, t, d=d: np.broadcast_to(
+                np.asarray(case.u0(x, y)[d], dtype=float), x.shape), t0)
+            for d in range(2)
+        ]
+        U, Phi = self.leray_project(V, case, t0)
+        W = [u.copy() for u in U]
         Q, conv = self.compute_pressure(U, case, t0)
         return GepupState(t0, W, U, Phi, Q, conv)

@@ -36,10 +36,9 @@ def _subcell_connectivity(space: FeSpace) -> np.ndarray:
     Rows run over the elements (row-major), then over each element's
     sub-quads (row-major); corners are listed counterclockwise from SW.
     """
-    k = space.degree
-    mesh = space.mesh
-    gy = k * np.arange(mesh.ny)[:, None, None, None] + np.arange(k)[None, None, :, None]
-    gx = k * np.arange(mesh.nx)[None, :, None, None] + np.arange(k)[None, None, None, :]
+    ax, ay = space.axes
+    gy = ay.cell_dofs[:, None, :-1, None]
+    gx = ax.cell_dofs[None, :, None, :-1]
     sw = (gy * space.ndof_x + gx).ravel()
     return np.column_stack([sw, sw + 1, sw + 1 + space.ndof_x, sw + space.ndof_x])
 

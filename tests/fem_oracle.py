@@ -3,7 +3,9 @@
 ``assemble_mass``/``assemble_stiffness`` build the 2D CSR matrices by
 element quadrature and a scatter through the element dof table, the way
 the package once did; tests use them as references for the tensor-product
-operators.
+operators.  Their element tables come from ``shape_eval`` point by point at
+the reference Gauss points and the cell widths of the space's axes, not
+from the space's own Kronecker tables.
 
 The exact-integration oracle is independent of that path: 1D Lagrange basis
 polynomials are built as coefficient lists and multiplied / integrated term
@@ -17,27 +19,36 @@ import mpmath
 import numpy as np
 import scipy.sparse as sp
 
-from gepup.fem import gauss_lobatto_01
+from gepup.fem import gauss_legendre_01, gauss_lobatto_01, shape_eval
 
 mpmath.mp.dps = 50
 
 
+def element_tables(space):
+    """Weights (n_quad,), shape values (n_quad, n_local) and physical gradients
+    (n_quad, n_local, 2) at the (k+2)^2 Gauss points of one cell, y slow."""
+    ax, ay = space.axes
+    q, w = gauss_legendre_01(space.degree + 2)
+    tables = [shape_eval(space.degree, (x, y)) for y in q for x in q]
+    phi = np.array([v for v, _ in tables])
+    dphi = np.array([g for _, g in tables]) / np.array([ax.h, ay.h])
+    return np.outer(w, w).ravel() * (ax.h * ay.h), phi, dphi
+
+
 def _local_matrices(space):
-    ref = space.ref
-    w = space.wdet
-    M = ref.phi.T @ (w[:, None] * ref.phi)
-    dx = ref.dphi[:, :, 0] * space.inv_h[0]
-    dy = ref.dphi[:, :, 1] * space.inv_h[1]
+    w, phi, dphi = element_tables(space)
+    M = phi.T @ (w[:, None] * phi)
+    dx, dy = dphi[:, :, 0], dphi[:, :, 1]
     A = dx.T @ (w[:, None] * dx) + dy.T @ (w[:, None] * dy)
     return M, A
 
 
 def _scatter(space, local):
-    nl = space.ref.n_local
     ed = space.element_dofs
+    nl = ed.shape[1]
     rows = np.repeat(ed, nl, axis=1).ravel()
     cols = np.tile(ed, (1, nl)).ravel()
-    data = np.tile(local.ravel(), space.mesh.n_elements)
+    data = np.tile(local.ravel(), len(ed))
     mat = sp.coo_matrix((data, (rows, cols)), shape=(space.n_dofs, space.n_dofs)).tocsr()
     mat.sum_duplicates()
     mat.sort_indices()
@@ -105,19 +116,23 @@ def exact_element_matrices(k, hx, hy):
     return M, A
 
 
-def exact_global_matrices(mesh, k):
-    """Dense global mass/stiffness via coordinate-keyed scatter (no shared dof map)."""
+def exact_global_matrices(domain, cells, k):
+    """Dense global mass/stiffness on ``domain`` cut into ``cells`` = (nx, ny)
+    equal cells, via coordinate-keyed scatter (no shared dof map)."""
     nodes = gauss_lobatto_01(k + 1)
-    M_loc, A_loc = exact_element_matrices(k, mesh.hx, mesh.hy)
+    nx, ny = cells
+    hx, hy = domain.extent[0] / nx, domain.extent[1] / ny
+    M_loc, A_loc = exact_element_matrices(k, hx, hy)
 
     def key(x, y):
         return (round(x * 1e12), round(y * 1e12))
 
     index = {}
     coords_per_element = []
-    for e in range(mesh.n_elements):
-        ox, oy = mesh.element_origin(e)
-        pts = [(ox + a * mesh.hx, oy + b * mesh.hy) for b in nodes for a in nodes]
+    for e in range(nx * ny):
+        j, i = divmod(e, nx)
+        ox, oy = domain.origin[0] + i * hx, domain.origin[1] + j * hy
+        pts = [(ox + a * hx, oy + b * hy) for b in nodes for a in nodes]
         ids = []
         for pt in pts:
             kk = key(*pt)

@@ -4,7 +4,9 @@ Every load is integrated element by element with the (k+2)^2-point Gauss
 rule, and every boundary load side by side with the (k+2)-point rule on
 the element faces, and scattered through the element dof table: the way
 the package assembled all of them before its linear and boundary loads
-became 1D-factor products.
+became 1D-factor products.  The element tables are ``shape_eval`` values
+at the reference Gauss points (``fem_oracle.element_tables``), scaled by
+the cell widths of the space's axes.
 Each function returns the load split into its terms, so that a comparison
 can be scaled by the size of each term rather than by the sum, which may
 be a small remainder of large terms.
@@ -13,17 +15,20 @@ be a small remainder of large terms.
 import numpy as np
 
 from gepup.fem import gauss_legendre_01, shape_eval
+from fem_oracle import element_tables
 
 
 def value_load(space, vals):
     """Entries sum_q w_q v(x_q) eta_i(x_q) from (n_elements, n_quad) values."""
-    contrib = (vals * space.wdet[None, :]) @ space.ref.phi
+    w, phi, _ = element_tables(space)
+    contrib = (vals * w[None, :]) @ phi
     return np.bincount(space.element_dofs.ravel(), weights=contrib.ravel(), minlength=space.n_dofs)
 
 
 def derivative_load(space, vals, d):
     """Entries sum_q w_q v(x_q) d eta_i / dx_d (x_q)."""
-    contrib = (vals * space.wdet[None, :]) @ (space.ref.dphi[:, :, d] * space.inv_h[d])
+    w, _, dphi = element_tables(space)
+    contrib = (vals * w[None, :]) @ dphi[:, :, d]
     return np.bincount(space.element_dofs.ravel(), weights=contrib.ravel(), minlength=space.n_dofs)
 
 
@@ -37,22 +42,23 @@ def _sides(space):
     """Per boundary side: its elements, outward normal, global (x, y) of the
     face quadrature points, weights times face length, and the shape values
     and physical gradients at the points."""
-    mesh = space.mesh
+    ax, ay = space.axes
+    nx, ny = ax.n_cells, ay.n_cells
     q, w = gauss_legendre_01(space.degree + 2)
     zero, one = np.zeros_like(q), np.ones_like(q)
-    i, j = np.arange(mesh.nx), np.arange(mesh.ny)
+    i, j = np.arange(nx), np.arange(ny)
     for els, normal, ref_pts in (
         (i, (0.0, -1.0), np.column_stack([q, zero])),
-        ((mesh.ny - 1) * mesh.nx + i, (0.0, 1.0), np.column_stack([q, one])),
-        (j * mesh.nx, (-1.0, 0.0), np.column_stack([zero, q])),
-        (j * mesh.nx + mesh.nx - 1, (1.0, 0.0), np.column_stack([one, q])),
+        ((ny - 1) * nx + i, (0.0, 1.0), np.column_stack([q, one])),
+        (j * nx, (-1.0, 0.0), np.column_stack([zero, q])),
+        (j * nx + nx - 1, (1.0, 0.0), np.column_stack([one, q])),
     ):
         tables = [shape_eval(space.degree, pt) for pt in ref_pts]
         phi = np.array([v for v, _ in tables])
-        dphi = np.array([g for _, g in tables]) * space.inv_h
-        x = mesh.domain.origin[0] + (els[:, None] % mesh.nx + ref_pts[None, :, 0]) * mesh.hx
-        y = mesh.domain.origin[1] + (els[:, None] // mesh.nx + ref_pts[None, :, 1]) * mesh.hy
-        length = mesh.hx if normal[0] == 0.0 else mesh.hy
+        dphi = np.array([g for _, g in tables]) / np.array([ax.h, ay.h])
+        x = ax.ends[0] + (els[:, None] % nx + ref_pts[None, :, 0]) * ax.h
+        y = ay.ends[0] + (els[:, None] // nx + ref_pts[None, :, 1]) * ay.h
+        length = ax.h if normal[0] == 0.0 else ay.h
         yield els, normal, x, y, w * length, phi, dphi
 
 

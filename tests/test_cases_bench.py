@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from gepup import (
     UNIT_SQUARE,
     SolverError,
-    build_mesh,
     build_space,
     dorfler_mark,
     interpolate,
@@ -20,6 +19,7 @@ from gepup import (
 )
 from gepup.bench import ConvergenceTable, run_convergence, run_simulation
 from gepup.cases import vortex_u_theta
+from gepup.fem import basis_1d
 from gepup.imex import StepperConfig, courant_dt
 
 
@@ -43,7 +43,7 @@ def test_taylor_green_pressure_corner_and_mean():
     case = taylor_green_case(100.0)
     assert case.exact_p(0.0, 0.0, 0.0) == pytest.approx(-0.5, abs=1e-15)
     # quadrature oracle for the zero mean
-    space = build_space(build_mesh(UNIT_SQUARE, (1, 1), 4), 3)
+    space = build_space(UNIT_SQUARE, (16, 16), 3)
     x = space.quad_coords[:, :, 0]
     y = space.quad_coords[:, :, 1]
     mean = float(np.sum(case.exact_p(x, y, 0.0) @ space.wdet))
@@ -106,7 +106,7 @@ def test_invalid_reynolds():
 
 @pytest.fixture(scope="module")
 def space8():
-    return build_space(build_mesh(UNIT_SQUARE, (1, 1), 3), 3)
+    return build_space(UNIT_SQUARE, (8, 8), 3)
 
 
 def interp2(space, fn):
@@ -121,7 +121,8 @@ def test_indicator_zero_for_constant_field(space8):
 def test_indicator_rigid_rotation(space8):
     U = interp2(space8, lambda x, y: (-y, x))
     eta = vorticity_indicator(space8, U)
-    assert np.allclose(eta, 2.0 * space8.mesh.h_max, atol=1e-12)
+    assert np.allclose(eta, 2.0 * space8.h_max, atol=1e-12)
+    assert space8.h_max == 1 / 8
 
 
 def test_indicator_matches_analytic_curl(space8):
@@ -130,23 +131,21 @@ def test_indicator_matches_analytic_curl(space8):
     eta = vorticity_indicator(space8, U)
     # analytic curl 2 pi cos(pi x) cos(pi y): per-element peak over the same
     # sample points
-    ref = space8.ref
     xq = space8.quad_coords[:, :, 0]
     yq = space8.quad_coords[:, :, 1]
     curl_q = 2 * np.pi * np.cos(np.pi * xq) * np.cos(np.pi * yq)
-    mesh = space8.mesh
-    e = np.arange(mesh.n_elements)
-    ox = (e % mesh.nx)[:, None] * mesh.hx
-    oy = (e // mesh.nx)[:, None] * mesh.hy
-    xn = ox + ref.node_points[None, :, 0] * mesh.hx
-    yn = oy + ref.node_points[None, :, 1] * mesh.hy
+    n, h = 8, 1 / 8
+    nodes = basis_1d(3).nodes
+    e = np.arange(n * n)
+    xn = ((e % n)[:, None] + np.tile(nodes, 4)[None, :]) * h  # local nodes row-major, x fastest
+    yn = ((e // n)[:, None] + np.repeat(nodes, 4)[None, :]) * h
     curl_n = 2 * np.pi * np.cos(np.pi * xn) * np.cos(np.pi * yn)
-    expect = mesh.h_max * np.maximum(
+    expect = h * np.maximum(
         np.abs(curl_q).max(axis=1), np.abs(curl_n).max(axis=1)
     )
     assert np.abs(eta - expect).max() < 5e-3  # interpolation error only
     # peaks at the corner elements where |cos cos| = 1
-    corners = {0, mesh.nx - 1, (mesh.ny - 1) * mesh.nx, mesh.nx * mesh.ny - 1}
+    corners = {0, n - 1, (n - 1) * n, n * n - 1}
     top = set(np.argsort(eta)[-4:])
     assert top == corners
 

@@ -6,13 +6,12 @@ from hypothesis import strategies as st
 from gepup import (
     UNIT_SQUARE,
     RectDomain,
-    build_mesh,
     build_space,
     error_norms,
     interpolate,
     shape_eval,
 )
-from gepup.fem import lagrange_1d
+from gepup.fem import basis_1d, lagrange_1d
 from fem_oracle import assemble_mass, assemble_stiffness, exact_global_matrices, permutation_to_space
 
 
@@ -26,12 +25,11 @@ def test_kronecker_property_q1_corner():
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_kronecker_property_all_nodes(k):
-    from gepup.fem import reference_element
-
-    ref = reference_element(k)
-    for n, pt in enumerate(ref.node_points):
+    nodes = basis_1d(k).nodes
+    node_points = [(x, y) for y in nodes for x in nodes]  # row-major, x fastest
+    for n, pt in enumerate(node_points):
         vals, _ = shape_eval(k, pt)
-        expect = np.zeros(ref.n_local)
+        expect = np.zeros(len(node_points))
         expect[n] = 1.0
         assert np.allclose(vals, expect, atol=1e-12)
 
@@ -60,38 +58,40 @@ def test_unsupported_degree():
         shape_eval(0, (0.5, 0.5))
     with pytest.raises(ValueError):
         shape_eval(7, (0.5, 0.5))
+    with pytest.raises(ValueError):
+        basis_1d(5)
+    with pytest.raises(ValueError):
+        build_space(UNIT_SQUARE, (2, 2), 0)
 
 
 def test_quadrature_weights_sum_to_reference_area():
-    from gepup.fem import reference_element
-
     for k in range(1, 5):
-        assert reference_element(k).quad_weights.sum() == pytest.approx(1.0, abs=1e-14)
+        weights = basis_1d(k).weights
+        assert np.outer(weights, weights).sum() == pytest.approx(1.0, abs=1e-14)
 
 
 # ---- space construction -----------------------------------------------------
 
 
 def test_dof_count_8x8_cubic():
-    space = build_space(build_mesh(UNIT_SQUARE, (1, 1), 3), 3)
+    space = build_space(UNIT_SQUARE, (8, 8), 3)
     assert space.n_dofs == 625
 
 
 def test_dof_count_matches_single_level_benchmark():
-    space = build_space(build_mesh(UNIT_SQUARE, (1, 1), 9), 3)
+    space = build_space(UNIT_SQUARE, (512, 512), 3)
     assert space.n_dofs == 2_362_369  # 512x512 mesh, cubic elements
 
 
 def test_dof_count_unit_cell_q1():
-    space = build_space(build_mesh(UNIT_SQUARE, (1, 1), 0), 1)
+    space = build_space(UNIT_SQUARE, (1, 1), 1)
     assert space.n_dofs == 4
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("nx,ny", [(1, 1), (2, 1), (1, 3), (2, 3), (3, 3)])
 def test_dof_count_formula_exhaustive(k, nx, ny):
-    mesh = build_mesh(RectDomain((0, 0), (1.0, 2.0)), (nx, ny), 0)
-    space = build_space(mesh, k)
+    space = build_space(RectDomain((0, 0), (1.0, 2.0)), (nx, ny), k)
     assert space.n_dofs == (k * nx + 1) * (k * ny + 1)
     # C0 continuity: every interior edge dof is shared, so the element-dof
     # table must reference each global index the right number of times
@@ -100,7 +100,7 @@ def test_dof_count_formula_exhaustive(k, nx, ny):
 
 
 def test_boundary_dof_set_matches_support_points():
-    space = build_space(build_mesh(UNIT_SQUARE, (1, 1), 2), 3)
+    space = build_space(UNIT_SQUARE, (4, 4), 3)
     pts = space.support_points
     on_boundary = (
         np.isclose(pts[:, 0], 0.0)
@@ -173,11 +173,10 @@ def test_csr_indices_sorted_and_pattern_symmetric(space_q3_8x8):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("cells", [(1, 1), (2, 1), (2, 2)])
 def test_assembly_matches_exact_integration_oracle(k, cells):
-    mesh = build_mesh(UNIT_SQUARE, cells, 0)
-    space = build_space(mesh, k)
+    space = build_space(UNIT_SQUARE, cells, k)
     M = assemble_mass(space).toarray()
     A = assemble_stiffness(space).toarray()
-    Mo, Ao, coords = exact_global_matrices(mesh, k)
+    Mo, Ao, coords = exact_global_matrices(UNIT_SQUARE, cells, k)
     perm = permutation_to_space(space, coords)
     Mo_p = np.zeros_like(M)
     Ao_p = np.zeros_like(A)
@@ -213,7 +212,7 @@ def test_interpolate_reproduces_qk_polynomials(space_q3_8x8):
 
 def test_interpolate_taylor_green_velocity_sample():
     # u_x(0, 0.5, t=0) = -cos(0) sin(pi/2) = -1 lands on a support point
-    space = build_space(build_mesh(UNIT_SQUARE, (1, 1), 1), 2)
+    space = build_space(UNIT_SQUARE, (2, 2), 2)
     ux = interpolate(space, lambda x, y, t: -np.cos(np.pi * x) * np.sin(np.pi * y))
     j = np.flatnonzero(
         np.isclose(space.support_points[:, 0], 0.0)
@@ -275,20 +274,20 @@ def test_galerkin_orthogonality_proxy(space_q3_8x8):
 def test_prolongation_embeds_exactly(k):
     # a coarse Q_k field evaluated at the support points of the space one
     # level finer reproduces the fine interpolant of the same Q_k polynomial
-    coarse = build_space(build_mesh(UNIT_SQUARE, (1, 1), 2), k)
-    fine = build_space(build_mesh(UNIT_SQUARE, (1, 1), 3), k)
+    coarse = build_space(UNIT_SQUARE, (4, 4), k)
+    fine = build_space(UNIT_SQUARE, (8, 8), k)
     f = lambda x, y, t: (x**k) * (y ** min(k, 2)) + 3 * x - y
     cc = interpolate(coarse, f)
     cf = interpolate(fine, f)
-    mesh = coarse.mesh
+    n, h = 4, 0.25  # the coarse grid
     x, y = fine.support_points[:, 0], fine.support_points[:, 1]
-    i = np.minimum((x / mesh.hx).astype(int), mesh.nx - 1)
-    j = np.minimum((y / mesh.hy).astype(int), mesh.ny - 1)
-    nodes = coarse.ref.nodes_1d
-    vx, _ = lagrange_1d(nodes, x / mesh.hx - i)
-    vy, _ = lagrange_1d(nodes, y / mesh.hy - j)
+    i = np.minimum((x / h).astype(int), n - 1)
+    j = np.minimum((y / h).astype(int), n - 1)
+    nodes = basis_1d(k).nodes
+    vx, _ = lagrange_1d(nodes, x / h - i)
+    vy, _ = lagrange_1d(nodes, y / h - j)
     phi = (vy[:, :, None] * vx[:, None, :]).reshape(len(x), -1)  # row-major local numbering
-    embedded = np.sum(phi * cc[coarse.element_dofs[j * mesh.nx + i]], axis=1)
+    embedded = np.sum(phi * cc[coarse.element_dofs[j * n + i]], axis=1)
     assert np.abs(embedded - cf).max() < 1e-12
 
 
@@ -297,18 +296,20 @@ def test_prolongation_embeds_exactly(k):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_one_dimensional_factors_match_cellwise_loop(k):
-    from gepup.fem import Axis, gauss_legendre_01, reference_element
+    from gepup.fem import Axis, gauss_legendre_01
 
-    n_cells, h = 5, 0.3
+    n_cells, length = 5, 1.5
+    h = length / n_cells
     q, w = gauss_legendre_01(k + 2)
-    vals, ders = lagrange_1d(reference_element(k).nodes_1d, q)
+    vals, ders = lagrange_1d(basis_1d(k).nodes, q)
     locals_1d = (
         vals.T @ (w[:, None] * vals) * h,
         ders.T @ (w[:, None] * ders) / h,
         vals.T @ (w[:, None] * ders),
     )
     n = k * n_cells + 1
-    axis = Axis(n_cells, h, k)
+    axis = Axis(n_cells, length, k)
+    assert (axis.n_cells, axis.h) == (n_cells, h)
     for local, assembled in zip(locals_1d, (axis.M, axis.K, axis.C)):
         ref = np.zeros((n, n))
         for e in range(n_cells):
@@ -324,7 +325,7 @@ def test_tensor_matvec_is_bitwise_the_dense_times_csr_product(k, alpha, beta, rn
 
     from gepup.tensorops import TensorOperator
 
-    space = build_space(build_mesh(RectDomain((0.25, -1.0), (2.0, 3.0)), (2, 1), 1), k)
+    space = build_space(RectDomain((0.25, -1.0), (2.0, 3.0)), (4, 2), k)
     ax, ay = space.axes
     Mx, Kx, My, Ky = factors = (ax.M, ax.K, ay.M, ay.K)
     op = TensorOperator(factors, alpha, beta)
@@ -351,18 +352,25 @@ def test_tensor_matvec_is_bitwise_the_dense_times_csr_product(k, alpha, beta, rn
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_space_geometry_and_tables_come_from_the_axes(k):
-    mesh = build_mesh(RectDomain((0.25, -1.0), (2.0, 3.0)), (3, 2), 1)
-    space = build_space(mesh, k)
-    ref = space.ref
-    h = np.array([mesh.hx, mesh.hy])
-    for e in range(mesh.n_elements):
-        origin = np.array(mesh.element_origin(e))
-        assert np.abs(space.quad_coords[e] - (origin + ref.quad_points * h)).max() <= 1e-15
+    nx, ny = 6, 4
+    space = build_space(RectDomain((0.25, -1.0), (2.0, 3.0)), (nx, ny), k)
+    h = np.array([2.0 / nx, 3.0 / ny])
+    b = basis_1d(k)
+    quad_points = np.array([(x, y) for y in b.points for x in b.points])  # y slow, as the local numbering
+    node_points = np.array([(x, y) for y in b.nodes for x in b.nodes])
+    for e in range(nx * ny):
+        j, i = divmod(e, nx)
+        origin = np.array([0.25, -1.0]) + np.array([i, j]) * h
+        assert np.abs(space.quad_coords[e] - (origin + quad_points * h)).max() <= 1e-15
         nodes = space.support_points[space.element_dofs[e]]
-        assert np.abs(nodes - (origin + ref.node_points * h)).max() <= 1e-15
-    assert np.array_equal(space.quad_phi, ref.phi.T)
-    for d, (quad, node) in enumerate(((space.quad_dx, space.node_dx), (space.quad_dy, space.node_dy))):
-        assert np.array_equal(quad, ref.dphi[:, :, d].T * space.inv_h[d])
-        assert np.array_equal(node, ref.dphi_nodes[:, :, d].T * space.inv_h[d])
+        assert np.abs(nodes - (origin + node_points * h)).max() <= 1e-15
+    # the Kronecker tables are the point-by-point shape functions, scaled once by 1/h
+    quad = [shape_eval(k, pt) for pt in quad_points]
+    at_nodes = [shape_eval(k, pt) for pt in node_points]
+    assert np.array_equal(space.quad_phi, np.array([v for v, _ in quad]).T)
+    for d, (quad_d, node_d) in enumerate(((space.quad_dx, space.node_dx), (space.quad_dy, space.node_dy))):
+        assert np.array_equal(quad_d, np.array([g[:, d] for _, g in quad]).T * (1.0 / h[d]))
+        assert np.array_equal(node_d, np.array([g[:, d] for _, g in at_nodes]).T * (1.0 / h[d]))
+    assert np.array_equal(space.wdet, np.outer(b.weights, b.weights).ravel() * (h[0] * h[1]))
     for table in (space.quad_phi, space.quad_dx, space.quad_dy, space.node_dx, space.node_dy):
         assert table.flags.c_contiguous

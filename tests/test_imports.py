@@ -6,10 +6,13 @@ module (the root of an attribute chain included) or in the module's
 ``__all__``.  Package ``__init__`` modules exist to re-export names and are
 exempt, as are ``from __future__`` imports.
 
-The structure gate keeps the reference element and the inverse cell sizes
-inside ``fem``: every other module reads the space's physical tables
-(``quad_phi``, ``quad_dx``, ...) instead of scaling ``ref`` tables by
-``inv_h`` itself.
+The structure gate keeps ``fem`` the one owner of the grid geometry and of
+the element tables: no other module, in the package or the test suite,
+reads a ``.mesh``, a reference element ``.ref`` or inverse cell sizes
+``inv_h``.  The space's two ``axes`` hold the cell counts, widths and
+origins, and every module reads the space's physical tables (``quad_phi``,
+``quad_dx``, ...) or, as the test oracles do, tabulates ``shape_eval``
+itself.
 """
 
 import ast
@@ -56,11 +59,11 @@ def test_every_exported_name_resolves(name):
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
-FEM_INTERNALS = ("ref", "inv_h")
+FEM_INTERNALS = ("ref", "inv_h", "mesh")
 
 
 def fem_internal_reads(source: str) -> list[str]:
-    """Lines that read ``.ref`` or ``.inv_h`` (or a bare ``inv_h``)."""
+    """Lines that read ``.ref``, ``.inv_h`` or ``.mesh`` (or a bare ``inv_h``)."""
     hits = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Attribute) and node.attr in FEM_INTERNALS:
@@ -71,12 +74,11 @@ def fem_internal_reads(source: str) -> list[str]:
 
 
 def test_structure_gate_flags_fem_internals():
-    source = "a = space.ref.phi\nb = x @ space.quad_dx\ninv_h = space.inv_h\n"
-    assert fem_internal_reads(source) == [".ref (line 1)", ".inv_h (line 3)", "inv_h (line 3)"]
+    source = "a = space.ref.phi\nb = x @ space.quad_dx\ninv_h = space.inv_h\nh = space.mesh.h_max\n"
+    expected = [".ref (line 1)", ".inv_h (line 3)", "inv_h (line 3)", ".mesh (line 4)"]
+    assert fem_internal_reads(source) == expected
 
 
-@pytest.mark.parametrize(
-    "path", [p for p in sorted(PACKAGE.glob("*.py")) if p.stem not in ("__init__", "fem")], ids=lambda p: p.name
-)
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.stem != "fem"], ids=lambda p: p.name)
 def test_only_fem_reads_the_reference_element(path):
     assert fem_internal_reads(path.read_text()) == []

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from gepup import UNIT_SQUARE, RectDomain, build_mesh, build_space, interpolate, taylor_green_case
+from gepup import UNIT_SQUARE, RectDomain, build_space, interpolate, taylor_green_case
 from gepup.bench import ConvergenceTable
 from gepup.cli import UsageError, main, parse_config, serialize_config
 from gepup.output import write_convergence_csv, write_monitor_csv, write_vtk
@@ -14,7 +14,7 @@ from vtk_check import read_legacy_vtk, write_vtk_per_value
 
 
 def test_vtk_single_q1_element_zero_fields(tmp_path):
-    space = build_space(build_mesh(UNIT_SQUARE, (1, 1), 0), 1)
+    space = build_space(UNIT_SQUARE, (1, 1), 1)
     z = np.zeros(space.n_dofs)
     path = tmp_path / "zero.vtk"
     write_vtk(space, path, velocity=[z, z], pressure=z)
@@ -28,7 +28,7 @@ def test_vtk_single_q1_element_zero_fields(tmp_path):
 
 
 def test_vtk_2x2_q2_subcell_counts(tmp_path):
-    space = build_space(build_mesh(UNIT_SQUARE, (2, 2), 0), 2)
+    space = build_space(UNIT_SQUARE, (2, 2), 2)
     z = np.zeros(space.n_dofs)
     path = tmp_path / "q2.vtk"
     write_vtk(space, path, velocity=[z, z], pressure=z)
@@ -39,7 +39,7 @@ def test_vtk_2x2_q2_subcell_counts(tmp_path):
 
 def test_vtk_taylor_green_pressure_range(tmp_path):
     case = taylor_green_case(100.0)
-    space = build_space(build_mesh(UNIT_SQUARE, (1, 1), 4), 3)
+    space = build_space(UNIT_SQUARE, (16, 16), 3)
     U = [
         interpolate(space, lambda x, y, t, d=d: case.exact_u(x, y, 0.0)[d])
         for d in range(2)
@@ -56,7 +56,7 @@ def test_vtk_taylor_green_pressure_range(tmp_path):
 
 
 def test_vtk_divergence_and_vorticity_of_linear_fields(tmp_path):
-    space = build_space(build_mesh(UNIT_SQUARE, (1, 1), 2), 2)
+    space = build_space(UNIT_SQUARE, (4, 4), 2)
     U = [
         interpolate(space, lambda x, y, t: x),
         interpolate(space, lambda x, y, t: y),
@@ -71,7 +71,7 @@ def test_vtk_divergence_and_vorticity_of_linear_fields(tmp_path):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("fields", ["none", "velocity", "pressure", "both"])
 def test_vtk_bytes_match_per_value_writer(tmp_path, k, fields):
-    space = build_space(build_mesh(RectDomain((0.25, -1.0), (2.0, 3.0)), (3, 2), 0), k)
+    space = build_space(RectDomain((0.25, -1.0), (2.0, 3.0)), (3, 2), k)
     rng = np.random.default_rng(k)
     # values spanning many magnitudes, signs, exact integers and a negative zero
     U = [rng.standard_normal(space.n_dofs) * 10.0 ** rng.integers(-20, 20, space.n_dofs) for _ in range(2)]

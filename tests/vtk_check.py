@@ -69,10 +69,10 @@ def read_legacy_vtk(path):
 
 def _subcell_connectivity_loop(space):
     k = space.degree
-    mesh = space.mesh
+    ax, ay = space.axes
     cells = []
-    for j in range(mesh.ny):
-        for i in range(mesh.nx):
+    for j in range(ay.n_cells):
+        for i in range(ax.n_cells):
             for b in range(k):
                 for a in range(k):
                     gx = k * i + a

@@ -1,4 +1,5 @@
-"""Output writers: legacy ASCII VTK snapshots and CSV tables (RFC 4180)."""
+"""Output writers: legacy binary VTK snapshots (big-endian, exact doubles)
+and CSV tables (RFC 4180)."""
 
 from __future__ import annotations
 
@@ -43,47 +44,55 @@ def _subcell_connectivity(space: FeSpace) -> np.ndarray:
     return np.column_stack([sw, sw + 1, sw + 1 + space.ndof_x, sw + space.ndof_x])
 
 
-def _write_rows(f, row_format: str, values: np.ndarray):
-    """One ``row_format`` line per row of ``values``, formatted in a single pass."""
-    f.write((row_format * len(values)) % tuple(values.ravel().tolist()))
+def _write_block(f, header: str, values, dtype: str):
+    """A header line, then ``values`` as raw ``dtype`` values and one newline."""
+    f.write(f"{header}\n".encode())
+    f.write(np.ascontiguousarray(values, dtype=dtype).tobytes())
+    f.write(b"\n")
 
 
 def write_vtk(space: FeSpace, path, velocity=None, pressure=None, title: str = "fields"):
-    """Legacy ASCII VTK unstructured-grid snapshot.
+    """Legacy binary VTK unstructured-grid snapshot (big-endian, exact doubles).
 
     High-order fields are sampled at the Lagrange support points and each
     element is emitted as degree^2 bilinear sub-quads, so any VTK reader can
     display them.  Point data: 3-component velocity (z = 0), pressure,
     scalar vorticity and divergence (the latter two derived from the
-    velocity).
+    velocity).  Each block is its header line, its values as raw big-endian
+    doubles (``>f8``) or 32-bit integers (``>i4``), and one newline, so the
+    values read back are the arrays passed in, bit for bit.
+
+    Raises ``ValueError`` before the file is opened when a velocity
+    component or the pressure does not hold ``space.n_dofs`` values, or when
+    the title is not one line of at most 255 bytes.
     """
     n = space.n_dofs
+    fields = {} if velocity is None else {"velocity[0]": velocity[0], "velocity[1]": velocity[1]}
+    if pressure is not None:
+        fields["pressure"] = pressure
+    for name, values in fields.items():
+        if np.shape(values) != (n,):
+            raise ValueError(f"{name} has shape {np.shape(values)}, expected ({n},)")
+    title_line = title.encode()
+    if b"\n" in title_line or len(title_line) > 255:
+        raise ValueError(f"VTK title must be one line of at most 255 bytes, got {title!r}")
+    derived = () if velocity is None else zip(("vorticity", "divergence"), nodal_curl_and_div(space, velocity))
     cells = _subcell_connectivity(space)
-    with open(path, "w") as f:
-        f.write("# vtk DataFile Version 2.0\n")
-        f.write(f"{title}\n")
-        f.write("ASCII\n")
-        f.write("DATASET UNSTRUCTURED_GRID\n")
-        f.write(f"POINTS {n} double\n")
-        _write_rows(f, "%.16g %.16g 0\n", space.support_points)
-        f.write(f"CELLS {len(cells)} {5 * len(cells)}\n")
-        _write_rows(f, "4 %d %d %d %d\n", cells)
-        f.write(f"CELL_TYPES {len(cells)}\n")
-        f.write("9\n" * len(cells))
+    m = len(cells)
+    z = np.zeros(n)
+    with open(path, "wb") as f:
+        f.write(b"# vtk DataFile Version 2.0\n" + title_line + b"\nBINARY\nDATASET UNSTRUCTURED_GRID\n")
+        _write_block(f, f"POINTS {n} double", np.column_stack([space.support_points, z]), ">f8")
+        _write_block(f, f"CELLS {m} {5 * m}", np.column_stack([np.full(m, 4), cells]), ">i4")
+        _write_block(f, f"CELL_TYPES {m}", np.full(m, 9), ">i4")
 
-        f.write(f"POINT_DATA {n}\n")
+        f.write(f"POINT_DATA {n}\n".encode())
         if velocity is not None:
-            f.write("VECTORS velocity double\n")
-            _write_rows(f, "%.16g %.16g 0\n", np.column_stack([velocity[0], velocity[1]]))
+            _write_block(f, "VECTORS velocity double", np.column_stack([velocity[0], velocity[1], z]), ">f8")
         if pressure is not None:
-            f.write("SCALARS pressure double\nLOOKUP_TABLE default\n")
-            _write_rows(f, "%.16g\n", np.asarray(pressure))
-        if velocity is not None:
-            curl, div = nodal_curl_and_div(space, velocity)
-            f.write("SCALARS vorticity double\nLOOKUP_TABLE default\n")
-            _write_rows(f, "%.16g\n", curl)
-            f.write("SCALARS divergence double\nLOOKUP_TABLE default\n")
-            _write_rows(f, "%.16g\n", div)
+            _write_block(f, "SCALARS pressure double\nLOOKUP_TABLE default", pressure, ">f8")
+        for name, values in derived:
+            _write_block(f, f"SCALARS {name} double\nLOOKUP_TABLE default", values, ">f8")
 
 
 CSV_HEADER = [

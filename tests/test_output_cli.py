@@ -6,7 +6,13 @@ import pytest
 from gepup import UNIT_SQUARE, RectDomain, build_space, interpolate, taylor_green_case
 from gepup.bench import ConvergenceTable
 from gepup.cli import UsageError, main, parse_config, serialize_config
-from gepup.output import write_convergence_csv, write_monitor_csv, write_vtk
+from gepup.output import (
+    _subcell_connectivity,
+    nodal_curl_and_div,
+    write_convergence_csv,
+    write_monitor_csv,
+    write_vtk,
+)
 from vtk_check import read_legacy_vtk, write_vtk_per_value
 
 
@@ -84,6 +90,72 @@ def test_vtk_bytes_match_per_value_writer(tmp_path, k, fields):
     write_vtk(space, tmp_path / "fast.vtk", title="check", **kwargs)
     write_vtk_per_value(space, tmp_path / "reference.vtk", title="check", **kwargs)
     assert (tmp_path / "fast.vtk").read_bytes() == (tmp_path / "reference.vtk").read_bytes()
+
+
+def test_vtk_round_trips_exact_doubles(tmp_path):
+    # %.16g text does not round-trip every double; the binary frame must
+    assert float(f"{0.1 + 0.2:.16g}") != 0.1 + 0.2
+    assert float(f"{np.nextafter(1.0, 2.0):.16g}") != np.nextafter(1.0, 2.0)
+    space = build_space(RectDomain((0.1, -0.3), (0.7, 1.1)), (3, 5), 3)
+    rng = np.random.default_rng(3)
+    U = [rng.standard_normal(space.n_dofs) for _ in range(2)]
+    Q = rng.standard_normal(space.n_dofs)
+    special = (0.1 + 0.2, np.nextafter(1.0, 2.0), 1e-300, -0.0)
+    U[0][:4] = special
+    U[1][-4:] = special
+    Q[5:9] = special
+    title = "t" * 255
+    path = tmp_path / "exact.vtk"
+    write_vtk(space, path, velocity=U, pressure=Q, title=title)
+    data = read_legacy_vtk(path)
+    assert data["title"] == title
+    assert np.array_equal(data["points"], np.column_stack([space.support_points, np.zeros(space.n_dofs)]))
+    assert np.array_equal(data["cells"], _subcell_connectivity(space))
+    fields = data["point_data"]
+    assert np.array_equal(fields["velocity"], np.column_stack([U[0], U[1], np.zeros(space.n_dofs)]))
+    assert np.array_equal(fields["pressure"], Q)
+    curl, div = nodal_curl_and_div(space, U)
+    assert np.array_equal(fields["vorticity"], curl)
+    assert np.array_equal(fields["divergence"], div)
+    # array_equal does not see the sign of zero
+    assert np.signbit(fields["velocity"][3, 0]) and np.signbit(fields["pressure"][8])
+
+
+@pytest.mark.parametrize("field", ["velocity[0]", "velocity[1]", "pressure"])
+def test_vtk_rejects_field_of_wrong_length(tmp_path, field):
+    space = build_space(UNIT_SQUARE, (2, 2), 2)
+    z = np.zeros(space.n_dofs)
+    U, Q = [z, z], z
+    if field == "pressure":
+        Q = z[:-3]
+    else:
+        U[int(field[-2])] = z[:-3]
+    path = tmp_path / "bad.vtk"
+    with pytest.raises(ValueError, match=field.replace("[", r"\[")):
+        write_vtk(space, path, velocity=U, pressure=Q)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("title", ["two\nlines", "t" * 256], ids=["newline", "256-chars"])
+def test_vtk_rejects_title_that_breaks_the_header(tmp_path, title):
+    space = build_space(UNIT_SQUARE, (1, 1), 1)
+    path = tmp_path / "bad.vtk"
+    with pytest.raises(ValueError, match="title"):
+        write_vtk(space, path, title=title)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("damage", ["truncated", "trailing"])
+def test_vtk_reader_rejects_truncated_block_and_trailing_bytes(tmp_path, damage):
+    space = build_space(UNIT_SQUARE, (2, 2), 2)
+    z = np.zeros(space.n_dofs)
+    path = tmp_path / "frame.vtk"
+    write_vtk(space, path, velocity=[z, z], pressure=z)
+    read_legacy_vtk(path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-9] if damage == "truncated" else raw + b"\0")
+    with pytest.raises(AssertionError):
+        read_legacy_vtk(path)
 
 
 # ---- CSV writers ---------------------------------------------------------------
@@ -257,7 +329,15 @@ def test_cli_run_writes_outputs(tmp_path, capsys):
     assert (tmp_path / "taylor-green-final.vtk").exists()
     snaps = list(tmp_path.glob("taylor-green-step*.vtk"))
     assert snaps
-    read_legacy_vtk(tmp_path / "taylor-green-final.vtk")
+    # the frame decodes to the space's points and the curl and divergence of
+    # its own velocity, bit for bit
+    data = read_legacy_vtk(tmp_path / "taylor-green-final.vtk")
+    space = build_space(UNIT_SQUARE, (4, 4), 2)
+    assert np.array_equal(data["points"][:, :2], space.support_points)
+    fields = data["point_data"]
+    curl, div = nodal_curl_and_div(space, fields["velocity"][:, :2].T)
+    assert np.array_equal(fields["vorticity"], curl)
+    assert np.array_equal(fields["divergence"], div)
     out = capsys.readouterr().out
     assert "u_L2" in out
 

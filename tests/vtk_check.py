@@ -1,63 +1,66 @@
-"""Minimal legacy-VTK reader used only to validate writer output structurally,
+"""Minimal legacy binary VTK reader used to validate writer output structurally,
 and a per-value reference writer to compare the package's writer against."""
+
+import struct
+from pathlib import Path
 
 import numpy as np
 
-
 def read_legacy_vtk(path):
-    with open(path) as f:
-        lines = [ln.rstrip("\n") for ln in f]
-    assert lines[0].startswith("# vtk DataFile Version"), "missing VTK header"
-    title = lines[1]
-    assert lines[2] == "ASCII"
-    assert lines[3] == "DATASET UNSTRUCTURED_GRID"
-    i = 4
-    assert lines[i].startswith("POINTS ")
-    n_points = int(lines[i].split()[1])
-    i += 1
-    points = np.array([[float(v) for v in lines[i + j].split()] for j in range(n_points)])
-    assert points.shape == (n_points, 3)
-    i += n_points
-    assert lines[i].startswith("CELLS ")
-    n_cells, total = int(lines[i].split()[1]), int(lines[i].split()[2])
-    i += 1
-    cells = []
-    for j in range(n_cells):
-        toks = [int(v) for v in lines[i + j].split()]
-        assert toks[0] == len(toks) - 1
-        assert all(0 <= v < n_points for v in toks[1:])
-        cells.append(toks[1:])
-    assert sum(len(c) + 1 for c in cells) == total
-    i += n_cells
-    assert lines[i].startswith("CELL_TYPES ")
-    assert int(lines[i].split()[1]) == n_cells
-    i += 1
-    cell_types = [int(lines[i + j]) for j in range(n_cells)]
-    i += n_cells
+    data = Path(path).read_bytes()
+    pos = 0
+
+    def line():
+        nonlocal pos
+        end = data.find(b"\n", pos)
+        assert end >= 0, f"unterminated line at byte {pos}"
+        text = data[pos:end].decode()
+        pos = end + 1
+        return text
+
+    def block(count, dtype):
+        nonlocal pos
+        size = count * np.dtype(dtype).itemsize
+        assert pos + size + 1 <= len(data), f"truncated block at byte {pos}"
+        values = np.frombuffer(data, dtype, count, pos).astype(np.dtype(dtype).newbyteorder("="))
+        assert data[pos + size : pos + size + 1] == b"\n", "block not followed by a newline"
+        pos += size + 1
+        return values
+
+    assert line().startswith("# vtk DataFile Version"), "missing VTK header"
+    title = line()
+    assert line() == "BINARY"
+    assert line() == "DATASET UNSTRUCTURED_GRID"
+    toks = line().split()
+    assert toks[0] == "POINTS" and toks[2:] == ["double"]
+    n_points = int(toks[1])
+    points = block(3 * n_points, ">f8").reshape(n_points, 3)
+    toks = line().split()
+    assert toks[0] == "CELLS" and len(toks) == 3
+    n_cells, total = int(toks[1]), int(toks[2])
+    assert total == 5 * n_cells, "quad rows have 5 values"
+    rows = block(total, ">i4").reshape(n_cells, 5)
+    assert np.all(rows[:, 0] == 4)
+    cells = rows[:, 1:]
+    assert np.all((0 <= cells) & (cells < n_points))
+    toks = line().split()
+    assert toks == ["CELL_TYPES", str(n_cells)]
+    cell_types = block(n_cells, ">i4")
     point_data = {}
-    if i < len(lines) and lines[i].startswith("POINT_DATA"):
-        assert int(lines[i].split()[1]) == n_points
-        i += 1
-        while i < len(lines):
-            if lines[i].startswith("VECTORS"):
-                name = lines[i].split()[1]
-                i += 1
-                arr = np.array(
-                    [[float(v) for v in lines[i + j].split()] for j in range(n_points)]
-                )
-                point_data[name] = arr
-                i += n_points
-            elif lines[i].startswith("SCALARS"):
-                name = lines[i].split()[1]
-                assert lines[i + 1].startswith("LOOKUP_TABLE")
-                i += 2
-                arr = np.array([float(lines[i + j]) for j in range(n_points)])
-                point_data[name] = arr
-                i += n_points
-            elif not lines[i].strip():
-                i += 1
-            else:
-                raise AssertionError(f"unexpected VTK line: {lines[i]!r}")
+    if pos < len(data):
+        toks = line().split()
+        assert toks == ["POINT_DATA", str(n_points)]
+    while pos < len(data):
+        toks = line().split()
+        if toks[:1] == ["VECTORS"]:
+            assert toks[2:] == ["double"]
+            point_data[toks[1]] = block(3 * n_points, ">f8").reshape(n_points, 3)
+        elif toks[:1] == ["SCALARS"]:
+            assert toks[2:] == ["double"]
+            assert line() == "LOOKUP_TABLE default"
+            point_data[toks[1]] = block(n_points, ">f8")
+        else:
+            raise AssertionError(f"unexpected VTK line: {' '.join(toks)!r}")
     return {
         "title": title,
         "points": points,
@@ -83,40 +86,49 @@ def _subcell_connectivity_loop(space):
 
 
 def write_vtk_per_value(space, path, velocity=None, pressure=None, title="fields"):
-    """Reference VTK writer: the connectivity by nested loops and one write per value."""
+    """Reference VTK writer: the connectivity by nested loops and one
+    ``struct.pack`` per value."""
     from gepup.output import nodal_curl_and_div
 
     pts = space.support_points
     n = space.n_dofs
     cells = _subcell_connectivity_loop(space)
-    with open(path, "w") as f:
-        f.write("# vtk DataFile Version 2.0\n")
-        f.write(f"{title}\n")
-        f.write("ASCII\n")
-        f.write("DATASET UNSTRUCTURED_GRID\n")
-        f.write(f"POINTS {n} double\n")
-        for x, y in pts:
-            f.write(f"{x:.16g} {y:.16g} 0\n")
-        f.write(f"CELLS {len(cells)} {5 * len(cells)}\n")
-        for quad in cells:
-            f.write("4 " + " ".join(str(v) for v in quad) + "\n")
-        f.write(f"CELL_TYPES {len(cells)}\n")
-        f.write("9\n" * len(cells))
+    with open(path, "wb") as f:
 
-        f.write(f"POINT_DATA {n}\n")
+        def text(s):
+            f.write(s.encode())
+
+        def doubles(values):
+            for v in values:
+                f.write(struct.pack(">d", v))
+            text("\n")
+
+        text("# vtk DataFile Version 2.0\n")
+        text(f"{title}\n")
+        text("BINARY\n")
+        text("DATASET UNSTRUCTURED_GRID\n")
+        text(f"POINTS {n} double\n")
+        doubles(v for x, y in pts for v in (x, y, 0.0))
+        text(f"CELLS {len(cells)} {5 * len(cells)}\n")
+        for quad in cells:
+            for v in (4, *quad):
+                f.write(struct.pack(">i", v))
+        text("\n")
+        text(f"CELL_TYPES {len(cells)}\n")
+        for _ in cells:
+            f.write(struct.pack(">i", 9))
+        text("\n")
+
+        text(f"POINT_DATA {n}\n")
         if velocity is not None:
-            f.write("VECTORS velocity double\n")
-            for vx, vy in zip(velocity[0], velocity[1]):
-                f.write(f"{vx:.16g} {vy:.16g} 0\n")
+            text("VECTORS velocity double\n")
+            doubles(v for vx, vy in zip(velocity[0], velocity[1]) for v in (vx, vy, 0.0))
         if pressure is not None:
-            f.write("SCALARS pressure double\nLOOKUP_TABLE default\n")
-            for q in pressure:
-                f.write(f"{q:.16g}\n")
+            text("SCALARS pressure double\nLOOKUP_TABLE default\n")
+            doubles(pressure)
         if velocity is not None:
             curl, div = nodal_curl_and_div(space, velocity)
-            f.write("SCALARS vorticity double\nLOOKUP_TABLE default\n")
-            for w in curl:
-                f.write(f"{w:.16g}\n")
-            f.write("SCALARS divergence double\nLOOKUP_TABLE default\n")
-            for d in div:
-                f.write(f"{d:.16g}\n")
+            text("SCALARS vorticity double\nLOOKUP_TABLE default\n")
+            doubles(curl)
+            text("SCALARS divergence double\nLOOKUP_TABLE default\n")
+            doubles(div)

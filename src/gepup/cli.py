@@ -7,6 +7,7 @@ solver failures.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -56,19 +57,23 @@ class RunConfig:
             raise UsageError(f"--degree: must be in 1..{MAX_DEGREE}, got {self.degree}")
         if self.level < 0:
             raise UsageError(f"--level: must be nonnegative, got {self.level}")
+        if not math.isfinite(self.t0):
+            raise UsageError(f"--t0: must be finite, got {self.t0}")
+        if not math.isfinite(self.t_end):
+            raise UsageError(f"--t-end: must be finite, got {self.t_end}")
         if self.t_end < self.t0:
             raise UsageError(f"--t-end: {self.t_end} precedes --t0 {self.t0}")
-        if self.re <= 0:
+        if not self.re > 0:
             raise UsageError(f"--re: must be positive, got {self.re}")
         if self.integrator not in TABLEAU_IDS:
             raise UsageError(
                 f"--integrator: unknown id {self.integrator!r}; choose from {', '.join(TABLEAU_IDS)}"
             )
-        if self.courant <= 0:
-            raise UsageError(f"--courant: must be positive, got {self.courant}")
+        if not 0 < self.courant < math.inf:
+            raise UsageError(f"--courant: must be positive and finite, got {self.courant}")
         if self.base < 1:
             raise UsageError(f"--base: must be at least 1, got {self.base}")
-        if self.rel_tol <= 0 or self.rel_tol >= 1:
+        if not 0 < self.rel_tol < 1:
             raise UsageError(f"--rel-tol: must lie in (0, 1), got {self.rel_tol}")
         if self.snapshot_interval < 0:
             raise UsageError(f"--snapshot-interval: must be nonnegative, got {self.snapshot_interval}")
@@ -162,11 +167,17 @@ def _cmd_run(config: RunConfig) -> int:
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
+    def snapshot_due(step):
+        return config.snapshot_interval and step % config.snapshot_interval == 0
+
+    def snapshot_path(step):
+        return outdir / f"{config.case}-step{step:06d}.vtk"
+
     def on_step(step, state, ops):
-        if config.snapshot_interval and step % config.snapshot_interval == 0:
+        if snapshot_due(step):
             write_vtk(
                 ops.space,
-                outdir / f"{config.case}-step{step:06d}.vtk",
+                snapshot_path(step),
                 velocity=state.U,
                 pressure=state.Q,
                 title=f"{config.case} t={state.t:.6g}",
@@ -183,13 +194,17 @@ def _cmd_run(config: RunConfig) -> int:
         on_step=on_step,
     )
     write_monitor_csv(result.monitors, outdir / f"{config.case}-monitors.csv")
-    write_vtk(
-        result.ops.space,
-        outdir / f"{config.case}-final.vtk",
-        velocity=result.state.U,
-        pressure=result.state.Q,
-        title=f"{config.case} t={result.state.t:.6g}",
-    )
+    final = outdir / f"{config.case}-final.vtk"
+    if snapshot_due(result.steps):  # the last step's snapshot holds the final state: write it once
+        snapshot_path(result.steps).replace(final)
+    else:
+        write_vtk(
+            result.ops.space,
+            final,
+            velocity=result.state.U,
+            pressure=result.state.Q,
+            title=f"{config.case} t={result.state.t:.6g}",
+        )
     print(f"{config.case}: {result.steps} steps to t = {result.state.t:g}")
     last = result.monitors[-1]
     print(f"  div_l2 = {last['div_l2']:.3e}, kinetic energy = {last['kinetic_energy']:.6e}")

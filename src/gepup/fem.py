@@ -11,10 +11,15 @@ along one axis of the grid (1D mass, stiffness and derivative factors,
 support coordinates, Gauss points), and a ``FeSpace`` is the product of its
 two axes, whose element dofs, support and quadrature points and element
 tables are Kronecker products of the 1D ones (sum factorization, Orszag,
-J. Comput. Phys. 37, 1980).  The module also holds the element quadrature
-loads of the nonlinear term, nodal interpolation and error norms.  The
-global matrices are never assembled: ``tensorops`` applies them, and the
-boundary loads, as products on the axes.
+J. Comput. Phys. 37, 1980).  The axis also owns what the solver derives
+from its factors: the generalized eigenpairs of its full and interior
+blocks, the dense M^{-1} C and C^T.  The package builds every axis through
+the cached factory ``axis_1d``, so the two axes of a square grid are one
+object and a later space on the same grid reuses its eigenpairs and dense
+factors; everything an axis holds is read-only.  The module also holds the
+element quadrature loads of the nonlinear term, nodal interpolation and
+error norms.  The global matrices are never assembled: ``tensorops``
+applies them, and the boundary loads, as products on the axes.
 
 Vector fields are represented as one coefficient array per component; all
 components share the scalar space.
@@ -27,12 +32,16 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
+
+from .linsolve import eigenpairs
 
 __all__ = [
     "RectDomain",
     "UNIT_SQUARE",
     "Axis",
+    "axis_1d",
     "FeSpace",
     "shape_eval",
     "build_space",
@@ -148,6 +157,13 @@ def shape_eval(degree: int, point) -> tuple[np.ndarray, np.ndarray]:
     return phi[0], dphi[0]
 
 
+def _frozen(a):
+    """``a`` made read-only: an ndarray, or a CSR matrix's data, indices and indptr."""
+    for b in (a.data, a.indices, a.indptr) if sp.issparse(a) else (a,):
+        b.flags.writeable = False
+    return a
+
+
 class Axis:
     """One axis of the grid: ``n_cells`` uniform cells of width ``h`` = length / n_cells
     from ``origin``, degree k.
@@ -158,7 +174,13 @@ class Axis:
     (n_cells, k+2), with the weighted basis values that turn samples there
     into a 1D load (``load``); and the basis derivatives at the two ends,
     ``d0`` and ``d1``, so that d0 @ c is the end derivative of the 1D field
-    with coefficients c.
+    with coefficients c.  The solver's 1D quantities are computed on first
+    use and kept: ``interior`` (the M and K blocks without the two end
+    dofs), the generalized eigenpairs ``eig`` and ``interior_eig`` of the
+    full and interior (K, M) blocks (``linsolve.eigenpairs``), the dense
+    ``D`` = M^{-1} C and ``CT`` = C^T as CSR.  Every array, CSR arrays
+    included, is read-only, because ``axis_1d`` shares one axis between
+    every space on the same grid.
     """
 
     def __init__(self, n_cells: int, length: float, degree: int, origin: float = 0.0):
@@ -193,6 +215,36 @@ class Axis:
         self.d0[: k + 1] = b.node_ders[0] / h
         self.d1 = np.zeros(self.n)
         self.d1[-(k + 1):] = b.node_ders[-1] / h
+        for a in (self.cell_dofs, self.nodes, self.points, self.weighted_basis, self.M, self.K, self.C, self.d0, self.d1):
+            _frozen(a)
+
+    @functools.cached_property
+    def interior(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        """M and K without their first and last rows and columns (the Dirichlet-eliminated block)."""
+        return _frozen(self.M[1:-1, 1:-1]), _frozen(self.K[1:-1, 1:-1])
+
+    @functools.cached_property
+    def eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lam, S) with K S = M S diag(lam), S^T M S = I, lam ascending."""
+        lam, S = eigenpairs(self.K, self.M)
+        return _frozen(lam), _frozen(S)
+
+    @functools.cached_property
+    def interior_eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs of ``eig`` for the ``interior`` block."""
+        M, K = self.interior
+        lam, S = eigenpairs(K, M)
+        return _frozen(lam), _frozen(S)
+
+    @functools.cached_property
+    def D(self) -> np.ndarray:
+        """The dense M^{-1} C, by a Cholesky solve of the mass factor."""
+        return _frozen(scipy.linalg.cho_solve(scipy.linalg.cho_factor(self.M.toarray()), self.C.toarray()))
+
+    @functools.cached_property
+    def CT(self) -> sp.csr_matrix:
+        """C^T as CSR."""
+        return _frozen(sp.csr_matrix(self.C.T))
 
     def load(self, values) -> np.ndarray:
         """1D load sum_q w_q v(x_q) phi_i(x_q) from samples v at ``points``."""
@@ -201,12 +253,25 @@ class Axis:
         return np.bincount(self.cell_dofs.ravel(), weights=contrib.ravel(), minlength=self.n)
 
 
+@functools.lru_cache(maxsize=8)
+def axis_1d(n_cells: int, length: float, degree: int, origin: float) -> Axis:
+    """The shared ``Axis`` of one key, built once.
+
+    A bounded LRU cache holds the last few axes: enough for the x and y axes
+    of a rectangle, the flux check's panels and the grids of a convergence
+    study, so that the two axes of a square grid, and every later space on
+    the same grid, share one axis and its eigenpairs.
+    """
+    return Axis(n_cells, length, degree, origin)
+
+
 class FeSpace:
     """Scalar continuous Lagrange space of degree k on ``domain`` cut into
     ``cells`` = (nx, ny) equal cells.
 
-    Built from its two axes, ``axes`` = (x, y) ``Axis``: the global mass
-    and stiffness matrices are My (x) Mx and My (x) Kx + Ky (x) Mx.  Element
+    Built from its two axes, ``axes`` = (x, y) ``Axis`` from ``axis_1d``
+    (one object when the two keys agree): the global mass and stiffness
+    matrices are My (x) Mx and My (x) Kx + Ky (x) Mx.  Element
     e = j*nx + i has the dofs ay.cell_dofs[j] (x) ax.cell_dofs[i] in local
     order, the support points are the grid of the axes' ``nodes`` and the
     quadrature points the grid of their Gauss ``points``.  ``h_max`` is the
@@ -225,7 +290,7 @@ class FeSpace:
         self.degree = degree
         b = basis_1d(degree)
         (nx, ny), (ox, oy), (lx, ly) = cells, domain.origin, domain.extent
-        self.axes = ax, ay = Axis(nx, lx, degree, ox), Axis(ny, ly, degree, oy)
+        self.axes = ax, ay = axis_1d(nx, lx, degree, ox), axis_1d(ny, ly, degree, oy)
         self.h_max = max(ax.h, ay.h)
         self.ndof_x, self.ndof_y = ax.n, ay.n
         self.n_dofs = ax.n * ay.n

@@ -14,6 +14,7 @@ over their canonical form; ``load_tableau`` refuses corrupted data and
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -315,8 +316,12 @@ class StepperConfig:
     dt_max: float = 1.0
 
     def __post_init__(self):
-        if self.courant <= 0:
-            raise ValueError(f"Courant number must be positive, got {self.courant}")
+        if not 0 < self.courant < math.inf:
+            raise ValueError(f"courant: the Courant number must be positive and finite, got {self.courant}")
+        if not 0 < self.rel_tol < 1:
+            raise ValueError(f"rel_tol: must lie in (0, 1), got {self.rel_tol}")
+        if not self.dt_max > 0:
+            raise ValueError(f"dt_max: must be positive, got {self.dt_max}")
 
 
 SPEED_FLOOR = 1e-12  # below this sampled speed the flow counts as at rest

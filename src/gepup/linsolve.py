@@ -8,9 +8,12 @@ axis diagonalize it exactly (Lynch, Rice & Thomas, Numer. Math. 6, 1964):
     (alpha M + beta A)^{-1} = S diag(1 / (alpha + beta (lam_y_i + lam_x_j))) S^T,
 
 with S = Sy (x) Sx.  One solve is therefore four dense matmuls on the
-(ndof_y, ndof_x) coefficient array and an elementwise scale.  Every solve
-is followed by a normwise backward-error check, so that a wrong or
-non-finite result raises instead of propagating.
+(ndof_y, ndof_x) coefficient array and an elementwise scale.  The 1D pairs
+come from ``eigenpairs``, the package's one ``scipy.linalg.eigh`` call; each
+``fem.Axis`` computes them once for its full and interior blocks and keeps
+them, so a ``FastDiagonalization`` only combines the pairs of two axes into
+its own 2D spectrum.  Every solve is followed by a normwise backward-error
+check, so that a wrong or non-finite result raises instead of propagating.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-__all__ = ["SolverError", "FastDiagonalization", "check_backward_error"]
+__all__ = ["SolverError", "eigenpairs", "FastDiagonalization", "check_backward_error"]
 
 
 class SolverError(Exception):
@@ -49,19 +52,28 @@ class SolverError(Exception):
         return f"{', '.join(where)}: {self.reason}" if where else self.reason
 
 
-class FastDiagonalization:
-    """Generalized eigenpairs of the 1D (stiffness, mass) factors of one grid.
+def eigenpairs(K, M) -> tuple[np.ndarray, np.ndarray]:
+    """Generalized eigenpairs (lam, S) of a 1D stiffness factor K and mass factor M:
+    K S = M S diag(lam), S^T M S = I, lam ascending.  Sparse factors are
+    made dense first."""
+    K, M = (F.toarray() if sp.issparse(F) else np.asarray(F, dtype=float) for F in (K, M))
+    return scipy.linalg.eigh(K, M)
 
-    ``factors`` is (Mx, Kx, My, Ky).  ``lam`` holds the eigenvalues of A
-    relative to M on the (ndof_y, ndof_x) grid, in ascending order along
-    each axis.  ``neumann_scale`` is the pseudo-inverse of that spectrum
-    for a pure-Neumann A, whose nullspace, the constants, is the first mode.
+
+class FastDiagonalization:
+    """The 2D fast-diagonalization solver of one grid from the 1D eigenpairs of its axes.
+
+    ``x_pairs`` and ``y_pairs`` are (lam, S) from ``eigenpairs`` of the x
+    and y (stiffness, mass) factors; S is only read.  ``lam`` holds the
+    eigenvalues of A relative to M on the (ndof_y, ndof_x) grid, in
+    ascending order along each axis.  ``neumann_scale`` is the
+    pseudo-inverse of that spectrum for a pure-Neumann A, whose nullspace,
+    the constants, is the first mode.  Both are this object's own.
     """
 
-    def __init__(self, factors):
-        Mx, Kx, My, Ky = (F.toarray() if sp.issparse(F) else np.asarray(F, dtype=float) for F in factors)
-        lam_x, self.Sx = scipy.linalg.eigh(Kx, Mx)
-        lam_y, self.Sy = scipy.linalg.eigh(Ky, My)
+    def __init__(self, x_pairs, y_pairs):
+        lam_x, self.Sx = x_pairs
+        lam_y, self.Sy = y_pairs
         self.lam = lam_y[:, None] + lam_x[None, :]
         self.neumann_scale = np.zeros_like(self.lam)
         self.neumann_scale.flat[1:] = 1.0 / self.lam.flat[1:]

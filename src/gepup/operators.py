@@ -72,9 +72,10 @@ def check_boundary_compatibility(case: CaseDefinition, times=(0.0,)):
     """Verify the net boundary flux of g vanishes (solvability of the potential solve).
 
     Sums the boundary load of g on ``FLUX_PANELS`` Q4 cells per side, a
-    composite 6-point Gauss rule independent of any mesh.  A NaN flux fails.
+    composite 6-point Gauss rule independent of any mesh, on the cached
+    axes of ``fem.axis_1d``.  A NaN flux fails.
     """
-    axes = [fem.Axis(FLUX_PANELS, length, 4, origin) for origin, length in zip(case.domain.origin, case.domain.extent)]
+    axes = [fem.axis_1d(FLUX_PANELS, length, 4, origin) for origin, length in zip(case.domain.origin, case.domain.extent)]
     for t in times:
         flux = float(tensorops.boundary_normal_load(axes, case.g, t).sum())
         if not abs(flux) <= FLUX_TOL:
@@ -144,10 +145,12 @@ class GepupOperators:
     columns.  Only the nonlinear load f - u . grad u is integrated by
     element quadrature, once per velocity field, with the space's physical
     element tables.  Every 2D solve goes through the generalized
-    eigenpairs of the same factors, built once here: the full (Neumann)
-    pairs for the Poisson solves and the end-of-step mass solve, the
-    interior pairs for the Dirichlet-eliminated momentum solve.  The
-    projection's mass solves are 1D, the dense factors M^{-1} C of ``grad``.
+    eigenpairs of the same factors, which each axis computes once and keeps
+    (``fem.Axis``); only their 2D spectra and scales are built here: the
+    full (Neumann) pairs for the Poisson solves and the end-of-step mass
+    solve, the interior pairs for the Dirichlet-eliminated momentum solve.
+    The projection's mass solves are 1D, the axes' dense factors M^{-1} C
+    (``grad``).
     ``residuals`` holds the largest backward error of each solve class since
     the last ``reset_residuals``; the "mass" class covers the projection's
     1D mass solves and the end-of-step solve.
@@ -168,15 +171,13 @@ class GepupOperators:
         self.convection = convection
 
         ax, ay = self.space.axes
-        self.factors = (ax.M, ax.K, ay.M, ay.K)
-        self.interior_factors = tuple(F[1:-1, 1:-1] for F in self.factors)
-        self.fast_M = TensorOperator(self.factors, 1.0, 0.0)
+        self.fast_M = TensorOperator((ax.M, ax.K, ay.M, ay.K), 1.0, 0.0)
         self.fast_A = self.fast_M.with_coefficients(0.0, 1.0)
-        self.interior_M = TensorOperator(self.interior_factors, 1.0, 0.0)
+        self.interior_M = TensorOperator((*ax.interior, *ay.interior), 1.0, 0.0)
         self.grad = TensorGradient(self.space.axes)
         self.mass_weights = self.fast_M @ np.ones(self.space.n_dofs)
-        self.eig = FastDiagonalization(self.factors)
-        self.interior_eig = FastDiagonalization(self.interior_factors)
+        self.eig = FastDiagonalization(ax.eig, ay.eig)
+        self.interior_eig = FastDiagonalization(ax.interior_eig, ay.interior_eig)
         self.residuals = dict.fromkeys(SOLVE_CLASSES, 0.0)
 
     def reset_residuals(self):

@@ -24,7 +24,6 @@ from __future__ import annotations
 import copy
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 __all__ = [
@@ -124,11 +123,6 @@ class TensorOperator:
         return (self.My @ (self.alpha * P1 + self.beta * P2) + self.beta * (self.Ky @ P1)).ravel()
 
 
-def _mass_solved(M: sp.csr_matrix, C: sp.csr_matrix) -> np.ndarray:
-    """The dense 1D factor M^{-1} C, by a Cholesky solve of the 1D mass factor."""
-    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(M.toarray()), C.toarray())
-
-
 class TensorGradient:
     """Loads of partial derivatives through the 1D factors of the axes (x, y).
 
@@ -138,16 +132,15 @@ class TensorGradient:
     every product of two basis functions and a derivative exactly.
     ``l2_projection(q, d)`` is M^{-1} (dq/dx_d, eta_i): with M = My (x) Mx
     the 2D mass solve cancels against the mass factor of the load, leaving
-    the dense 1D factors Dx = Mx^{-1} Cx and Dy = My^{-1} Cy, built once.
+    the dense 1D factors Dx = Mx^{-1} Cx and Dy = My^{-1} Cy.  Those and the
+    transposed derivative factors are the axes' own (``Axis.D``, ``Axis.CT``).
     """
 
     def __init__(self, axes):
         ax, ay = axes
         self.Mx, self.Cx, self.My, self.Cy = ax.M, ax.C, ay.M, ay.C
-        self.CxT = sp.csr_matrix(self.Cx.T)
-        self.CyT = sp.csr_matrix(self.Cy.T)
-        self.Dx = _mass_solved(self.Mx, self.Cx)
-        self.Dy = _mass_solved(self.My, self.Cy)
+        self.CxT, self.CyT = ax.CT, ay.CT
+        self.Dx, self.Dy = ax.D, ay.D
         self.grid = (self.My.shape[0], self.Mx.shape[0])
 
     def apply(self, q: np.ndarray, d: int) -> np.ndarray:

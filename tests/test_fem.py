@@ -11,7 +11,7 @@ from gepup import (
     interpolate,
     shape_eval,
 )
-from gepup.fem import basis_1d, lagrange_1d
+from gepup.fem import axis_1d, basis_1d, lagrange_1d
 from fem_oracle import assemble_mass, assemble_stiffness, exact_global_matrices, permutation_to_space
 
 
@@ -374,3 +374,61 @@ def test_space_geometry_and_tables_come_from_the_axes(k):
     assert np.array_equal(space.wdet, np.outer(b.weights, b.weights).ravel() * (h[0] * h[1]))
     for table in (space.quad_phi, space.quad_dx, space.quad_dy, space.node_dx, space.node_dy):
         assert table.flags.c_contiguous
+
+
+# ---- the shared axes ---------------------------------------------------------------
+
+
+def test_axis_factory_gives_one_axis_per_key():
+    axis = axis_1d(6, 1.5, 3, 0.25)
+    assert axis_1d(6, 1.5, 3, 0.25) is axis
+    for other in ((6, 1.5, 2, 0.25), (5, 1.5, 3, 0.25), (6, 2.0, 3, 0.25), (6, 1.5, 3, 0.0)):
+        assert axis_1d(*other) is not axis
+
+
+def test_square_grid_shares_one_axis_and_a_rectangle_has_two():
+    square = build_space(UNIT_SQUARE, (8, 8), 2)
+    assert square.axes[0] is square.axes[1]
+    assert build_space(UNIT_SQUARE, (8, 8), 2).axes[0] is square.axes[0]
+    rectangle = build_space(UNIT_SQUARE, (8, 4), 2)
+    assert rectangle.axes[0] is not rectangle.axes[1]
+    assert rectangle.axes[0] is square.axes[0]
+
+
+CACHED_ARRAYS = {
+    "eig.S": lambda axis: axis.eig[1],
+    "eig.lam": lambda axis: axis.eig[0],
+    "interior_eig.S": lambda axis: axis.interior_eig[1],
+    "D": lambda axis: axis.D,
+    "M.data": lambda axis: axis.M.data,
+    "K.data": lambda axis: axis.K.data,
+    "C.indices": lambda axis: axis.C.indices,
+    "CT.data": lambda axis: axis.CT.data,
+    "interior.K.indptr": lambda axis: axis.interior[1].indptr,
+    "nodes": lambda axis: axis.nodes,
+}
+
+
+@pytest.mark.parametrize("name", CACHED_ARRAYS)
+def test_cached_axis_arrays_are_read_only(name):
+    # writes that keep every value, so that one that got through corrupts no shared axis
+    array = CACHED_ARRAYS[name](build_space(UNIT_SQUARE, (4, 4), 3).axes[0])
+    with pytest.raises(ValueError, match="read-only"):
+        array *= 1
+    with pytest.raises(ValueError, match="read-only"):
+        array[0] = array[0]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("block", ["full", "interior"])
+def test_axis_eigenpairs_diagonalize_its_factors(k, block):
+    axis = axis_1d(6, 1.5, k, 0.25)
+    (M, K), (lam, S) = ((axis.M, axis.K), axis.eig) if block == "full" else (axis.interior, axis.interior_eig)
+    M, K = M.toarray(), K.toarray()
+    assert len(lam) == len(M)
+    assert np.all(np.diff(lam) >= 0.0)
+    # residuals relative to the sizes of the two products, column by column
+    KS, MS = K @ S, M @ S
+    scale = np.linalg.norm(K, 2) + np.abs(lam) * np.linalg.norm(M, 2)
+    assert np.all(np.abs(KS - MS * lam).max(axis=0) <= 1e-12 * scale * np.abs(S).max(axis=0))
+    assert np.abs(S.T @ MS - np.eye(len(lam))).max() <= 1e-12

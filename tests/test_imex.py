@@ -13,7 +13,8 @@ from gepup import (
     error_norms,
     validate_tableau,
 )
-from gepup.imex import advance_step, courant_dt
+from gepup.fem import axis_1d
+from gepup.imex import StepperConfig, advance_step, courant_dt
 from gepup.linsolve import FastDiagonalization
 from gepup.tensorops import TensorOperator
 from gepup.operators import CaseDefinition, GepupOperators, GepupState
@@ -278,6 +279,47 @@ def test_work_per_step(monkeypatch, tableau, fdm_applies, matvecs, mass_checks):
     monkeypatch.setattr(GepupOperators, "record_solve", counted("mass", GepupOperators.record_solve, "mass"))
     advance_step(state, 0.01, load_tableau(tableau), case, ops)
     assert counts == {"fdm": fdm_applies, "matvec": matvecs, "mass": mass_checks}
+
+
+@pytest.mark.parametrize("cells, cold_eigh, cold_mass_solves", [((8, 8), 2, 1), ((8, 4), 4, 2)])
+def test_setup_work_per_operator(monkeypatch, cells, cold_eigh, cold_mass_solves):
+    # each distinct axis computes the eigenpairs of its full and interior
+    # blocks and its dense M^{-1} C once; the two axes of a square grid are
+    # one, and a later operator on the same grid computes none of them
+    counts = {"eigh": 0, "cho_solve": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counted("eigh", scipy.linalg.eigh))
+    monkeypatch.setattr(scipy.linalg, "cho_solve", counted("cho_solve", scipy.linalg.cho_solve))
+    axis_1d.cache_clear()
+    GepupOperators(UNIT_SQUARE, cells, 2)
+    assert counts == {"eigh": cold_eigh, "cho_solve": cold_mass_solves}
+    GepupOperators(UNIT_SQUARE, cells, 2)
+    assert counts == {"eigh": cold_eigh, "cho_solve": cold_mass_solves}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("courant", float("nan")),
+        ("courant", 0.0),
+        ("courant", float("inf")),
+        ("rel_tol", float("nan")),
+        ("rel_tol", 0.0),
+        ("rel_tol", 1.0),
+        ("dt_max", float("nan")),
+        ("dt_max", 0.0),
+        ("dt_max", -1.0),
+    ],
+)
+def test_stepper_config_rejects_invalid_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        StepperConfig(**{field: value})
 
 
 def test_kinetic_energy_decays_without_forcing():

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from gepup import RectDomain, SolverError, UNIT_SQUARE
-from gepup.linsolve import FastDiagonalization, check_backward_error
+from gepup.linsolve import FastDiagonalization, check_backward_error, eigenpairs
 from gepup.operators import GepupOperators
 from fem_oracle import assemble_mass, assemble_stiffness
 
@@ -52,7 +52,7 @@ PATH_LAPLACIAN = [[1, -1, 0], [-1, 2, -1], [0, -1, 1]]
 
 def one_axis_solver(M, K):
     # a 1 x n tensor grid whose y factors (My = 1, Ky = 0) make the grid's M, A the given M, K
-    return FastDiagonalization((M, K, np.eye(1), np.zeros((1, 1))))
+    return FastDiagonalization(eigenpairs(K, M), eigenpairs(np.zeros((1, 1)), np.eye(1)))
 
 
 def path_graph_solver():
@@ -170,6 +170,7 @@ def test_backward_error_check_catches_a_wrong_solve(rng):
     ops = GepupOperators(UNIT_SQUARE, (4, 4), 3)
     b = rng.standard_normal(ops.space.n_dofs)
     ops.solve_poisson(b, "poisson_phi")
+    scale = ops.eig.neumann_scale.copy()
     ops.eig.neumann_scale = 2.0 * ops.eig.neumann_scale
     with pytest.raises(SolverError, match=r"poisson_phi solve: backward error \d"):
         ops.solve_poisson(b, "poisson_phi")
@@ -177,6 +178,12 @@ def test_backward_error_check_catches_a_wrong_solve(rng):
     mom.scale = mom.scale * (1.0 + 1e-9)
     with pytest.raises(SolverError, match="momentum"):
         mom.solve(b, np.zeros(len(ops.space.boundary_dofs)))
+    # the next operator shares the axes' eigenpairs, not this one's spectrum
+    fresh = GepupOperators(UNIT_SQUARE, (4, 4), 3)
+    assert fresh.eig.Sx is ops.eig.Sx
+    assert np.array_equal(fresh.eig.neumann_scale, scale)
+    fresh.solve_poisson(b, "poisson_phi")
+    fresh.momentum_operator(0.05).solve(b, np.zeros(len(ops.space.boundary_dofs)))
 
 
 def test_backward_error_is_normwise_relative():

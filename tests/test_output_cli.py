@@ -342,6 +342,45 @@ def test_cli_run_writes_outputs(tmp_path, capsys):
     assert "u_L2" in out
 
 
+def test_cli_run_writes_the_final_state_once(tmp_path):
+    # one step, and a snapshot every step: the last step's state is the final frame
+    code = main(
+        ["run", "--case", "lid-cavity", "--re", "100", "--degree", "3", "--level", "2",
+         "--t-end", "0.02", "--snapshot-interval", "1", "--outdir", str(tmp_path)]
+    )
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "lid-cavity-final.vtk",
+        "lid-cavity-monitors.csv",
+        "lid-cavity-step000000.vtk",
+    ]
+    with open(tmp_path / "lid-cavity-monitors.csv", newline="") as f:
+        assert [row["step"] for row in csv.DictReader(f)] == ["0", "1"]
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--courant", "nan"),
+        ("--courant", "inf"),
+        ("--courant", "0"),
+        ("--rel-tol", "nan"),
+        ("--rel-tol", "1"),
+        ("--re", "nan"),
+        ("--re", "-1"),
+        ("--t-end", "nan"),
+        ("--t-end", "inf"),
+        ("--t0", "nan"),
+    ],
+)
+def test_cli_rejects_nan_and_out_of_range_values(flag, value, capsys):
+    flags = TABLE1_FLAGS + [flag, value]
+    with pytest.raises(UsageError, match=flag):
+        parse_config(flags)
+    assert main(flags) == 1
+    assert "usage error" in capsys.readouterr().err
+
+
 def test_cli_converge_writes_csv(tmp_path):
     code = main(
         ["converge", "--case", "taylor-green", "--degree", "2", "--t-end", "0.0",

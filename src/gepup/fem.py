@@ -13,10 +13,9 @@ two axes, whose element dofs, support and quadrature points and element
 tables are Kronecker products of the 1D ones (sum factorization, Orszag,
 J. Comput. Phys. 37, 1980).  The axis also owns what the solver derives
 from its factors: the generalized eigenpairs of its full and interior
-blocks, the dense M^{-1} C and C^T.  The package builds every axis through
-the cached factory ``axis_1d``, so the two axes of a square grid are one
-object and a later space on the same grid reuses its eigenpairs and dense
-factors; everything an axis holds is read-only.  The module also holds the
+blocks, the dense M^{-1} C and C^T, each computed once, on first use.
+The two axes of a square grid are one object, so they compute all of it
+once; everything an axis holds is read-only.  The module also holds the
 element quadrature loads of the nonlinear term, nodal interpolation and
 error norms.  The global matrices are never assembled: ``tensorops``
 applies them, and the boundary loads, as products on the axes.
@@ -41,7 +40,6 @@ __all__ = [
     "RectDomain",
     "UNIT_SQUARE",
     "Axis",
-    "axis_1d",
     "FeSpace",
     "shape_eval",
     "build_space",
@@ -174,13 +172,14 @@ class Axis:
     (n_cells, k+2), with the weighted basis values that turn samples there
     into a 1D load (``load``); and the basis derivatives at the two ends,
     ``d0`` and ``d1``, so that d0 @ c is the end derivative of the 1D field
-    with coefficients c.  The solver's 1D quantities are computed on first
-    use and kept: ``interior`` (the M and K blocks without the two end
-    dofs), the generalized eigenpairs ``eig`` and ``interior_eig`` of the
-    full and interior (K, M) blocks (``linsolve.eigenpairs``), the dense
-    ``D`` = M^{-1} C and ``CT`` = C^T as CSR.  Every array, CSR arrays
-    included, is read-only, because ``axis_1d`` shares one axis between
-    every space on the same grid.
+    with coefficients c.  The factors and the solver's 1D quantities are
+    computed on first use and kept, so that an axis that only integrates
+    loads never assembles them: ``interior`` (the M and K blocks without
+    the two end dofs), the generalized eigenpairs ``eig`` and
+    ``interior_eig`` of the full and interior (K, M) blocks
+    (``linsolve.eigenpairs``), the dense ``D`` = M^{-1} C and ``CT`` = C^T
+    as CSR.  Every array, CSR arrays included, is read-only, because one
+    axis serves as both axes of a square grid.
     """
 
     def __init__(self, n_cells: int, length: float, degree: int, origin: float = 0.0):
@@ -198,25 +197,36 @@ class Axis:
         self.nodes[self.cell_dofs] = origin + (cells + b.nodes[None, :]) * h  # shared nodes agree exactly
         self.points = origin + (cells + b.points[None, :]) * h
         self.weighted_basis = (b.weights * h)[:, None] * b.vals
-
-        rows = np.repeat(self.cell_dofs, k + 1, axis=1).ravel()
-        cols = np.tile(self.cell_dofs, (1, k + 1)).ravel()
-
-        def assemble(local):
-            data = np.tile(local.ravel(), n_cells)
-            return sp.coo_matrix((data, (rows, cols)), shape=(self.n, self.n)).tocsr()
-
-        w, vals, ders = b.weights[:, None], b.vals, b.ders
-        self.M = assemble(vals.T @ (w * vals) * h)
-        self.K = assemble(ders.T @ (w * ders) / h)
-        self.C = assemble(vals.T @ (w * ders))
-
         self.d0 = np.zeros(self.n)
         self.d0[: k + 1] = b.node_ders[0] / h
         self.d1 = np.zeros(self.n)
         self.d1[-(k + 1):] = b.node_ders[-1] / h
-        for a in (self.cell_dofs, self.nodes, self.points, self.weighted_basis, self.M, self.K, self.C, self.d0, self.d1):
+        for a in (self.cell_dofs, self.nodes, self.points, self.weighted_basis, self.d0, self.d1):
             _frozen(a)
+        self._basis = b
+
+    def _assembled(self, local: np.ndarray) -> sp.csr_matrix:
+        """The 1D factor whose every cell block is the (k+1, k+1) ``local``."""
+        width = self.cell_dofs.shape[1]
+        rows = np.repeat(self.cell_dofs, width, axis=1).ravel()
+        cols = np.tile(self.cell_dofs, (1, width)).ravel()
+        data = np.tile(local.ravel(), self.n_cells)
+        return _frozen(sp.coo_matrix((data, (rows, cols)), shape=(self.n, self.n)).tocsr())
+
+    @functools.cached_property
+    def M(self) -> sp.csr_matrix:
+        b = self._basis
+        return self._assembled(b.vals.T @ (b.weights[:, None] * b.vals) * self.h)
+
+    @functools.cached_property
+    def K(self) -> sp.csr_matrix:
+        b = self._basis
+        return self._assembled(b.ders.T @ (b.weights[:, None] * b.ders) / self.h)
+
+    @functools.cached_property
+    def C(self) -> sp.csr_matrix:
+        b = self._basis
+        return self._assembled(b.vals.T @ (b.weights[:, None] * b.ders))
 
     @functools.cached_property
     def interior(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -253,24 +263,12 @@ class Axis:
         return np.bincount(self.cell_dofs.ravel(), weights=contrib.ravel(), minlength=self.n)
 
 
-@functools.lru_cache(maxsize=8)
-def axis_1d(n_cells: int, length: float, degree: int, origin: float) -> Axis:
-    """The shared ``Axis`` of one key, built once.
-
-    A bounded LRU cache holds the last few axes: enough for the x and y axes
-    of a rectangle, the flux check's panels and the grids of a convergence
-    study, so that the two axes of a square grid, and every later space on
-    the same grid, share one axis and its eigenpairs.
-    """
-    return Axis(n_cells, length, degree, origin)
-
-
 class FeSpace:
     """Scalar continuous Lagrange space of degree k on ``domain`` cut into
     ``cells`` = (nx, ny) equal cells.
 
-    Built from its two axes, ``axes`` = (x, y) ``Axis`` from ``axis_1d``
-    (one object when the two keys agree): the global mass and stiffness
+    Built from its two axes, ``axes`` = (x, y) ``Axis`` (one object when
+    the cell counts, lengths and origins agree): the global mass and stiffness
     matrices are My (x) Mx and My (x) Kx + Ky (x) Mx.  Element
     e = j*nx + i has the dofs ay.cell_dofs[j] (x) ax.cell_dofs[i] in local
     order, the support points are the grid of the axes' ``nodes`` and the
@@ -290,7 +288,9 @@ class FeSpace:
         self.degree = degree
         b = basis_1d(degree)
         (nx, ny), (ox, oy), (lx, ly) = cells, domain.origin, domain.extent
-        self.axes = ax, ay = axis_1d(nx, lx, degree, ox), axis_1d(ny, ly, degree, oy)
+        ax = Axis(nx, lx, degree, ox)
+        ay = ax if (ny, ly, oy) == (nx, lx, ox) else Axis(ny, ly, degree, oy)
+        self.axes = ax, ay
         self.h_max = max(ax.h, ay.h)
         self.ndof_x, self.ndof_y = ax.n, ay.n
         self.n_dofs = ax.n * ay.n

@@ -76,7 +76,7 @@ class FastDiagonalization:
         lam_y, self.Sy = y_pairs
         self.lam = lam_y[:, None] + lam_x[None, :]
         self.neumann_scale = np.zeros_like(self.lam)
-        self.neumann_scale.flat[1:] = 1.0 / self.lam.flat[1:]
+        self.neumann_scale.ravel()[1:] = 1.0 / self.lam.ravel()[1:]
 
     def apply(self, b: np.ndarray, scale) -> np.ndarray:
         """S diag(scale) S^T b for a row-major vector b over the grid."""

@@ -72,10 +72,9 @@ def check_boundary_compatibility(case: CaseDefinition, times=(0.0,)):
     """Verify the net boundary flux of g vanishes (solvability of the potential solve).
 
     Sums the boundary load of g on ``FLUX_PANELS`` Q4 cells per side, a
-    composite 6-point Gauss rule independent of any mesh, on the cached
-    axes of ``fem.axis_1d``.  A NaN flux fails.
+    composite 6-point Gauss rule independent of any mesh.  A NaN flux fails.
     """
-    axes = [fem.axis_1d(FLUX_PANELS, length, 4, origin) for origin, length in zip(case.domain.origin, case.domain.extent)]
+    axes = [fem.Axis(FLUX_PANELS, length, 4, origin) for origin, length in zip(case.domain.origin, case.domain.extent)]
     for t in times:
         flux = float(tensorops.boundary_normal_load(axes, case.g, t).sum())
         if not abs(flux) <= FLUX_TOL:
@@ -323,11 +322,8 @@ class GepupOperators:
 
     def initial_state(self, case: CaseDefinition, t0: float) -> GepupState:
         """Interpolate the initial velocity, project it, and prime the chain."""
-        V = [
-            fem.interpolate(self.space, lambda x, y, t, d=d: np.broadcast_to(
-                np.asarray(case.u0(x, y)[d], dtype=float), x.shape), t0)
-            for d in range(2)
-        ]
+        pts = self.space.support_points
+        V = [np.broadcast_to(np.asarray(v, dtype=float), pts[:, 0].shape) for v in case.u0(pts[:, 0], pts[:, 1])]
         U, Phi = self.leray_project(V, case, t0)
         W = [u.copy() for u in U]
         Q, conv = self.compute_pressure(U, case, t0)

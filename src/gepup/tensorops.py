@@ -70,8 +70,11 @@ def curl_boundary_load(axes, U) -> np.ndarray:
     return load
 
 
-def _abs_row_sums(F) -> np.ndarray:
-    return np.asarray(abs(F).sum(axis=1)).ravel()
+def _abs_row_sums(F: sp.csr_matrix) -> np.ndarray:
+    sums = np.zeros(F.shape[0])
+    rows = np.flatnonzero(np.diff(F.indptr))
+    sums[rows] = np.add.reduceat(np.abs(F.data), F.indptr[rows])
+    return sums
 
 
 def _times_transpose(X: np.ndarray, F: sp.csr_matrix) -> np.ndarray:

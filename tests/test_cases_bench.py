@@ -19,7 +19,7 @@ from gepup import (
 )
 from gepup.bench import ConvergenceTable, run_convergence, run_simulation
 from gepup.cases import vortex_u_theta
-from gepup.fem import axis_1d, basis_1d
+from gepup.fem import basis_1d
 from gepup.imex import StepperConfig, courant_dt
 
 
@@ -322,26 +322,20 @@ def test_final_step_lands_exactly_on_t_end():
     assert res.monitors[-1]["dt"] <= res.monitors[1]["dt"] + 1e-15
 
 
-def test_cached_axes_leave_results_bit_identical():
-    # cold (axes built by this run), warm (axes from the cache) and after the
-    # cache is cleared again: the same LAPACK calls on the same inputs
+def test_repeated_runs_are_bit_identical():
+    # a second run in the same process builds its own axes and reproduces
+    # the first exactly: no state is kept between simulations
     case = taylor_green_case(100.0)
 
     def run():
         return run_simulation(case, 3, 4, StepperConfig(), t_end=0.05)
 
-    axis_1d.cache_clear()
-    cold = run()
-    warm = run()
-    axis_1d.cache_clear()
-    cleared = run()
-    assert warm.ops.space.axes[0] is cold.ops.space.axes[0]
-    assert cleared.ops.space.axes[0] is not cold.ops.space.axes[0]
-    assert cold.steps > 1
-    for res in (warm, cleared):
-        for name in ("U", "W"):
-            for a, b in zip(getattr(res.state, name), getattr(cold.state, name)):
-                assert np.array_equal(a, b)
-        assert np.array_equal(res.state.Q, cold.state.Q)
-        assert np.array_equal(res.state.Phi, cold.state.Phi)
-        assert res.monitors == cold.monitors
+    first, second = run(), run()
+    assert second.ops.space.axes[0] is not first.ops.space.axes[0]
+    assert first.steps > 1
+    for name in ("U", "W"):
+        for a, b in zip(getattr(second.state, name), getattr(first.state, name)):
+            assert np.array_equal(a, b)
+    assert np.array_equal(second.state.Q, first.state.Q)
+    assert np.array_equal(second.state.Phi, first.state.Phi)
+    assert second.monitors == first.monitors

@@ -11,7 +11,7 @@ from gepup import (
     interpolate,
     shape_eval,
 )
-from gepup.fem import axis_1d, basis_1d, lagrange_1d
+from gepup.fem import Axis, basis_1d, lagrange_1d
 from fem_oracle import assemble_mass, assemble_stiffness, exact_global_matrices, permutation_to_space
 
 
@@ -376,26 +376,29 @@ def test_space_geometry_and_tables_come_from_the_axes(k):
         assert table.flags.c_contiguous
 
 
-# ---- the shared axes ---------------------------------------------------------------
-
-
-def test_axis_factory_gives_one_axis_per_key():
-    axis = axis_1d(6, 1.5, 3, 0.25)
-    assert axis_1d(6, 1.5, 3, 0.25) is axis
-    for other in ((6, 1.5, 2, 0.25), (5, 1.5, 3, 0.25), (6, 2.0, 3, 0.25), (6, 1.5, 3, 0.0)):
-        assert axis_1d(*other) is not axis
+# ---- the axes' own quantities -----------------------------------------------
 
 
 def test_square_grid_shares_one_axis_and_a_rectangle_has_two():
     square = build_space(UNIT_SQUARE, (8, 8), 2)
     assert square.axes[0] is square.axes[1]
-    assert build_space(UNIT_SQUARE, (8, 8), 2).axes[0] is square.axes[0]
+    # no process-wide cache: a second space on the same grid builds its own axis
+    assert build_space(UNIT_SQUARE, (8, 8), 2).axes[0] is not square.axes[0]
     rectangle = build_space(UNIT_SQUARE, (8, 4), 2)
     assert rectangle.axes[0] is not rectangle.axes[1]
-    assert rectangle.axes[0] is square.axes[0]
+    shifted = build_space(RectDomain((0.0, 0.5), (1.0, 1.0)), (8, 8), 2)
+    assert shifted.axes[0] is not shifted.axes[1]
 
 
-CACHED_ARRAYS = {
+def test_an_axis_that_only_integrates_loads_assembles_no_factor():
+    axis = Axis(6, 1.5, 3, 0.25)
+    axis.load(np.ones(axis.points.shape))
+    lazy = ("M", "K", "C", "interior", "eig", "interior_eig", "D", "CT")
+    assert not set(lazy) & set(vars(axis))
+    assert axis.M is axis.M
+
+
+AXIS_ARRAYS = {
     "eig.S": lambda axis: axis.eig[1],
     "eig.lam": lambda axis: axis.eig[0],
     "interior_eig.S": lambda axis: axis.interior_eig[1],
@@ -409,10 +412,11 @@ CACHED_ARRAYS = {
 }
 
 
-@pytest.mark.parametrize("name", CACHED_ARRAYS)
-def test_cached_axis_arrays_are_read_only(name):
-    # writes that keep every value, so that one that got through corrupts no shared axis
-    array = CACHED_ARRAYS[name](build_space(UNIT_SQUARE, (4, 4), 3).axes[0])
+@pytest.mark.parametrize("name", AXIS_ARRAYS)
+def test_axis_arrays_are_read_only(name):
+    # x and y of a square grid are one axis; writes that keep every value, so
+    # that one that got through corrupts nothing
+    array = AXIS_ARRAYS[name](build_space(UNIT_SQUARE, (4, 4), 3).axes[0])
     with pytest.raises(ValueError, match="read-only"):
         array *= 1
     with pytest.raises(ValueError, match="read-only"):
@@ -422,7 +426,7 @@ def test_cached_axis_arrays_are_read_only(name):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("block", ["full", "interior"])
 def test_axis_eigenpairs_diagonalize_its_factors(k, block):
-    axis = axis_1d(6, 1.5, k, 0.25)
+    axis = Axis(6, 1.5, k, 0.25)
     (M, K), (lam, S) = ((axis.M, axis.K), axis.eig) if block == "full" else (axis.interior, axis.interior_eig)
     M, K = M.toarray(), K.toarray()
     assert len(lam) == len(M)

@@ -13,7 +13,6 @@ from gepup import (
     error_norms,
     validate_tableau,
 )
-from gepup.fem import axis_1d
 from gepup.imex import StepperConfig, advance_step, courant_dt
 from gepup.linsolve import FastDiagonalization
 from gepup.tensorops import TensorOperator
@@ -281,11 +280,11 @@ def test_work_per_step(monkeypatch, tableau, fdm_applies, matvecs, mass_checks):
     assert counts == {"fdm": fdm_applies, "matvec": matvecs, "mass": mass_checks}
 
 
-@pytest.mark.parametrize("cells, cold_eigh, cold_mass_solves", [((8, 8), 2, 1), ((8, 4), 4, 2)])
-def test_setup_work_per_operator(monkeypatch, cells, cold_eigh, cold_mass_solves):
+@pytest.mark.parametrize("cells, eigh_calls, mass_solves", [((8, 8), 2, 1), ((8, 4), 4, 2)])
+def test_setup_work_per_operator(monkeypatch, cells, eigh_calls, mass_solves):
     # each distinct axis computes the eigenpairs of its full and interior
     # blocks and its dense M^{-1} C once; the two axes of a square grid are
-    # one, and a later operator on the same grid computes none of them
+    # one.  Nothing is kept between operators: a second one does it all again
     counts = {"eigh": 0, "cho_solve": 0}
 
     def counted(key, fn):
@@ -296,11 +295,19 @@ def test_setup_work_per_operator(monkeypatch, cells, cold_eigh, cold_mass_solves
 
     monkeypatch.setattr(scipy.linalg, "eigh", counted("eigh", scipy.linalg.eigh))
     monkeypatch.setattr(scipy.linalg, "cho_solve", counted("cho_solve", scipy.linalg.cho_solve))
-    axis_1d.cache_clear()
-    GepupOperators(UNIT_SQUARE, cells, 2)
-    assert counts == {"eigh": cold_eigh, "cho_solve": cold_mass_solves}
-    GepupOperators(UNIT_SQUARE, cells, 2)
-    assert counts == {"eigh": cold_eigh, "cho_solve": cold_mass_solves}
+    for n_ops in (1, 2):
+        GepupOperators(UNIT_SQUARE, cells, 2)
+        assert counts == {"eigh": n_ops * eigh_calls, "cho_solve": n_ops * mass_solves}
+
+
+def test_initial_state_samples_the_initial_velocity_once():
+    case = taylor_green_case(100.0)
+    calls = []
+    u0 = case.u0
+    case.u0 = lambda x, y: calls.append(x.shape) or u0(x, y)
+    ops = GepupOperators(UNIT_SQUARE, (4, 4), 3)
+    ops.initial_state(case, 0.0)
+    assert calls == [(ops.space.n_dofs,)]
 
 
 @pytest.mark.parametrize(

@@ -188,6 +188,8 @@ def run_convergence(
     """Errors and rates across uniformly refined meshes, each run with ``config``."""
     if len(levels) < 2:
         raise ValueError("need at least two levels for a convergence study")
+    if case.exact_u is None or case.exact_p is None:
+        raise ValueError(f"case {case.name!r} has no exact solution for a convergence study")
     table = ConvergenceTable()
     for level in levels:
         res = run_simulation(case, degree, level, config, t0=t0, t_end=t_end, base_cells=base_cells)

@@ -141,7 +141,12 @@ def parse_config(argv: list[str]) -> tuple[str, RunConfig | None]:
         except ValueError:
             raise UsageError(f"--levels: expected comma-separated integers, got {kwargs['levels']!r}")
         kwargs["level"] = max(kwargs["levels"], default=0)
-    return args.command, RunConfig(**kwargs)
+    config = RunConfig(**kwargs)
+    if args.command == "converge":
+        case = CASE_BUILDERS[config.case](config.re)
+        if case.exact_u is None or case.exact_p is None:
+            raise UsageError(f"--case: converge needs an exact solution, and {config.case!r} has none")
+    return args.command, config
 
 
 def serialize_config(config: RunConfig) -> list[str]:

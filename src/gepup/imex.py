@@ -361,8 +361,11 @@ def advance_step(
     time.  The end-of-step update projects the explicitly corrected field
     and replaces W with the projected velocity.  Each stage reuses the
     convection loads of its pressure solve for its explicit load, and the
-    first stage those carried by ``state``.  A SolverError leaves with the
-    stage (or the end-of-step projection) and its time.
+    first stage those carried by ``state``.  M W_d and A W_d come from the
+    ``XPass`` the momentum solve returns (for W^n, from one pass at the
+    start), and a stage's right-hand side is one GEMV per component over
+    the stored Fw_j and A W_j.  A SolverError leaves with the stage (or the
+    end-of-step projection) and its time.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -374,49 +377,48 @@ def advance_step(
     t0 = state.t
     t1 = t0 + dt
     N = ops.space.n_dofs
-    F = np.zeros((n, 2, N))
-    AW = np.zeros((n, 2, N))
+    # per component d and stage j, the explicit load F and A W side by side,
+    # so that a stage's right-hand side is one GEMV over its first s rows
+    loads = np.zeros((2, n, 2, N))
+    F, AW = loads[:, :, 0], loads[:, :, 1]
+    coeffs = np.stack([dt * AE, -nu * dt * AI], axis=2)  # (stage, j, [F, AW])
     phase, t_phase = "stage 0", t0
     try:
-        MWn = [ops.fast_M @ state.W[d] for d in range(2)]
-        F[0] = ops.eval_Fw_both(state.U, state.Q, case, t0, conv=state.conv)
-        for d in range(2):
-            AW[0, d] = ops.fast_A @ state.W[d]
+        W = [ops.x_pass(w) for w in state.W]
+        MWn = [w.mass for w in W]
+        AW[:, 0] = [w.stiffness for w in W]
+        F[:, 0] = ops.eval_Fw_both(state.U, state.Q, case, t0, conv=state.conv)
 
-        W_s = list(state.W)
         for s in range(1, n):
             ts = t0 + c[s] * dt
             phase, t_phase = f"stage {s}", ts
             gb = ops.boundary_values(case, ts)
+            W = []
             for d in range(2):
-                rhs = MWn[d].copy()
-                for j in range(s):
-                    aE = AE[s, j]
-                    if aE != 0.0:
-                        rhs += (dt * aE) * F[j, d]
-                    aI = AI[s, j]
-                    if aI != 0.0:
-                        rhs -= (nu * dt * aI) * AW[j, d]
-                W_s[d] = momentum.solve(rhs, gb[d])
-                AW[s, d] = ops.fast_A @ W_s[d]
-            U_s, _ = ops.leray_project(W_s, case, ts)
+                rhs = coeffs[s, :s].ravel() @ loads[d, :s].reshape(2 * s, N)
+                rhs += MWn[d]
+                W.append(momentum.solve(rhs, gb[d]))
+                AW[d, s] = W[d].stiffness
+            U_s, _ = ops.leray_project(W, case, ts)
+            MW_s = [w.mass for w in W]
+            # a pass holds several fields: drop the passes of W_s, Q_s and W* once read
+            del W
             Q_s, conv_s = ops.compute_pressure(U_s, case, ts)
-            F[s] = ops.eval_Fw_both(U_s, Q_s, case, ts, conv=conv_s)
+            F[:, s] = ops.eval_Fw_both(U_s, Q_s, case, ts, conv=conv_s)
+            del Q_s
 
         phase, t_phase = "end-of-step projection", t1
         W_star = []
         for d in range(2):
-            rhs = ops.fast_M @ W_s[d]
-            for j in range(n):
-                w_j = b[j] - AE[n - 1, j]
-                if w_j != 0.0:
-                    rhs += (dt * w_j) * F[j, d]
+            rhs = (dt * (b - AE[n - 1])) @ F[d]
+            rhs += MW_s[d]
             W_star.append(ops.solve_mass(rhs))
         U1, Phi1 = ops.leray_project(W_star, case, t1)
+        del W_star
         Q1, conv1 = ops.compute_pressure(U1, case, t1)
         if not all(np.all(np.isfinite(u)) for u in U1):
             raise SolverError("non-finite velocity")
     except SolverError as exc:
         exc.phase, exc.t = phase, t_phase
         raise
-    return GepupState(t1, [u.copy() for u in U1], U1, Phi1, Q1, conv1)
+    return GepupState(t1, [u.copy() for u in U1], U1, Phi1, Q1.x, conv1)

@@ -28,7 +28,7 @@ import numpy as np
 from . import fem, tensorops
 from .fem import UNIT_SQUARE, RectDomain
 from .linsolve import FastDiagonalization, check_backward_error
-from .tensorops import TensorGradient, TensorOperator
+from .tensorops import TensorGradient, TensorOperator, XPass
 
 __all__ = ["CaseDefinition", "GepupState", "GepupOperators", "check_boundary_compatibility"]
 
@@ -110,6 +110,8 @@ class ConstrainedOperator:
     right-hand side.  The interior block is again a Kronecker sum of the 1D
     factors, so it is solved directly in the interior eigenbasis; a new
     coeff only rescales the diagonal 1 + coeff * (lam_y + lam_x).
+    The solution's ``XPass`` gives the backward-error check its K x_i: on
+    the interior rows, K x_i is (M + coeff A) x less the lift.
     """
 
     def __init__(self, ops: "GepupOperators", coeff: float, rel_tol: float):
@@ -120,16 +122,23 @@ class ConstrainedOperator:
         self.K = ops.interior_M.with_coefficients(1.0, coeff)
         self.scale = 1.0 / (1.0 + coeff * ops.interior_eig.lam)
 
-    def solve(self, rhs: np.ndarray, boundary_values: np.ndarray) -> np.ndarray:
-        """Solve with x = boundary_values on the Dirichlet rows (strong elimination)."""
+    def solve(self, rhs: np.ndarray, boundary_values: np.ndarray) -> XPass:
+        """Solve with x = boundary_values on the Dirichlet rows (strong elimination).
+
+        Returns the pass of x, with ``mass`` M x and ``stiffness`` A x taken.
+        """
         ops = self.ops
+        grid = self.full_op.grid
         x = np.zeros_like(rhs)
         x[ops.space.boundary_dofs] = boundary_values
-        b = (rhs - self.full_op @ x).reshape(self.full_op.grid)[1:-1, 1:-1].ravel()
+        lift = (self.full_op @ x).reshape(grid)[1:-1, 1:-1]
+        b = (rhs.reshape(grid)[1:-1, 1:-1] - lift).ravel()
         xi = ops.interior_eig.apply(b, self.scale)
-        ops.record_solve("momentum", b, self.K @ xi, xi, self.K.norm_bound, self.rel_tol)
-        x.reshape(self.full_op.grid)[1:-1, 1:-1] = xi.reshape(self.K.grid)
-        return x
+        x.reshape(grid)[1:-1, 1:-1] = xi.reshape(self.K.grid)
+        p = ops.x_pass(x)
+        Kxi = (p.mass + self.coeff * p.stiffness).reshape(grid)[1:-1, 1:-1] - lift
+        ops.record_solve("momentum", b, Kxi.ravel(), xi, self.K.norm_bound, self.rel_tol)
+        return p
 
 
 class GepupOperators:
@@ -150,6 +159,10 @@ class GepupOperators:
     solve, the interior pairs for the Dirichlet-eliminated momentum solve.
     The projection's mass solves are 1D, the axes' dense factors M^{-1} C
     (``grad``).
+    Each solve returns the ``XPass`` of its solution (``x_pass``), whose
+    products serve both its backward-error check and what the scheme next
+    does with the field: M W and A W of a momentum solve, the potential
+    load of W, the gradient loads of Phi and Q.
     ``residuals`` holds the largest backward error of each solve class since
     the last ``reset_residuals``; the "mass" class covers the projection's
     1D mass solves and the end-of-step solve.
@@ -187,6 +200,10 @@ class GepupOperators:
         """Check a solve's backward error (raises SolverError) and keep the largest per class."""
         eta = check_backward_error(name, b, Kx, x, norm_K, rel_tol)
         self.residuals[name] = max(self.residuals[name], eta)
+
+    def x_pass(self, x) -> XPass:
+        """The ``XPass`` of a field on the space's axes; x itself when it is one."""
+        return x if isinstance(x, XPass) else XPass(self.space.axes, x)
 
     def momentum_operator(self, coeff: float) -> ConstrainedOperator:
         """Constrained mass + coeff*stiffness solver (coeff = nu*dt*gamma)."""
@@ -232,21 +249,27 @@ class GepupOperators:
         return [space.assemble_load(vx), space.assemble_load(vy)], space.assemble_gradtest_load(vx, vy)
 
     def eval_Fw_both(
-        self, U: list[np.ndarray], Q: np.ndarray, case: CaseDefinition, t: float, conv: list[np.ndarray] | None = None
+        self, U: list[np.ndarray], Q, case: CaseDefinition, t: float, conv: list[np.ndarray] | None = None
     ) -> list[np.ndarray]:
         """Momentum loads (f_d - u . grad u_d - dq/dx_d, eta_i) for d = x, y.
 
         ``conv`` are the loads (f - u . grad u, eta_i) at (U, t) from
         ``eval_Fq``; without them the quadrature pass runs here.  The
-        pressure gradient is a 1D-factor product.
+        pressure gradient comes from the pass of Q (an array or its
+        ``XPass``).
         """
         if conv is None:
             conv, _ = self._nonlinear_loads(U, case, t)
-        return [conv[d] - self.grad.apply(Q, d) for d in range(2)]
+        Q = self.x_pass(Q)
+        return [conv[d] - Q.gradient(d) for d in range(2)]
 
-    def eval_Fphi(self, W: list[np.ndarray], case: CaseDefinition, t: float) -> np.ndarray:
-        """Potential load (w, grad eta_i) - (n.g, eta_i) over the boundary."""
-        load = self.grad.apply_transpose(W[0], 0) + self.grad.apply_transpose(W[1], 1)
+    def eval_Fphi(self, W: list, case: CaseDefinition, t: float) -> np.ndarray:
+        """Potential load (w, grad eta_i) - (n.g, eta_i) over the boundary.
+
+        W holds the components as arrays or as their ``XPass``.
+        """
+        Wx, Wy = (self.x_pass(w) for w in W)
+        load = Wx.gradient_transpose(0) + Wy.gradient_transpose(1)
         return load - tensorops.boundary_normal_load(self.space.axes, case.g, t).ravel()
 
     def eval_Fq(self, U: list[np.ndarray], case: CaseDefinition, t: float) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -264,39 +287,45 @@ class GepupOperators:
 
     # ---- solves ----------------------------------------------------------------
 
-    def solve_poisson(self, load: np.ndarray, counter: str) -> np.ndarray:
+    def solve_poisson(self, load: np.ndarray, counter: str) -> XPass:
         """Pure-Neumann Poisson solve A x = load with mass-weighted mean-zero output.
 
         ``counter`` names the solve class for the backward-error record.
+        Returns the pass of x, whose ``stiffness`` A x the check took.
         """
         x, b = self.eig.solve_neumann(load, self.mass_weights)
-        self.record_solve(counter, b, self.fast_A @ x, x, self.fast_A.norm_bound, self.rel_tol)
-        return x
+        p = self.x_pass(x)
+        self.record_solve(counter, b, p.stiffness, x, self.fast_A.norm_bound, self.rel_tol)
+        return p
 
-    def solve_mass(self, load: np.ndarray) -> np.ndarray:
-        """M x = load; M^{-1} = S S^T in the full eigenbasis."""
+    def solve_mass(self, load: np.ndarray) -> XPass:
+        """M x = load; M^{-1} = S S^T in the full eigenbasis.  Returns the pass of x."""
         x = self.eig.apply(load, 1.0)
-        self.record_solve("mass", load, self.fast_M @ x, x, self.fast_M.norm_bound, self.rel_tol)
-        return x
+        p = self.x_pass(x)
+        self.record_solve("mass", load, p.mass, x, self.fast_M.norm_bound, self.rel_tol)
+        return p
 
-    def leray_project(self, W: list[np.ndarray], case: CaseDefinition, t: float):
-        """Discrete divergence-free projection: returns (U, Phi).
+    def leray_project(self, W: list, case: CaseDefinition, t: float):
+        """Discrete divergence-free projection: returns (U, Phi) as arrays.
 
         U_d solves M U_d = M W_d - G_d Phi, so U_d = W_d - Z_d with
         Z_d = M^{-1} G_d Phi, a 1D product on the axes (``grad.l2_projection``).
         Each Z_d passes the mass solve's backward-error check against the
-        load G_d Phi.
+        load G_d Phi, from the pass of Phi that its Poisson check used.
+        W holds the components as arrays or as their ``XPass``.
         """
+        W = [self.x_pass(w) for w in W]
         Phi = self.solve_poisson(self.eval_Fphi(W, case, t), "poisson_phi")
         U = []
         for d in range(2):
-            Z = self.grad.l2_projection(Phi, d)
-            self.record_solve("mass", self.grad.apply(Phi, d), self.fast_M @ Z, Z, self.fast_M.norm_bound, self.rel_tol)
-            U.append(W[d] - Z)
-        return U, Phi
+            Z = self.grad.l2_projection(Phi.x, d)
+            self.record_solve("mass", Phi.gradient(d), self.fast_M @ Z, Z, self.fast_M.norm_bound, self.rel_tol)
+            U.append(W[d].x - Z)
+        return U, Phi.x
 
     def compute_pressure(self, U: list[np.ndarray], case: CaseDefinition, t: float):
-        """Pressure Q at (U, t), and the convection loads of ``eval_Fq`` for ``eval_Fw_both``."""
+        """The pass of the pressure Q at (U, t), and the convection loads of
+        ``eval_Fq``: both for ``eval_Fw_both``."""
         load, conv = self.eval_Fq(U, case, t)
         return self.solve_poisson(load, "poisson_q"), conv
 
@@ -327,4 +356,4 @@ class GepupOperators:
         U, Phi = self.leray_project(V, case, t0)
         W = [u.copy() for u in U]
         Q, conv = self.compute_pressure(U, case, t0)
-        return GepupState(t0, W, U, Phi, Q, conv)
+        return GepupState(t0, W, U, Phi, Q.x, conv)

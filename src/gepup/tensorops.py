@@ -16,12 +16,15 @@ the basis derivatives at the axis ends.  Every product of the solver is
 applied here, on the axes: matvecs (``TensorOperator``), linear loads
 (``TensorGradient``, with the projection's mass-solved gradients) and
 boundary loads; the generalized eigenpairs of the same factors diagonalize
-every 2D solve (see ``linsolve``).  No 2D matrix is assembled.
+every 2D solve (see ``linsolve``).  No 2D matrix is assembled.  A field the
+scheme goes on using after its solve gets one ``XPass``: its products with
+the x factors are taken once and shared by every product of that field.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,6 +34,7 @@ __all__ = [
     "curl_boundary_load",
     "TensorOperator",
     "TensorGradient",
+    "XPass",
 ]
 
 
@@ -64,9 +68,9 @@ def curl_boundary_load(axes, U) -> np.ndarray:
     Ux, Uy = (u.reshape(ay.n, ax.n) for u in U)
     load = np.zeros((ay.n, ax.n))
     for row, d, sign in ((0, ay.d0, 1.0), (-1, ay.d1, -1.0)):  # bottom, top: tau = (sign, 0)
-        load[row, :] += sign * (ax.K @ Uy[row] - ax.C.T @ (d @ Ux))
+        load[row, :] += sign * (ax.K @ Uy[row] - ax.CT @ (d @ Ux))
     for col, d, sign in ((0, ax.d0, -1.0), (-1, ax.d1, 1.0)):  # left, right: tau = (0, sign)
-        load[:, col] += sign * (ay.C.T @ (Uy @ d) - ay.K @ Ux[:, col])
+        load[:, col] += sign * (ay.CT @ (Uy @ d) - ay.K @ Ux[:, col])
     return load
 
 
@@ -123,6 +127,8 @@ class TensorOperator:
         if self.beta == 0.0:
             return (self.alpha * (self.My @ P1)).ravel()
         P2 = (self.Kx @ XT).T.copy()
+        if self.alpha == 0.0:
+            return (self.beta * (self.My @ P2 + self.Ky @ P1)).ravel()
         return (self.My @ (self.alpha * P1 + self.beta * P2) + self.beta * (self.Ky @ P1)).ravel()
 
 
@@ -137,6 +143,8 @@ class TensorGradient:
     the 2D mass solve cancels against the mass factor of the load, leaving
     the dense 1D factors Dx = Mx^{-1} Cx and Dy = My^{-1} Cy.  Those and the
     transposed derivative factors are the axes' own (``Axis.D``, ``Axis.CT``).
+    The scheme takes the loads of a field it has solved for from the field's
+    ``XPass``; ``apply`` and ``apply_transpose`` are the one-field forms.
     """
 
     def __init__(self, axes):
@@ -162,3 +170,56 @@ class TensorGradient:
         """M^{-1} (dq/dx_d, eta_i): Q Dx^T for d = 0, Dy Q for d = 1, one dense matmul."""
         Q = q.reshape(self.grid)
         return (Q @ self.Dx.T if d == 0 else self.Dy @ Q).ravel()
+
+
+class XPass:
+    """One field x over the grid of the axes (x, y) and its products through their 1D factors.
+
+    Every mass, stiffness and derivative product of the field starts with a
+    product of its (ndof_y, ndof_x) array X with one x factor, and X Mx^T
+    starts four of them.  The pass transposes X once and keeps X Mx^T, so
+    that a solve's backward-error check, the scheme's products and the
+    linear loads of one field share its x-direction work:
+
+        mass                   M x                = My (X Mx^T)
+        stiffness              A x                = My (X Kx^T) + Ky (X Mx^T)
+        gradient(0)            (dx/dx, eta_i)     = My (X Cx^T)
+        gradient(1)            (dx/dy, eta_i)     = Cy (X Mx^T)
+        gradient_transpose(0)  (x, d eta_i/dx)    = My (X Cx)
+        gradient_transpose(1)  (x, d eta_i/dy)    = Cy^T (X Mx^T)
+
+    Each product is taken on first use; ``mass`` and ``stiffness``, which
+    a solve's check and the scheme both read, are kept.  They equal the
+    ``TensorOperator`` and ``TensorGradient`` products to rounding.  ``x``
+    is the field (row-major, not copied).
+    """
+
+    def __init__(self, axes, x: np.ndarray):
+        self.x = x
+        self._ax, self._ay = axes
+        self.grid = (self._ay.n, self._ax.n)
+
+    @functools.cached_property
+    def _XT(self) -> np.ndarray:
+        return np.ascontiguousarray(self.x.reshape(self.grid).T)
+
+    def _times(self, F: sp.csr_matrix) -> np.ndarray:
+        return (F @ self._XT).T.copy()  # X F^T, C-contiguous
+
+    @functools.cached_property
+    def _XMt(self) -> np.ndarray:
+        return self._times(self._ax.M)
+
+    @functools.cached_property
+    def mass(self) -> np.ndarray:
+        return (self._ay.M @ self._XMt).ravel()
+
+    @functools.cached_property
+    def stiffness(self) -> np.ndarray:
+        return (self._ay.M @ self._times(self._ax.K) + self._ay.K @ self._XMt).ravel()
+
+    def gradient(self, d: int) -> np.ndarray:
+        return (self._ay.M @ self._times(self._ax.C) if d == 0 else self._ay.C @ self._XMt).ravel()
+
+    def gradient_transpose(self, d: int) -> np.ndarray:
+        return (self._ay.M @ self._times(self._ax.CT) if d == 0 else self._ay.CT @ self._XMt).ravel()

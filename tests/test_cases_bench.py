@@ -311,6 +311,19 @@ def test_simulation_and_convergence_zero_step_agree():
     assert res.errors["u_L2"] == pytest.approx(table.errors[1]["u_L2"], rel=1e-12)
 
 
+@pytest.mark.parametrize("build", [single_vortex_case, lid_cavity_case])
+def test_convergence_rejects_a_case_without_exact_solution_before_any_level(build, monkeypatch):
+    import gepup.bench
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a level ran")
+
+    monkeypatch.setattr(gepup.bench, "run_simulation", no_run)
+    case = build(100.0)
+    with pytest.raises(ValueError, match=f"case '{case.name}' has no exact solution"):
+        run_convergence(case, 2, StepperConfig(), [2, 3], t_end=0.01)
+
+
 def test_final_step_lands_exactly_on_t_end():
     case = taylor_green_case(100.0)
     res = run_simulation(

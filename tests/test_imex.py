@@ -15,7 +15,7 @@ from gepup import (
 )
 from gepup.imex import StepperConfig, advance_step, courant_dt
 from gepup.linsolve import FastDiagonalization
-from gepup.tensorops import TensorOperator
+from gepup.tensorops import TensorOperator, XPass
 from gepup.operators import CaseDefinition, GepupOperators, GepupState
 from fem_oracle import assemble_mass, assemble_stiffness
 from ark_order_oracle import (
@@ -225,10 +225,10 @@ def test_stage_solve_matches_scalar_amplification_oracle():
             return [np.zeros(self.space.n_dofs), np.zeros(self.space.n_dofs)]
 
         def leray_project(self, W, case, t):
-            return [w.copy() for w in W], np.zeros(self.space.n_dofs)
+            return [self.x_pass(w).x.copy() for w in W], np.zeros(self.space.n_dofs)
 
         def compute_pressure(self, U, case, t):
-            return np.zeros(self.space.n_dofs), None
+            return self.x_pass(np.zeros(self.space.n_dofs)), None
 
     ops = PureDiffusionOps(UNIT_SQUARE, (4, 4), 2)
     case = zero_case()
@@ -255,17 +255,28 @@ def test_stage_solve_matches_scalar_amplification_oracle():
 
 
 @pytest.mark.parametrize(
-    "tableau, fdm_applies, matvecs, mass_checks", [("ark4", 24, 62, 14), ("ark5", 32, 82, 18)]
+    "tableau, fdm_applies, matvecs, mass_checks, x_passes, x_products",
+    [("ark4", 24, 22, 14, 27, 69), ("ark5", 32, 30, 18, 35, 91)],
+    ids=["ark4", "ark5"],
 )
-def test_work_per_step(monkeypatch, tableau, fdm_applies, matvecs, mass_checks):
+def test_work_per_step(monkeypatch, tableau, fdm_applies, matvecs, mass_checks, x_passes, x_products):
     # per stage: two momentum solves and two Poisson solves, and no 2D mass
     # solve in the projection; the end-of-step update adds the two W* mass
     # solves.  A 2D mass solve back in the projection would add 2 applies
-    # and 2 matvecs per projection (36 / 74 for ark4, 48 / 98 for ark5)
+    # per projection (36 for ark4, 48 for ark5).
+    # Each field gets one x-pass, shared by its backward-error check and the
+    # scheme: W^n and Q^n at the start of the step, the two W_s, Phi and Q of
+    # each stage, the two W*, Phi and Q at its end.  A pass takes each of its
+    # x-factor products once: M, K and C^T for W_s,x; M and K for W_s,y and
+    # W^n; M, K and C for Phi and a stage's Q; M and K for the end-of-step Q;
+    # M and C for Q^n; M and C^T for W*_x; M for W*_y.  The matvecs left are
+    # the two boundary lifts of each stage and the M Z_d of each
+    # projection's two mass checks (62 and 82 before the checks shared the
+    # passes).
     ops = GepupOperators(UNIT_SQUARE, (4, 4), 2)
     case = taylor_green_case(100.0)
     state = ops.initial_state(case, 0.0)
-    counts = {"fdm": 0, "matvec": 0, "mass": 0}
+    counts = {"fdm": 0, "matvec": 0, "mass": 0, "x_pass": 0, "x_product": 0}
 
     def counted(key, method, solve_class=None):
         def wrapper(self, *args):
@@ -276,8 +287,16 @@ def test_work_per_step(monkeypatch, tableau, fdm_applies, matvecs, mass_checks):
     monkeypatch.setattr(FastDiagonalization, "apply", counted("fdm", FastDiagonalization.apply))
     monkeypatch.setattr(TensorOperator, "__matmul__", counted("matvec", TensorOperator.__matmul__))
     monkeypatch.setattr(GepupOperators, "record_solve", counted("mass", GepupOperators.record_solve, "mass"))
+    monkeypatch.setattr(XPass, "__init__", counted("x_pass", XPass.__init__))
+    monkeypatch.setattr(XPass, "_times", counted("x_product", XPass._times))
     advance_step(state, 0.01, load_tableau(tableau), case, ops)
-    assert counts == {"fdm": fdm_applies, "matvec": matvecs, "mass": mass_checks}
+    assert counts == {
+        "fdm": fdm_applies,
+        "matvec": matvecs,
+        "mass": mass_checks,
+        "x_pass": x_passes,
+        "x_product": x_products,
+    }
 
 
 @pytest.mark.parametrize("cells, eigh_calls, mass_solves", [((8, 8), 2, 1), ((8, 4), 4, 2)])
@@ -376,7 +395,7 @@ def linear_stokes_growth(tableau, r, k, n):
     ]  # smooth, not solenoidal, not zero on the boundary
     U, Phi = ops.leray_project(W, case, 0.0)
     Q, conv = ops.compute_pressure(U, case, 0.0)
-    state = GepupState(0.0, W, U, Phi, Q, conv)
+    state = GepupState(0.0, W, U, Phi, Q.x, conv)
     dt = r * (1.0 / (n * k)) ** 2 / case.nu
     tab = load_tableau(tableau)
     norms = []

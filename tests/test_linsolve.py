@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gepup import RectDomain, SolverError, UNIT_SQUARE
+from gepup import RectDomain, SolverError, UNIT_SQUARE, lid_cavity_case
 from gepup.linsolve import FastDiagonalization, check_backward_error, eigenpairs
 from gepup.operators import GepupOperators
 from fem_oracle import assemble_mass, assemble_stiffness
@@ -72,21 +72,21 @@ def test_neumann_path_graph_known_solution():
 
 def test_neumann_pure_nullspace_rhs(ops_q3_l3):
     assert np.allclose(path_graph_solver().solve_neumann(np.full(3, 7.5), np.ones(3))[0], 0.0, atol=1e-13)
-    x = ops_q3_l3.solve_poisson(np.full(ops_q3_l3.space.n_dofs, 7.5), "poisson_phi")
+    x = ops_q3_l3.solve_poisson(np.full(ops_q3_l3.space.n_dofs, 7.5), "poisson_phi").x
     assert np.abs(x).max() < 1e-12
 
 
 def test_neumann_shift_invariance(ops_q3_l3, rng):
     b = rng.standard_normal(ops_q3_l3.space.n_dofs)
-    x1 = ops_q3_l3.solve_poisson(b, "poisson_phi")
-    x2 = ops_q3_l3.solve_poisson(b + 3.25, "poisson_phi")
+    x1 = ops_q3_l3.solve_poisson(b, "poisson_phi").x
+    x2 = ops_q3_l3.solve_poisson(b + 3.25, "poisson_phi").x
     assert np.abs(x1 - x2).max() <= 1e-12 * np.abs(x1).max()
 
 
 def test_neumann_mass_weighted_mean_zero(ops_q3_l3, rng):
     w = ops_q3_l3.mass_weights
     b = rng.standard_normal(ops_q3_l3.space.n_dofs)
-    x = ops_q3_l3.solve_poisson(b, "poisson_q")
+    x = ops_q3_l3.solve_poisson(b, "poisson_q").x
     assert abs(w @ x) <= 1e-13 * np.linalg.norm(x) * np.linalg.norm(w)
 
 
@@ -95,7 +95,7 @@ def test_neumann_known_discrete_solution(ops_q3_l3):
     pts = space.support_points
     x_true = np.cos(np.pi * pts[:, 0]) * np.cos(2 * np.pi * pts[:, 1]) + pts[:, 0] ** 3
     x_true -= (ops_q3_l3.mass_weights @ x_true) / ops_q3_l3.mass_weights.sum()
-    x = ops_q3_l3.solve_poisson(assemble_stiffness(space) @ x_true, "poisson_q")
+    x = ops_q3_l3.solve_poisson(assemble_stiffness(space) @ x_true, "poisson_q").x
     assert np.abs(x - x_true).max() <= 1e-11 * np.abs(x_true).max()
 
 
@@ -116,11 +116,11 @@ def test_direct_solves_match_dense_references(k, rng):
 
     x_ref = scipy.linalg.pinvh(A) @ (b - b.mean())
     x_ref -= (w @ x_ref) / w.sum()
-    x = ops.solve_poisson(b, "poisson_phi")
+    x = ops.solve_poisson(b, "poisson_phi").x
     assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
 
     x_ref = scipy.linalg.solve(M, b, assume_a="pos")
-    assert np.abs(ops.solve_mass(b) - x_ref).max() <= 1e-11 * np.abs(x_ref).max()
+    assert np.abs(ops.solve_mass(b).x - x_ref).max() <= 1e-11 * np.abs(x_ref).max()
 
     coeff = 0.03
     K = M + coeff * A
@@ -129,7 +129,7 @@ def test_direct_solves_match_dense_references(k, rng):
     x_ref = np.zeros(space.n_dofs)
     x_ref[bd] = g
     x_ref[inner] = scipy.linalg.solve(K[np.ix_(inner, inner)], b[inner] - K[np.ix_(inner, bd)] @ g)
-    x = ops.momentum_operator(coeff).solve(b, g)
+    x = ops.momentum_operator(coeff).solve(b, g).x
     assert np.array_equal(x[bd], g)
     assert np.abs(x - x_ref).max() <= 1e-11 * np.abs(x_ref).max()
 
@@ -141,10 +141,10 @@ def test_cg_zero_rhs(ops_q3_l3):
     fdm = one_axis_solver(np.eye(2), np.diag([2.0, 3.0]))
     assert np.array_equal(fdm.apply(np.zeros(2), 1.0 / fdm.lam), np.zeros(2))
     z = np.zeros(ops_q3_l3.space.n_dofs)
-    assert np.array_equal(ops_q3_l3.solve_mass(z), z)
-    assert np.array_equal(ops_q3_l3.solve_poisson(z, "poisson_q"), z)
+    assert np.array_equal(ops_q3_l3.solve_mass(z).x, z)
+    assert np.array_equal(ops_q3_l3.solve_poisson(z, "poisson_q").x, z)
     gz = np.zeros(len(ops_q3_l3.space.boundary_dofs))
-    assert np.array_equal(ops_q3_l3.momentum_operator(0.1).solve(z, gz), z)
+    assert np.array_equal(ops_q3_l3.momentum_operator(0.1).solve(z, gz).x, z)
 
 
 # ---- the backward-error check ------------------------------------------------------
@@ -183,6 +183,32 @@ def test_backward_error_check_catches_a_wrong_solve(rng):
     assert np.array_equal(fresh.eig.neumann_scale, scale)
     fresh.solve_poisson(b, "poisson_phi")
     fresh.momentum_operator(0.05).solve(b, np.zeros(len(ops.space.boundary_dofs)))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_momentum_check_with_nonzero_dirichlet_data(rng):
+    # the check's K x_i is (M + c A) x on the interior rows less the lift of
+    # the boundary values, which the lid's unit wall makes nonzero
+    ops = GepupOperators(UNIT_SQUARE, (4, 4), 3)
+    space = ops.space
+    gx, _ = ops.boundary_values(lid_cavity_case(1000.0), 0.0)
+    assert gx.max() == 1.0
+    coeff = 0.05
+    b = rng.standard_normal(space.n_dofs)
+    x = ops.momentum_operator(coeff).solve(b, gx).x
+    assert 0.0 < ops.residuals["momentum"] <= ops.rel_tol
+    K = (assemble_mass(space) + coeff * assemble_stiffness(space)).toarray()
+    bd, inner = space.boundary_dofs, space.interior_dofs
+    x_ref = scipy.linalg.solve(K[np.ix_(inner, inner)], b[inner] - K[np.ix_(inner, bd)] @ gx)
+    assert np.abs(x[inner] - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+    mom = ops.momentum_operator(coeff)
+    mom.scale = mom.scale * (1.0 + 1e-9)
+    with pytest.raises(SolverError, match=r"momentum solve: backward error \d"):
+        mom.solve(b, gx)
+    bad = gx.copy()
+    bad[-1] = np.nan
+    with pytest.raises(SolverError, match="momentum solve"):
+        ops.momentum_operator(coeff).solve(b, bad)
 
 
 def test_backward_error_is_normwise_relative():

@@ -176,7 +176,7 @@ def test_projection_passes_the_mass_check(monkeypatch):
     assert 0.0 < ops.residuals["mass"] <= ops.rel_tol
     # a non-finite potential fails the check of its gradient's mass solve
     Phi[7] = np.nan
-    monkeypatch.setattr(ops, "solve_poisson", lambda load, counter: Phi)
+    monkeypatch.setattr(ops, "solve_poisson", lambda load, counter: ops.x_pass(Phi))
     with pytest.raises(SolverError, match="mass solve"):
         ops.leray_project(W, case, 0.4)
     monkeypatch.undo()
@@ -215,7 +215,7 @@ def test_Fq_boundary_term_sign_on_shear(ops):
 
 def test_pressure_zero_for_rest_state(ops):
     z = np.zeros(ops.space.n_dofs)
-    Q, _ = ops.compute_pressure([z, z], make_case(), 0.0)
+    Q = ops.compute_pressure([z, z], make_case(), 0.0)[0].x
     assert np.abs(Q).max() < 1e-12
 
 
@@ -232,7 +232,7 @@ def test_pressure_from_manufactured_gradient_forcing():
         space = ops_l.space
         case = make_case(f=gpsi)
         z = np.zeros(space.n_dofs)
-        Q, _ = ops_l.compute_pressure([z, z], case, 0.0)
+        Q = ops_l.compute_pressure([z, z], case, 0.0)[0].x
         mean = 4.0 / np.pi**2  # int of sin sin over the unit square
         errs.append(error_norms(space, Q, lambda x, y, t: psi(x, y) - mean, 0.0)["L2"])
     assert errs[0] < 2e-4
@@ -246,7 +246,7 @@ def test_pressure_approximates_known_field_from_velocity():
         ops_l = GepupOperators(UNIT_SQUARE, (2**level, 2**level), 3)
         space = ops_l.space
         U = interp2(space, lambda x, y: case.exact_u(x, y, 0.0))
-        Q, _ = ops_l.compute_pressure(U, case, 0.0)
+        Q = ops_l.compute_pressure(U, case, 0.0)[0].x
         errs.append(error_norms(space, Q, lambda x, y, t: case.exact_p(x, y, 0.0), 0.0)["L2"])
     assert errs[1] < errs[0] / 10.0  # ~ (k+1)-order decay under refinement
 
@@ -254,7 +254,7 @@ def test_pressure_approximates_known_field_from_velocity():
 def test_pressure_is_mass_mean_zero_and_gauge_invariant(ops, rng):
     case = taylor_green_case(50.0)
     U = interp2(ops.space, lambda x, y: case.exact_u(x, y, 0.0))
-    Q, _ = ops.compute_pressure(U, case, 0.0)
+    Q = ops.compute_pressure(U, case, 0.0)[0].x
     w = ops.mass_weights
     assert abs(w @ Q) <= 1e-10 * np.linalg.norm(Q) * np.linalg.norm(w)
     # shifting the potential by a constant must not change the projected velocity
@@ -268,6 +268,39 @@ def test_pressure_is_mass_mean_zero_and_gauge_invariant(ops, rng):
 # ---- tensor-form loads against element quadrature ---------------------------------
 
 LOAD_DOMAIN = RectDomain((0.25, -1.0), (2.0, 3.0))
+
+
+@pytest.mark.parametrize("domain, cells", [(UNIT_SQUARE, (8, 8)), (LOAD_DOMAIN, (4, 2))])
+def test_pass_products_match_the_direct_products(domain, cells):
+    # what a field's one x-pass shares between a solve's check and the
+    # scheme: M W, A W and the potential loads of W; A Phi and G_d Phi; G_d Q
+    ops = GepupOperators(domain, cells, 3)
+    rng = np.random.default_rng(31)
+    n = ops.space.n_dofs
+    W = [rng.standard_normal(n) for _ in range(2)]
+    Phi, Q = rng.standard_normal((2, n))
+
+    def assert_close(shared, direct):
+        assert np.abs(shared - direct).max() <= 1e-14 * np.abs(direct).max()
+
+    for d, w in enumerate(W):
+        p = ops.x_pass(w)
+        assert_close(p.mass, ops.fast_M @ w)
+        assert_close(p.stiffness, ops.fast_A @ w)
+        assert_close(p.gradient_transpose(d), ops.grad.apply_transpose(w, d))
+    for field in (Phi, Q):
+        p = ops.x_pass(field)
+        assert_close(p.stiffness, ops.fast_A @ field)
+        for d in range(2):
+            assert_close(p.gradient(d), ops.grad.apply(field, d))
+    # the scheme's entry points read the passes they are given
+    case = make_case()
+    passes = [ops.x_pass(w) for w in W]
+    assert np.array_equal(ops.eval_Fphi(passes, case, 0.0), ops.eval_Fphi(W, case, 0.0))
+    conv = [np.zeros(n)] * 2
+    assert np.array_equal(
+        ops.eval_Fw_both(W, ops.x_pass(Q), case, 0.0, conv), ops.eval_Fw_both(W, Q, case, 0.0, conv)
+    )
 
 
 def load_setup(k, convection=True):
@@ -334,7 +367,7 @@ def test_Fq_and_its_convection_loads_match_quadrature(k):
     # the loads handed on are exactly those eval_Fw_both computes on its own
     fw_own = ops.eval_Fw_both(U, Q, case, 0.4)
     fw_reused = ops.eval_Fw_both(U, Q, case, 0.4, conv=conv)
-    Q2, conv2 = ops.compute_pressure(U, case, 0.4)
+    _, conv2 = ops.compute_pressure(U, case, 0.4)
     for d in range(2):
         assert np.array_equal(fw_own[d], fw_reused[d])
         assert np.array_equal(conv2[d], conv[d])

@@ -381,6 +381,24 @@ def test_cli_rejects_nan_and_out_of_range_values(flag, value, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["single-vortex", "lid-cavity"])
+def test_cli_converge_rejects_a_case_without_exact_solution(case, tmp_path, capsys, monkeypatch):
+    import gepup.bench
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a level ran")
+
+    monkeypatch.setattr(gepup.bench, "run_simulation", no_run)
+    flags = ["converge", "--case", case, "--re", "100", "--degree", "2", "--t-end", "0.01",
+             "--levels", "2,3", "--outdir", str(tmp_path)]
+    with pytest.raises(UsageError, match=f"--case: .*'{case}'"):
+        parse_config(flags)
+    assert main(flags) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and case in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_converge_writes_csv(tmp_path):
     code = main(
         ["converge", "--case", "taylor-green", "--degree", "2", "--t-end", "0.0",

@@ -70,7 +70,7 @@ def solution_errors(ops: GepupOperators, state: GepupState, case: CaseDefinition
     mean over the domain before differencing (the computed pressure is
     mean-zero by construction).  H1 seminorms accompany the full norms.
     """
-    if case.exact_u is None:
+    if not case.has_exact_solution:
         raise ValueError(f"case {case.name!r} has no exact solution")
     space = ops.space
     t = state.t
@@ -188,7 +188,7 @@ def run_convergence(
     """Errors and rates across uniformly refined meshes, each run with ``config``."""
     if len(levels) < 2:
         raise ValueError("need at least two levels for a convergence study")
-    if case.exact_u is None or case.exact_p is None:
+    if not case.has_exact_solution:
         raise ValueError(f"case {case.name!r} has no exact solution for a convergence study")
     table = ConvergenceTable()
     for level in levels:

@@ -144,7 +144,7 @@ def parse_config(argv: list[str]) -> tuple[str, RunConfig | None]:
     config = RunConfig(**kwargs)
     if args.command == "converge":
         case = CASE_BUILDERS[config.case](config.re)
-        if case.exact_u is None or case.exact_p is None:
+        if not case.has_exact_solution:
             raise UsageError(f"--case: converge needs an exact solution, and {config.case!r} has none")
     return args.command, config
 

@@ -63,6 +63,11 @@ class CaseDefinition:
         if self.nu < 0:
             raise ValueError(f"viscosity must be nonnegative, got {self.nu}")
 
+    @property
+    def has_exact_solution(self) -> bool:
+        """Whether both ``exact_u`` and ``exact_p`` are known, as error norms need."""
+        return self.exact_u is not None and self.exact_p is not None
+
 
 FLUX_TOL = 1e-10  # largest net boundary flux of g that counts as compatible
 FLUX_PANELS = 64  # Q4 cells per side of the flux quadrature

@@ -13,10 +13,11 @@ side of the rectangle only one row or column of test functions is nonzero,
 so a flux (g . n, eta) is a 1D quadrature load along that side, and the
 curl term (curl u, tangent . grad eta) is a product of the 1D factors with
 the basis derivatives at the axis ends.  Every product of the solver is
-applied here, on the axes: matvecs (``TensorOperator``), linear loads
-(``TensorGradient``, with the projection's mass-solved gradients) and
-boundary loads; the generalized eigenpairs of the same factors diagonalize
-every 2D solve (see ``linsolve``).  No 2D matrix is assembled.  A field the
+applied here, on the axes: matvecs (``TensorOperator``), a field's
+mass, stiffness and derivative products (``XPass``), the projection's
+mass-solved gradients (``TensorGradient``) and boundary loads; the
+generalized eigenpairs of the same factors diagonalize every 2D solve
+(see ``linsolve``).  No 2D matrix is assembled.  A field the
 scheme goes on using after its solve gets one ``XPass``: its products with
 the x factors are taken once and shared by every product of that field.
 """
@@ -81,11 +82,6 @@ def _abs_row_sums(F: sp.csr_matrix) -> np.ndarray:
     return sums
 
 
-def _times_transpose(X: np.ndarray, F: sp.csr_matrix) -> np.ndarray:
-    """X @ F^T as the sparse-times-dense product (F @ X^T)^T, C-contiguous."""
-    return (F @ np.ascontiguousarray(X.T)).T.copy()
-
-
 class TensorOperator:
     """alpha * mass + beta * stiffness applied through sparse 1D factors (Mx, Kx, My, Ky).
 
@@ -127,44 +123,25 @@ class TensorOperator:
         if self.beta == 0.0:
             return (self.alpha * (self.My @ P1)).ravel()
         P2 = (self.Kx @ XT).T.copy()
-        if self.alpha == 0.0:
-            return (self.beta * (self.My @ P2 + self.Ky @ P1)).ravel()
         return (self.My @ (self.alpha * P1 + self.beta * P2) + self.beta * (self.Ky @ P1)).ravel()
 
 
 class TensorGradient:
-    """Loads of partial derivatives through the 1D factors of the axes (x, y).
+    """Mass-solved partial derivatives through the 1D factors of the axes (x, y).
 
-    ``apply(q, d)`` is the load (dq/dx_d, eta_i) of a field q, and
-    ``apply_transpose(w, d)`` the load (w, d eta_i/dx_d); both equal the
-    (k+2)-point quadrature loads to rounding, since the rule integrates
-    every product of two basis functions and a derivative exactly.
     ``l2_projection(q, d)`` is M^{-1} (dq/dx_d, eta_i): with M = My (x) Mx
     the 2D mass solve cancels against the mass factor of the load, leaving
-    the dense 1D factors Dx = Mx^{-1} Cx and Dy = My^{-1} Cy.  Those and the
-    transposed derivative factors are the axes' own (``Axis.D``, ``Axis.CT``).
-    The scheme takes the loads of a field it has solved for from the field's
-    ``XPass``; ``apply`` and ``apply_transpose`` are the one-field forms.
+    the dense 1D factors Dx = Mx^{-1} Cx and Dy = My^{-1} Cy, the axes' own
+    ``Axis.D``.  The loads (dq/dx_d, eta_i) and (w, d eta_i/dx_d) themselves
+    are a field's ``XPass.gradient(d)`` and ``gradient_transpose(d)``; both
+    equal the (k+2)-point quadrature loads to rounding, since the rule
+    integrates every product of two basis functions and a derivative exactly.
     """
 
     def __init__(self, axes):
         ax, ay = axes
-        self.Mx, self.Cx, self.My, self.Cy = ax.M, ax.C, ay.M, ay.C
-        self.CxT, self.CyT = ax.CT, ay.CT
         self.Dx, self.Dy = ax.D, ay.D
-        self.grid = (self.My.shape[0], self.Mx.shape[0])
-
-    def apply(self, q: np.ndarray, d: int) -> np.ndarray:
-        Q = q.reshape(self.grid)
-        if d == 0:
-            return (self.My @ _times_transpose(Q, self.Cx)).ravel()
-        return _times_transpose(self.Cy @ Q, self.Mx).ravel()
-
-    def apply_transpose(self, w: np.ndarray, d: int) -> np.ndarray:
-        W = w.reshape(self.grid)
-        if d == 0:
-            return (self.My @ _times_transpose(W, self.CxT)).ravel()
-        return _times_transpose(self.CyT @ W, self.Mx).ravel()
+        self.grid = (ay.n, ax.n)
 
     def l2_projection(self, q: np.ndarray, d: int) -> np.ndarray:
         """M^{-1} (dq/dx_d, eta_i): Q Dx^T for d = 0, Dy Q for d = 1, one dense matmul."""

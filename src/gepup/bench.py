@@ -170,7 +170,7 @@ def run_simulation(
     state.t = t_end
 
     errors = None
-    if case.exact_u is not None and case.exact_p is not None:
+    if case.has_exact_solution:
         errors = solution_errors(ops, state, case)
     return SimulationResult(state=state, ops=ops, case=case, monitors=monitors, steps=steps, errors=errors)
 

@@ -28,7 +28,7 @@ import numpy as np
 from . import fem, tensorops
 from .fem import UNIT_SQUARE, RectDomain
 from .linsolve import FastDiagonalization, check_backward_error
-from .tensorops import TensorGradient, TensorOperator, XPass
+from .tensorops import XPass, norm_bound
 
 __all__ = ["CaseDefinition", "GepupState", "GepupOperators", "check_boundary_compatibility"]
 
@@ -115,16 +115,17 @@ class ConstrainedOperator:
     right-hand side.  The interior block is again a Kronecker sum of the 1D
     factors, so it is solved directly in the interior eigenbasis; a new
     coeff only rescales the diagonal 1 + coeff * (lam_y + lam_x).
-    The solution's ``XPass`` gives the backward-error check its K x_i: on
-    the interior rows, K x_i is (M + coeff A) x less the lift.
+    The lift is the ``combination`` of the pass of the boundary data; the
+    solution's ``XPass`` gives the backward-error check its K x_i: on the
+    interior rows, K x_i is (M + coeff A) x less the lift.  ``norm_K``
+    bounds the norm of the interior block K.
     """
 
-    def __init__(self, ops: "GepupOperators", coeff: float, rel_tol: float):
+    def __init__(self, ops: "GepupOperators", coeff: float):
         self.ops = ops
         self.coeff = coeff
-        self.rel_tol = rel_tol
-        self.full_op = ops.fast_M.with_coefficients(1.0, coeff)
-        self.K = ops.interior_M.with_coefficients(1.0, coeff)
+        ax, ay = ops.space.axes
+        self.norm_K = norm_bound((*ax.interior, *ay.interior), 1.0, coeff)
         self.scale = 1.0 / (1.0 + coeff * ops.interior_eig.lam)
 
     def solve(self, rhs: np.ndarray, boundary_values: np.ndarray) -> XPass:
@@ -133,16 +134,16 @@ class ConstrainedOperator:
         Returns the pass of x, with ``mass`` M x and ``stiffness`` A x taken.
         """
         ops = self.ops
-        grid = self.full_op.grid
+        grid = (ops.space.ndof_y, ops.space.ndof_x)
         x = np.zeros_like(rhs)
         x[ops.space.boundary_dofs] = boundary_values
-        lift = (self.full_op @ x).reshape(grid)[1:-1, 1:-1]
+        lift = ops.x_pass(x).combination(1.0, self.coeff).reshape(grid)[1:-1, 1:-1]
         b = (rhs.reshape(grid)[1:-1, 1:-1] - lift).ravel()
         xi = ops.interior_eig.apply(b, self.scale)
-        x.reshape(grid)[1:-1, 1:-1] = xi.reshape(self.K.grid)
+        x.reshape(grid)[1:-1, 1:-1] = xi.reshape(lift.shape)
         p = ops.x_pass(x)
         Kxi = (p.mass + self.coeff * p.stiffness).reshape(grid)[1:-1, 1:-1] - lift
-        ops.record_solve("momentum", b, Kxi.ravel(), xi, self.K.norm_bound, self.rel_tol)
+        ops.record_solve("momentum", b, Kxi.ravel(), xi, self.norm_K)
         return p
 
 
@@ -152,22 +153,24 @@ class GepupOperators:
     The space is ``fem.build_space(domain, cells, degree)``: degree k on
     ``domain`` cut into ``cells`` = (nx, ny) equal cells, and the one owner
     of the degree and the grid.  Every product goes through its two 1D axes
-    (``space.axes``): mass and stiffness matvecs (``fast_M``, ``fast_A``),
-    the linear loads, which are 1D-factor products with the derivative
-    factors (``grad``), and the boundary loads on the boundary rows and
-    columns.  Only the nonlinear load f - u . grad u is integrated by
-    element quadrature, once per velocity field, with the space's physical
-    element tables.  Every 2D solve goes through the generalized
+    (``space.axes``): each 2D product of a field through the field's
+    ``XPass`` (``x_pass``), which takes its mass and stiffness products and
+    its linear loads, 1D-factor products with the derivative factors, and
+    the boundary loads on the boundary rows and columns.  Only the
+    nonlinear load f - u . grad u is integrated by element quadrature, once
+    per velocity field, with the space's physical element tables.  Every
+    2D solve goes through the generalized
     eigenpairs of the same factors, which each axis computes once and keeps
     (``fem.Axis``); only their 2D spectra and scales are built here: the
     full (Neumann) pairs for the Poisson solves and the end-of-step mass
     solve, the interior pairs for the Dirichlet-eliminated momentum solve.
     The projection's mass solves are 1D, the axes' dense factors M^{-1} C
-    (``grad``).
-    Each solve returns the ``XPass`` of its solution (``x_pass``), whose
-    products serve both its backward-error check and what the scheme next
-    does with the field: M W and A W of a momentum solve, the potential
-    load of W, the gradient loads of Phi and Q.
+    (``XPass.l2_projection``).
+    Each solve returns the ``XPass`` of its solution, whose products serve
+    both its backward-error check and what the scheme next does with the
+    field: M W and A W of a momentum solve, the potential load of W, the
+    gradient loads of Phi and Q.  ``norm_M`` and ``norm_A`` bound the norms
+    of the 2D mass and stiffness for the checks.
     ``residuals`` holds the largest backward error of each solve class since
     the last ``reset_residuals``; the "mass" class covers the projection's
     1D mass solves and the end-of-step solve.
@@ -188,11 +191,10 @@ class GepupOperators:
         self.convection = convection
 
         ax, ay = self.space.axes
-        self.fast_M = TensorOperator((ax.M, ax.K, ay.M, ay.K), 1.0, 0.0)
-        self.fast_A = self.fast_M.with_coefficients(0.0, 1.0)
-        self.interior_M = TensorOperator((*ax.interior, *ay.interior), 1.0, 0.0)
-        self.grad = TensorGradient(self.space.axes)
-        self.mass_weights = self.fast_M @ np.ones(self.space.n_dofs)
+        factors = (ax.M, ax.K, ay.M, ay.K)
+        self.norm_M = norm_bound(factors, 1.0, 0.0)
+        self.norm_A = norm_bound(factors, 0.0, 1.0)
+        self.mass_weights = self.x_pass(np.ones(self.space.n_dofs)).mass
         self.eig = FastDiagonalization(ax.eig, ay.eig)
         self.interior_eig = FastDiagonalization(ax.interior_eig, ay.interior_eig)
         self.residuals = dict.fromkeys(SOLVE_CLASSES, 0.0)
@@ -201,9 +203,9 @@ class GepupOperators:
         for key in self.residuals:
             self.residuals[key] = 0.0
 
-    def record_solve(self, name: str, b, Kx, x, norm_K: float, rel_tol: float):
+    def record_solve(self, name: str, b, Kx, x, norm_K: float):
         """Check a solve's backward error (raises SolverError) and keep the largest per class."""
-        eta = check_backward_error(name, b, Kx, x, norm_K, rel_tol)
+        eta = check_backward_error(name, b, Kx, x, norm_K, self.rel_tol)
         self.residuals[name] = max(self.residuals[name], eta)
 
     def x_pass(self, x) -> XPass:
@@ -212,7 +214,7 @@ class GepupOperators:
 
     def momentum_operator(self, coeff: float) -> ConstrainedOperator:
         """Constrained mass + coeff*stiffness solver (coeff = nu*dt*gamma)."""
-        return ConstrainedOperator(self, coeff, self.rel_tol)
+        return ConstrainedOperator(self, coeff)
 
     # ---- pointwise field samples --------------------------------------------
 
@@ -300,21 +302,21 @@ class GepupOperators:
         """
         x, b = self.eig.solve_neumann(load, self.mass_weights)
         p = self.x_pass(x)
-        self.record_solve(counter, b, p.stiffness, x, self.fast_A.norm_bound, self.rel_tol)
+        self.record_solve(counter, b, p.stiffness, x, self.norm_A)
         return p
 
     def solve_mass(self, load: np.ndarray) -> XPass:
         """M x = load; M^{-1} = S S^T in the full eigenbasis.  Returns the pass of x."""
         x = self.eig.apply(load, 1.0)
         p = self.x_pass(x)
-        self.record_solve("mass", load, p.mass, x, self.fast_M.norm_bound, self.rel_tol)
+        self.record_solve("mass", load, p.mass, x, self.norm_M)
         return p
 
     def leray_project(self, W: list, case: CaseDefinition, t: float):
         """Discrete divergence-free projection: returns (U, Phi) as arrays.
 
         U_d solves M U_d = M W_d - G_d Phi, so U_d = W_d - Z_d with
-        Z_d = M^{-1} G_d Phi, a 1D product on the axes (``grad.l2_projection``).
+        Z_d = M^{-1} G_d Phi, a 1D product on the axes (``XPass.l2_projection``).
         Each Z_d passes the mass solve's backward-error check against the
         load G_d Phi, from the pass of Phi that its Poisson check used.
         W holds the components as arrays or as their ``XPass``.
@@ -323,8 +325,8 @@ class GepupOperators:
         Phi = self.solve_poisson(self.eval_Fphi(W, case, t), "poisson_phi")
         U = []
         for d in range(2):
-            Z = self.grad.l2_projection(Phi.x, d)
-            self.record_solve("mass", Phi.gradient(d), self.fast_M @ Z, Z, self.fast_M.norm_bound, self.rel_tol)
+            Z = Phi.l2_projection(d)
+            self.record_solve("mass", Phi.gradient(d), self.x_pass(Z).mass, Z, self.norm_M)
             U.append(W[d].x - Z)
         return U, Phi.x
 
@@ -342,7 +344,7 @@ class GepupOperators:
         return float(np.sqrt(np.sum(div * div @ space.wdet)))
 
     def kinetic_energy(self, W: list[np.ndarray]) -> float:
-        return 0.5 * sum(float(w @ (self.fast_M @ w)) for w in W)
+        return 0.5 * sum(float(w @ self.x_pass(w).mass) for w in W)
 
     def boundary_values(self, case: CaseDefinition, t: float) -> tuple[np.ndarray, np.ndarray]:
         """g evaluated at the boundary support points (per component)."""

@@ -1,4 +1,4 @@
-"""Products on the 1D axes: matvecs, linear loads and boundary loads.
+"""Products on the 1D axes: a field's 2D products, linear loads and boundary loads.
 
 On a uniform structured grid with row-major numbering the global mass and
 stiffness matrices factor as M = My (x) Mx and A = My (x) Kx + Ky (x) Mx,
@@ -13,18 +13,19 @@ side of the rectangle only one row or column of test functions is nonzero,
 so a flux (g . n, eta) is a 1D quadrature load along that side, and the
 curl term (curl u, tangent . grad eta) is a product of the 1D factors with
 the basis derivatives at the axis ends.  Every product of the solver is
-applied here, on the axes: matvecs (``TensorOperator``), a field's
-mass, stiffness and derivative products (``XPass``), the projection's
-mass-solved gradients (``TensorGradient``) and boundary loads; the
-generalized eigenpairs of the same factors diagonalize every 2D solve
-(see ``linsolve``).  No 2D matrix is assembled.  A field the
-scheme goes on using after its solve gets one ``XPass``: its products with
-the x factors are taken once and shared by every product of that field.
+applied here, on the axes: every 2D product of a field goes through the
+field's ``XPass`` (mass, stiffness and their combinations, the derivative
+loads and the projection's mass-solved gradients), and the boundary loads
+through the 1D factors of one side; the generalized eigenpairs of the same
+factors diagonalize every 2D solve (see ``linsolve``).  No 2D matrix is
+assembled.  A field the scheme goes on using after its solve gets one
+``XPass``: its products with the x factors are taken once and shared by
+every product of that field.  ``norm_bound`` bounds the 2D operators'
+norms for the solves' backward-error checks.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 
 import numpy as np
@@ -33,8 +34,7 @@ import scipy.sparse as sp
 __all__ = [
     "boundary_normal_load",
     "curl_boundary_load",
-    "TensorOperator",
-    "TensorGradient",
+    "norm_bound",
     "XPass",
 ]
 
@@ -82,71 +82,17 @@ def _abs_row_sums(F: sp.csr_matrix) -> np.ndarray:
     return sums
 
 
-class TensorOperator:
-    """alpha * mass + beta * stiffness applied through sparse 1D factors (Mx, Kx, My, Ky).
+def norm_bound(factors, alpha: float, beta: float) -> float:
+    """An upper bound on the 2-norm of alpha * mass + beta * stiffness over the 1D factors (Mx, Kx, My, Ky).
 
-    Acts on row-major vectors over the (ndof_y, ndof_x) grid the factors
-    span (for the interior block, pass the factors with their first and last
-    rows and columns removed).  ``norm_bound`` is an upper bound on the
-    operator's infinity norm, hence on its 2-norm (the operator is
-    symmetric), from the absolute row sums of the factors.  Those row sums
-    are taken once; ``with_coefficients`` gives the operator for another
-    (alpha, beta) on the same factors without taking them again.
+    The bound is the operator's infinity norm bounded through the absolute
+    row sums of the factors; it bounds the 2-norm because the operator is
+    symmetric.  For the interior block, pass the factors with their first
+    and last rows and columns removed (``Axis.interior``).
     """
-
-    def __init__(self, factors, alpha: float, beta: float):
-        Mx, Kx, My, Ky = factors
-        self.Mx, self.Kx, self.My, self.Ky = Mx, Kx, My, Ky
-        self.grid = (My.shape[0], Mx.shape[0])
-        n = self.grid[0] * self.grid[1]
-        self.shape = (n, n)
-        rmx, rkx, rmy, rky = (_abs_row_sums(F) for F in (Mx, Kx, My, Ky))
-        self._mass_rows = np.outer(rmy, rmx)
-        self._stiffness_rows = np.outer(rmy, rkx) + np.outer(rky, rmx)
-        self._set_coefficients(alpha, beta)
-
-    def _set_coefficients(self, alpha: float, beta: float):
-        self.alpha = alpha
-        self.beta = beta
-        rows = abs(alpha) * self._mass_rows + abs(beta) * self._stiffness_rows
-        self.norm_bound = float(rows.max()) if rows.size else 0.0
-
-    def with_coefficients(self, alpha: float, beta: float) -> "TensorOperator":
-        """alpha * mass + beta * stiffness on the same factors and row sums."""
-        op = copy.copy(self)
-        op._set_coefficients(alpha, beta)
-        return op
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        XT = np.ascontiguousarray(x.reshape(self.grid).T)
-        P1 = (self.Mx @ XT).T.copy()  # X Mx^T: the (My (x) Mx) building block
-        if self.beta == 0.0:
-            return (self.alpha * (self.My @ P1)).ravel()
-        P2 = (self.Kx @ XT).T.copy()
-        return (self.My @ (self.alpha * P1 + self.beta * P2) + self.beta * (self.Ky @ P1)).ravel()
-
-
-class TensorGradient:
-    """Mass-solved partial derivatives through the 1D factors of the axes (x, y).
-
-    ``l2_projection(q, d)`` is M^{-1} (dq/dx_d, eta_i): with M = My (x) Mx
-    the 2D mass solve cancels against the mass factor of the load, leaving
-    the dense 1D factors Dx = Mx^{-1} Cx and Dy = My^{-1} Cy, the axes' own
-    ``Axis.D``.  The loads (dq/dx_d, eta_i) and (w, d eta_i/dx_d) themselves
-    are a field's ``XPass.gradient(d)`` and ``gradient_transpose(d)``; both
-    equal the (k+2)-point quadrature loads to rounding, since the rule
-    integrates every product of two basis functions and a derivative exactly.
-    """
-
-    def __init__(self, axes):
-        ax, ay = axes
-        self.Dx, self.Dy = ax.D, ay.D
-        self.grid = (ay.n, ax.n)
-
-    def l2_projection(self, q: np.ndarray, d: int) -> np.ndarray:
-        """M^{-1} (dq/dx_d, eta_i): Q Dx^T for d = 0, Dy Q for d = 1, one dense matmul."""
-        Q = q.reshape(self.grid)
-        return (Q @ self.Dx.T if d == 0 else self.Dy @ Q).ravel()
+    rmx, rkx, rmy, rky = (_abs_row_sums(F) for F in factors)
+    rows = abs(alpha) * np.outer(rmy, rmx) + abs(beta) * (np.outer(rmy, rkx) + np.outer(rky, rmx))
+    return float(rows.max()) if rows.size else 0.0
 
 
 class XPass:
@@ -164,11 +110,17 @@ class XPass:
         gradient(1)            (dx/dy, eta_i)     = Cy (X Mx^T)
         gradient_transpose(0)  (x, d eta_i/dx)    = My (X Cx)
         gradient_transpose(1)  (x, d eta_i/dy)    = Cy^T (X Mx^T)
+        combination(a, b)      (a M + b A) x      = My (a X Mx^T + b X Kx^T) + b Ky (X Mx^T)
+        l2_projection(0)       M^{-1} (dx/dx, eta_i)  = X Dx^T
+        l2_projection(1)       M^{-1} (dx/dy, eta_i)  = Dy X
 
-    Each product is taken on first use; ``mass`` and ``stiffness``, which
-    a solve's check and the scheme both read, are kept.  They equal the
-    ``TensorOperator`` and ``TensorGradient`` products to rounding.  ``x``
-    is the field (row-major, not copied).
+    Dx = Mx^{-1} Cx and Dy = My^{-1} Cy are the axes' dense ``Axis.D``: the
+    2D mass solve of a derivative load cancels against its mass factor.
+    The loads equal the (k+2)-point quadrature loads to rounding, since the
+    rule integrates every product of two basis functions and a derivative
+    exactly.  Each product is taken on first use; ``mass`` and
+    ``stiffness``, which a solve's check and the scheme both read, are kept.
+    ``x`` is the field (row-major, not copied).
     """
 
     def __init__(self, axes, x: np.ndarray):
@@ -200,3 +152,11 @@ class XPass:
 
     def gradient_transpose(self, d: int) -> np.ndarray:
         return (self._ay.M @ self._times(self._ax.CT) if d == 0 else self._ay.CT @ self._XMt).ravel()
+
+    def combination(self, alpha: float, beta: float) -> np.ndarray:
+        mixed = alpha * self._XMt + beta * self._times(self._ax.K)
+        return (self._ay.M @ mixed + beta * (self._ay.K @ self._XMt)).ravel()
+
+    def l2_projection(self, d: int) -> np.ndarray:
+        X = self.x.reshape(self.grid)
+        return (X @ self._ax.D.T if d == 0 else self._ay.D @ X).ravel()

@@ -18,6 +18,7 @@ __all__ = [
     "SimulationResult",
     "run_simulation",
     "run_convergence",
+    "is_level_sequence",
     "solution_errors",
     "vorticity_indicator",
     "dorfler_mark",
@@ -125,6 +126,8 @@ def run_simulation(
     the Courant step has collapsed so far that more than ``MAX_STEPS_LEFT``
     further steps would be needed to reach t_end.
     """
+    if not (np.isfinite(t0) and np.isfinite(t_end)):
+        raise ValueError(f"t0 and t_end must be finite, got t0 = {t0}, t_end = {t_end}")
     if t_end < t0:
         raise ValueError(f"t_end {t_end} precedes t0 {t0}")
     if level < 0:
@@ -175,6 +178,11 @@ def run_simulation(
     return SimulationResult(state=state, ops=ops, case=case, monitors=monitors, steps=steps, errors=errors)
 
 
+def is_level_sequence(levels) -> bool:
+    """Whether ``levels`` are two or more consecutive ascending nonnegative levels, so each row halves h."""
+    return len(levels) >= 2 and levels[0] >= 0 and list(levels) == list(range(levels[0], levels[0] + len(levels)))
+
+
 def run_convergence(
     case: CaseDefinition,
     degree: int,
@@ -186,8 +194,8 @@ def run_convergence(
     verbose: bool = False,
 ) -> ConvergenceTable:
     """Errors and rates across uniformly refined meshes, each run with ``config``."""
-    if len(levels) < 2:
-        raise ValueError("need at least two levels for a convergence study")
+    if not is_level_sequence(levels):
+        raise ValueError(f"a convergence study needs two or more consecutive ascending levels, got {levels}")
     if not case.has_exact_solution:
         raise ValueError(f"case {case.name!r} has no exact solution for a convergence study")
     table = ConvergenceTable()

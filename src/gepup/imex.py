@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linsolve import SolverError
+from .linsolve import REL_TOL, SolverError
 from .operators import CaseDefinition, GepupOperators, GepupState
 
 __all__ = [
@@ -231,21 +231,20 @@ def _to_square(rows, n) -> np.ndarray:
 
 
 def load_tableau(name: str) -> ButcherTableau:
-    """Tableau by id ('ark4' or 'ark5'); verifies the data checksum."""
-    key = name.lower().replace("-", "").replace("_", "")
-    if key not in _TABLEAU_DATA:
+    """Tableau by one of ``TABLEAU_IDS``; verifies the data checksum and the order conditions."""
+    if name not in _TABLEAU_DATA:
         raise ValueError(f"unknown tableau {name!r}; available: {', '.join(TABLEAU_IDS)}")
-    data = _TABLEAU_DATA[key]
+    data = _TABLEAU_DATA[name]
     digest = _canonical_digest(data)
     if digest != data["sha256"]:
-        raise ValueError(f"tableau {key!r} failed its checksum: {digest}")
+        raise ValueError(f"tableau {name!r} failed its checksum: {digest}")
     n = len(data["implicit"])
     AE = _to_square(data["explicit"], n)
     AI = _to_square(data["implicit"], n)
     b = np.array([float(v) for v in data["b"]])
     c = AE.sum(axis=1) if data["c"] is None else np.array([float(v) for v in data["c"]])
     tab = ButcherTableau(
-        name=key,
+        name=name,
         order=data["order"],
         n_stages=n,
         a_explicit=AE,
@@ -256,7 +255,7 @@ def load_tableau(name: str) -> ButcherTableau:
     )
     problems = validate_tableau(tab)
     if problems:
-        raise ValueError(f"tableau {key!r} failed validation: {problems}")
+        raise ValueError(f"tableau {name!r} failed validation: {problems}")
     return tab
 
 
@@ -312,7 +311,7 @@ class StepperConfig:
 
     tableau: str = "ark4"
     courant: float = 0.8
-    rel_tol: float = 1e-12
+    rel_tol: float = REL_TOL
     dt_max: float = 1.0
 
     def __post_init__(self):

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-__all__ = ["SolverError", "eigenpairs", "FastDiagonalization", "check_backward_error"]
+__all__ = ["SolverError", "eigenpairs", "FastDiagonalization", "REL_TOL", "check_backward_error"]
 
 
 class SolverError(Exception):
@@ -96,6 +96,9 @@ class FastDiagonalization:
         x = self.apply(bc, self.neumann_scale)
         x -= float(weights @ x) / float(weights.sum())
         return x, bc
+
+
+REL_TOL = 1e-12  # default bound on every solve's normwise backward error
 
 
 def check_backward_error(name: str, b: np.ndarray, Kx: np.ndarray, x: np.ndarray, norm_K: float, rel_tol: float) -> float:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import fem, tensorops
 from .fem import UNIT_SQUARE, RectDomain
-from .linsolve import FastDiagonalization, check_backward_error
+from .linsolve import REL_TOL, FastDiagonalization, check_backward_error
 from .tensorops import XPass, norm_bound
 
 __all__ = ["CaseDefinition", "GepupState", "GepupOperators", "check_boundary_compatibility"]
@@ -183,7 +183,7 @@ class GepupOperators:
         domain: RectDomain,
         cells: tuple[int, int],
         degree: int,
-        rel_tol: float = 1e-12,
+        rel_tol: float = REL_TOL,
         convection: bool = True,
     ):
         self.space = fem.build_space(domain, cells, degree)

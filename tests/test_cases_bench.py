@@ -324,6 +324,31 @@ def test_convergence_rejects_a_case_without_exact_solution_before_any_level(buil
         run_convergence(case, 2, StepperConfig(), [2, 3], t_end=0.01)
 
 
+@pytest.mark.parametrize("levels", [[2], [2, 4], [2, 2], [3, 2], [-1, 0]])
+def test_convergence_rejects_levels_that_are_not_consecutive_before_any_level(levels, monkeypatch):
+    import gepup.bench
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a level ran")
+
+    monkeypatch.setattr(gepup.bench, "run_simulation", no_run)
+    with pytest.raises(ValueError, match="two or more consecutive ascending levels"):
+        run_convergence(taylor_green_case(100.0), 2, StepperConfig(), levels, t_end=0.01)
+
+
+@pytest.mark.parametrize("t0, t_end", [(0.0, np.nan), (np.nan, 1.0), (0.0, np.inf), (-np.inf, 1.0)])
+def test_run_rejects_non_finite_times_before_any_setup(t0, t_end, monkeypatch):
+    import gepup.bench
+
+    def no_setup(*args, **kwargs):
+        raise AssertionError("setup ran")
+
+    monkeypatch.setattr(gepup.bench, "check_boundary_compatibility", no_setup)
+    monkeypatch.setattr(gepup.bench, "GepupOperators", no_setup)
+    with pytest.raises(ValueError, match="t0 and t_end must be finite"):
+        run_simulation(lid_cavity_case(1000.0), 2, 2, StepperConfig(), t0=t0, t_end=t_end)
+
+
 def test_final_step_lands_exactly_on_t_end():
     case = taylor_green_case(100.0)
     res = run_simulation(

@@ -5,7 +5,7 @@ import pytest
 
 from gepup import UNIT_SQUARE, RectDomain, build_space, interpolate, taylor_green_case
 from gepup.bench import ConvergenceTable
-from gepup.cli import UsageError, main, parse_config, serialize_config
+from gepup.cli import UsageError, main, parse_config
 from gepup.output import (
     _subcell_connectivity,
     nodal_curl_and_div,
@@ -285,22 +285,6 @@ def test_parse_rejects_unknown_flag():
         parse_config(TABLE1_FLAGS + ["--frobnicate", "1"])
 
 
-def test_config_round_trip():
-    _, cfg = parse_config(TABLE1_FLAGS)
-    again_cmd, again = parse_config(["run"] + serialize_config(cfg))
-    assert again == cfg
-
-
-def test_config_round_trip_converge():
-    _, cfg = parse_config(
-        ["converge", "--case", "taylor-green", "--degree", "3", "--t-end", "0.5",
-         "--levels", "3,4,5"]
-    )
-    assert cfg.levels == (3, 4, 5)
-    _, again = parse_config(["converge"] + serialize_config(cfg))
-    assert again == cfg
-
-
 # ---- CLI entry ------------------------------------------------------------------------
 
 
@@ -317,6 +301,15 @@ def test_cli_validate_tableaus(capsys):
     assert main(["validate-tableaus"]) == 0
     out = capsys.readouterr().out
     assert "ark4" in out and "ark5" in out and "FAILED" not in out
+
+
+def test_cli_validate_tableaus_fails_on_a_failed_check(capsys, monkeypatch):
+    import gepup.imex
+
+    monkeypatch.setattr(gepup.imex, "validate_tableau", lambda tab: [f"{tab.name} is broken"])
+    assert main(["validate-tableaus"]) == 2
+    err = capsys.readouterr().err
+    assert "runtime error" in err and "tableau 'ark4' failed validation" in err
 
 
 def test_cli_run_writes_outputs(tmp_path, capsys):
@@ -396,6 +389,23 @@ def test_cli_converge_rejects_a_case_without_exact_solution(case, tmp_path, caps
     assert main(flags) == 1
     err = capsys.readouterr().err
     assert "usage error" in err and case in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("levels", ["2", "2,4", "2,2", "3,2", "-1,0", "2,x"])
+def test_cli_converge_rejects_levels_that_are_not_consecutive(levels, tmp_path, capsys, monkeypatch):
+    import gepup.bench
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a level ran")
+
+    monkeypatch.setattr(gepup.bench, "run_simulation", no_run)
+    flags = ["converge", "--case", "taylor-green", "--degree", "2", "--t-end", "0.01",
+             f"--levels={levels}", "--outdir", str(tmp_path)]
+    with pytest.raises(UsageError, match="--levels: must be two or more consecutive ascending"):
+        parse_config(flags)
+    assert main(flags) == 1
+    assert "usage error" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

@@ -132,10 +132,10 @@ def run_simulation(
         raise ValueError(f"t_end {t_end} precedes t0 {t0}")
     if level < 0:
         raise ValueError(f"level must be nonnegative, got {level}")
+    tableau = load_tableau(config.tableau)
     check_boundary_compatibility(case, times=(t0, 0.5 * (t0 + t_end), t_end))
     cells = (base_cells[0] * 2**level, base_cells[1] * 2**level)
     ops = GepupOperators(case.domain, cells, degree, rel_tol=config.rel_tol)
-    tableau = load_tableau(config.tableau)
 
     ops.reset_residuals()
     try:

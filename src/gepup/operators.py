@@ -5,10 +5,13 @@ The evolved velocity w is not constrained to be solenoidal; the chain
     w  --(potential solve)-->  phi  --(1D mass solves)-->  u  --(pressure solve)-->  q
 
 recovers the divergence-free velocity u = w - grad(phi) and extracts the
-pressure q from u.  All right-hand sides are loads against the scalar test
-basis; the two Poisson solves are pure-Neumann problems posed in the
-mean-zero subspace.  The velocity needs no 2D solve: the mass matrix
-cancels against the mass factor of the load of d(phi)/dx_d, leaving
+pressure q from u.  One ``pressure`` call also forms the explicit load of
+the momentum equation at that (u, q): F = (f - u . grad u - grad q, eta),
+from the pressure load's quadrature pass and the pass of q.  All
+right-hand sides are loads against the scalar test basis; the two Poisson
+solves are pure-Neumann problems posed in the mean-zero subspace.  The
+velocity needs no 2D solve: the mass matrix cancels against the mass
+factor of the load of d(phi)/dx_d, leaving
 u_d = w_d - (Mx^{-1} Cx or My^{-1} Cy products of phi).
 
 In 2D the curl is the scalar du_y/dx - du_x/dy and the boundary term of the
@@ -94,10 +97,10 @@ class GepupState:
     """Discrete fields at one time: evolved velocity W, projected velocity U,
     projection potential Phi and pressure Q (both mass-mean-zero).
 
-    ``conv`` holds the loads (f - u . grad u, eta_i) per component at (U, t),
-    which the pressure load's quadrature pass also produces; the next time
-    step reuses them for its first explicit stage.  None makes the step
-    evaluate them again (set it to None after changing U by hand).
+    ``F`` holds the explicit loads (f - u . grad u - grad q, eta_i) per
+    component at (U, Q, t), from the ``GepupOperators.pressure`` call that
+    gave Q; the next time step reads them as its first explicit stage.
+    After changing U by hand, take Q and F from ``pressure`` again.
     """
 
     t: float
@@ -105,7 +108,7 @@ class GepupState:
     U: list[np.ndarray]
     Phi: np.ndarray
     Q: np.ndarray
-    conv: list[np.ndarray] | None = None
+    F: list[np.ndarray]
 
 
 class ConstrainedOperator:
@@ -255,21 +258,6 @@ class GepupOperators:
             vy += forcing[1]
         return [space.assemble_load(vx), space.assemble_load(vy)], space.assemble_gradtest_load(vx, vy)
 
-    def eval_Fw_both(
-        self, U: list[np.ndarray], Q, case: CaseDefinition, t: float, conv: list[np.ndarray] | None = None
-    ) -> list[np.ndarray]:
-        """Momentum loads (f_d - u . grad u_d - dq/dx_d, eta_i) for d = x, y.
-
-        ``conv`` are the loads (f - u . grad u, eta_i) at (U, t) from
-        ``eval_Fq``; without them the quadrature pass runs here.  The
-        pressure gradient comes from the pass of Q (an array or its
-        ``XPass``).
-        """
-        if conv is None:
-            conv, _ = self._nonlinear_loads(U, case, t)
-        Q = self.x_pass(Q)
-        return [conv[d] - Q.gradient(d) for d in range(2)]
-
     def eval_Fphi(self, W: list, case: CaseDefinition, t: float) -> np.ndarray:
         """Potential load (w, grad eta_i) - (n.g, eta_i) over the boundary.
 
@@ -283,7 +271,7 @@ class GepupOperators:
         """Pressure load (f - u.grad u, grad eta_i) + nu * curl boundary term - g_t flux term.
 
         Also returns the loads (f - u . grad u, eta_i) per component that the
-        same quadrature pass yields, for ``eval_Fw_both`` at the same (U, t).
+        same quadrature pass yields, for the explicit loads of ``pressure``.
         """
         conv, load = self._nonlinear_loads(U, case, t)
         if case.nu != 0.0:
@@ -330,11 +318,16 @@ class GepupOperators:
             U.append(W[d].x - Z)
         return U, Phi.x
 
-    def compute_pressure(self, U: list[np.ndarray], case: CaseDefinition, t: float):
-        """The pass of the pressure Q at (U, t), and the convection loads of
-        ``eval_Fq``: both for ``eval_Fw_both``."""
+    def pressure(self, U: list[np.ndarray], case: CaseDefinition, t: float) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The pressure Q at (U, t) and the explicit loads F_d = (f_d - u . grad u_d - dq/dx_d, eta_i).
+
+        One quadrature pass (``eval_Fq``) yields the pressure load and the
+        convection loads; G_d Q comes from the pass of Q that the Poisson
+        solve's check took, which is dropped on return.  Returns (Q, [F_x, F_y]).
+        """
         load, conv = self.eval_Fq(U, case, t)
-        return self.solve_poisson(load, "poisson_q"), conv
+        Q = self.solve_poisson(load, "poisson_q")
+        return Q.x, [conv[d] - Q.gradient(d) for d in range(2)]
 
     # ---- diagnostics -------------------------------------------------------------
 
@@ -362,5 +355,4 @@ class GepupOperators:
         V = [np.broadcast_to(np.asarray(v, dtype=float), pts[:, 0].shape) for v in case.u0(pts[:, 0], pts[:, 1])]
         U, Phi = self.leray_project(V, case, t0)
         W = [u.copy() for u in U]
-        Q, conv = self.compute_pressure(U, case, t0)
-        return GepupState(t0, W, U, Phi, Q.x, conv)
+        return GepupState(t0, W, U, Phi, *self.pressure(U, case, t0))

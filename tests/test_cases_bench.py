@@ -349,6 +349,18 @@ def test_run_rejects_non_finite_times_before_any_setup(t0, t_end, monkeypatch):
         run_simulation(lid_cavity_case(1000.0), 2, 2, StepperConfig(), t0=t0, t_end=t_end)
 
 
+def test_run_rejects_an_unknown_tableau_before_any_setup(monkeypatch):
+    import gepup.bench
+
+    def no_setup(*args, **kwargs):
+        raise AssertionError("setup ran")
+
+    monkeypatch.setattr(gepup.bench, "check_boundary_compatibility", no_setup)
+    monkeypatch.setattr(gepup.bench, "GepupOperators", no_setup)
+    with pytest.raises(ValueError, match="unknown tableau 'rk99'"):
+        run_simulation(taylor_green_case(100.0), 3, 6, StepperConfig(tableau="rk99"), t_end=0.01)
+
+
 def test_final_step_lands_exactly_on_t_end():
     case = taylor_green_case(100.0)
     res = run_simulation(

@@ -115,7 +115,7 @@ def test_lstability_of_implicit_half():
 def test_courant_dt_unit_speed():
     space = build_space(UNIT_SQUARE, (8, 8), 3)
     U = [np.ones(space.n_dofs), np.zeros(space.n_dofs)]
-    dt = courant_dt(space, U, 0.8)
+    dt = courant_dt(space, U, 0.8, dt_max=1.0)
     assert dt == pytest.approx(0.8 / 24.0, rel=1e-12)
 
 
@@ -132,7 +132,7 @@ def test_courant_dt_taylor_green_fine_mesh():
         interpolate(space, lambda x, y, t, d=d: case.exact_u(x, y, 0.0)[d])
         for d in range(2)
     ]
-    dt = courant_dt(space, U, 0.8)
+    dt = courant_dt(space, U, 0.8, dt_max=1.0)
     assert dt == pytest.approx(0.8 / 192.0, rel=1e-9)  # max speed 1 at t=0
 
 
@@ -206,7 +206,7 @@ def test_taylor_green_q4_l6_step_meets_default_tolerance():
     ops = GepupOperators(UNIT_SQUARE, (64, 64), 4)
     state = ops.initial_state(case, 0.0)
     tab = load_tableau("ark4")
-    dt = courant_dt(ops.space, state.U, 0.8)
+    dt = courant_dt(ops.space, state.U, 0.8, dt_max=1.0)
     state = advance_step(state, dt, tab, case, ops)
     assert all(0.0 < r <= ops.rel_tol for r in ops.residuals.values()), ops.residuals
     err = error_norms(ops.space, state.U, case.exact_u, dt)["L2"]
@@ -218,14 +218,11 @@ def test_stage_solve_matches_scalar_amplification_oracle():
     # of the heat equation, so every (A, M) eigenmode is multiplied by the
     # scalar stability function at z = -nu dt lambda
     class PureDiffusionOps(GepupOperators):
-        def eval_Fw_both(self, U, Q, case, t, conv=None):
-            return [np.zeros(self.space.n_dofs), np.zeros(self.space.n_dofs)]
-
         def leray_project(self, W, case, t):
             return [self.x_pass(w).x.copy() for w in W], np.zeros(self.space.n_dofs)
 
-        def compute_pressure(self, U, case, t):
-            return self.x_pass(np.zeros(self.space.n_dofs)), None
+        def pressure(self, U, case, t):
+            return np.zeros(self.space.n_dofs), [np.zeros(self.space.n_dofs), np.zeros(self.space.n_dofs)]
 
     ops = PureDiffusionOps(UNIT_SQUARE, (4, 4), 2)
     case = zero_case()
@@ -243,7 +240,6 @@ def test_stage_solve_matches_scalar_amplification_oracle():
         state = ops.initial_state(case, 0.0)
         state.W = [W0.copy(), np.zeros_like(W0)]
         state.U = [W0.copy(), np.zeros_like(W0)]
-        state.conv = None
         out = advance_step(state, dt, tab, case, ops)
         z = -nu * dt * lam[mode]
         expected = esdirk_stability(tab, z).real * v
@@ -253,7 +249,7 @@ def test_stage_solve_matches_scalar_amplification_oracle():
 
 @pytest.mark.parametrize(
     "tableau, fdm_applies, mass_checks, x_passes, x_products",
-    [("ark4", 24, 14, 49, 101), ("ark5", 32, 18, 65, 135)],
+    [("ark4", 24, 14, 48, 100), ("ark5", 32, 18, 64, 134)],
     ids=["ark4", "ark5"],
 )
 def test_work_per_step(monkeypatch, tableau, fdm_applies, mass_checks, x_passes, x_products):
@@ -262,15 +258,15 @@ def test_work_per_step(monkeypatch, tableau, fdm_applies, mass_checks, x_passes,
     # solves.  A 2D mass solve back in the projection would add 2 applies
     # per projection (36 for ark4, 48 for ark5).
     # Each field gets one x-pass, shared by its backward-error check and the
-    # scheme: W^n and Q^n at the start of the step, the two W_s, Phi and Q of
-    # each stage, the two W*, Phi and Q at its end.  A pass takes each of its
-    # x-factor products once: M, K and C^T for W_s,x; M and K for W_s,y and
-    # W^n; M, K and C for Phi and a stage's Q; M and K for the end-of-step Q;
-    # M and C for Q^n; M and C^T for W*_x; M for W*_y.  Every other 2D
-    # product is a pass too: the boundary lift of each momentum solve (M and
-    # K) and the M Z_d of each projection's two mass checks (M).  Those 22
-    # and 30 passes took the same x products as matvecs before, so the
-    # totals of 101 and 135 x-factor products are unchanged.
+    # scheme: W^n at the start of the step, the two W_s, Phi and Q of each
+    # stage, the two W*, Phi and Q at its end.  Q^n has no pass of its own:
+    # the state carries its explicit loads F, formed by the pressure call
+    # that solved for it.  A pass takes each of its x-factor products once:
+    # M, K and C^T for W_s,x; M and K for W_s,y and W^n; M, K and C for Phi,
+    # a stage's Q and the end-of-step Q; M and C^T for W*_x; M for W*_y.
+    # Every other 2D product is a pass too: the boundary lift of each
+    # momentum solve (M and K) and the M Z_d of each projection's two mass
+    # checks (M).
     ops = GepupOperators(UNIT_SQUARE, (4, 4), 2)
     case = taylor_green_case(100.0)
     state = ops.initial_state(case, 0.0)
@@ -392,8 +388,7 @@ def linear_stokes_growth(tableau, r, k, n):
         interpolate(ops.space, lambda x, y, t: np.cos(x + 2 * y)),
     ]  # smooth, not solenoidal, not zero on the boundary
     U, Phi = ops.leray_project(W, case, 0.0)
-    Q, conv = ops.compute_pressure(U, case, 0.0)
-    state = GepupState(0.0, W, U, Phi, Q.x, conv)
+    state = GepupState(0.0, W, U, Phi, *ops.pressure(U, case, 0.0))
     dt = r * (1.0 / (n * k)) ** 2 / case.nu
     tab = load_tableau(tableau)
     norms = []

@@ -13,6 +13,11 @@ reads a ``.mesh``, a reference element ``.ref`` or inverse cell sizes
 origins, and every module reads the space's physical tables (``quad_phi``,
 ``quad_dx``, ...) or, as the test oracles do, tabulates ``shape_eval``
 itself.
+
+The settable-value gate counts the package's knobs: the defaults of every
+``def``, the dataclass fields that have a default and the ``--`` flags of
+``add_argument``.  A change that adds a knob updates the pinned count and
+says why.
 """
 
 import ast
@@ -82,3 +87,50 @@ def test_structure_gate_flags_fem_internals():
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.stem != "fem"], ids=lambda p: p.name)
 def test_only_fem_reads_the_reference_element(path):
     assert fem_internal_reads(path.read_text()) == []
+
+
+SETTABLE_VALUES = {"def defaults": 23, "dataclass defaults": 16, "cli flags": 13}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if "dataclass" in (getattr(target, "id", None), getattr(target, "attr", None)):
+            return True
+    return False
+
+
+def settable_values(source: str) -> dict[str, int]:
+    counts = dict.fromkeys(SETTABLE_VALUES, 0)
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            counts["def defaults"] += len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            counts["dataclass defaults"] += sum(
+                isinstance(s, ast.AnnAssign) and s.value is not None for s in node.body
+            )
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
+            counts["cli flags"] += any(
+                isinstance(a, ast.Constant) and str(a.value).startswith("--") for a in node.args
+            )
+    return counts
+
+
+def test_settable_value_count_flags_each_kind():
+    source = (
+        "from dataclasses import dataclass\n"
+        "def f(a, b=1, *, c=2, d): pass\n"
+        "@dataclass(frozen=True)\nclass C:\n    x: int\n    y: int = 0\n"
+        "class Plain:\n    z: int = 0\n"
+        "p.add_argument('--flag', default=1)\np.add_argument('name')\n"
+    )
+    assert settable_values(source) == {"def defaults": 2, "dataclass defaults": 1, "cli flags": 1}
+
+
+def test_settable_values():
+    counts = dict.fromkeys(SETTABLE_VALUES, 0)
+    for path in sorted(PACKAGE.glob("*.py")):
+        for key, n in settable_values(path.read_text()).items():
+            counts[key] += n
+    assert counts == SETTABLE_VALUES

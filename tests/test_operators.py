@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -12,6 +10,7 @@ from gepup import (
     interpolate,
     taylor_green_case,
 )
+from gepup.imex import advance_step, load_tableau
 from gepup.linsolve import SolverError
 from gepup.operators import GepupOperators, check_boundary_compatibility
 from fem_oracle import assemble_mass, assemble_stiffness
@@ -43,37 +42,38 @@ def interp2(space, fn):
 # ---- momentum load ------------------------------------------------------------
 
 
+# F = conv - G Q: the convection loads come from eval_Fq, G Q from the pass of Q
+
+
 def test_Fw_all_zero(ops):
     N = ops.space.n_dofs
     z = np.zeros(N)
-    load = ops.eval_Fw_both([z, z], z, make_case(), 0.0)[0]
-    assert np.allclose(load, 0.0, atol=1e-15)
+    conv = ops.eval_Fq([z, z], make_case(), 0.0)[1]
+    assert np.allclose(conv[0], 0.0, atol=1e-15)
+    assert np.allclose(ops.x_pass(z).gradient(0), 0.0, atol=1e-15)
 
 
 def test_Fw_constant_forcing_gives_mass_row_sums(ops):
     N = ops.space.n_dofs
     z = np.zeros(N)
     case = make_case(f=lambda x, y, t: (np.ones_like(x), np.zeros_like(x)))
-    load = ops.eval_Fw_both([z, z], z, case, 0.0)[0]
-    assert np.allclose(load, ops.mass_weights, atol=1e-14)
-    assert np.allclose(ops.eval_Fw_both([z, z], z, case, 0.0)[1], 0.0, atol=1e-15)
+    conv = ops.eval_Fq([z, z], case, 0.0)[1]
+    assert np.allclose(conv[0], ops.mass_weights, atol=1e-14)
+    assert np.allclose(conv[1], 0.0, atol=1e-15)
 
 
 def test_Fw_shear_field_has_no_self_advection():
     # u = (y, 0): u . grad u_x = y * 0 + 0 * 1 = 0 pointwise
     ops1 = GepupOperators(UNIT_SQUARE, (1, 1), 2)
     U = interp2(ops1.space, lambda x, y: (y, np.zeros_like(x)))
-    load = ops1.eval_Fw_both(U, np.zeros(ops1.space.n_dofs), make_case(), 0.0)[0]
-    assert np.allclose(load, 0.0, atol=1e-14)
+    conv = ops1.eval_Fq(U, make_case(), 0.0)[1]
+    assert np.allclose(conv[0], 0.0, atol=1e-14)
 
 
 def test_Fw_includes_pressure_gradient(ops):
-    N = ops.space.n_dofs
-    z = np.zeros(N)
     Q = interpolate(ops.space, lambda x, y, t: x)
-    load = ops.eval_Fw_both([z, z], Q, make_case(), 0.0)[0]
-    # (-dq/dx, eta_i) with q = x: every entry is -(1, eta_i)
-    assert np.allclose(load, -ops.mass_weights, atol=1e-13)
+    # (dq/dx, eta_i) with q = x: every entry is (1, eta_i)
+    assert np.allclose(ops.x_pass(Q).gradient(0), ops.mass_weights, atol=1e-13)
 
 
 # ---- potential load -------------------------------------------------------------
@@ -215,7 +215,7 @@ def test_Fq_boundary_term_sign_on_shear(ops):
 
 def test_pressure_zero_for_rest_state(ops):
     z = np.zeros(ops.space.n_dofs)
-    Q = ops.compute_pressure([z, z], make_case(), 0.0)[0].x
+    Q = ops.pressure([z, z], make_case(), 0.0)[0]
     assert np.abs(Q).max() < 1e-12
 
 
@@ -232,7 +232,7 @@ def test_pressure_from_manufactured_gradient_forcing():
         space = ops_l.space
         case = make_case(f=gpsi)
         z = np.zeros(space.n_dofs)
-        Q = ops_l.compute_pressure([z, z], case, 0.0)[0].x
+        Q = ops_l.pressure([z, z], case, 0.0)[0]
         mean = 4.0 / np.pi**2  # int of sin sin over the unit square
         errs.append(error_norms(space, Q, lambda x, y, t: psi(x, y) - mean, 0.0)["L2"])
     assert errs[0] < 2e-4
@@ -246,7 +246,7 @@ def test_pressure_approximates_known_field_from_velocity():
         ops_l = GepupOperators(UNIT_SQUARE, (2**level, 2**level), 3)
         space = ops_l.space
         U = interp2(space, lambda x, y: case.exact_u(x, y, 0.0))
-        Q = ops_l.compute_pressure(U, case, 0.0)[0].x
+        Q = ops_l.pressure(U, case, 0.0)[0]
         errs.append(error_norms(space, Q, lambda x, y, t: case.exact_p(x, y, 0.0), 0.0)["L2"])
     assert errs[1] < errs[0] / 10.0  # ~ (k+1)-order decay under refinement
 
@@ -254,7 +254,7 @@ def test_pressure_approximates_known_field_from_velocity():
 def test_pressure_is_mass_mean_zero_and_gauge_invariant(ops, rng):
     case = taylor_green_case(50.0)
     U = interp2(ops.space, lambda x, y: case.exact_u(x, y, 0.0))
-    Q = ops.compute_pressure(U, case, 0.0)[0].x
+    Q = ops.pressure(U, case, 0.0)[0]
     w = ops.mass_weights
     assert abs(w @ Q) <= 1e-10 * np.linalg.norm(Q) * np.linalg.norm(w)
     # shifting the potential by a constant must not change the projected velocity
@@ -300,14 +300,10 @@ def test_pass_products_match_the_direct_products(domain, cells):
         assert_close(p.stiffness, A @ field)
         for d in range(2):
             assert_close(p.gradient(d), value_load(space, space.grads_at_quad(field)[d]))
-    # the scheme's entry points read the passes they are given
+    # the potential load reads the passes it is given
     case = make_case()
     passes = [ops.x_pass(w) for w in W]
     assert np.array_equal(ops.eval_Fphi(passes, case, 0.0), ops.eval_Fphi(W, case, 0.0))
-    conv = [np.zeros(n)] * 2
-    assert np.array_equal(
-        ops.eval_Fw_both(W, ops.x_pass(Q), case, 0.0, conv), ops.eval_Fw_both(W, Q, case, 0.0, conv)
-    )
 
 
 def load_setup(k, convection=True):
@@ -357,9 +353,10 @@ def test_Fphi_tensor_form_matches_quadrature(k):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_Fw_tensor_form_matches_quadrature(k):
-    ops, U, W, Q, Phi, case = load_setup(k)
+    ops, U, W, _, Phi, case = load_setup(k)
+    Q, F = ops.pressure(U, case, 0.4)
     expected = fw_terms(ops.space, U, Q, case, 0.4)
-    for d, load in enumerate(ops.eval_Fw_both(U, Q, case, 0.4)):
+    for d, load in enumerate(F):
         assert_matches_terms(load, expected[d])
 
 
@@ -371,37 +368,33 @@ def test_Fq_and_its_convection_loads_match_quadrature(k):
     expected = fw_terms(ops.space, U, Q, case, 0.4)
     for d in range(2):
         assert_matches_terms(conv[d], expected[d][:2])
-    # the loads handed on are exactly those eval_Fw_both computes on its own
-    fw_own = ops.eval_Fw_both(U, Q, case, 0.4)
-    fw_reused = ops.eval_Fw_both(U, Q, case, 0.4, conv=conv)
-    _, conv2 = ops.compute_pressure(U, case, 0.4)
+    # pressure's explicit loads are exactly these convection loads less G Q
+    Q, F = ops.pressure(U, case, 0.4)
     for d in range(2):
-        assert np.array_equal(fw_own[d], fw_reused[d])
-        assert np.array_equal(conv2[d], conv[d])
+        assert np.array_equal(F[d], conv[d] - ops.x_pass(Q).gradient(d))
 
 
 def test_loads_without_convection_keep_forcing_and_pressure():
-    ops, U, W, Q, Phi, case = load_setup(2, convection=False)
+    ops, U, W, _, Phi, case = load_setup(2, convection=False)
+    Q, F = ops.pressure(U, case, 0.4)
     expected = fw_terms(ops.space, U, Q, case, 0.4)
-    for d, load in enumerate(ops.eval_Fw_both(U, Q, case, 0.4)):
+    for d, load in enumerate(F):
         assert_matches_terms(load, [expected[d][0], expected[d][2]])
     load, _ = ops.eval_Fq(U, case, 0.4)
     terms = fq_terms(ops.space, U, case, 0.4)
     assert_matches_terms(load, terms[:2] + terms[4:])
 
 
-def test_state_carries_convection_loads_of_its_velocity():
-    ops, U, W, Q, Phi, case = load_setup(2)
-    w0 = lambda x, y: (np.sin(y), np.cos(x))  # not solenoidal
-    W = interp2(ops.space, w0)
-    U, _ = ops.leray_project(W, case, 0.0)
-    _, conv = ops.compute_pressure(U, case, 0.0)
-    state = ops.initial_state(dataclasses.replace(case, u0=w0), 0.0)
-    _, conv_of_U = ops.eval_Fq(U, case, 0.0)
-    for d in range(2):
-        assert np.array_equal(conv[d], conv_of_U[d])
-        assert np.array_equal(state.U[d], U[d])
-        assert np.array_equal(state.conv[d], conv_of_U[d])
+def test_state_carries_the_explicit_loads_of_its_fields():
+    # F = conv(U) - G Q at the state's own (U, Q, t), after the initial
+    # projection and after a step, to the bit
+    ops = GepupOperators(UNIT_SQUARE, (4, 4), 2)
+    case = taylor_green_case(100.0)
+    first = ops.initial_state(case, 0.0)
+    for state in (first, advance_step(first, 0.01, load_tableau("ark4"), case, ops)):
+        conv = ops.eval_Fq(state.U, case, state.t)[1]
+        for d in range(2):
+            assert np.array_equal(state.F[d], conv[d] - ops.x_pass(state.Q).gradient(d))
 
 
 # ---- divergence monitor -----------------------------------------------------------

@@ -58,10 +58,9 @@ class ConvergenceTable:
 class SimulationResult:
     state: GepupState
     ops: GepupOperators
-    case: CaseDefinition
     monitors: list[dict]
     steps: int
-    errors: dict | None = None
+    errors: dict | None
 
 
 def solution_errors(ops: GepupOperators, state: GepupState, case: CaseDefinition) -> dict:
@@ -135,7 +134,7 @@ def run_simulation(
     tableau = load_tableau(config.tableau)
     check_boundary_compatibility(case, times=(t0, 0.5 * (t0 + t_end), t_end))
     cells = (base_cells[0] * 2**level, base_cells[1] * 2**level)
-    ops = GepupOperators(case.domain, cells, degree, rel_tol=config.rel_tol)
+    ops = GepupOperators(case.domain, cells, degree)
 
     ops.reset_residuals()
     try:
@@ -175,7 +174,7 @@ def run_simulation(
     errors = None
     if case.has_exact_solution:
         errors = solution_errors(ops, state, case)
-    return SimulationResult(state=state, ops=ops, case=case, monitors=monitors, steps=steps, errors=errors)
+    return SimulationResult(state=state, ops=ops, monitors=monitors, steps=steps, errors=errors)
 
 
 def is_level_sequence(levels) -> bool:

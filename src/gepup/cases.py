@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fem import UNIT_SQUARE
 from .operators import CaseDefinition
 
 __all__ = ["taylor_green_case", "single_vortex_case", "lid_cavity_case"]
@@ -59,12 +58,10 @@ def taylor_green_case(reynolds: float) -> CaseDefinition:
         g=exact_u,
         dg_dt=dg_dt,
         u0=lambda x, y: exact_u(x, y, 0.0),
-        f=None,
         exact_u=exact_u,
         exact_p=exact_p,
         exact_u_grads=exact_u_grads,
         exact_p_grad=exact_p_grad,
-        domain=UNIT_SQUARE,
     )
 
 
@@ -111,9 +108,6 @@ def single_vortex_case(reynolds: float) -> CaseDefinition:
         nu=nu,
         g=g,
         u0=u0,
-        f=None,
-        dg_dt=None,
-        domain=UNIT_SQUARE,
     )
 
 
@@ -142,7 +136,4 @@ def lid_cavity_case(reynolds: float) -> CaseDefinition:
         nu=nu,
         g=g,
         u0=u0,
-        f=None,
-        dg_dt=None,
-        domain=UNIT_SQUARE,
     )

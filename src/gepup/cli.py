@@ -68,13 +68,6 @@ def _add_config_args(p: argparse.ArgumentParser):
     p.add_argument(
         "--base", type=_checked(int, "at least 1", lambda v: v >= 1), default=1, help="base cells per axis at level 0"
     )
-    p.add_argument(
-        "--rel-tol",
-        type=_checked(float, "in (0, 1)", lambda v: 0 < v < 1),
-        default=StepperConfig.rel_tol,
-        help="bound on the normwise backward error ||b - Kx|| / (||b|| + ||K|| ||x||) "
-        "of every linear solve (default %(default)s)",
-    )
     p.add_argument("--snapshot-interval", type=_NONNEGATIVE, default=0)
     p.add_argument("--outdir", default=".")
 
@@ -125,7 +118,7 @@ def parse_config(argv: list[str]) -> tuple[str, argparse.Namespace]:
 
 
 def _stepper(config: argparse.Namespace) -> StepperConfig:
-    return StepperConfig(tableau=config.integrator, courant=config.courant, rel_tol=config.rel_tol)
+    return StepperConfig(tableau=config.integrator, courant=config.courant)
 
 
 def _cmd_run(config: argparse.Namespace) -> int:

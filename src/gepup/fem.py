@@ -54,8 +54,8 @@ MAX_DEGREE = 4
 class RectDomain:
     """Axis-aligned rectangle given by its lower-left corner and side lengths."""
 
-    origin: tuple[float, float] = (0.0, 0.0)
-    extent: tuple[float, float] = (1.0, 1.0)
+    origin: tuple[float, float]
+    extent: tuple[float, float]
 
     def __post_init__(self):
         if self.extent[0] <= 0.0 or self.extent[1] <= 0.0:

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linsolve import REL_TOL, SolverError
+from .linsolve import SolverError
 from .operators import CaseDefinition, GepupOperators, GepupState
 
 __all__ = [
@@ -257,7 +257,10 @@ def load_tableau(name: str) -> ButcherTableau:
     return tab
 
 
-def validate_tableau(tab: ButcherTableau, tol: float = 1e-13) -> list[str]:
+TABLEAU_TOL = 1e-13  # largest deviation of a tableau entry or order condition from its exact value
+
+
+def validate_tableau(tab: ButcherTableau) -> list[str]:
     """Structural, stiff-accuracy and order checks; returns violations (never raises)."""
     out = []
     n = tab.n_stages
@@ -266,26 +269,26 @@ def validate_tableau(tab: ButcherTableau, tol: float = 1e-13) -> list[str]:
     if n < 2:
         out.append("ESDIRK structure needs at least 2 stages (explicit first stage plus implicit ones)")
         return out
-    if abs(c[0]) > tol:
+    if abs(c[0]) > TABLEAU_TOL:
         out.append(f"c[0] = {c[0]:.2e} != 0")
-    if np.any(np.abs(np.triu(AE)) > tol):
+    if np.any(np.abs(np.triu(AE)) > TABLEAU_TOL):
         out.append("explicit table is not strictly lower triangular")
-    if np.any(np.abs(np.triu(AI, 1)) > tol):
+    if np.any(np.abs(np.triu(AI, 1)) > TABLEAU_TOL):
         out.append("implicit table is not lower triangular")
-    if np.any(np.abs(AI[0, :]) > tol):
+    if np.any(np.abs(AI[0, :]) > TABLEAU_TOL):
         out.append("implicit table must have a zero first row (explicit first stage)")
     diag = np.diag(AI)[1:]
-    if np.any(np.abs(diag - tab.gamma) > tol):
+    if np.any(np.abs(diag - tab.gamma) > TABLEAU_TOL):
         out.append("implicit diagonal is not the constant gamma from stage 2 on")
     for tag, A in (("explicit", AE), ("implicit", AI)):
         err = np.abs(A.sum(axis=1) - c).max()
-        if err > tol:
+        if err > TABLEAU_TOL:
             out.append(f"{tag} row sums differ from c by {err:.2e}")
-    if np.abs(b - AI[-1, :]).max() > tol:
+    if np.abs(b - AI[-1, :]).max() > TABLEAU_TOL:
         out.append("not stiffly accurate: b differs from the last implicit row")
 
     def check(value, target, label):
-        if abs(value - target) > tol:
+        if abs(value - target) > TABLEAU_TOL:
             out.append(f"{label}: {value - target:+.2e} off")
 
     check(b.sum(), 1.0, "sum(b) = 1")
@@ -299,24 +302,21 @@ def validate_tableau(tab: ButcherTableau, tol: float = 1e-13) -> list[str]:
 
 @dataclass
 class StepperConfig:
-    """Time-integration settings: tableau id, Courant number, linear tolerances.
+    """Time-integration settings: tableau id, Courant number, largest step.
 
-    Every linear solve is direct; ``rel_tol`` bounds the normwise backward
-    error ||b - K x|| / (||b|| + ||K|| ||x||) every momentum, Poisson and
-    mass solve must meet.  A solve above its bound, or with a NaN or
-    infinite result, raises SolverError.
+    Every linear solve is direct, and its normwise backward error
+    ||b - K x|| / (||b|| + ||K|| ||x||) must not exceed the fixed
+    ``linsolve.REL_TOL``; a solve above it, or with a NaN or infinite
+    result, raises SolverError.
     """
 
     tableau: str = "ark4"
     courant: float = 0.8
-    rel_tol: float = REL_TOL
     dt_max: float = 1.0
 
     def __post_init__(self):
         if not 0 < self.courant < math.inf:
             raise ValueError(f"courant: the Courant number must be positive and finite, got {self.courant}")
-        if not 0 < self.rel_tol < 1:
-            raise ValueError(f"rel_tol: must lie in (0, 1), got {self.rel_tol}")
         if not self.dt_max > 0:
             raise ValueError(f"dt_max: must be positive, got {self.dt_max}")
 

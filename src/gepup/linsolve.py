@@ -98,18 +98,18 @@ class FastDiagonalization:
         return x, bc
 
 
-REL_TOL = 1e-12  # default bound on every solve's normwise backward error
+REL_TOL = 1e-12  # bound on every solve's normwise backward error
 
 
-def check_backward_error(name: str, b: np.ndarray, Kx: np.ndarray, x: np.ndarray, norm_K: float, rel_tol: float) -> float:
+def check_backward_error(name: str, b: np.ndarray, Kx: np.ndarray, x: np.ndarray, norm_K: float) -> float:
     """Normwise backward error ||b - Kx|| / (||b|| + ||K|| ||x||) of a solve.
 
-    Raises SolverError naming the solve when it exceeds ``rel_tol``; a NaN or
+    Raises SolverError naming the solve when it exceeds ``REL_TOL``; a NaN or
     infinite value anywhere fails the check.
     """
     res = float(np.linalg.norm(b - Kx))
     scale = float(np.linalg.norm(b)) + norm_K * float(np.linalg.norm(x))
-    if not (res <= rel_tol * scale and scale < np.inf):
+    if not (res <= REL_TOL * scale and scale < np.inf):
         value = res / scale if scale else res
-        raise SolverError(f"{name} solve: backward error {value:.3e} exceeds rel_tol {rel_tol:g}")
+        raise SolverError(f"{name} solve: backward error {value:.3e} exceeds {REL_TOL:g}")
     return res / scale if scale else 0.0

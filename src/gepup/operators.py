@@ -30,7 +30,7 @@ import numpy as np
 
 from . import fem, tensorops
 from .fem import UNIT_SQUARE, RectDomain
-from .linsolve import REL_TOL, FastDiagonalization, check_backward_error
+from .linsolve import FastDiagonalization, check_backward_error
 from .tensorops import XPass, norm_bound
 
 __all__ = ["CaseDefinition", "GepupState", "GepupOperators", "check_boundary_compatibility"]
@@ -186,11 +186,9 @@ class GepupOperators:
         domain: RectDomain,
         cells: tuple[int, int],
         degree: int,
-        rel_tol: float = REL_TOL,
         convection: bool = True,
     ):
         self.space = fem.build_space(domain, cells, degree)
-        self.rel_tol = rel_tol
         self.convection = convection
 
         ax, ay = self.space.axes
@@ -208,7 +206,7 @@ class GepupOperators:
 
     def record_solve(self, name: str, b, Kx, x, norm_K: float):
         """Check a solve's backward error (raises SolverError) and keep the largest per class."""
-        eta = check_backward_error(name, b, Kx, x, norm_K, self.rel_tol)
+        eta = check_backward_error(name, b, Kx, x, norm_K)
         self.residuals[name] = max(self.residuals[name], eta)
 
     def x_pass(self, x) -> XPass:

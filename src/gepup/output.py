@@ -9,6 +9,7 @@ import numpy as np
 
 from .bench import ConvergenceTable
 from .fem import FeSpace
+from .operators import SOLVE_CLASSES
 
 __all__ = ["write_vtk", "write_convergence_csv", "write_monitor_csv", "nodal_curl_and_div"]
 
@@ -95,18 +96,9 @@ def write_vtk(space: FeSpace, path, velocity=None, pressure=None, title: str = "
             _write_block(f, f"SCALARS {name} double\nLOOKUP_TABLE default", values, ">f8")
 
 
-CSV_HEADER = [
-    "h",
-    "u_L2", "u_L2_rate",
-    "u_H1", "u_H1_rate",
-    "u_Linf", "u_Linf_rate",
-    "q_L2", "q_L2_rate",
-    "q_H1", "q_H1_rate",
-    "q_Linf", "q_Linf_rate",
-    "u_H1semi", "q_H1semi",
-]
-
 ERROR_COLUMNS = ("u_L2", "u_H1", "u_Linf", "q_L2", "q_H1", "q_Linf")  # in CSV column order
+SEMINORM_COLUMNS = ("u_H1semi", "q_H1semi")
+CSV_HEADER = ["h", *(col for key in ERROR_COLUMNS for col in (key, f"{key}_rate")), *SEMINORM_COLUMNS]
 
 
 def write_convergence_csv(table: ConvergenceTable, path):
@@ -126,15 +118,19 @@ def write_convergence_csv(table: ConvergenceTable, path):
             for key in ERROR_COLUMNS:
                 row.append(f"{table.errors[i][key]:.2e}")
                 row.append("" if i == 0 else f"{rates[key][i - 1]:.2f}")
-            row.append(f"{table.errors[i].get('u_H1semi', float('nan')):.2e}")
-            row.append(f"{table.errors[i].get('q_H1semi', float('nan')):.2e}")
+            for key in SEMINORM_COLUMNS:
+                row.append(f"{table.errors[i].get(key, float('nan')):.2e}")
             writer.writerow(row)
 
 
-MONITOR_HEADER = [
-    "step", "t", "dt", "div_l2", "kinetic_energy",
-    "res_momentum", "res_poisson_phi", "res_poisson_q", "res_mass",
-]
+MONITOR_FORMATS = {  # each monitor column, in file order, and the format of its values
+    "step": "d",
+    "t": ".12g",
+    "dt": ".12g",
+    "div_l2": ".6e",
+    "kinetic_energy": ".12e",
+    **{f"res_{c}": ".3e" for c in SOLVE_CLASSES},
+}
 
 
 def write_monitor_csv(monitors: list[dict], path):
@@ -142,18 +138,6 @@ def write_monitor_csv(monitors: list[dict], path):
     error of each solve class)."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(MONITOR_HEADER)
+        writer.writerow(MONITOR_FORMATS)
         for row in monitors:
-            writer.writerow(
-                [
-                    row["step"],
-                    f"{row['t']:.12g}",
-                    f"{row['dt']:.12g}",
-                    f"{row['div_l2']:.6e}",
-                    f"{row['kinetic_energy']:.12e}",
-                    f"{row['res_momentum']:.3e}",
-                    f"{row['res_poisson_phi']:.3e}",
-                    f"{row['res_poisson_q']:.3e}",
-                    f"{row['res_mass']:.3e}",
-                ]
-            )
+            writer.writerow([format(row[key], spec) for key, spec in MONITOR_FORMATS.items()])

@@ -14,7 +14,7 @@ from gepup import (
     validate_tableau,
 )
 from gepup.imex import StepperConfig, advance_step, courant_dt
-from gepup.linsolve import FastDiagonalization
+from gepup.linsolve import REL_TOL, FastDiagonalization
 from gepup.tensorops import XPass
 from gepup.operators import CaseDefinition, GepupOperators, GepupState
 from fem_oracle import assemble_mass, assemble_stiffness
@@ -48,7 +48,7 @@ def test_unknown_tableau_id():
 
 def test_validate_tableau_passes_shipped_tableaus():
     for name in ("ark4", "ark5"):
-        assert validate_tableau(load_tableau(name), tol=1e-13) == []
+        assert validate_tableau(load_tableau(name)) == []
 
 
 def test_full_additive_order_conditions():
@@ -208,7 +208,9 @@ def test_taylor_green_q4_l6_step_meets_default_tolerance():
     tab = load_tableau("ark4")
     dt = courant_dt(ops.space, state.U, 0.8, dt_max=1.0)
     state = advance_step(state, dt, tab, case, ops)
-    assert all(0.0 < r <= ops.rel_tol for r in ops.residuals.values()), ops.residuals
+    assert all(0.0 < r <= REL_TOL for r in ops.residuals.values()), ops.residuals
+    # margin: measured at most 1.2e-15 in every solve class
+    assert all(r <= REL_TOL / 100 for r in ops.residuals.values()), ops.residuals
     err = error_norms(ops.space, state.U, case.exact_u, dt)["L2"]
     assert err < 1e-9
 
@@ -329,9 +331,6 @@ def test_initial_state_samples_the_initial_velocity_once():
         ("courant", float("nan")),
         ("courant", 0.0),
         ("courant", float("inf")),
-        ("rel_tol", float("nan")),
-        ("rel_tol", 0.0),
-        ("rel_tol", 1.0),
         ("dt_max", float("nan")),
         ("dt_max", 0.0),
         ("dt_max", -1.0),

@@ -89,7 +89,7 @@ def test_only_fem_reads_the_reference_element(path):
     assert fem_internal_reads(path.read_text()) == []
 
 
-SETTABLE_VALUES = {"def defaults": 23, "dataclass defaults": 16, "cli flags": 13}
+SETTABLE_VALUES = {"def defaults": 21, "dataclass defaults": 12, "cli flags": 12}
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -3,23 +3,22 @@ import pytest
 import scipy.linalg
 
 from gepup import RectDomain, SolverError, UNIT_SQUARE, lid_cavity_case
-from gepup.linsolve import FastDiagonalization, check_backward_error, eigenpairs
+from gepup.linsolve import REL_TOL, FastDiagonalization, check_backward_error, eigenpairs
 from gepup.operators import GepupOperators
 from fem_oracle import assemble_mass, assemble_stiffness
 
 
 # ---- one fast-diagonalization apply on small dense systems --------------------
-# (the test names are kept from the conjugate-gradient solver these tests replace)
 
 
-def test_cg_identity_single_iteration():
+def test_identity_pencil_returns_the_rhs():
     fdm = one_axis_solver(np.eye(5), np.eye(5))
     b = np.array([1.0, -2.0, 3.0, 0.5, 0.0])
     assert np.allclose(fdm.apply(b, 1.0 / fdm.lam), b, atol=1e-14)
     assert np.allclose(fdm.apply(b, 1.0), b, atol=1e-14)
 
 
-def test_cg_tridiagonal_known_solution():
+def test_tridiagonal_known_solution():
     A = np.array([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], float)
     b = np.array([1.0, 0.0, 0.0])
     # dense direct oracle
@@ -27,10 +26,10 @@ def test_cg_tridiagonal_known_solution():
     fdm = one_axis_solver(np.eye(3), A)
     x = fdm.apply(b, 1.0 / fdm.lam)
     assert np.allclose(x, [0.75, 0.5, 0.25], atol=1e-13)
-    assert check_backward_error("tridiagonal", b, A @ x, x, 4.0, 1e-14) <= 1e-15
+    assert check_backward_error("tridiagonal", b, A @ x, x, 4.0) <= 1e-15
 
 
-def test_cg_exact_in_n_iterations(rng):
+def test_one_apply_solves_any_spd_pencil(rng):
     # one apply solves alpha M + beta K exactly for any SPD pencil, no iteration needed
     for n in range(2, 11):
         Q = rng.standard_normal((n, n))
@@ -67,7 +66,7 @@ def test_neumann_path_graph_known_solution():
     assert np.allclose(oracle, [1.0, 0.0, -1.0], atol=1e-12)
     assert np.allclose(x, oracle, atol=1e-13)
     A = np.asarray(PATH_LAPLACIAN, float)
-    assert check_backward_error("path", bc, A @ x, x, 4.0, 1e-14) <= 1e-15
+    assert check_backward_error("path", bc, A @ x, x, 4.0) <= 1e-15
 
 
 def test_neumann_pure_nullspace_rhs(ops_q3_l3):
@@ -137,7 +136,7 @@ def test_direct_solves_match_dense_references(k, rng):
         assert ops.residuals[name] <= 1e-14
 
 
-def test_cg_zero_rhs(ops_q3_l3):
+def test_zero_rhs_gives_zero_solution(ops_q3_l3):
     fdm = one_axis_solver(np.eye(2), np.diag([2.0, 3.0]))
     assert np.array_equal(fdm.apply(np.zeros(2), 1.0 / fdm.lam), np.zeros(2))
     z = np.zeros(ops_q3_l3.space.n_dofs)
@@ -151,7 +150,7 @@ def test_cg_zero_rhs(ops_q3_l3):
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-def test_cg_rejects_nonfinite_inputs(ops_q3_l3):
+def test_solves_reject_nonfinite_inputs(ops_q3_l3):
     n = ops_q3_l3.space.n_dofs
     bad = np.ones(n)
     bad[n // 3] = np.nan
@@ -196,7 +195,7 @@ def test_momentum_check_with_nonzero_dirichlet_data(rng):
     coeff = 0.05
     b = rng.standard_normal(space.n_dofs)
     x = ops.momentum_operator(coeff).solve(b, gx).x
-    assert 0.0 < ops.residuals["momentum"] <= ops.rel_tol
+    assert 0.0 < ops.residuals["momentum"] <= REL_TOL
     K = (assemble_mass(space) + coeff * assemble_stiffness(space)).toarray()
     bd, inner = space.boundary_dofs, space.interior_dofs
     x_ref = scipy.linalg.solve(K[np.ix_(inner, inner)], b[inner] - K[np.ix_(inner, bd)] @ gx)
@@ -214,9 +213,12 @@ def test_momentum_check_with_nonzero_dirichlet_data(rng):
 def test_backward_error_is_normwise_relative():
     K = np.diag([2.0, 4.0])
     b = np.array([2.0, 4.0])
-    x = np.array([1.0, 1.0 + 1e-6])
-    # ||b - Kx|| = 4e-6 against ||b|| + ||K|| ||x|| = sqrt(20) + 4 sqrt(2)
-    eta = check_backward_error("toy", b, K @ x, x, 4.0, 1e-5)
-    assert eta == pytest.approx(4e-6 / (np.sqrt(20.0) + 4.0 * np.sqrt(2.0 + 2e-6 + 1e-12)))
-    with pytest.raises(SolverError, match="toy solve"):
-        check_backward_error("toy", b, K @ x, x, 4.0, 1e-7)
+    # x = (1, 1 + d): ||b - Kx|| = 4 d against ||b|| + ||K|| ||x|| = sqrt(20) + 4 ||x||,
+    # about 10.1, so d = 1e-12 lands below REL_TOL and d = 1e-11 above it
+    x = np.array([1.0, 1.0 + 1e-12])
+    eta = check_backward_error("toy", b, K @ x, x, 4.0)
+    assert eta == pytest.approx(4.0 * (x[1] - 1.0) / (np.sqrt(20.0) + 4.0 * np.linalg.norm(x)))
+    assert 0.1 * REL_TOL < eta < REL_TOL
+    x = np.array([1.0, 1.0 + 1e-11])
+    with pytest.raises(SolverError, match="toy solve: backward error 3.9"):
+        check_backward_error("toy", b, K @ x, x, 4.0)

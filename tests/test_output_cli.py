@@ -163,7 +163,7 @@ def test_vtk_reader_rejects_truncated_block_and_trailing_bytes(tmp_path, damage)
 
 def _table(rows):
     table = ConvergenceTable()
-    errs = ("u_L2", "u_H1", "u_Linf", "q_L2", "q_H1", "q_Linf")
+    errs = ("u_L2", "u_H1", "u_Linf", "q_L2", "q_H1", "q_Linf", "u_H1semi", "q_H1semi")
     for h, base in rows:
         table.add_row(h, {k: base * (1 + 0.1 * i) for i, k in enumerate(errs)})
     return table
@@ -212,27 +212,49 @@ def test_csv_is_rfc4180_crlf(tmp_path):
     assert b"\r\n" in raw
 
 
+MONITORS = [
+    {
+        "step": 0, "t": 0.0, "dt": 0.0, "div_l2": 1e-9, "kinetic_energy": 0.25,
+        "res_momentum": 0.0, "res_poisson_phi": 3.1e-16, "res_poisson_q": 4.2e-16,
+        "res_mass": 2.5e-16,
+    },
+    {
+        "step": 1, "t": 0.05, "dt": 0.05, "div_l2": 2e-9, "kinetic_energy": 0.24,
+        "res_momentum": 6.2e-16, "res_poisson_phi": 3.3e-16, "res_poisson_q": 4.0e-16,
+        "res_mass": 2.8e-16,
+    },
+]
+
+
 def test_monitor_csv_round_trip(tmp_path):
-    monitors = [
-        {
-            "step": 0, "t": 0.0, "dt": 0.0, "div_l2": 1e-9, "kinetic_energy": 0.25,
-            "res_momentum": 0.0, "res_poisson_phi": 3.1e-16, "res_poisson_q": 4.2e-16,
-            "res_mass": 2.5e-16,
-        },
-        {
-            "step": 1, "t": 0.05, "dt": 0.05, "div_l2": 2e-9, "kinetic_energy": 0.24,
-            "res_momentum": 6.2e-16, "res_poisson_phi": 3.3e-16, "res_poisson_q": 4.0e-16,
-            "res_mass": 2.8e-16,
-        },
-    ]
     path = tmp_path / "mon.csv"
-    write_monitor_csv(monitors, path)
+    write_monitor_csv(MONITORS, path)
     with open(path, newline="") as f:
         rows = list(csv.DictReader(f))
     assert len(rows) == 2
     assert float(rows[1]["t"]) == 0.05
     assert float(rows[1]["res_mass"]) == 2.8e-16
     assert float(rows[0]["res_momentum"]) == 0.0
+
+
+def test_csv_files_are_byte_stable(tmp_path):
+    # the exact text of each column's format, header to last line ending
+    path = tmp_path / "mon.csv"
+    write_monitor_csv(MONITORS, path)
+    assert path.read_bytes() == (
+        b"step,t,dt,div_l2,kinetic_energy,res_momentum,res_poisson_phi,res_poisson_q,res_mass\r\n"
+        b"0,0,0,1.000000e-09,2.500000000000e-01,0.000e+00,3.100e-16,4.200e-16,2.500e-16\r\n"
+        b"1,0.05,0.05,2.000000e-09,2.400000000000e-01,6.200e-16,3.300e-16,4.000e-16,2.800e-16\r\n"
+    )
+    path = tmp_path / "conv.csv"
+    write_convergence_csv(_table([(0.25, 8e-6), (0.125, 5e-7)]), path)
+    assert path.read_bytes() == (
+        b"h,u_L2,u_L2_rate,u_H1,u_H1_rate,u_Linf,u_Linf_rate,q_L2,q_L2_rate,q_H1,q_H1_rate,"
+        b"q_Linf,q_Linf_rate,u_H1semi,q_H1semi\r\n"
+        b"0.25,8.00e-06,,8.80e-06,,9.60e-06,,1.04e-05,,1.12e-05,,1.20e-05,,1.28e-05,1.36e-05\r\n"
+        b"0.125,5.00e-07,4.00,5.50e-07,4.00,6.00e-07,4.00,6.50e-07,4.00,7.00e-07,4.00,7.50e-07,4.00,"
+        b"8.00e-07,8.50e-07\r\n"
+    )
 
 
 # ---- config parsing ----------------------------------------------------------------
@@ -254,7 +276,6 @@ def test_parse_table1_configuration():
     assert cfg.integrator == "ark4"
     assert cfg.t_end == 1.0
     assert cfg.courant == 0.8  # default
-    assert cfg.rel_tol == 1e-12  # default
 
 
 def test_parse_empty_input_lists_required_keys():
@@ -280,9 +301,13 @@ def test_parse_rejects_unknown_case_and_integrator():
         parse_config(flags)
 
 
-def test_parse_rejects_unknown_flag():
-    with pytest.raises(UsageError):
-        parse_config(TABLE1_FLAGS + ["--frobnicate", "1"])
+def test_parse_rejects_unknown_flag(capsys):
+    # no flag sets the solves' backward-error bound: it is the fixed linsolve.REL_TOL
+    for extra in (["--frobnicate", "1"], ["--rel-tol", "1e-12"]):
+        with pytest.raises(UsageError, match=f"unrecognized arguments: {extra[0]}"):
+            parse_config(TABLE1_FLAGS + extra)
+        assert main(TABLE1_FLAGS + extra) == 1
+        assert "usage error" in capsys.readouterr().err
 
 
 # ---- CLI entry ------------------------------------------------------------------------
@@ -357,8 +382,6 @@ def test_cli_run_writes_the_final_state_once(tmp_path):
         ("--courant", "nan"),
         ("--courant", "inf"),
         ("--courant", "0"),
-        ("--rel-tol", "nan"),
-        ("--rel-tol", "1"),
         ("--re", "nan"),
         ("--re", "-1"),
         ("--t-end", "nan"),

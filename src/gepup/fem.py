@@ -12,8 +12,9 @@ support coordinates, Gauss points), and a ``FeSpace`` is the product of its
 two axes, whose element dofs, support and quadrature points and element
 tables are Kronecker products of the 1D ones (sum factorization, Orszag,
 J. Comput. Phys. 37, 1980).  The axis also owns what the solver derives
-from its factors: the generalized eigenpairs of its full and interior
-blocks, the dense M^{-1} C and C^T, each computed once, on first use.
+from its factors: the row sums behind the solves' norm bounds, the
+generalized eigenpairs of its full and interior blocks, the dense M^{-1} C
+and C^T, each computed once, on first use.
 The two axes of a square grid are one object, so they compute all of it
 once; everything an axis holds is read-only.  The module also holds the
 element quadrature loads of the nonlinear term, nodal interpolation and
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .linsolve import eigenpairs
@@ -162,6 +162,13 @@ def _frozen(a):
     return a
 
 
+def _abs_row_sums(F: sp.csr_matrix) -> np.ndarray:
+    sums = np.zeros(F.shape[0])
+    rows = np.flatnonzero(np.diff(F.indptr))
+    sums[rows] = np.add.reduceat(np.abs(F.data), F.indptr[rows])
+    return sums
+
+
 class Axis:
     """One axis of the grid: ``n_cells`` uniform cells of width ``h`` = length / n_cells
     from ``origin``, degree k.
@@ -175,11 +182,13 @@ class Axis:
     with coefficients c.  The factors and the solver's 1D quantities are
     computed on first use and kept, so that an axis that only integrates
     loads never assembles them: ``interior`` (the M and K blocks without
-    the two end dofs), the generalized eigenpairs ``eig`` and
-    ``interior_eig`` of the full and interior (K, M) blocks
-    (``linsolve.eigenpairs``), the dense ``D`` = M^{-1} C and ``CT`` = C^T
-    as CSR.  Every array, CSR arrays included, is read-only, because one
-    axis serves as both axes of a square grid.
+    the two end dofs), the absolute row sums ``row_sums`` and
+    ``interior_row_sums`` of both blocks' M and K, the generalized
+    eigenpairs ``eig`` and ``interior_eig`` of the full and interior (K, M)
+    blocks (``linsolve.eigenpairs``), the dense ``D`` = M^{-1} C, formed
+    from ``eig``, and ``CT`` = C^T as CSR.  Every array, CSR arrays
+    included, is read-only, because one axis serves as both axes of a
+    square grid.
     """
 
     def __init__(self, n_cells: int, length: float, degree: int, origin: float = 0.0):
@@ -234,6 +243,16 @@ class Axis:
         return _frozen(self.M[1:-1, 1:-1]), _frozen(self.K[1:-1, 1:-1])
 
     @functools.cached_property
+    def row_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """The absolute row sums of M and K (``tensorops.norm_bound``)."""
+        return _frozen(_abs_row_sums(self.M)), _frozen(_abs_row_sums(self.K))
+
+    @functools.cached_property
+    def interior_row_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``row_sums`` of the ``interior`` M and K."""
+        return tuple(_frozen(_abs_row_sums(F)) for F in self.interior)
+
+    @functools.cached_property
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         """(lam, S) with K S = M S diag(lam), S^T M S = I, lam ascending."""
         lam, S = eigenpairs(self.K, self.M)
@@ -248,8 +267,9 @@ class Axis:
 
     @functools.cached_property
     def D(self) -> np.ndarray:
-        """The dense M^{-1} C, by a Cholesky solve of the mass factor."""
-        return _frozen(scipy.linalg.cho_solve(scipy.linalg.cho_factor(self.M.toarray()), self.C.toarray()))
+        """The dense M^{-1} C = S (S^T C), since M^{-1} = S S^T for the pairs of ``eig``."""
+        S = self.eig[1]
+        return _frozen(S @ (self.CT @ S).T)
 
     @functools.cached_property
     def CT(self) -> sp.csr_matrix:

@@ -9,7 +9,9 @@ axis diagonalize it exactly (Lynch, Rice & Thomas, Numer. Math. 6, 1964):
 
 with S = Sy (x) Sx.  One solve is therefore four dense matmuls on the
 (ndof_y, ndof_x) coefficient array and an elementwise scale.  The 1D pairs
-come from ``eigenpairs``, the package's one ``scipy.linalg.eigh`` call; each
+come from ``eigenpairs``, the only caller of ``scipy.linalg.eigh``: every
+axis is symmetric about its midpoint, so it solves the even and the odd
+half-size pencil of each 1D pencil and mirrors their vectors back; each
 ``fem.Axis`` computes them once for its full and interior blocks and keeps
 them, so a ``FastDiagonalization`` only combines the pairs of two axes into
 its own 2D spectrum.  Every solve is followed by a normwise backward-error
@@ -52,12 +54,46 @@ class SolverError(Exception):
         return f"{', '.join(where)}: {self.reason}" if where else self.reason
 
 
+MIRROR_TOL = 1e-13  # allowed departure of J F J from F, relative to F's largest entry
+
+
+def _fold(F: np.ndarray, size: int, sign: float) -> np.ndarray:
+    """F[i, j] + sign * F[i, n-1-j] for i, j < size: the even (+) or odd (-) half of F."""
+    return F[:size, :size] + sign * F[:size, ::-1][:, :size]
+
+
 def eigenpairs(K, M) -> tuple[np.ndarray, np.ndarray]:
     """Generalized eigenpairs (lam, S) of a 1D stiffness factor K and mass factor M:
     K S = M S diag(lam), S^T M S = I, lam ascending.  Sparse factors are
-    made dense first."""
+    made dense first.
+
+    Both factors must be mirror symmetric, J F J = F for the reflection
+    J: i -> n-1-i, as on every axis of a uniform grid; otherwise ValueError.
+    The eigenvectors then split into an even (J v = v) and an odd
+    (J v = -v) family (Solomonoff, J. Comput. Phys. 98, 1992).  On the
+    basis e_j + sign * e_{n-1-j} of each family the pencil is 2 * _fold,
+    so each family comes from one half-size ``eigh`` of the folded K and M,
+    and its vectors are the half-size ones, mirrored and scaled by 1/sqrt(2).
+    """
     K, M = (F.toarray() if sp.issparse(F) else np.asarray(F, dtype=float) for F in (K, M))
-    return scipy.linalg.eigh(K, M)
+    for name, F in (("K", K), ("M", M)):
+        if np.abs(F[::-1, ::-1] - F).max(initial=0.0) > MIRROR_TOL * np.abs(F).max(initial=0.0):
+            raise ValueError(f"eigenpairs needs a mirror-symmetric pencil; {name} is not")
+    n = len(K)
+    m, c = n // 2, n - n // 2  # sizes of the odd and the even family
+    lam_e, Ye = scipy.linalg.eigh(_fold(K, c, 1.0), _fold(M, c, 1.0))
+    lam_o, Yo = scipy.linalg.eigh(_fold(K, m, -1.0), _fold(M, m, -1.0))
+    S = np.zeros((n, n))
+    S[:c, :c] = Ye
+    S[c:, :c] = Ye[:m][::-1]
+    S[:m, c:] = Yo
+    S[c:, c:] = -Yo[::-1]
+    S *= np.sqrt(0.5)
+    if n % 2:  # the middle dof is its own mirror: 2 e_c in the even basis, zero in the odd one
+        S[m, :c] *= 2.0
+    lam = np.concatenate([lam_e, lam_o])
+    order = np.argsort(lam, kind="stable")
+    return lam[order], S[:, order]
 
 
 class FastDiagonalization:

@@ -128,7 +128,7 @@ class ConstrainedOperator:
         self.ops = ops
         self.coeff = coeff
         ax, ay = ops.space.axes
-        self.norm_K = norm_bound((*ax.interior, *ay.interior), 1.0, coeff)
+        self.norm_K = norm_bound(ax.interior_row_sums, ay.interior_row_sums, 1.0, coeff)
         self.scale = 1.0 / (1.0 + coeff * ops.interior_eig.lam)
 
     def solve(self, rhs: np.ndarray, boundary_values: np.ndarray) -> XPass:
@@ -192,9 +192,8 @@ class GepupOperators:
         self.convection = convection
 
         ax, ay = self.space.axes
-        factors = (ax.M, ax.K, ay.M, ay.K)
-        self.norm_M = norm_bound(factors, 1.0, 0.0)
-        self.norm_A = norm_bound(factors, 0.0, 1.0)
+        self.norm_M = norm_bound(ax.row_sums, ay.row_sums, 1.0, 0.0)
+        self.norm_A = norm_bound(ax.row_sums, ay.row_sums, 0.0, 1.0)
         self.mass_weights = self.x_pass(np.ones(self.space.n_dofs)).mass
         self.eig = FastDiagonalization(ax.eig, ay.eig)
         self.interior_eig = FastDiagonalization(ax.interior_eig, ay.interior_eig)

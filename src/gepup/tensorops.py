@@ -75,22 +75,15 @@ def curl_boundary_load(axes, U) -> np.ndarray:
     return load
 
 
-def _abs_row_sums(F: sp.csr_matrix) -> np.ndarray:
-    sums = np.zeros(F.shape[0])
-    rows = np.flatnonzero(np.diff(F.indptr))
-    sums[rows] = np.add.reduceat(np.abs(F.data), F.indptr[rows])
-    return sums
-
-
-def norm_bound(factors, alpha: float, beta: float) -> float:
-    """An upper bound on the 2-norm of alpha * mass + beta * stiffness over the 1D factors (Mx, Kx, My, Ky).
+def norm_bound(x_sums, y_sums, alpha: float, beta: float) -> float:
+    """An upper bound on the 2-norm of alpha * mass + beta * stiffness from the
+    absolute row sums (of M, of K) of the x and the y axis (``Axis.row_sums``).
 
     The bound is the operator's infinity norm bounded through the absolute
     row sums of the factors; it bounds the 2-norm because the operator is
-    symmetric.  For the interior block, pass the factors with their first
-    and last rows and columns removed (``Axis.interior``).
+    symmetric.  For the interior block, pass the axes' ``interior_row_sums``.
     """
-    rmx, rkx, rmy, rky = (_abs_row_sums(F) for F in factors)
+    (rmx, rkx), (rmy, rky) = x_sums, y_sums
     rows = abs(alpha) * np.outer(rmy, rmx) + abs(beta) * (np.outer(rmy, rkx) + np.outer(rky, rmx))
     return float(rows.max()) if rows.size else 0.0
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -327,7 +328,7 @@ def test_tensor_matvec_is_bitwise_the_dense_times_csr_product(k, alpha, beta, rn
 
     space = build_space(RectDomain((0.25, -1.0), (2.0, 3.0)), (4, 2), k)
     ax, ay = space.axes
-    Mx, Kx, My, Ky = factors = (ax.M, ax.K, ay.M, ay.K)
+    Mx, Kx, My, Ky = ax.M, ax.K, ay.M, ay.K
     x = rng.standard_normal(space.n_dofs)
     X = x.reshape(space.ndof_y, space.ndof_x)
     P1 = X @ sp.csr_matrix(Mx.T)
@@ -336,7 +337,7 @@ def test_tensor_matvec_is_bitwise_the_dense_times_csr_product(k, alpha, beta, rn
     assert np.array_equal(product, np.asarray(expected).ravel())
     K = alpha * assemble_mass(space) + beta * assemble_stiffness(space)
     assert np.abs(product - K @ x).max() <= 1e-14 * np.abs(K @ x).max()
-    assert norm_bound(factors, alpha, beta) >= abs(K).sum(axis=1).max() * (1 - 1e-14)
+    assert norm_bound(ax.row_sums, ay.row_sums, alpha, beta) >= abs(K).sum(axis=1).max() * (1 - 1e-14)
 
 
 # ---- the space as a product of its axes ------------------------------------------
@@ -385,7 +386,7 @@ def test_square_grid_shares_one_axis_and_a_rectangle_has_two():
 def test_an_axis_that_only_integrates_loads_assembles_no_factor():
     axis = Axis(6, 1.5, 3, 0.25)
     axis.load(np.ones(axis.points.shape))
-    lazy = ("M", "K", "C", "interior", "eig", "interior_eig", "D", "CT")
+    lazy = ("M", "K", "C", "interior", "row_sums", "interior_row_sums", "eig", "interior_eig", "D", "CT")
     assert not set(lazy) & set(vars(axis))
     assert axis.M is axis.M
 
@@ -401,6 +402,10 @@ AXIS_ARRAYS = {
     "CT.data": lambda axis: axis.CT.data,
     "interior.K.indptr": lambda axis: axis.interior[1].indptr,
     "nodes": lambda axis: axis.nodes,
+    "row_sums.M": lambda axis: axis.row_sums[0],
+    "row_sums.K": lambda axis: axis.row_sums[1],
+    "interior_row_sums.M": lambda axis: axis.interior_row_sums[0],
+    "interior_row_sums.K": lambda axis: axis.interior_row_sums[1],
 }
 
 
@@ -415,16 +420,31 @@ def test_axis_arrays_are_read_only(name):
         array[0] = array[0]
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
+EIGEN_AXES = {  # Axis arguments: odd n for k = 1..4, even n, and a one-cell Q1 axis with an empty interior
+    "1": (6, 1.5, 1, 0.25),
+    "2": (6, 1.5, 2, 0.25),
+    "3": (6, 1.5, 3, 0.25),
+    "4": (6, 1.5, 4, 0.25),
+    "q1-n4": (3, 1.5, 1, 0.0),
+    "q3-n16": (5, 1.5, 3, 0.0),
+    "q1-one-cell": (1, 1.5, 1, 0.0),
+}
+
+
+@pytest.mark.parametrize("axis", EIGEN_AXES)
 @pytest.mark.parametrize("block", ["full", "interior"])
-def test_axis_eigenpairs_diagonalize_its_factors(k, block):
-    axis = Axis(6, 1.5, k, 0.25)
+def test_axis_eigenpairs_diagonalize_its_factors(axis, block):
+    axis = Axis(*EIGEN_AXES[axis])
     (M, K), (lam, S) = ((axis.M, axis.K), axis.eig) if block == "full" else (axis.interior, axis.interior_eig)
     M, K = M.toarray(), K.toarray()
-    assert len(lam) == len(M)
+    # the eigenvalues of the two folded half-size pencils are those of the full-size pencil
+    oracle = scipy.linalg.eigh(K, M, eigvals_only=True)
+    assert lam.shape == oracle.shape and S.shape == M.shape
+    assert np.abs(lam - oracle).max(initial=0.0) <= 1e-12 * np.abs(oracle).max(initial=0.0)
     assert np.all(np.diff(lam) >= 0.0)
     # residuals relative to the sizes of the two products, column by column
     KS, MS = K @ S, M @ S
     scale = np.linalg.norm(K, 2) + np.abs(lam) * np.linalg.norm(M, 2)
-    assert np.all(np.abs(KS - MS * lam).max(axis=0) <= 1e-12 * scale * np.abs(S).max(axis=0))
-    assert np.abs(S.T @ MS - np.eye(len(lam))).max() <= 1e-12
+    residual = np.abs(KS - MS * lam).max(axis=0, initial=0.0)
+    assert np.all(residual <= 1e-12 * scale * np.abs(S).max(axis=0, initial=0.0))
+    assert np.abs(S.T @ MS - np.eye(len(lam))).max(initial=0.0) <= 1e-12

@@ -293,12 +293,13 @@ def test_work_per_step(monkeypatch, tableau, fdm_applies, mass_checks, x_passes,
     }
 
 
-@pytest.mark.parametrize("cells, eigh_calls, mass_solves", [((8, 8), 2, 1), ((8, 4), 4, 2)])
-def test_setup_work_per_operator(monkeypatch, cells, eigh_calls, mass_solves):
+@pytest.mark.parametrize("cells, pencils, distinct_axes", [((8, 8), 2, 1), ((8, 4), 4, 2)])
+def test_setup_work_per_operator(monkeypatch, cells, pencils, distinct_axes):
     # each distinct axis computes the eigenpairs of its full and interior
-    # blocks and, when the initial projection first needs it, its dense
-    # M^{-1} C once; the two axes of a square grid are one.  Nothing is kept
-    # between operators: a second one does it all again
+    # blocks, with two half-size eigh calls per pencil (its even and odd
+    # halves), and forms its dense M^{-1} C from them, with no Cholesky
+    # solve; the two axes of a square grid are one.  Nothing is kept between
+    # operators: a second one does it all again
     case = taylor_green_case(100.0)
     counts = {"eigh": 0, "cho_solve": 0}
 
@@ -311,8 +312,10 @@ def test_setup_work_per_operator(monkeypatch, cells, eigh_calls, mass_solves):
     monkeypatch.setattr(scipy.linalg, "eigh", counted("eigh", scipy.linalg.eigh))
     monkeypatch.setattr(scipy.linalg, "cho_solve", counted("cho_solve", scipy.linalg.cho_solve))
     for n_ops in (1, 2):
-        GepupOperators(UNIT_SQUARE, cells, 2).initial_state(case, 0.0)
-        assert counts == {"eigh": n_ops * eigh_calls, "cho_solve": n_ops * mass_solves}
+        ops = GepupOperators(UNIT_SQUARE, cells, 2)
+        ops.initial_state(case, 0.0)
+        assert len({id(axis) for axis in ops.space.axes}) == distinct_axes
+        assert counts == {"eigh": n_ops * 2 * pencils, "cho_solve": 0}
 
 
 def test_initial_state_samples_the_initial_velocity_once():

@@ -29,19 +29,37 @@ def test_tridiagonal_known_solution():
     assert check_backward_error("tridiagonal", b, A @ x, x, 4.0) <= 1e-15
 
 
+def mirrored(A):
+    # A + J A J, J the reflection i -> n-1-i: the symmetry every axis's factors have
+    return A + A[::-1, ::-1]
+
+
+def random_spd(rng, n):
+    Q = rng.standard_normal((n, n))
+    return Q @ Q.T + n * np.eye(n)
+
+
 def test_one_apply_solves_any_spd_pencil(rng):
-    # one apply solves alpha M + beta K exactly for any SPD pencil, no iteration needed
+    # one apply solves alpha M + beta K exactly for any mirror-symmetric SPD
+    # pencil, of either parity, no iteration needed
     for n in range(2, 11):
-        Q = rng.standard_normal((n, n))
-        K = Q @ Q.T + n * np.eye(n)
-        R = rng.standard_normal((n, n))
-        M = R @ R.T + n * np.eye(n)
+        K = mirrored(random_spd(rng, n))
+        M = mirrored(random_spd(rng, n))
         b = rng.standard_normal(n)
         fdm = one_axis_solver(M, K)
         for alpha, beta in ((0.0, 1.0), (1.0, 0.0), (1.0, 0.3)):
             x = fdm.apply(b, 1.0 / (alpha + beta * fdm.lam))
             x_ref = np.linalg.solve(alpha * M + beta * K, b)
             assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+
+
+@pytest.mark.parametrize("asymmetric", ["K", "M"])
+def test_eigenpairs_reject_a_pencil_that_is_not_mirror_symmetric(rng, asymmetric):
+    # the even/odd fold is exact only for J K J = K and J M J = M
+    factors = {"K": mirrored(random_spd(rng, 6)), "M": mirrored(random_spd(rng, 6))}
+    factors[asymmetric] = random_spd(rng, 6)
+    with pytest.raises(ValueError, match=f"mirror-symmetric pencil; {asymmetric} is not"):
+        eigenpairs(factors["K"], factors["M"])
 
 
 # ---- pure-Neumann (Poisson) solve ---------------------------------------------
@@ -137,7 +155,7 @@ def test_direct_solves_match_dense_references(k, rng):
 
 
 def test_zero_rhs_gives_zero_solution(ops_q3_l3):
-    fdm = one_axis_solver(np.eye(2), np.diag([2.0, 3.0]))
+    fdm = one_axis_solver(np.eye(2), np.array([[3.0, 1.0], [1.0, 3.0]]))  # mirror symmetric, as eigenpairs needs
     assert np.array_equal(fdm.apply(np.zeros(2), 1.0 / fdm.lam), np.zeros(2))
     z = np.zeros(ops_q3_l3.space.n_dofs)
     assert np.array_equal(ops_q3_l3.solve_mass(z).x, z)

@@ -13,8 +13,9 @@ two axes, whose element dofs, support and quadrature points and element
 tables are Kronecker products of the 1D ones (sum factorization, Orszag,
 J. Comput. Phys. 37, 1980).  The axis also owns what the solver derives
 from its factors: the row sums behind the solves' norm bounds, the
-generalized eigenpairs of its full and interior blocks, the dense M^{-1} C
-and C^T, each computed once, on first use.
+generalized eigenpairs of its full and interior blocks (as even and odd
+halves, modes in that order, not ascending), the dense M^{-1} C and C^T,
+each computed once, on first use.
 The two axes of a square grid are one object, so they compute all of it
 once; everything an axis holds is read-only.  The module also holds the
 element quadrature loads of the nonlinear term, nodal interpolation and
@@ -34,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .linsolve import eigenpairs
+from .linsolve import Eigenbasis, eigenpairs
 
 __all__ = [
     "RectDomain",
@@ -185,10 +186,12 @@ class Axis:
     the two end dofs), the absolute row sums ``row_sums`` and
     ``interior_row_sums`` of both blocks' M and K, the generalized
     eigenpairs ``eig`` and ``interior_eig`` of the full and interior (K, M)
-    blocks (``linsolve.eigenpairs``), the dense ``D`` = M^{-1} C, formed
-    from ``eig``, and ``CT`` = C^T as CSR.  Every array, CSR arrays
-    included, is read-only, because one axis serves as both axes of a
-    square grid.
+    blocks (``linsolve.eigenpairs``: each a ``linsolve.Eigenbasis`` of the
+    even and odd half-size pairs, its modes even block first, which also
+    keeps the full-size S below ``linsolve.FOLD_MIN_DOFS`` dofs), the
+    dense ``D`` = M^{-1} C, formed from ``eig``, and ``CT`` = C^T as CSR.
+    Every array, CSR arrays included, is read-only, because one axis serves
+    as both axes of a square grid.
     """
 
     def __init__(self, n_cells: int, length: float, degree: int, origin: float = 0.0):
@@ -253,23 +256,22 @@ class Axis:
         return tuple(_frozen(_abs_row_sums(F)) for F in self.interior)
 
     @functools.cached_property
-    def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lam, S) with K S = M S diag(lam), S^T M S = I, lam ascending."""
-        lam, S = eigenpairs(self.K, self.M)
-        return _frozen(lam), _frozen(S)
+    def eig(self) -> Eigenbasis:
+        """The even and odd eigenpairs of (K, M): K S = M S diag(lam), S^T M S = I."""
+        return eigenpairs(self.K, self.M)
 
     @functools.cached_property
-    def interior_eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """The pairs of ``eig`` for the ``interior`` block."""
+    def interior_eig(self) -> Eigenbasis:
+        """The ``eig`` of the ``interior`` block."""
         M, K = self.interior
-        lam, S = eigenpairs(K, M)
-        return _frozen(lam), _frozen(S)
+        return eigenpairs(K, M)
 
     @functools.cached_property
     def D(self) -> np.ndarray:
-        """The dense M^{-1} C = S (S^T C), since M^{-1} = S S^T for the pairs of ``eig``."""
-        S = self.eig[1]
-        return _frozen(S @ (self.CT @ S).T)
+        """The dense M^{-1} C = S S^T C, since M^{-1} = S S^T for the pairs of ``eig``."""
+        spare, CtS = np.empty((2, self.n, self.n))
+        self.eig.to_modes(self.C.toarray(), spare, CtS)
+        return _frozen(self.eig.to_nodes(CtS.T, spare, np.empty((self.n, self.n))))
 
     @functools.cached_property
     def CT(self) -> sp.csr_matrix:

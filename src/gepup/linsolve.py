@@ -7,24 +7,38 @@ axis diagonalize it exactly (Lynch, Rice & Thomas, Numer. Math. 6, 1964):
 
     (alpha M + beta A)^{-1} = S diag(1 / (alpha + beta (lam_y_i + lam_x_j))) S^T,
 
-with S = Sy (x) Sx.  One solve is therefore four dense matmuls on the
-(ndof_y, ndof_x) coefficient array and an elementwise scale.  The 1D pairs
-come from ``eigenpairs``, the only caller of ``scipy.linalg.eigh``: every
-axis is symmetric about its midpoint, so it solves the even and the odd
-half-size pencil of each 1D pencil and mirrors their vectors back; each
-``fem.Axis`` computes them once for its full and interior blocks and keeps
-them, so a ``FastDiagonalization`` only combines the pairs of two axes into
-its own 2D spectrum.  Every solve is followed by a normwise backward-error
+with S = Sy (x) Sx.  One solve is therefore four dense 1D transforms of the
+(ndof_y, ndof_x) coefficient array, two per axis, and an elementwise scale.
+The 1D pairs come from ``eigenpairs``, the only caller of
+``scipy.linalg.eigh``: every axis is symmetric about its midpoint, so it
+solves the even and the odd half-size pencil of each 1D pencil and keeps
+the two halves as an ``Eigenbasis``, which transforms through them (a fold
+and two half-size GEMMs) or, below ``FOLD_MIN_DOFS``, through the full S
+mirrored back from them.  The modes are laid out even block first, then
+odd block, so no spectrum here is in ascending order.  Each ``fem.Axis``
+computes its bases once for its full and interior blocks and keeps them,
+so a ``FastDiagonalization`` only combines the bases of two axes into its
+own 2D spectrum.  Every solve is followed by a normwise backward-error
 check, so that a wrong or non-finite result raises instead of propagating.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-__all__ = ["SolverError", "eigenpairs", "FastDiagonalization", "REL_TOL", "check_backward_error"]
+__all__ = [
+    "SolverError",
+    "Eigenbasis",
+    "eigenpairs",
+    "mirrored_basis",
+    "FastDiagonalization",
+    "REL_TOL",
+    "check_backward_error",
+]
 
 
 class SolverError(Exception):
@@ -55,6 +69,10 @@ class SolverError(Exception):
 
 
 MIRROR_TOL = 1e-13  # allowed departure of J F J from F, relative to F's largest entry
+# Axes of at least this many dofs transform through their even and odd halves,
+# smaller ones through the full S: below it the fold's numpy call overhead
+# costs more than the half of the flops it saves (crossover table: ROADMAP item 9).
+FOLD_MIN_DOFS = 110
 
 
 def _fold(F: np.ndarray, size: int, sign: float) -> np.ndarray:
@@ -62,10 +80,98 @@ def _fold(F: np.ndarray, size: int, sign: float) -> np.ndarray:
     return F[:size, :size] + sign * F[:size, ::-1][:, :size]
 
 
-def eigenpairs(K, M) -> tuple[np.ndarray, np.ndarray]:
-    """Generalized eigenpairs (lam, S) of a 1D stiffness factor K and mass factor M:
-    K S = M S diag(lam), S^T M S = I, lam ascending.  Sparse factors are
-    made dense first.
+def mirrored_basis(Ye: np.ndarray, Yo: np.ndarray) -> np.ndarray:
+    """The full-size S = [P_e Ye, P_o Yo] of an ``Eigenbasis``'s halves, even columns first."""
+    c, m = len(Ye), len(Yo)
+    F = np.zeros((c + m, c + m))
+    F[:c, :c] = Ye
+    F[c:, c:] = Yo
+    return _unfold(F, np.empty_like(F))
+
+
+class Eigenbasis:
+    """The generalized eigenpairs of one mirror-symmetric 1D pencil, as its even
+    and odd halves, and the transforms of one axis of a 2D solve.
+
+    ``lam_e``, ``Ye`` are the c = n - n//2 pairs of the even half-size
+    pencil and ``lam_o``, ``Yo`` the m = n//2 pairs of the odd one, each
+    ascending, with the vectors scaled by 1/sqrt(2).  The full-size
+    eigenvectors are S = [P_e Ye, P_o Yo]: (P_e y)_i = (P_e y)_{n-1-i} = y_i
+    and (P_o y)_i = -(P_o y)_{n-1-i} = y_i for i < m, and the middle dof of
+    an odd n is 2 y_m in the even family.  ``lam`` and the columns of S are
+    laid out even block first, then odd block, so ``lam`` is not ascending;
+    the lowest even mode, the constants of a pure-Neumann pencil, comes
+    first.  An axis of at least ``FOLD_MIN_DOFS`` dofs transforms through
+    the halves: a fold, or unfold, by index and two half-size GEMMs, half
+    the flops of one full-size GEMM.  A smaller axis keeps the full ``S``,
+    assembled once from the halves, and transforms with one GEMM; ``S`` is
+    None on a folding axis.  Every array is read-only.
+    """
+
+    def __init__(self, lam_e: np.ndarray, Ye: np.ndarray, lam_o: np.ndarray, Yo: np.ndarray):
+        self.lam_e, self.Ye, self.lam_o, self.Yo = lam_e, Ye, lam_o, Yo
+        self.lam = np.concatenate([lam_e, lam_o])
+        self.S = mirrored_basis(Ye, Yo) if len(self.lam) < FOLD_MIN_DOFS else None
+        applied = (Ye, Yo) if self.S is None else (self.S,)
+        # C-contiguous right operands of ``to_nodes_t``: a GEMM runs slower on a transposed one
+        self._right = tuple(np.ascontiguousarray(Y.T) for Y in applied)
+        for a in (lam_e, Ye, lam_o, Yo, self.lam, *applied, *self._right):
+            a.flags.writeable = False
+
+    def to_modes(self, X: np.ndarray, spare: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = X^T S = (S^T X)^T for an (n, k) X; returns out, (k, n).
+
+        ``spare`` is (n, k) work space; X, spare and out are three distinct arrays.
+        """
+        if self.S is not None:
+            return np.matmul(X.T, self.S, out=out)
+        c, m = len(self.lam_e), len(self.lam_o)
+        np.add(X[:c], X[::-1][:c], out=spare[:c])
+        np.subtract(X[:m], X[::-1][:m], out=spare[c:])
+        np.matmul(spare[:c].T, self.Ye, out=out[:, :c])
+        np.matmul(spare[c:].T, self.Yo, out=out[:, c:])
+        return out
+
+    def to_nodes(self, Z: np.ndarray, spare: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = S Z for an (n, k) Z of mode coefficients; returns out.
+
+        ``spare`` is (n, k) work space; Z, spare and out are three distinct arrays.
+        """
+        if self.S is not None:
+            return np.matmul(self.S, Z, out=out)
+        c = len(self.lam_e)
+        np.matmul(self.Ye, Z[:c], out=spare[:c])
+        np.matmul(self.Yo, Z[c:], out=spare[c:])
+        return _unfold(spare, out)
+
+    def to_nodes_t(self, Z: np.ndarray, spare: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """out = Z S^T for a (k, n) Z of mode coefficients; returns out.
+
+        ``spare`` is (k, n) work space; Z, spare and out are three distinct arrays.
+        """
+        if self.S is not None:
+            return np.matmul(Z, self._right[0], out=out)
+        c = len(self.lam_e)
+        np.matmul(Z[:, :c], self._right[0], out=spare[:, :c])
+        np.matmul(Z[:, c:], self._right[1], out=spare[:, c:])
+        _unfold(spare.T, out.T)
+        return out
+
+
+def _unfold(F: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = P_e F[:c] + P_o F[c:] along the rows: the node values of the even
+    (first c rows) and odd (last m rows) mode sums of an ``Eigenbasis``."""
+    m, c = len(F) // 2, len(F) - len(F) // 2
+    np.add(F[:m], F[c:], out=out[:m])
+    np.subtract(F[:m], F[c:], out=out[::-1][:m])
+    if c > m:  # the middle dof is its own mirror
+        np.multiply(F[m], 2.0, out=out[m])
+    return out
+
+
+def eigenpairs(K, M) -> Eigenbasis:
+    """Generalized eigenpairs of a 1D stiffness factor K and mass factor M:
+    K S = M S diag(lam), S^T M S = I.  Sparse factors are made dense first.
 
     Both factors must be mirror symmetric, J F J = F for the reflection
     J: i -> n-1-i, as on every axis of a uniform grid; otherwise ValueError.
@@ -73,7 +179,7 @@ def eigenpairs(K, M) -> tuple[np.ndarray, np.ndarray]:
     (J v = -v) family (Solomonoff, J. Comput. Phys. 98, 1992).  On the
     basis e_j + sign * e_{n-1-j} of each family the pencil is 2 * _fold,
     so each family comes from one half-size ``eigh`` of the folded K and M,
-    and its vectors are the half-size ones, mirrored and scaled by 1/sqrt(2).
+    whose vectors, scaled by 1/sqrt(2), are the ``Eigenbasis`` halves.
     """
     K, M = (F.toarray() if sp.issparse(F) else np.asarray(F, dtype=float) for F in (K, M))
     for name, F in (("K", K), ("M", M)):
@@ -83,42 +189,51 @@ def eigenpairs(K, M) -> tuple[np.ndarray, np.ndarray]:
     m, c = n // 2, n - n // 2  # sizes of the odd and the even family
     lam_e, Ye = scipy.linalg.eigh(_fold(K, c, 1.0), _fold(M, c, 1.0))
     lam_o, Yo = scipy.linalg.eigh(_fold(K, m, -1.0), _fold(M, m, -1.0))
-    S = np.zeros((n, n))
-    S[:c, :c] = Ye
-    S[c:, :c] = Ye[:m][::-1]
-    S[:m, c:] = Yo
-    S[c:, c:] = -Yo[::-1]
-    S *= np.sqrt(0.5)
-    if n % 2:  # the middle dof is its own mirror: 2 e_c in the even basis, zero in the odd one
-        S[m, :c] *= 2.0
-    lam = np.concatenate([lam_e, lam_o])
-    order = np.argsort(lam, kind="stable")
-    return lam[order], S[:, order]
+    return Eigenbasis(lam_e, Ye * np.sqrt(0.5), lam_o, Yo * np.sqrt(0.5))
 
 
 class FastDiagonalization:
     """The 2D fast-diagonalization solver of one grid from the 1D eigenpairs of its axes.
 
-    ``x_pairs`` and ``y_pairs`` are (lam, S) from ``eigenpairs`` of the x
-    and y (stiffness, mass) factors; S is only read.  ``lam`` holds the
-    eigenvalues of A relative to M on the (ndof_y, ndof_x) grid, in
-    ascending order along each axis.  ``neumann_scale`` is the
-    pseudo-inverse of that spectrum for a pure-Neumann A, whose nullspace,
-    the constants, is the first mode.  Both are this object's own.
+    ``x_basis`` and ``y_basis`` are the ``Eigenbasis`` of the x and y
+    (stiffness, mass) factors; they are only read.  ``lam`` holds the
+    eigenvalues of A relative to M on the (ndof_y, ndof_x) grid, in the
+    axes' mode order (even block first, then odd, along each axis).
+    ``neumann_scale`` is the pseudo-inverse of that spectrum for a
+    pure-Neumann A, whose nullspace, the constants, is the first mode.
+    Both are this object's own, as are the two work arrays of ``apply``,
+    kept from its first call on.
     """
 
-    def __init__(self, x_pairs, y_pairs):
-        lam_x, self.Sx = x_pairs
-        lam_y, self.Sy = y_pairs
-        self.lam = lam_y[:, None] + lam_x[None, :]
+    def __init__(self, x_basis: Eigenbasis, y_basis: Eigenbasis):
+        self.x, self.y = x_basis, y_basis
+        self.lam = y_basis.lam[:, None] + x_basis.lam[None, :]
         self.neumann_scale = np.zeros_like(self.lam)
         self.neumann_scale.ravel()[1:] = 1.0 / self.lam.ravel()[1:]
 
     def apply(self, b: np.ndarray, scale) -> np.ndarray:
-        """S diag(scale) S^T b for a row-major vector b over the grid."""
-        Y = self.Sy.T @ b.reshape(self.lam.shape) @ self.Sx
+        """S diag(scale) S^T b for a row-major vector b over the grid, S = Sy (x) Sx.
+
+        The two forward transforms write their outputs transposed, so that
+        both folds run along contiguous rows; the way back takes y along the
+        rows, then x along the columns.  Beside the result, the apply works
+        in this object's two work arrays only.
+        """
+        ny, nx = self.lam.shape
+        spare, half = self._work
+        spare = spare.reshape(ny, nx)
+        out = np.empty((ny, nx))
+        T = self.y.to_modes(b.reshape(ny, nx), spare, half.reshape(nx, ny))  # B^T Sy
+        Y = self.x.to_modes(T, spare.reshape(nx, ny), out)  # Sy^T B Sx
         Y *= scale
-        return (self.Sy @ Y @ self.Sx.T).ravel()
+        V = self.y.to_nodes(Y, spare, half.reshape(ny, nx))  # Sy Y
+        return self.x.to_nodes_t(V, spare, out).ravel()  # Sy Y Sx^T
+
+    @functools.cached_property
+    def _work(self) -> np.ndarray:
+        # allocated at the first apply: allocated with the object, the two arrays
+        # cost a set-up thousands of minor page faults (tg-q3-l6)
+        return np.empty((2, self.lam.size))
 
     def solve_neumann(self, b: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Solve the singular A x = b (constant nullspace) with weights @ x = 0.

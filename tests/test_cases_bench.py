@@ -11,13 +11,14 @@ from gepup import (
     SolverError,
     build_space,
     dorfler_mark,
+    error_norms,
     interpolate,
     lid_cavity_case,
     single_vortex_case,
     taylor_green_case,
     vorticity_indicator,
 )
-from gepup.bench import ConvergenceTable, run_convergence, run_simulation
+from gepup.bench import ConvergenceTable, run_convergence, run_simulation, solution_errors
 from gepup.cases import vortex_u_theta
 from gepup.fem import basis_1d
 from gepup.imex import StepperConfig, courant_dt
@@ -389,3 +390,22 @@ def test_repeated_runs_are_bit_identical():
     assert np.array_equal(second.state.Q, first.state.Q)
     assert np.array_equal(second.state.Phi, first.state.Phi)
     assert second.monitors == first.monitors
+
+
+def test_solution_errors_sample_the_exact_pressure_once_per_point_set():
+    # one call at the quadrature points serves the gauge mean and the error norms,
+    # one more at the nodes; the errors are those of the exact pressure sampled anew
+    case = taylor_green_case(100.0)
+    res = run_simulation(case, 2, 2, StepperConfig(), t_end=0.05)
+    calls = []
+    counted = dataclasses.replace(case, exact_p=lambda x, y, t: calls.append(x.shape) or case.exact_p(x, y, t))
+    errors = solution_errors(res.ops, res.state, counted)
+    space = res.ops.space
+    assert calls == [space.quad_coords.shape[:2], (space.n_dofs,)]
+    x, y = space.quad_coords[:, :, 0], space.quad_coords[:, :, 1]
+    pmean = float(np.sum(case.exact_p(x, y, res.state.t) @ space.wdet)) / float(np.sum(np.ones_like(x) @ space.wdet))
+    q_norms = error_norms(
+        space, res.state.Q, lambda xx, yy, tt: case.exact_p(xx, yy, tt) - pmean, res.state.t, case.exact_p_grad
+    )
+    assert errors == res.errors
+    assert [errors[f"q_{key}"] for key in ("L2", "H1", "Linf")] == [q_norms[key] for key in ("L2", "H1", "Linf")]

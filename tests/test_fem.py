@@ -13,6 +13,7 @@ from gepup import (
     shape_eval,
 )
 from gepup.fem import Axis, basis_1d, lagrange_1d
+from gepup.linsolve import FOLD_MIN_DOFS, mirrored_basis
 from fem_oracle import assemble_mass, assemble_stiffness, exact_global_matrices, permutation_to_space
 
 
@@ -392,9 +393,15 @@ def test_an_axis_that_only_integrates_loads_assembles_no_factor():
 
 
 AXIS_ARRAYS = {
-    "eig.S": lambda axis: axis.eig[1],
-    "eig.lam": lambda axis: axis.eig[0],
-    "interior_eig.S": lambda axis: axis.interior_eig[1],
+    "eig.S": lambda axis: axis.eig.S,
+    "eig.lam": lambda axis: axis.eig.lam,
+    "eig.lam_e": lambda axis: axis.eig.lam_e,
+    "eig.Ye": lambda axis: axis.eig.Ye,
+    "eig.lam_o": lambda axis: axis.eig.lam_o,
+    "eig.Yo": lambda axis: axis.eig.Yo,
+    "interior_eig.S": lambda axis: axis.interior_eig.S,
+    "interior_eig.Ye": lambda axis: axis.interior_eig.Ye,
+    "interior_eig.Yo": lambda axis: axis.interior_eig.Yo,
     "D": lambda axis: axis.D,
     "M.data": lambda axis: axis.M.data,
     "K.data": lambda axis: axis.K.data,
@@ -420,6 +427,23 @@ def test_axis_arrays_are_read_only(name):
         array[0] = array[0]
 
 
+def test_only_an_axis_below_the_fold_size_holds_full_size_eigenvectors():
+    # a Q3 axis of 64 cells transforms through its half-size pairs alone; one of 16 cells
+    # keeps the full-size S it applies
+    big, small = Axis(64, 1.0, 3), Axis(16, 1.0, 3)
+    assert small.n < FOLD_MIN_DOFS <= big.n - 2
+    for basis in (big.eig, big.interior_eig, small.eig, small.interior_eig):
+        n = len(basis.lam)
+        arrays = [a for v in vars(basis).values() for a in (v if isinstance(v, tuple) else (v,)) if a is not None]
+        assert not any(a.flags.writeable for a in arrays)
+        assert basis.Ye.shape == (n - n // 2,) * 2 and basis.Yo.shape == (n // 2,) * 2
+        if n >= FOLD_MIN_DOFS:
+            assert basis.S is None
+            assert all(a.ndim < 2 or max(a.shape) < n for a in arrays)
+        else:
+            assert basis.S.shape == (n, n)
+
+
 EIGEN_AXES = {  # Axis arguments: odd n for k = 1..4, even n, and a one-cell Q1 axis with an empty interior
     "1": (6, 1.5, 1, 0.25),
     "2": (6, 1.5, 2, 0.25),
@@ -435,13 +459,20 @@ EIGEN_AXES = {  # Axis arguments: odd n for k = 1..4, even n, and a one-cell Q1 
 @pytest.mark.parametrize("block", ["full", "interior"])
 def test_axis_eigenpairs_diagonalize_its_factors(axis, block):
     axis = Axis(*EIGEN_AXES[axis])
-    (M, K), (lam, S) = ((axis.M, axis.K), axis.eig) if block == "full" else (axis.interior, axis.interior_eig)
+    (M, K), basis = ((axis.M, axis.K), axis.eig) if block == "full" else (axis.interior, axis.interior_eig)
     M, K = M.toarray(), K.toarray()
-    # the eigenvalues of the two folded half-size pencils are those of the full-size pencil
+    lam, S = basis.lam, mirrored_basis(basis.Ye, basis.Yo)
+    # below the fold size the axis keeps S, assembled from its halves
+    assert np.array_equal(basis.S, S)
+    # the eigenvalues of the two folded half-size pencils are those of the full-size pencil,
+    # laid out even block first, then odd block, each ascending
     oracle = scipy.linalg.eigh(K, M, eigvals_only=True)
     assert lam.shape == oracle.shape and S.shape == M.shape
-    assert np.abs(lam - oracle).max(initial=0.0) <= 1e-12 * np.abs(oracle).max(initial=0.0)
-    assert np.all(np.diff(lam) >= 0.0)
+    assert np.abs(np.sort(lam) - oracle).max(initial=0.0) <= 1e-12 * np.abs(oracle).max(initial=0.0)
+    assert np.array_equal(lam, np.concatenate([basis.lam_e, basis.lam_o]))
+    assert np.all(np.diff(basis.lam_e) >= 0.0) and np.all(np.diff(basis.lam_o) >= 0.0)
+    assert np.array_equal(S[::-1, : len(basis.lam_e)], S[:, : len(basis.lam_e)])
+    assert np.array_equal(S[::-1, len(basis.lam_e) :], -S[:, len(basis.lam_e) :])
     # residuals relative to the sizes of the two products, column by column
     KS, MS = K @ S, M @ S
     scale = np.linalg.norm(K, 2) + np.abs(lam) * np.linalg.norm(M, 2)

@@ -1,11 +1,26 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from gepup import RectDomain, SolverError, UNIT_SQUARE, lid_cavity_case
+from gepup import RectDomain, SolverError, UNIT_SQUARE, linsolve, lid_cavity_case
+from gepup.fem import Axis
 from gepup.linsolve import REL_TOL, FastDiagonalization, check_backward_error, eigenpairs
 from gepup.operators import GepupOperators
 from fem_oracle import assemble_mass, assemble_stiffness
+
+
+# FOLD_MIN_DOFS values that put every axis on one transform path: its even and
+# odd halves, or the full-size S
+PATHS = {"folded": 0, "full": sys.maxsize}
+
+
+def on_each_path(monkeypatch, build):
+    """What ``build()`` returns, built once on each transform path."""
+    for min_dofs in PATHS.values():
+        monkeypatch.setattr(linsolve, "FOLD_MIN_DOFS", min_dofs)
+        yield build()
 
 
 # ---- one fast-diagonalization apply on small dense systems --------------------
@@ -39,18 +54,66 @@ def random_spd(rng, n):
     return Q @ Q.T + n * np.eye(n)
 
 
-def test_one_apply_solves_any_spd_pencil(rng):
+def test_one_apply_solves_any_spd_pencil(rng, monkeypatch):
     # one apply solves alpha M + beta K exactly for any mirror-symmetric SPD
-    # pencil, of either parity, no iteration needed
+    # pencil, of either parity, on either transform path, no iteration needed
     for n in range(2, 11):
         K = mirrored(random_spd(rng, n))
         M = mirrored(random_spd(rng, n))
         b = rng.standard_normal(n)
-        fdm = one_axis_solver(M, K)
-        for alpha, beta in ((0.0, 1.0), (1.0, 0.0), (1.0, 0.3)):
-            x = fdm.apply(b, 1.0 / (alpha + beta * fdm.lam))
-            x_ref = np.linalg.solve(alpha * M + beta * K, b)
-            assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+        for fdm in on_each_path(monkeypatch, lambda: one_axis_solver(M, K)):
+            for alpha, beta in ((0.0, 1.0), (1.0, 0.0), (1.0, 0.3)):
+                x = fdm.apply(b, 1.0 / (alpha + beta * fdm.lam))
+                x_ref = np.linalg.solve(alpha * M + beta * K, b)
+                assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+
+
+ORACLE_AXES = {  # Axis arguments on both sides of the fold size: odd and even n, and n = 2
+    "q3-n49": (16, 1.0, 3, 0.0),
+    "q1-n16": (15, 1.5, 1, 0.25),
+    "q3-n193": (64, 1.0, 3, 0.0),
+    "q1-n128": (127, 1.5, 1, 0.25),
+    "q1-n2": (1, 1.5, 1, 0.0),  # its interior is empty
+}
+Y_AXIS = (3, 2.0, 2, -1.0)  # n = 7: a rectangular grid, its y axis below the fold size
+
+
+def dense_transform(axis, block):
+    # S diag(lam) S^T of the block from one full-size eigh, in ascending order
+    M, K = (axis.M, axis.K) if block == "full" else axis.interior
+    return scipy.linalg.eigh(K.toarray(), M.toarray())
+
+
+@pytest.mark.parametrize("path", ["default", *PATHS])
+@pytest.mark.parametrize("block", ["full", "interior"])
+@pytest.mark.parametrize("axis", ORACLE_AXES)
+def test_apply_matches_a_dense_eigh_oracle(axis, block, path, rng, monkeypatch):
+    # each scale is a function of the 2D eigenvalue, so S diag(scale) S^T does
+    # not depend on the order, signs or parity of the modes.  The functions are
+    # well conditioned (a mass solve, a Helmholtz solve with coeff * lam <= 4, the
+    # Neumann projector off the constants), so that the oracle's own eigenvector
+    # error stays at rounding; a Poisson inverse would measure that error instead
+    if path != "default":
+        monkeypatch.setattr(linsolve, "FOLD_MIN_DOFS", PATHS[path])
+    ax, ay = Axis(*ORACLE_AXES[axis]), Axis(*Y_AXIS)
+    basis = (lambda a: a.eig) if block == "full" else (lambda a: a.interior_eig)
+    fdm = FastDiagonalization(basis(ax), basis(ay))
+    n = len(basis(ax).lam)
+    assert (basis(ax).S is None) == (n >= linsolve.FOLD_MIN_DOFS)
+    (lam_x, Sx), (lam_y, Sy) = dense_transform(ax, block), dense_transform(ay, block)
+    lam = lam_y[:, None] + lam_x[None, :]
+    coeff = 4.0 / lam.max(initial=1.0)
+    scales = {"mass": (1.0, 1.0), "helmholtz": (1.0 / (1.0 + coeff * fdm.lam), 1.0 / (1.0 + coeff * lam))}
+    if block == "full":  # the constant mode comes first in both orders
+        off_constants = np.ones_like(lam)
+        off_constants.ravel()[0] = 0.0
+        scales["neumann"] = (fdm.neumann_scale * fdm.lam, off_constants)
+    b = rng.standard_normal(fdm.lam.size)
+    for name, (scale, oracle_scale) in scales.items():
+        x = fdm.apply(b, scale)
+        oracle = (Sy @ (oracle_scale * (Sy.T @ b.reshape(lam.shape) @ Sx)) @ Sx.T).ravel()
+        assert x.shape == oracle.shape
+        assert np.abs(x - oracle).max(initial=0.0) <= 1e-13 * np.abs(oracle).max(initial=0.0), name
 
 
 @pytest.mark.parametrize("asymmetric", ["K", "M"])
@@ -76,44 +139,54 @@ def path_graph_solver():
     return one_axis_solver(np.eye(3), np.asarray(PATH_LAPLACIAN, float))
 
 
-def test_neumann_path_graph_known_solution():
+def ops_q3_l3_on_each_path(monkeypatch):
+    return on_each_path(monkeypatch, lambda: GepupOperators(UNIT_SQUARE, (8, 8), 3))
+
+
+def test_neumann_path_graph_known_solution(monkeypatch):
     b = np.array([1.0, 0.0, -1.0])
-    x, bc = path_graph_solver().solve_neumann(b, np.ones(3))
     # pseudoinverse oracle: the compatible mean-zero solution is (1, 0, -1)
     oracle = np.linalg.pinv(np.asarray(PATH_LAPLACIAN, float)) @ b
     assert np.allclose(oracle, [1.0, 0.0, -1.0], atol=1e-12)
-    assert np.allclose(x, oracle, atol=1e-13)
     A = np.asarray(PATH_LAPLACIAN, float)
-    assert check_backward_error("path", bc, A @ x, x, 4.0) <= 1e-15
+    for solver in on_each_path(monkeypatch, path_graph_solver):
+        x, bc = solver.solve_neumann(b, np.ones(3))
+        assert np.allclose(x, oracle, atol=1e-13)
+        assert check_backward_error("path", bc, A @ x, x, 4.0) <= 1e-15
 
 
-def test_neumann_pure_nullspace_rhs(ops_q3_l3):
-    assert np.allclose(path_graph_solver().solve_neumann(np.full(3, 7.5), np.ones(3))[0], 0.0, atol=1e-13)
-    x = ops_q3_l3.solve_poisson(np.full(ops_q3_l3.space.n_dofs, 7.5), "poisson_phi").x
-    assert np.abs(x).max() < 1e-12
+def test_neumann_pure_nullspace_rhs(monkeypatch):
+    for solver in on_each_path(monkeypatch, path_graph_solver):
+        assert np.allclose(solver.solve_neumann(np.full(3, 7.5), np.ones(3))[0], 0.0, atol=1e-13)
+    for ops in ops_q3_l3_on_each_path(monkeypatch):
+        x = ops.solve_poisson(np.full(ops.space.n_dofs, 7.5), "poisson_phi").x
+        assert np.abs(x).max() < 1e-12
 
 
-def test_neumann_shift_invariance(ops_q3_l3, rng):
-    b = rng.standard_normal(ops_q3_l3.space.n_dofs)
-    x1 = ops_q3_l3.solve_poisson(b, "poisson_phi").x
-    x2 = ops_q3_l3.solve_poisson(b + 3.25, "poisson_phi").x
-    assert np.abs(x1 - x2).max() <= 1e-12 * np.abs(x1).max()
+def test_neumann_shift_invariance(monkeypatch, rng):
+    for ops in ops_q3_l3_on_each_path(monkeypatch):
+        b = rng.standard_normal(ops.space.n_dofs)
+        x1 = ops.solve_poisson(b, "poisson_phi").x
+        x2 = ops.solve_poisson(b + 3.25, "poisson_phi").x
+        assert np.abs(x1 - x2).max() <= 1e-12 * np.abs(x1).max()
 
 
-def test_neumann_mass_weighted_mean_zero(ops_q3_l3, rng):
-    w = ops_q3_l3.mass_weights
-    b = rng.standard_normal(ops_q3_l3.space.n_dofs)
-    x = ops_q3_l3.solve_poisson(b, "poisson_q").x
-    assert abs(w @ x) <= 1e-13 * np.linalg.norm(x) * np.linalg.norm(w)
+def test_neumann_mass_weighted_mean_zero(monkeypatch, rng):
+    for ops in ops_q3_l3_on_each_path(monkeypatch):
+        w = ops.mass_weights
+        b = rng.standard_normal(ops.space.n_dofs)
+        x = ops.solve_poisson(b, "poisson_q").x
+        assert abs(w @ x) <= 1e-13 * np.linalg.norm(x) * np.linalg.norm(w)
 
 
-def test_neumann_known_discrete_solution(ops_q3_l3):
-    space = ops_q3_l3.space
-    pts = space.support_points
-    x_true = np.cos(np.pi * pts[:, 0]) * np.cos(2 * np.pi * pts[:, 1]) + pts[:, 0] ** 3
-    x_true -= (ops_q3_l3.mass_weights @ x_true) / ops_q3_l3.mass_weights.sum()
-    x = ops_q3_l3.solve_poisson(assemble_stiffness(space) @ x_true, "poisson_q").x
-    assert np.abs(x - x_true).max() <= 1e-11 * np.abs(x_true).max()
+def test_neumann_known_discrete_solution(monkeypatch):
+    for ops in ops_q3_l3_on_each_path(monkeypatch):
+        space = ops.space
+        pts = space.support_points
+        x_true = np.cos(np.pi * pts[:, 0]) * np.cos(2 * np.pi * pts[:, 1]) + pts[:, 0] ** 3
+        x_true -= (ops.mass_weights @ x_true) / ops.mass_weights.sum()
+        x = ops.solve_poisson(assemble_stiffness(space) @ x_true, "poisson_q").x
+        assert np.abs(x - x_true).max() <= 1e-11 * np.abs(x_true).max()
 
 
 # ---- every solve against dense references ------------------------------------------

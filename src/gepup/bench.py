@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,12 +27,12 @@ __all__ = [
 MAX_STEPS_LEFT = 1e8  # a Courant step that needs more steps than this to reach t_end has collapsed
 
 
-@dataclass
 class ConvergenceTable:
     """Rows keyed by decreasing h (exact halving); rates are log2 error ratios."""
 
-    h: list[float] = field(default_factory=list)
-    errors: list[dict] = field(default_factory=list)
+    def __init__(self):
+        self.h: list[float] = []
+        self.errors: list[dict] = []
 
     def add_row(self, h: float, errs: dict):
         if self.h:
@@ -110,8 +110,9 @@ def run_simulation(
     degree: int,
     level: int,
     config: StepperConfig,
+    *,
     t0: float = 0.0,
-    t_end: float = 1.0,
+    t_end: float,
     base_cells: tuple[int, int] = (1, 1),
     on_step=None,
 ) -> SimulationResult:
@@ -152,13 +153,12 @@ def run_simulation(
     while t_end - state.t > 1e-13 * max(1.0, abs(t_end)):
         dt = courant_dt(ops.space, state.U, config.courant, dt_max=config.dt_max)
         if not t_end - state.t <= MAX_STEPS_LEFT * dt:
-            raise SolverError(
+            exc = SolverError(
                 f"Courant step dt = {dt:.3e} would need more than {MAX_STEPS_LEFT:.0e} steps "
-                f"to reach t_end = {t_end:g}",
-                step=steps + 1,
-                phase="step size",
-                t=state.t,
+                f"to reach t_end = {t_end:g}"
             )
+            exc.step, exc.phase, exc.t = steps + 1, "step size", state.t
+            raise exc
         if state.t + dt > t_end:
             dt = t_end - state.t
         ops.reset_residuals()
@@ -189,12 +189,12 @@ def run_convergence(
     degree: int,
     config: StepperConfig,
     levels: list[int],
-    t0: float = 0.0,
-    t_end: float = 1.0,
-    base_cells: tuple[int, int] = (1, 1),
-    verbose: bool = False,
+    t0: float,
+    t_end: float,
+    base_cells: tuple[int, int],
 ) -> ConvergenceTable:
-    """Errors and rates across uniformly refined meshes, each run with ``config``."""
+    """Errors and rates across uniformly refined meshes, each run with ``config``;
+    prints one line per level as it finishes."""
     if not is_level_sequence(levels):
         raise ValueError(f"a convergence study needs two or more consecutive ascending levels, got {levels}")
     if not case.has_exact_solution:
@@ -204,11 +204,10 @@ def run_convergence(
         res = run_simulation(case, degree, level, config, t0=t0, t_end=t_end, base_cells=base_cells)
         h = res.ops.space.h_max
         table.add_row(h, res.errors)
-        if verbose:
-            print(
-                f"  level {level} (h = {h:g}): {res.steps} steps, "
-                f"u_L2 = {res.errors['u_L2']:.3e}, q_L2 = {res.errors['q_L2']:.3e}"
-            )
+        print(
+            f"  level {level} (h = {h:g}): {res.steps} steps, "
+            f"u_L2 = {res.errors['u_L2']:.3e}, q_L2 = {res.errors['q_L2']:.3e}"
+        )
     return table
 
 

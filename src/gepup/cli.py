@@ -183,7 +183,6 @@ def _cmd_converge(config: argparse.Namespace) -> int:
         t0=config.t0,
         t_end=config.t_end,
         base_cells=(config.base, config.base),
-        verbose=True,
     )
     outdir = Path(config.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -194,7 +194,7 @@ class Axis:
     as both axes of a square grid.
     """
 
-    def __init__(self, n_cells: int, length: float, degree: int, origin: float = 0.0):
+    def __init__(self, n_cells: int, length: float, degree: int, origin: float):
         if n_cells < 1:
             raise ValueError(f"cell counts must be positive, got {n_cells}")
         k = degree

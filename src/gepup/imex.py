@@ -7,7 +7,8 @@ share the weights b and abscissae c; the ESDIRK half is stiffly accurate
 explicit loads.
 
 Tableau coefficients are shipped as exact rationals with a SHA-256 checksum
-over their canonical form; ``load_tableau`` refuses corrupted data and
+over their canonical form, and c is derived from them as the exact row sums
+of the explicit table; ``load_tableau`` refuses corrupted data and
 ``validate_tableau`` re-derives the structural and order conditions.  The
 checksum stays although the constants sit next to it: ``validate_tableau``
 checks the order conditions only through order 3, and the full set of
@@ -21,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from fractions import Fraction as _F
 
 import numpy as np
 
@@ -51,10 +52,6 @@ class ButcherTableau:
     b: np.ndarray
     c: np.ndarray
     gamma: float
-
-
-def _F(num, den=1):
-    return Fraction(num, den)
 
 
 # Six-stage, fourth-order ERK-ESDIRK pair; L-stable, stiffly accurate,
@@ -104,7 +101,6 @@ _ARK4_IMPLICIT = (
     ),
 )
 _ARK4_B = _ARK4_IMPLICIT[-1]
-_ARK4_C = (_F(0), _F(1, 2), _F(83, 250), _F(31, 50), _F(17, 20), _F(1))
 
 # Eight-stage, fifth-order ERK-ESDIRK pair; L-stable, stiffly accurate,
 # gamma = 41/200 (Kennedy & Carpenter, Appl. Numer. Math. 44, 2003).
@@ -193,7 +189,6 @@ _TABLEAU_DATA = {
         "explicit": _ARK4_EXPLICIT,
         "implicit": _ARK4_IMPLICIT,
         "b": _ARK4_B,
-        "c": _ARK4_C,
         "sha256": "e0de7e0c7207cdf8f212eb8a654ce9b4e1d942050cd8a7f7f03aedd993c3ffed",
     },
     "ark5": {
@@ -202,7 +197,6 @@ _TABLEAU_DATA = {
         "explicit": _ARK5_EXPLICIT,
         "implicit": _ARK5_IMPLICIT,
         "b": _ARK5_B,
-        "c": None,  # derived from the explicit row sums
         "sha256": "ebb7bd5873cbecee0e7020b511ef1264986e693365b05541874144c55730aec6",
     },
 }
@@ -240,7 +234,7 @@ def load_tableau(name: str) -> ButcherTableau:
     AE = _to_square(data["explicit"], n)
     AI = _to_square(data["implicit"], n)
     b = np.array([float(v) for v in data["b"]])
-    c = AE.sum(axis=1) if data["c"] is None else np.array([float(v) for v in data["c"]])
+    c = np.array([float(sum(row)) for row in data["explicit"]])  # exact row sums, rounded once
     tab = ButcherTableau(
         name=name,
         order=data["order"],

@@ -45,19 +45,18 @@ class SolverError(Exception):
     """A solve that failed its backward-error check, a non-finite state, or a
     collapsed step size.
 
-    The time loop fills in where it happened as the error passes through:
-    ``phase`` (the Runge-Kutta stage, or the end-of-step projection) and its
-    time ``t`` in ``advance_step``, the ``step`` number in ``run_simulation``.
-    A collapsed Courant step is raised by ``run_simulation`` with the phase
+    The attributes of where it happened start as None, and the time loop
+    fills them in as the error passes through: ``phase`` (the Runge-Kutta
+    stage, or the end-of-step projection) and its time ``t`` in
+    ``advance_step``, the ``step`` number in ``run_simulation``.  A
+    collapsed Courant step is raised by ``run_simulation`` with the phase
     "step size".  The message puts them in front of the reason.
     """
 
-    def __init__(self, reason: str, step: int | None = None, phase: str | None = None, t: float | None = None):
+    def __init__(self, reason: str):
         super().__init__(reason)
         self.reason = reason
-        self.step = step
-        self.phase = phase
-        self.t = t
+        self.step = self.phase = self.t = None
 
     def __str__(self) -> str:
         where = [f"step {self.step}"] if self.step is not None else []
@@ -71,7 +70,7 @@ class SolverError(Exception):
 MIRROR_TOL = 1e-13  # allowed departure of J F J from F, relative to F's largest entry
 # Axes of at least this many dofs transform through their even and odd halves,
 # smaller ones through the full S: below it the fold's numpy call overhead
-# costs more than the half of the flops it saves (crossover table: ROADMAP item 9).
+# costs more than the half of the flops it saves (crossover table: ROADMAP item 7).
 FOLD_MIN_DOFS = 110
 
 
@@ -200,16 +199,21 @@ class FastDiagonalization:
     eigenvalues of A relative to M on the (ndof_y, ndof_x) grid, in the
     axes' mode order (even block first, then odd, along each axis).
     ``neumann_scale`` is the pseudo-inverse of that spectrum for a
-    pure-Neumann A, whose nullspace, the constants, is the first mode.
-    Both are this object's own, as are the two work arrays of ``apply``,
-    kept from its first call on.
+    pure-Neumann A, whose nullspace, the constants, is the first mode; it
+    is formed by the first ``solve_neumann``, so a solver that never makes
+    one (the interior solver) holds none.  Both are this object's own, as
+    are the two work arrays of ``apply``, kept from its first call on.
     """
 
     def __init__(self, x_basis: Eigenbasis, y_basis: Eigenbasis):
         self.x, self.y = x_basis, y_basis
         self.lam = y_basis.lam[:, None] + x_basis.lam[None, :]
-        self.neumann_scale = np.zeros_like(self.lam)
-        self.neumann_scale.ravel()[1:] = 1.0 / self.lam.ravel()[1:]
+
+    @functools.cached_property
+    def neumann_scale(self) -> np.ndarray:
+        scale = np.zeros_like(self.lam)
+        scale.ravel()[1:] = 1.0 / self.lam.ravel()[1:]
+        return scale
 
     def apply(self, b: np.ndarray, scale) -> np.ndarray:
         """S diag(scale) S^T b for a row-major vector b over the grid, S = Sy (x) Sx.

@@ -52,7 +52,7 @@ def _write_block(f, header: str, values, dtype: str):
     f.write(b"\n")
 
 
-def write_vtk(space: FeSpace, path, velocity=None, pressure=None, title: str = "fields"):
+def write_vtk(space: FeSpace, path, velocity, pressure, title: str = "fields"):
     """Legacy binary VTK unstructured-grid snapshot (big-endian, exact doubles).
 
     High-order fields are sampled at the Lagrange support points and each
@@ -68,16 +68,12 @@ def write_vtk(space: FeSpace, path, velocity=None, pressure=None, title: str = "
     the title is not one line of at most 255 bytes.
     """
     n = space.n_dofs
-    fields = {} if velocity is None else {"velocity[0]": velocity[0], "velocity[1]": velocity[1]}
-    if pressure is not None:
-        fields["pressure"] = pressure
-    for name, values in fields.items():
+    for name, values in (("velocity[0]", velocity[0]), ("velocity[1]", velocity[1]), ("pressure", pressure)):
         if np.shape(values) != (n,):
             raise ValueError(f"{name} has shape {np.shape(values)}, expected ({n},)")
     title_line = title.encode()
     if b"\n" in title_line or len(title_line) > 255:
         raise ValueError(f"VTK title must be one line of at most 255 bytes, got {title!r}")
-    derived = () if velocity is None else zip(("vorticity", "divergence"), nodal_curl_and_div(space, velocity))
     cells = _subcell_connectivity(space)
     m = len(cells)
     z = np.zeros(n)
@@ -88,11 +84,9 @@ def write_vtk(space: FeSpace, path, velocity=None, pressure=None, title: str = "
         _write_block(f, f"CELL_TYPES {m}", np.full(m, 9), ">i4")
 
         f.write(f"POINT_DATA {n}\n".encode())
-        if velocity is not None:
-            _write_block(f, "VECTORS velocity double", np.column_stack([velocity[0], velocity[1], z]), ">f8")
-        if pressure is not None:
-            _write_block(f, "SCALARS pressure double\nLOOKUP_TABLE default", pressure, ">f8")
-        for name, values in derived:
+        _write_block(f, "VECTORS velocity double", np.column_stack([velocity[0], velocity[1], z]), ">f8")
+        _write_block(f, "SCALARS pressure double\nLOOKUP_TABLE default", pressure, ">f8")
+        for name, values in zip(("vorticity", "divergence"), nodal_curl_and_div(space, velocity)):
             _write_block(f, f"SCALARS {name} double\nLOOKUP_TABLE default", values, ">f8")
 
 

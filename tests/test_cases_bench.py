@@ -102,6 +102,21 @@ def test_invalid_reynolds():
             builder(-5.0)
 
 
+@pytest.mark.parametrize(
+    "dropped", [("exact_u_grads",), ("exact_p", "exact_p_grad"), ("exact_u", "exact_p", "exact_u_grads")]
+)
+def test_case_rejects_a_partial_exact_solution(dropped):
+    # a partial set would fail only in solution_errors, after the whole run
+    with pytest.raises(ValueError, match=f"partial exact solution lacks {', '.join(dropped)}$"):
+        dataclasses.replace(taylor_green_case(100.0), **dict.fromkeys(dropped))
+
+
+@pytest.mark.parametrize("nu", [np.nan, np.inf, -1e-3])
+def test_case_rejects_a_viscosity_that_is_not_finite_and_nonnegative(nu):
+    with pytest.raises(ValueError, match="viscosity must be nonnegative and finite"):
+        dataclasses.replace(lid_cavity_case(100.0), nu=nu)
+
+
 # ---- refinement indicator ---------------------------------------------------------
 
 
@@ -299,7 +314,7 @@ def test_courant_step_is_recomputed_every_step():
 
 def test_zero_step_path_gives_projection_error_and_k_plus_1_rates():
     case = taylor_green_case(100.0)
-    table = run_convergence(case, 2, StepperConfig(tableau="ark4"), [2, 3, 4], t0=0.0, t_end=0.0)
+    table = run_convergence(case, 2, StepperConfig(tableau="ark4"), [2, 3, 4], t0=0.0, t_end=0.0, base_cells=(1, 1))
     rates = table.rates("u_L2")
     assert all(r > 2.7 for r in rates), rates  # k + 1 = 3 expected
 
@@ -307,7 +322,7 @@ def test_zero_step_path_gives_projection_error_and_k_plus_1_rates():
 def test_simulation_and_convergence_zero_step_agree():
     case = taylor_green_case(100.0)
     res = run_simulation(case, 2, 3, StepperConfig(tableau="ark4"), t0=0.0, t_end=0.0)
-    table = run_convergence(case, 2, StepperConfig(tableau="ark4"), [2, 3], t0=0.0, t_end=0.0)
+    table = run_convergence(case, 2, StepperConfig(tableau="ark4"), [2, 3], t0=0.0, t_end=0.0, base_cells=(1, 1))
     assert res.steps == 0
     assert res.errors["u_L2"] == pytest.approx(table.errors[1]["u_L2"], rel=1e-12)
 
@@ -322,7 +337,7 @@ def test_convergence_rejects_a_case_without_exact_solution_before_any_level(buil
     monkeypatch.setattr(gepup.bench, "run_simulation", no_run)
     case = build(100.0)
     with pytest.raises(ValueError, match=f"case '{case.name}' has no exact solution"):
-        run_convergence(case, 2, StepperConfig(), [2, 3], t_end=0.01)
+        run_convergence(case, 2, StepperConfig(), [2, 3], t0=0.0, t_end=0.01, base_cells=(1, 1))
 
 
 @pytest.mark.parametrize("levels", [[2], [2, 4], [2, 2], [3, 2], [-1, 0]])
@@ -334,7 +349,7 @@ def test_convergence_rejects_levels_that_are_not_consecutive_before_any_level(le
 
     monkeypatch.setattr(gepup.bench, "run_simulation", no_run)
     with pytest.raises(ValueError, match="two or more consecutive ascending levels"):
-        run_convergence(taylor_green_case(100.0), 2, StepperConfig(), levels, t_end=0.01)
+        run_convergence(taylor_green_case(100.0), 2, StepperConfig(), levels, t0=0.0, t_end=0.01, base_cells=(1, 1))
 
 
 @pytest.mark.parametrize("t0, t_end", [(0.0, np.nan), (np.nan, 1.0), (0.0, np.inf), (-np.inf, 1.0)])

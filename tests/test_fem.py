@@ -310,7 +310,7 @@ def test_one_dimensional_factors_match_cellwise_loop(k):
         vals.T @ (w[:, None] * ders),
     )
     n = k * n_cells + 1
-    axis = Axis(n_cells, length, k)
+    axis = Axis(n_cells, length, k, 0.0)
     assert (axis.n_cells, axis.h) == (n_cells, h)
     for local, assembled in zip(locals_1d, (axis.M, axis.K, axis.C)):
         ref = np.zeros((n, n))
@@ -430,7 +430,7 @@ def test_axis_arrays_are_read_only(name):
 def test_only_an_axis_below_the_fold_size_holds_full_size_eigenvectors():
     # a Q3 axis of 64 cells transforms through its half-size pairs alone; one of 16 cells
     # keeps the full-size S it applies
-    big, small = Axis(64, 1.0, 3), Axis(16, 1.0, 3)
+    big, small = Axis(64, 1.0, 3, 0.0), Axis(16, 1.0, 3, 0.0)
     assert small.n < FOLD_MIN_DOFS <= big.n - 2
     for basis in (big.eig, big.interior_eig, small.eig, small.interior_eig):
         n = len(basis.lam)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -89,6 +91,17 @@ def test_checksum_rejects_corruption(monkeypatch):
     monkeypatch.setitem(imex._TABLEAU_DATA, "ark4", tampered)
     with pytest.raises(ValueError, match="checksum"):
         load_tableau("ark4")
+
+
+@pytest.mark.parametrize("name", ["ark4", "ark5"])
+def test_abscissae_are_the_exact_explicit_row_sums(name):
+    # c comes from the checksummed explicit table: each exact rational row sum, rounded once
+    import gepup.imex as imex
+
+    rows = imex._TABLEAU_DATA[name]["explicit"]
+    exact = [float(sum(row, Fraction(0))) for row in rows]
+    assert load_tableau(name).c.tolist() == exact
+    assert "c" not in imex._TABLEAU_DATA[name]
 
 
 def test_final_correction_is_explicit_only():
@@ -318,6 +331,17 @@ def test_setup_work_per_operator(monkeypatch, cells, pencils, distinct_axes):
         assert counts == {"eigh": n_ops * 2 * pencils, "cho_solve": 0}
 
 
+def test_only_the_full_solver_forms_a_neumann_scale():
+    # the two Poisson solves use the full solver's pseudo-inverse; the interior
+    # solver serves only the momentum solves and never forms one
+    ops = GepupOperators(UNIT_SQUARE, (4, 4), 2)
+    case = taylor_green_case(100.0)
+    advance_step(ops.initial_state(case, 0.0), 0.01, load_tableau("ark4"), case, ops)
+    assert "_work" in ops.interior_eig.__dict__
+    assert "neumann_scale" not in ops.interior_eig.__dict__
+    assert "neumann_scale" in ops.eig.__dict__
+
+
 def test_initial_state_samples_the_initial_velocity_once():
     case = taylor_green_case(100.0)
     calls = []
@@ -361,11 +385,13 @@ def test_kinetic_energy_decays_without_forcing():
 
 # ---- linear Stokes stability ---------------------------------------------------------
 
-# ROADMAP item 1: the explicit nu curl boundary term of the pressure makes
-# both tableaus unstable beyond a diffusive step size; measured growth per
-# step at r = 0.1, 1, 10, 100: Q2 L3 ark4 0.98, 0.82, 1.43, 14.3 and ark5
-# 0.98, 5.3, 52, 524; Q3 L3 ark4 0.987, 0.912, 2.08, 20.7 and ark5 0.987,
-# 7.59, 76.5, 765.  The fix of item 1 must flip these marks.
+# ROADMAP item 1: the explicit pressure gradients G_dQ_j that the end-of-step
+# correction carries through the approximate projection make both tableaus
+# unstable beyond a diffusive step size (moving the curl term was ruled
+# out); measured growth per step at r = 0.1, 1, 10, 100: Q2 L3 ark4 0.98,
+# 0.82, 1.43, 14.3 and ark5 0.98, 5.3, 52, 524; Q3 L3 ark4 0.987, 0.912,
+# 2.08, 20.7 and ark5 0.987, 7.59, 76.5, 765.  The fix of item 1 flips the
+# four ark4 marks only; the ark5 marks belong to item 15.
 STOKES_UNSTABLE = {("ark4", 10), ("ark4", 100), ("ark5", 1), ("ark5", 10), ("ark5", 100)}
 UNSTABLE_MARK = pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 STOKES_CASES = [

@@ -41,7 +41,7 @@ def test_invalid_arguments():
     with pytest.raises(ValueError):
         build_space(UNIT_SQUARE, (1, -2), 1)
     with pytest.raises(ValueError):
-        Axis(0, 1.0, 1)
+        Axis(0, 1.0, 1, 0.0)
     case, config = taylor_green_case(100.0), StepperConfig()
     with pytest.raises(ValueError):
         run_simulation(case, 2, 1, config, t_end=0.0, base_cells=(0, 1))

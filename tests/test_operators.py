@@ -424,9 +424,10 @@ def test_compatibility_check_rejects_net_inflow():
 
     with pytest.raises(ValueError, match="flux"):
         check_boundary_compatibility(
-            CaseDefinition(name="bad", nu=1.0, g=lambda x, y, t: (x, np.zeros_like(x)), u0=zero_vec)
+            CaseDefinition(name="bad", nu=1.0, g=lambda x, y, t: (x, np.zeros_like(x)), u0=zero_vec),
+            times=(0.0,),
         )
-    check_boundary_compatibility(ok)
+    check_boundary_compatibility(ok, times=(0.0,))
     check_boundary_compatibility(taylor_green_case(100.0), times=(0.0, 0.5, 1.0))
 
 
@@ -437,10 +438,9 @@ def test_boundary_flux_on_a_shifted_rectangle():
 
     case = CaseDefinition(name="outflow", nu=1.0, g=outflow, u0=zero_vec, domain=LOAD_DOMAIN)
     with pytest.raises(ValueError, match="net boundary flux 6.000e"):
-        check_boundary_compatibility(case)
-    check_boundary_compatibility(
-        CaseDefinition(name="through", nu=1.0, g=lambda x, y, t: (x, -y), u0=zero_vec, domain=LOAD_DOMAIN)
-    )
+        check_boundary_compatibility(case, times=(0.0,))
+    through = CaseDefinition(name="through", nu=1.0, g=lambda x, y, t: (x, -y), u0=zero_vec, domain=LOAD_DOMAIN)
+    check_boundary_compatibility(through, times=(0.0,))
     ops_r = GepupOperators(LOAD_DOMAIN, (4, 2), 3)
     W = interp2(ops_r.space, lambda x, y: outflow(x, y, 0.0))
     assert ops_r.eval_Fphi(W, case, 0.0).sum() == pytest.approx(-6.0, abs=1e-12)
@@ -452,4 +452,4 @@ def test_nan_boundary_data_fails_the_flux_check():
 
     case = CaseDefinition(name="nan", nu=1.0, g=nan_g, u0=zero_vec)
     with pytest.raises(ValueError, match="net boundary flux nan"):
-        check_boundary_compatibility(case)
+        check_boundary_compatibility(case, times=(0.0,))

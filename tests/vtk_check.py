@@ -85,7 +85,7 @@ def _subcell_connectivity_loop(space):
     return np.asarray(cells, dtype=int)
 
 
-def write_vtk_per_value(space, path, velocity=None, pressure=None, title="fields"):
+def write_vtk_per_value(space, path, velocity, pressure, title="fields"):
     """Reference VTK writer: the connectivity by nested loops and one
     ``struct.pack`` per value."""
     from gepup.output import nodal_curl_and_div
@@ -120,15 +120,12 @@ def write_vtk_per_value(space, path, velocity=None, pressure=None, title="fields
         text("\n")
 
         text(f"POINT_DATA {n}\n")
-        if velocity is not None:
-            text("VECTORS velocity double\n")
-            doubles(v for vx, vy in zip(velocity[0], velocity[1]) for v in (vx, vy, 0.0))
-        if pressure is not None:
-            text("SCALARS pressure double\nLOOKUP_TABLE default\n")
-            doubles(pressure)
-        if velocity is not None:
-            curl, div = nodal_curl_and_div(space, velocity)
-            text("SCALARS vorticity double\nLOOKUP_TABLE default\n")
-            doubles(curl)
-            text("SCALARS divergence double\nLOOKUP_TABLE default\n")
-            doubles(div)
+        text("VECTORS velocity double\n")
+        doubles(v for vx, vy in zip(velocity[0], velocity[1]) for v in (vx, vy, 0.0))
+        text("SCALARS pressure double\nLOOKUP_TABLE default\n")
+        doubles(pressure)
+        curl, div = nodal_curl_and_div(space, velocity)
+        text("SCALARS vorticity double\nLOOKUP_TABLE default\n")
+        doubles(curl)
+        text("SCALARS divergence double\nLOOKUP_TABLE default\n")
+        doubles(div)

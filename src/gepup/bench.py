@@ -74,20 +74,17 @@ def solution_errors(ops: GepupOperators, state: GepupState, case: CaseDefinition
         raise ValueError(f"case {case.name!r} has no exact solution")
     space = ops.space
     t = state.t
-    x = space.quad_coords[:, :, 0]
-    y = space.quad_coords[:, :, 1]
-    area = float(np.sum(np.ones_like(x) @ space.wdet))
-    p_quad = case.exact_p(x, y, t)
+    p_quad = space.quad_order(case.exact_p(*space.quad_axes, t))
+    area = float(np.sum(np.ones_like(p_quad) @ space.wdet))
     pmean = float(np.sum(p_quad @ space.wdet)) / area
-
-    def exact_q(xx, yy, tt):
-        # error_norms samples the quadrature points, (n_elements, n_quad), and the nodes, (n_dofs,)
-        return (p_quad if xx.shape == p_quad.shape else case.exact_p(xx, yy, tt)) - pmean
+    p_quad -= pmean
+    p_nodes = space.node_order(case.exact_p(*space.node_axes, t)) - pmean
+    p_grad = [[space.quad_order(g) for g in case.exact_p_grad(*space.quad_axes, t)]]
 
     errs = {}
     for name, norms in (
         ("u", fem.error_norms(space, state.U, case.exact_u, t, case.exact_u_grads)),
-        ("q", fem.error_norms(space, state.Q, exact_q, t, case.exact_p_grad)),
+        ("q", fem.sampled_error_norms(space, [state.Q], [p_quad], [p_nodes], p_grad)),
     ):
         errs.update({f"{name}_{key}": norms[key] for key in ("L2", "H1", "Linf")})
         errs[f"{name}_H1semi"] = float(np.sqrt(norms["H1"] ** 2 - norms["L2"] ** 2))
@@ -99,7 +96,7 @@ def _monitor_entry(step: int, state: GepupState, dt: float, ops: GepupOperators)
         "step": step,
         "t": state.t,
         "dt": dt,
-        "div_l2": ops.divergence_l2(state.W),
+        "div_l2": state.div_l2,
         "kinetic_energy": ops.kinetic_energy(state.W),
         **{f"res_{c}": ops.residuals[c] for c in SOLVE_CLASSES},
     }
@@ -120,9 +117,9 @@ def run_simulation(
 
     The grid cuts ``case.domain`` into base_cells * 2**level equal cells per
     axis.  The step size is recomputed from the current velocity before every
-    step (``courant_dt``; a new dt only rescales the diagonal of the
-    momentum solve), and the final step is shortened to land exactly on
-    t_end.  Each monitor row holds the largest backward error of every
+    step (``courant_dt`` of the state's ``speed_sq``; a new dt only rescales
+    the diagonal of the momentum solve), and the final step is shortened to
+    land exactly on t_end.  Each monitor row holds the largest backward error of every
     solve class in that step (``res_<class>``).  A SolverError names the
     step (0 for the initial state), phase and time; it is also raised when
     the Courant step has collapsed so far that more than ``MAX_STEPS_LEFT``
@@ -151,7 +148,7 @@ def run_simulation(
 
     steps = 0
     while t_end - state.t > 1e-13 * max(1.0, abs(t_end)):
-        dt = courant_dt(ops.space, state.U, config.courant, dt_max=config.dt_max)
+        dt = courant_dt(ops.space, state.speed_sq, config.courant, dt_max=config.dt_max)
         if not t_end - state.t <= MAX_STEPS_LEFT * dt:
             exc = SolverError(
                 f"Courant step dt = {dt:.3e} would need more than {MAX_STEPS_LEFT:.0e} steps "

@@ -14,13 +14,15 @@ tables are Kronecker products of the 1D ones (sum factorization, Orszag,
 J. Comput. Phys. 37, 1980).  The axis also owns what the solver derives
 from its factors: the row sums behind the solves' norm bounds, the
 generalized eigenpairs of its full and interior blocks (as even and odd
-halves, modes in that order, not ascending), the dense M^{-1} C and C^T,
-each computed once, on first use.
+halves, modes in that order, not ascending), the dense M^{-1} C and C^T
+and the blocks of M and K near the two ends, each computed once, on first
+use.
 The two axes of a square grid are one object, so they compute all of it
 once; everything an axis holds is read-only.  The module also holds the
 element quadrature loads of the nonlinear term, nodal interpolation and
-error norms.  The global matrices are never assembled: ``tensorops``
-applies them, and the boundary loads, as products on the axes.
+error norms, which sample the exact solution on the axes.  The global
+matrices are never assembled: ``tensorops`` applies them, and the boundary
+loads, as products on the axes.
 
 Vector fields are represented as one coefficient array per component; all
 components share the scalar space.
@@ -46,6 +48,7 @@ __all__ = [
     "build_space",
     "interpolate",
     "error_norms",
+    "sampled_error_norms",
 ]
 
 MAX_DEGREE = 4
@@ -189,7 +192,9 @@ class Axis:
     blocks (``linsolve.eigenpairs``: each a ``linsolve.Eigenbasis`` of the
     even and odd half-size pairs, its modes even block first, which also
     keeps the full-size S below ``linsolve.FOLD_MIN_DOFS`` dofs), the
-    dense ``D`` = M^{-1} C, formed from ``eig``, and ``CT`` = C^T as CSR.
+    dense ``D`` = M^{-1} C, formed from ``eig``, ``CT`` = C^T as CSR and
+    the blocks ``frame`` of M and K on the dofs near the two ends (the
+    Dirichlet lift of a momentum solve).
     Every array, CSR arrays included, is read-only, because one axis serves
     as both axes of a square grid.
     """
@@ -278,6 +283,22 @@ class Axis:
         """C^T as CSR."""
         return _frozen(sp.csr_matrix(self.C.T))
 
+    @functools.cached_property
+    def frame(self) -> tuple[np.ndarray, sp.csr_matrix, sp.csr_matrix]:
+        """(keep, M, K): the dofs within 2k of either end, ascending, and the blocks
+        of M and K on them; an axis of fewer than five cells keeps every dof.
+
+        A row within k of an end couples only to dofs within 2k of it, so
+        each such row of the blocks holds all of its entries, in the same
+        CSR order: a product with them reproduces those rows of a product
+        with M or K bit for bit.  The other rows are cut and unusable.
+        """
+        reach = 2 * (self.cell_dofs.shape[1] - 1)
+        keep = np.arange(self.n)
+        if self.n > 2 * (reach + 1):
+            keep = np.concatenate([keep[: reach + 1], keep[-(reach + 1) :]])
+        return _frozen(keep), _frozen(self.M[keep][:, keep]), _frozen(self.K[keep][:, keep])
+
     def load(self, values) -> np.ndarray:
         """1D load sum_q w_q v(x_q) phi_i(x_q) from samples v at ``points``."""
         v = np.broadcast_to(np.asarray(values, dtype=float), self.points.shape)
@@ -303,7 +324,12 @@ class FeSpace:
     ``wdet`` holds the quadrature weights of one element.  The load tables
     ``load_phi``, ``load_dx``, ``load_dy`` (n_quad, n_local) are the
     transposes with the weights folded in, so that values @ table integrates
-    (n_elements, n_quad) samples against the basis.
+    (n_elements, n_quad) samples against the basis.  ``quad_axes`` and
+    ``node_axes`` are the (x, y) coordinates of the quadrature and support
+    point grids as broadcastable axis arrays, x of shape (1, n) and y of
+    shape (m, 1): a callback evaluated on them returns the grid, which
+    ``quad_order`` and ``node_order`` lay out like ``values_at_quad`` and
+    the coefficients.
     """
 
     def __init__(self, domain: RectDomain, cells: tuple[int, int], degree: int):
@@ -323,6 +349,9 @@ class FeSpace:
         self.support_points = np.column_stack([X.ravel(), Y.ravel()])
         grid = np.broadcast_arrays(ax.points[None, :, None, :], ay.points[:, None, :, None])
         self.quad_coords = np.stack(grid, axis=-1).reshape(n_el, -1, 2)
+
+        self.quad_axes = ax.points.reshape(1, -1), ay.points.reshape(-1, 1)
+        self.node_axes = ax.nodes.reshape(1, -1), ay.nodes.reshape(-1, 1)
 
         on_boundary = np.ones((ay.n, ax.n), dtype=bool)
         on_boundary[1:-1, 1:-1] = False
@@ -347,6 +376,17 @@ class FeSpace:
         )
 
     # ---- field evaluation --------------------------------------------------
+
+    def quad_order(self, values) -> np.ndarray:
+        """Samples on the ``quad_axes`` grid (broadcastable to it) as (n_elements, n_quad)."""
+        (_, nx), (ny, _) = (a.shape for a in self.quad_axes)
+        q = self.degree + 2
+        grid = np.broadcast_to(np.asarray(values, dtype=float), (ny, nx)).reshape(ny // q, q, nx // q, q)
+        return grid.transpose(0, 2, 1, 3).reshape(-1, q * q)
+
+    def node_order(self, values) -> np.ndarray:
+        """Samples on the ``node_axes`` grid (broadcastable to it) as (n_dofs,)."""
+        return np.broadcast_to(np.asarray(values, dtype=float), (self.ndof_y, self.ndof_x)).ravel()
 
     def values_at_quad(self, coeffs: np.ndarray) -> np.ndarray:
         """(n_elements, n_quad) field values at the volume quadrature points."""
@@ -387,29 +427,45 @@ def error_norms(space: FeSpace, fields, exact, t: float, exact_grads=None) -> di
     A vector field is a list of per-component coefficient arrays, with
     ``exact(x, y, t)`` returning its components and ``exact_grads(x, y, t)``
     one (d/dx, d/dy) pair per component; a scalar field is one array, with
-    ``exact`` returning values and ``exact_grads`` one pair.  L2 and H1
-    (full norm) sum the components in quadrature; Linf is the largest
-    Euclidean magnitude of the error at the quadrature and support points.
-    ``exact`` is evaluated once at each point set, ``exact_grads`` once at
-    the quadrature points.
+    ``exact`` returning values and ``exact_grads`` one pair.  ``exact`` is
+    called once on the space's ``quad_axes`` and once on its ``node_axes``,
+    ``exact_grads`` once on the ``quad_axes``: each must accept broadcastable
+    coordinates, x of shape (1, n) and y of shape (m, 1), and return values
+    that broadcast to (m, n).  See ``sampled_error_norms`` for the norms.
     """
     if isinstance(fields, np.ndarray):
         grads = None if exact_grads is None else (lambda x, y, tt: (exact_grads(x, y, tt),))
         return error_norms(space, [fields], lambda x, y, tt: (exact(x, y, tt),), t, grads)
-    x = space.quad_coords[:, :, 0]
-    y = space.quad_coords[:, :, 1]
-    pts = space.support_points
+    quad = [space.quad_order(e) for e in exact(*space.quad_axes, t)]
+    nodal = [space.node_order(e) for e in exact(*space.node_axes, t)]
+    grads = None
+    if exact_grads is not None:
+        grads = [[space.quad_order(g) for g in pair] for pair in exact_grads(*space.quad_axes, t)]
+    return sampled_error_norms(space, fields, quad, nodal, grads)
+
+
+def sampled_error_norms(space: FeSpace, fields, quad, nodal, quad_grads) -> dict:
+    """``error_norms`` of the component arrays ``fields`` from samples of the exact
+    field: per component, ``quad`` (n_elements, n_quad) at the quadrature
+    points, ``nodal`` (n_dofs,) at the support points and, or None,
+    ``quad_grads`` one (d/dx, d/dy) pair at the quadrature points.
+
+    L2 and H1 (full norm) sum the components in quadrature; Linf is the
+    largest Euclidean magnitude of the error at the quadrature and support
+    points.
+    """
     l2sq = 0.0
     quad_sq = nodal_sq = 0.0
-    for f, e_quad, e_nodal in zip(fields, exact(x, y, t), exact(pts[:, 0], pts[:, 1], t)):
+    for f, e_quad, e_nodal in zip(fields, quad, nodal):
         diff = space.values_at_quad(f) - e_quad
-        l2sq += float(np.sum(diff * diff @ space.wdet))
-        quad_sq = quad_sq + diff * diff
+        diff *= diff
+        l2sq += float(np.sum(diff @ space.wdet))
+        quad_sq = quad_sq + diff
         nodal_sq = nodal_sq + (f - e_nodal) ** 2
     out = {"L2": np.sqrt(l2sq), "Linf": float(np.sqrt(max(np.max(quad_sq), np.max(nodal_sq))))}
-    if exact_grads is not None:
+    if quad_grads is not None:
         h1sq = l2sq
-        for f, (ex, ey) in zip(fields, exact_grads(x, y, t)):
+        for f, (ex, ey) in zip(fields, quad_grads):
             gx, gy = space.grads_at_quad(f)
             dxs = gx - ex
             dys = gy - ey

@@ -318,19 +318,15 @@ class StepperConfig:
 SPEED_FLOOR = 1e-12  # below this sampled speed the flow counts as at rest
 
 
-def courant_dt(space, U, courant: float, dt_max: float) -> float:
-    """Convection-limited step size from the sampled maximum speed.
+def courant_dt(space, speed_sq: float, courant: float, dt_max: float) -> float:
+    """Convection-limited step size from the largest sampled speed squared.
 
-    The speed is the Euclidean velocity magnitude, sampled at the support
-    points and the volume quadrature points; the element size is max(hx, hy).
-    Returns dt_max when the flow is essentially at rest.
+    ``speed_sq`` is the state's ``GepupState.speed_sq``: the largest
+    Euclidean velocity magnitude squared at the support points and the
+    volume quadrature points.  The element size is max(hx, hy).  Returns
+    dt_max when the flow is essentially at rest.
     """
-    speed_sq = U[0] ** 2 + U[1] ** 2
-    umax_sq = float(speed_sq.max())
-    qx = space.values_at_quad(U[0])
-    qy = space.values_at_quad(U[1])
-    umax_sq = max(umax_sq, float((qx * qx + qy * qy).max()))
-    umax = np.sqrt(umax_sq)
+    umax = np.sqrt(speed_sq)
     if umax < SPEED_FLOOR:
         return dt_max
     return min(courant * space.h_max / (space.degree * umax), dt_max)
@@ -353,8 +349,8 @@ def advance_step(
     and replaces W with the projected velocity.  Every stage's explicit
     load F_s comes from the ``pressure`` call of its projected velocity;
     the first stage's is the one ``state`` carries, and the end-of-step
-    call gives the next state's.  M W_d and A W_d come from the ``XPass``
-    the momentum solve returns (for W^n, from one pass at the start), and
+    state (``GepupOperators.state_at``) forms the next state's.  M W_d and
+    A W_d come from the ``XPass`` the momentum solve returns (for W^n, from one pass at the start), and
     a stage's right-hand side is one GEMV per component over the stored
     F_j and A W_j.  A SolverError leaves with the stage (or the end-of-step
     projection) and its time.
@@ -370,8 +366,9 @@ def advance_step(
     t1 = t0 + dt
     N = ops.space.n_dofs
     # per component d and stage j, the explicit load F and A W side by side,
-    # so that a stage's right-hand side is one GEMV over its first s rows
-    loads = np.zeros((2, n, 2, N))
+    # so that a stage's right-hand side is one GEMV over its first s rows;
+    # not zero-filled: stage j's rows are written before any stage reads them
+    loads = np.empty((2, n, 2, N))
     F, AW = loads[:, :, 0], loads[:, :, 1]
     coeffs = np.stack([dt * AE, -nu * dt * AI], axis=2)  # (stage, j, [F, AW])
     phase, t_phase = "stage 0", t0
@@ -405,10 +402,10 @@ def advance_step(
             W_star.append(ops.solve_mass(rhs))
         U1, Phi1 = ops.leray_project(W_star, case, t1)
         del W_star
-        Q1, F1 = ops.pressure(U1, case, t1)
+        state1 = ops.state_at(t1, U1, Phi1, case)
         if not all(np.all(np.isfinite(u)) for u in U1):
             raise SolverError("non-finite velocity")
     except SolverError as exc:
         exc.phase, exc.t = phase, t_phase
         raise
-    return GepupState(t1, [u.copy() for u in U1], U1, Phi1, Q1, F1)
+    return state1

@@ -18,8 +18,9 @@ mirrored back from them.  The modes are laid out even block first, then
 odd block, so no spectrum here is in ascending order.  Each ``fem.Axis``
 computes its bases once for its full and interior blocks and keeps them,
 so a ``FastDiagonalization`` only combines the bases of two axes into its
-own 2D spectrum.  Every solve is followed by a normwise backward-error
-check, so that a wrong or non-finite result raises instead of propagating.
+own 2D spectrum; the solvers of one grid share one ``WorkPair``.  Every
+solve is followed by a normwise backward-error check, so that a wrong or
+non-finite result raises instead of propagating.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "Eigenbasis",
     "eigenpairs",
     "mirrored_basis",
+    "WorkPair",
     "FastDiagonalization",
     "REL_TOL",
     "check_backward_error",
@@ -102,9 +104,13 @@ class Eigenbasis:
     the lowest even mode, the constants of a pure-Neumann pencil, comes
     first.  An axis of at least ``FOLD_MIN_DOFS`` dofs transforms through
     the halves: a fold, or unfold, by index and two half-size GEMMs, half
-    the flops of one full-size GEMM.  A smaller axis keeps the full ``S``,
-    assembled once from the halves, and transforms with one GEMM; ``S`` is
-    None on a folding axis.  Every array is read-only.
+    the flops of one full-size GEMM.  Every fold and unfold computes with
+    forward operands only, and the reversed rows are copied once, in or out
+    of work space: a ufunc with a reversed operand runs through numpy's
+    buffered iteration, which allocates scratch and runs slower than that
+    copy.  A smaller axis keeps the full ``S``, assembled once from the
+    halves, and transforms with one GEMM; ``S`` is None on a folding axis.
+    Every array is read-only.
     """
 
     def __init__(self, lam_e: np.ndarray, Ye: np.ndarray, lam_o: np.ndarray, Yo: np.ndarray):
@@ -120,13 +126,18 @@ class Eigenbasis:
     def to_modes(self, X: np.ndarray, spare: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out = X^T S = (S^T X)^T for an (n, k) X; returns out, (k, n).
 
-        ``spare`` is (n, k) work space; X, spare and out are three distinct arrays.
+        ``spare`` is (n, k) work space; X, spare and out are three distinct
+        arrays.  The fold copies X's reversed rows into out before the GEMMs
+        write it.
         """
         if self.S is not None:
             return np.matmul(X.T, self.S, out=out)
         c, m = len(self.lam_e), len(self.lam_o)
-        np.add(X[:c], X[::-1][:c], out=spare[:c])
-        np.subtract(X[:m], X[::-1][:m], out=spare[c:])
+        k = X.shape[1]
+        reversed_rows = out.reshape(-1)[: c * k].reshape(c, k)
+        np.copyto(reversed_rows, X[::-1][:c])
+        np.add(X[:c], reversed_rows, out=spare[:c])
+        np.subtract(X[:m], reversed_rows[:m], out=spare[c:])
         np.matmul(spare[:c].T, self.Ye, out=out[:, :c])
         np.matmul(spare[c:].T, self.Yo, out=out[:, c:])
         return out
@@ -146,23 +157,43 @@ class Eigenbasis:
     def to_nodes_t(self, Z: np.ndarray, spare: np.ndarray, out: np.ndarray) -> np.ndarray:
         """out = Z S^T for a (k, n) Z of mode coefficients; returns out.
 
-        ``spare`` is (k, n) work space; Z, spare and out are three distinct arrays.
+        ``spare`` is (k, n) work space; Z, spare and out are three distinct
+        arrays, and Z is overwritten.  The folded path unfolds along the
+        columns without a ufunc on column slices, which numpy would buffer:
+        the even half E = Z_e Ye^T goes to spare and the odd half O = Z_o Yo^T
+        to out, both contiguous (k, c) blocks (O padded, for an odd n, with
+        E's middle column, so that E + O there is the middle node's 2 E);
+        E + O goes to Z and E - O to spare, and both are copied into out's
+        columns, the second reversed.
         """
         if self.S is not None:
             return np.matmul(Z, self._right[0], out=out)
-        c = len(self.lam_e)
-        np.matmul(Z[:, :c], self._right[0], out=spare[:, :c])
-        np.matmul(Z[:, c:], self._right[1], out=spare[:, c:])
-        _unfold(spare.T, out.T)
+        c, m = len(self.lam_e), len(self.lam_o)
+        k = len(Z)
+        E, O, plus = (a.reshape(-1)[: k * c].reshape(k, c) for a in (spare, out, Z))
+        np.matmul(Z[:, :c], self._right[0], out=E)
+        np.matmul(Z[:, c:], self._right[1], out=O[:, :m])
+        if c > m:  # the middle dof is its own mirror
+            np.copyto(O[:, m], E[:, m])
+        np.add(E, O, out=plus)
+        np.subtract(E, O, out=E)
+        np.copyto(out[:, :c], plus)
+        np.copyto(out[:, c:], E[:, :m][:, ::-1])
         return out
 
 
 def _unfold(F: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = P_e F[:c] + P_o F[c:] along the rows: the node values of the even
-    (first c rows) and odd (last m rows) mode sums of an ``Eigenbasis``."""
+    """out = P_e F[:c] + P_o F[c:] along the first axis: the node values of the
+    even (first c rows) and odd (last m rows) mode sums of an ``Eigenbasis``.
+
+    The mirrored half is formed forward in F's odd rows, which it
+    overwrites, and copied to out's last m rows in reverse.  F and out may
+    be transposed views (an unfold along the columns).
+    """
     m, c = len(F) // 2, len(F) - len(F) // 2
     np.add(F[:m], F[c:], out=out[:m])
-    np.subtract(F[:m], F[c:], out=out[::-1][:m])
+    np.subtract(F[:m], F[c:], out=F[c:])
+    np.copyto(out[c:], F[c:][::-1])
     if c > m:  # the middle dof is its own mirror
         np.multiply(F[m], 2.0, out=out[m])
     return out
@@ -191,6 +222,19 @@ def eigenpairs(K, M) -> Eigenbasis:
     return Eigenbasis(lam_e, Ye * np.sqrt(0.5), lam_o, Yo * np.sqrt(0.5))
 
 
+class WorkPair:
+    """Two work arrays of ``size`` doubles, shared by solvers whose applies never
+    overlap, and allocated at the first apply that reads them: allocated with
+    the solvers, they cost a set-up thousands of minor page faults (tg-q3-l6)."""
+
+    def __init__(self, size: int):
+        self.size = size
+
+    @functools.cached_property
+    def arrays(self) -> np.ndarray:
+        return np.empty((2, self.size))
+
+
 class FastDiagonalization:
     """The 2D fast-diagonalization solver of one grid from the 1D eigenpairs of its axes.
 
@@ -201,13 +245,16 @@ class FastDiagonalization:
     ``neumann_scale`` is the pseudo-inverse of that spectrum for a
     pure-Neumann A, whose nullspace, the constants, is the first mode; it
     is formed by the first ``solve_neumann``, so a solver that never makes
-    one (the interior solver) holds none.  Both are this object's own, as
-    are the two work arrays of ``apply``, kept from its first call on.
+    one (the interior solver) holds none.  Both are this object's own.  The
+    two work arrays of ``apply`` are the leading ``lam.size`` entries of
+    ``work`` (a ``WorkPair`` of at least that size), which the full and the
+    interior solver of one grid share.
     """
 
-    def __init__(self, x_basis: Eigenbasis, y_basis: Eigenbasis):
+    def __init__(self, x_basis: Eigenbasis, y_basis: Eigenbasis, work: WorkPair):
         self.x, self.y = x_basis, y_basis
         self.lam = y_basis.lam[:, None] + x_basis.lam[None, :]
+        self.work = work
 
     @functools.cached_property
     def neumann_scale(self) -> np.ndarray:
@@ -221,7 +268,7 @@ class FastDiagonalization:
         The two forward transforms write their outputs transposed, so that
         both folds run along contiguous rows; the way back takes y along the
         rows, then x along the columns.  Beside the result, the apply works
-        in this object's two work arrays only.
+        in its two work arrays only.
         """
         ny, nx = self.lam.shape
         spare, half = self._work
@@ -235,9 +282,7 @@ class FastDiagonalization:
 
     @functools.cached_property
     def _work(self) -> np.ndarray:
-        # allocated at the first apply: allocated with the object, the two arrays
-        # cost a set-up thousands of minor page faults (tg-q3-l6)
-        return np.empty((2, self.lam.size))
+        return self.work.arrays[:, : self.lam.size]
 
     def solve_neumann(self, b: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Solve the singular A x = b (constant nullspace) with weights @ x = 0.

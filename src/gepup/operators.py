@@ -18,8 +18,10 @@ In 2D the curl is the scalar du_y/dx - du_x/dy and the boundary term of the
 pressure equation integrates curl(u) against the tangential derivative of
 the test function, with the counterclockwise tangent (-n_y, n_x).  It and
 the boundary fluxes (g . n, eta) are ``tensorops`` products on the space's
-1D axes, on the boundary rows and columns; the nonlinear term reads the
-space's physical element tables.
+1D axes, added in place onto the boundary rows and columns of a load; the
+nonlinear term reads the space's physical element tables.  The state after
+a step, or the initial state, takes its monitors (the L2 norm of div u and
+the largest sampled speed) from the quadrature pass of its pressure call.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from . import fem, tensorops
 from .fem import UNIT_SQUARE, RectDomain
-from .linsolve import FastDiagonalization, check_backward_error
+from .linsolve import FastDiagonalization, WorkPair, check_backward_error
 from .tensorops import XPass, norm_bound
 
 __all__ = ["CaseDefinition", "GepupState", "GepupOperators", "check_boundary_compatibility"]
@@ -49,7 +51,10 @@ class CaseDefinition:
     reporting; it is given by all four of ``exact_u(x, y, t) -> (ux, uy)``,
     ``exact_p(x, y, t) -> p``,
     ``exact_u_grads(x, y, t) -> ((uxx, uxy), (uyx, uyy))`` and
-    ``exact_p_grad(x, y, t) -> (px, py)``, or by none of them.
+    ``exact_p_grad(x, y, t) -> (px, py)``, or by none of them.  The error
+    norms call them on the axes of a grid (``fem.error_norms``): x of shape
+    (1, n) and y of shape (m, 1), so each must broadcast its arguments as
+    numpy does and return components that broadcast to (m, n).
     """
 
     name: str
@@ -89,7 +94,9 @@ def check_boundary_compatibility(case: CaseDefinition, times):
     """
     axes = [fem.Axis(FLUX_PANELS, length, 4, origin) for origin, length in zip(case.domain.origin, case.domain.extent)]
     for t in times:
-        flux = float(tensorops.boundary_normal_load(axes, case.g, t).sum())
+        load = np.zeros((axes[1].n, axes[0].n))
+        tensorops.add_normal_load(axes, case.g, t, 1.0, load)
+        flux = float(load.sum())
         if not abs(flux) <= FLUX_TOL:
             raise ValueError(
                 f"case {case.name!r}: net boundary flux {flux:.3e} at t={t} violates the "
@@ -103,9 +110,12 @@ class GepupState:
     projection potential Phi and pressure Q (both mass-mean-zero).
 
     ``F`` holds the explicit loads (f - u . grad u - grad q, eta_i) per
-    component at (U, Q, t), from the ``GepupOperators.pressure`` call that
-    gave Q; the next time step reads them as its first explicit stage.
-    After changing U by hand, take Q and F from ``pressure`` again.
+    component at (U, Q, t), from the pressure solve that gave Q; the next
+    time step reads them as its first explicit stage.  ``div_l2`` (the L2
+    norm of div u) and ``speed_sq`` (the largest |u|^2 at the support and
+    the quadrature points, for the Courant step) come from the quadrature
+    pass of the same pressure load.  After changing U by hand, take the
+    state from ``GepupOperators.state_at`` again.
     """
 
     t: float
@@ -114,6 +124,8 @@ class GepupState:
     Phi: np.ndarray
     Q: np.ndarray
     F: list[np.ndarray]
+    div_l2: float
+    speed_sq: float
 
 
 class ConstrainedOperator:
@@ -123,7 +135,9 @@ class ConstrainedOperator:
     right-hand side.  The interior block is again a Kronecker sum of the 1D
     factors, so it is solved directly in the interior eigenbasis; a new
     coeff only rescales the diagonal 1 + coeff * (lam_y + lam_x).
-    The lift is the ``combination`` of the pass of the boundary data; the
+    The lift, (M + coeff A) x_b on the interior rows for the ring data x_b,
+    is zero more than k rows or columns from the ring: ``lift_frame`` forms
+    it there as strips from two thin products, with no full-grid array.  The
     solution's ``XPass`` gives the backward-error check its K x_i: on the
     interior rows, K x_i is (M + coeff A) x less the lift.  ``norm_K``
     bounds the norm of the interior block K.
@@ -136,22 +150,75 @@ class ConstrainedOperator:
         self.norm_K = norm_bound(ax.interior_row_sums, ay.interior_row_sums, 1.0, coeff)
         self.scale = 1.0 / (1.0 + coeff * ops.interior_eig.lam)
 
+    def lift_frame(self, boundary_values: np.ndarray) -> list[tuple[tuple[slice, slice], np.ndarray]]:
+        """The lift (M + coeff A) x_b on the (ndof_y - 2, ndof_x - 2) interior grid,
+        x_b the ring data ``boundary_values`` (in ``boundary_dofs`` order) and zero elsewhere.
+
+        Returns disjoint (index, strip) pairs whose strips hold the lift's
+        entries within k rows or columns of the ring; it is zero elsewhere.
+        The entries are those of the full-grid product, bit for bit: the rows
+        near the bottom and the top come from the same product on the grid
+        of the y axis's ``frame`` dofs by all x dofs, the columns near the
+        left and the right side from the one on all y dofs by the x axis's
+        ``frame`` dofs.  Each is about 4k + 2 dofs thin.
+        """
+        ax, ay = self.ops.space.axes
+        k = self.ops.space.degree
+        (kx, Mxf, Kxf), (ky, Myf, Kyf) = ax.frame, ay.frame
+        rows = self._lift_on(boundary_values, ky, np.arange(ax.n), (ax.M, ax.K), (Myf, Kyf))
+        nyi, nxi = ay.n - 2, ax.n - 2
+        bottom, top = min(k, nyi), max(0, min(k, nyi - k))
+        strips = [
+            ((slice(0, bottom), slice(None)), rows[1 : 1 + bottom, 1:-1]),
+            ((slice(nyi - top, None), slice(None)), rows[len(ky) - 1 - top : len(ky) - 1, 1:-1]),
+        ]
+        if nyi > 2 * k:  # rows between the two: only their columns near the sides
+            cols = self._lift_on(boundary_values, np.arange(ay.n), kx, (Mxf, Kxf), (ay.M, ay.K))
+            left, right = min(k, nxi), max(0, min(k, nxi - k))
+            middle = slice(k, nyi - k)
+            strips += [
+                ((middle, slice(0, left)), cols[k + 1 : ay.n - 1 - k, 1 : 1 + left]),
+                ((middle, slice(nxi - right, None)), cols[k + 1 : ay.n - 1 - k, len(kx) - 1 - right : len(kx) - 1]),
+            ]
+        return strips
+
+    def _lift_on(self, boundary_values, rows, cols, x_factors, y_factors) -> np.ndarray:
+        """(M + coeff A) x_b on the grid of the y dofs ``rows`` by the x dofs ``cols``
+        (each ascending, from the first dof to the last), through the given M and K
+        blocks, with the arithmetic of the full-grid product My (X Mx^T + coeff
+        X Kx^T) + coeff Ky (X Mx^T)."""
+        (Mx, Kx), (My, Ky) = x_factors, y_factors
+        nx = self.ops.space.ndof_x
+        X = np.zeros((len(rows), len(cols)))
+        X[0], X[-1] = boundary_values[:nx][cols], boundary_values[-nx:][cols]
+        sides = boundary_values[nx:-nx].reshape(-1, 2)  # (left, right) per interior row
+        X[1:-1, 0], X[1:-1, -1] = sides[rows[1:-1] - 1].T
+        XT = X.T
+        XMt = (Mx @ XT).T
+        mixed = XMt + self.coeff * (Kx @ XT).T
+        return My @ mixed + self.coeff * (Ky @ XMt)
+
     def solve(self, rhs: np.ndarray, boundary_values: np.ndarray) -> XPass:
         """Solve with x = boundary_values on the Dirichlet rows (strong elimination).
 
         Returns the pass of x, with ``mass`` M x and ``stiffness`` A x taken.
         """
         ops = self.ops
-        grid = (ops.space.ndof_y, ops.space.ndof_x)
-        x = np.zeros_like(rhs)
+        grid = ops.grid
+        frame = self.lift_frame(boundary_values)
+        b = rhs.reshape(grid)[1:-1, 1:-1].copy()
+        for index, strip in frame:
+            b[index] -= strip
+        xi = ops.interior_eig.apply(b.ravel(), self.scale)
+        x = np.empty_like(rhs)
         x[ops.space.boundary_dofs] = boundary_values
-        lift = ops.x_pass(x).combination(1.0, self.coeff).reshape(grid)[1:-1, 1:-1]
-        b = (rhs.reshape(grid)[1:-1, 1:-1] - lift).ravel()
-        xi = ops.interior_eig.apply(b, self.scale)
-        x.reshape(grid)[1:-1, 1:-1] = xi.reshape(lift.shape)
+        x.reshape(grid)[1:-1, 1:-1] = xi.reshape(b.shape)
         p = ops.x_pass(x)
-        Kxi = (p.mass + self.coeff * p.stiffness).reshape(grid)[1:-1, 1:-1] - lift
-        ops.record_solve("momentum", b, Kxi.ravel(), xi, self.norm_K)
+        Kxi = p.stiffness.reshape(grid)[1:-1, 1:-1] * self.coeff
+        Kxi += p.mass.reshape(grid)[1:-1, 1:-1]
+        for index, strip in frame:
+            Kxi[index] -= strip
+        ops.record_solve("momentum", b.ravel(), Kxi.ravel(), xi, self.norm_K)
         return p
 
 
@@ -172,8 +239,8 @@ class GepupOperators:
     (``fem.Axis``); only their 2D spectra and scales are built here: the
     full (Neumann) pairs for the Poisson solves and the end-of-step mass
     solve, the interior pairs for the Dirichlet-eliminated momentum solve.
-    The projection's mass solves are 1D, the axes' dense factors M^{-1} C
-    (``XPass.l2_projection``).
+    The two solvers share one ``linsolve.WorkPair``.  The projection's mass
+    solves are 1D, the axes' dense factors M^{-1} C (``XPass.l2_projection``).
     Each solve returns the ``XPass`` of its solution, whose products serve
     both its backward-error check and what the scheme next does with the
     field: M W and A W of a momentum solve, the potential load of W, the
@@ -194,14 +261,16 @@ class GepupOperators:
         convection: bool = True,
     ):
         self.space = fem.build_space(domain, cells, degree)
+        self.grid = (self.space.ndof_y, self.space.ndof_x)
         self.convection = convection
 
         ax, ay = self.space.axes
         self.norm_M = norm_bound(ax.row_sums, ay.row_sums, 1.0, 0.0)
         self.norm_A = norm_bound(ax.row_sums, ay.row_sums, 0.0, 1.0)
         self.mass_weights = self.x_pass(np.ones(self.space.n_dofs)).mass
-        self.eig = FastDiagonalization(ax.eig, ay.eig)
-        self.interior_eig = FastDiagonalization(ax.interior_eig, ay.interior_eig)
+        work = WorkPair(self.space.n_dofs)  # no apply of one solver overlaps one of the other
+        self.eig = FastDiagonalization(ax.eig, ay.eig, work)
+        self.interior_eig = FastDiagonalization(ax.interior_eig, ay.interior_eig, work)
         self.residuals = dict.fromkeys(SOLVE_CLASSES, 0.0)
 
     def reset_residuals(self):
@@ -238,27 +307,61 @@ class GepupOperators:
 
     # ---- load evaluators -----------------------------------------------------
 
-    def _nonlinear_loads(self, U: list[np.ndarray], case: CaseDefinition, t: float):
-        """(f - u . grad u, eta_i) per component and (f - u . grad u, grad eta_i), from one quadrature pass."""
+    def _nonlinear_loads(self, U: list[np.ndarray], case: CaseDefinition, t: float, monitors: bool):
+        """(f - u . grad u, eta_i) per component and (f - u . grad u, grad eta_i), from one quadrature pass.
+
+        With ``monitors``, the pass also returns (div_l2, speed_sq) of u from
+        the same samples (see ``_advection``), else None.
+        """
         space = self.space
-        if self.convection:
-            phi, dx, dy = space.quad_phi, space.quad_dx, space.quad_dy
-            lx, ly = U[0][space.element_dofs], U[1][space.element_dofs]
-            ux, uy = lx @ phi, ly @ phi
-            vx, vy = lx @ dx, ly @ dx
-            vx *= ux
-            vy *= ux
-            vx += np.multiply(uy, lx @ dy, out=ux)  # ux is no longer needed: reuse it
-            vy += np.multiply(uy, ly @ dy, out=ux)
-            vx *= -1.0
-            vy *= -1.0
-        else:
+        stats = None
+        if self.convection or monitors:
+            vx, vy, stats = self._advection(U, monitors)
+        if not self.convection:
             vx, vy = np.zeros(space.quad_coords.shape[:2]), np.zeros(space.quad_coords.shape[:2])
         forcing = self._forcing(case, t)
         if forcing is not None:
             vx += forcing[0]
             vy += forcing[1]
-        return [space.assemble_load(vx), space.assemble_load(vy)], space.assemble_gradtest_load(vx, vy)
+        return [space.assemble_load(vx), space.assemble_load(vy)], space.assemble_gradtest_load(vx, vy), stats
+
+    def _advection(self, U: list[np.ndarray], monitors: bool):
+        """-(u . grad u) per component at the quadrature points, and, with ``monitors``,
+        (div_l2, speed_sq): the L2 norm of du_x/dx + du_y/dy and the largest
+        u_x^2 + u_y^2 at the quadrature points, else None.
+
+        The monitors take the arithmetic of ``divergence_l2`` and of the
+        ``values_at_quad`` samples, so they equal those bit for bit, and
+        they work in the pass's own three arrays: no more arrays of the
+        quadrature grid are alive at once than without them.
+        """
+        space = self.space
+        phi, dx, dy = space.quad_phi, space.quad_dx, space.quad_dy
+        lx, ly = U[0][space.element_dofs], U[1][space.element_dofs]
+        ux, uy = lx @ phi, ly @ phi
+        vx, vy, work = (np.empty_like(ux) for _ in range(3))
+        stats = None
+        if monitors:
+            np.multiply(ux, ux, out=vx)
+            vx += np.multiply(uy, uy, out=vy)
+            speed_sq = float(vx.max())
+        np.matmul(lx, dx, out=vx)  # du_x/dx
+        np.matmul(ly, dy, out=vy)  # du_y/dy
+        if monitors:
+            np.add(vx, vy, out=work)
+            work *= work
+            stats = float(np.sqrt(np.sum(work @ space.wdet))), speed_sq
+        np.multiply(uy, vy, out=work)  # u_y du_y/dy
+        np.matmul(ly, dx, out=vy)  # du_y/dx
+        vx *= ux
+        vy *= ux
+        vy += work
+        np.matmul(lx, dy, out=work)  # du_x/dy
+        work *= uy
+        vx += work
+        vx *= -1.0
+        vy *= -1.0
+        return vx, vy, stats
 
     def eval_Fphi(self, W: list, case: CaseDefinition, t: float) -> np.ndarray:
         """Potential load (w, grad eta_i) - (n.g, eta_i) over the boundary.
@@ -267,7 +370,8 @@ class GepupOperators:
         """
         Wx, Wy = (self.x_pass(w) for w in W)
         load = Wx.gradient_transpose(0) + Wy.gradient_transpose(1)
-        return load - tensorops.boundary_normal_load(self.space.axes, case.g, t).ravel()
+        tensorops.add_normal_load(self.space.axes, case.g, t, -1.0, load.reshape(self.grid))
+        return load
 
     def eval_Fq(self, U: list[np.ndarray], case: CaseDefinition, t: float) -> tuple[np.ndarray, list[np.ndarray]]:
         """Pressure load (f - u.grad u, grad eta_i) + nu * curl boundary term - g_t flux term.
@@ -275,12 +379,18 @@ class GepupOperators:
         Also returns the loads (f - u . grad u, eta_i) per component that the
         same quadrature pass yields, for the explicit loads of ``pressure``.
         """
-        conv, load = self._nonlinear_loads(U, case, t)
-        if case.nu != 0.0:
-            load += case.nu * tensorops.curl_boundary_load(self.space.axes, U).ravel()
-        if case.dg_dt is not None:
-            load -= tensorops.boundary_normal_load(self.space.axes, case.dg_dt, t).ravel()
+        load, conv, _ = self._pressure_loads(U, case, t, False)
         return load, conv
+
+    def _pressure_loads(self, U: list[np.ndarray], case: CaseDefinition, t: float, monitors: bool):
+        """``eval_Fq``'s loads and, with ``monitors``, the (div_l2, speed_sq) of the pass."""
+        conv, load, stats = self._nonlinear_loads(U, case, t, monitors)
+        ring = load.reshape(self.grid)
+        if case.nu != 0.0:
+            tensorops.add_curl_load(self.space.axes, U, case.nu, ring)
+        if case.dg_dt is not None:
+            tensorops.add_normal_load(self.space.axes, case.dg_dt, t, -1.0, ring)
+        return load, conv, stats
 
     # ---- solves ----------------------------------------------------------------
 
@@ -327,9 +437,23 @@ class GepupOperators:
         convection loads; G_d Q comes from the pass of Q that the Poisson
         solve's check took, which is dropped on return.  Returns (Q, [F_x, F_y]).
         """
-        load, conv = self.eval_Fq(U, case, t)
+        return self._solve_pressure(*self.eval_Fq(U, case, t))
+
+    def _solve_pressure(self, load: np.ndarray, conv: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
         Q = self.solve_poisson(load, "poisson_q")
         return Q.x, [conv[d] - Q.gradient(d) for d in range(2)]
+
+    def state_at(self, t: float, U: list[np.ndarray], Phi: np.ndarray, case: CaseDefinition) -> GepupState:
+        """The state of the projected velocity U (and its potential Phi) at t.
+
+        W is a copy of U; Q and F come as from ``pressure``, and the monitors
+        ``div_l2`` and ``speed_sq`` from the same quadrature pass, whose
+        samples of u and of its derivatives they reuse.
+        """
+        load, conv, (div_l2, quad_speed_sq) = self._pressure_loads(U, case, t, True)
+        Q, F = self._solve_pressure(load, conv)
+        speed_sq = max(float((U[0] ** 2 + U[1] ** 2).max()), quad_speed_sq)
+        return GepupState(t, [u.copy() for u in U], U, Phi, Q, F, div_l2, speed_sq)
 
     # ---- diagnostics -------------------------------------------------------------
 
@@ -356,5 +480,4 @@ class GepupOperators:
         pts = self.space.support_points
         V = [np.broadcast_to(np.asarray(v, dtype=float), pts[:, 0].shape) for v in case.u0(pts[:, 0], pts[:, 1])]
         U, Phi = self.leray_project(V, case, t0)
-        W = [u.copy() for u in U]
-        return GepupState(t0, W, U, Phi, *self.pressure(U, case, t0))
+        return self.state_at(t0, U, Phi, case)

@@ -12,11 +12,12 @@ M^{-1} (dq/dy, eta) = (My^{-1} Cy) Q.  The boundary loads are 1D too: on a
 side of the rectangle only one row or column of test functions is nonzero,
 so a flux (g . n, eta) is a 1D quadrature load along that side, and the
 curl term (curl u, tangent . grad eta) is a product of the 1D factors with
-the basis derivatives at the axis ends.  Every product of the solver is
+the basis derivatives at the axis ends; both are added in place onto the
+boundary rows and columns of a load.  Every product of the solver is
 applied here, on the axes: every 2D product of a field goes through the
-field's ``XPass`` (mass, stiffness and their combinations, the derivative
-loads and the projection's mass-solved gradients), and the boundary loads
-through the 1D factors of one side; the generalized eigenpairs of the same
+field's ``XPass`` (mass, stiffness, the derivative loads and the
+projection's mass-solved gradients), and the boundary loads through the
+1D factors of one side; the generalized eigenpairs of the same
 factors diagonalize every 2D solve (see ``linsolve``).  No 2D matrix is
 assembled.  A field the scheme goes on using after its solve gets one
 ``XPass``: its products with the x factors are taken once and shared by
@@ -32,47 +33,66 @@ import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
-    "boundary_normal_load",
-    "curl_boundary_load",
+    "add_normal_load",
+    "add_curl_load",
     "norm_bound",
     "XPass",
 ]
 
 
-def boundary_normal_load(axes, g, t: float) -> np.ndarray:
-    """(g . n, eta_i) over the four sides of the rectangle the axes (x, y) span.
+def add_normal_load(axes, g, t: float, scale: float, load: np.ndarray):
+    """load += scale * (g . n, eta_i) over the four sides of the rectangle the axes (x, y) span.
 
-    Returns an (ndof_y, ndof_x) array that is zero off the boundary ring.
-    Each side is integrated with the Gauss points of the axis it runs along;
-    ``g(x, y, t)`` returns the components (g_x, g_y).
+    ``load`` is an (ndof_y, ndof_x) array; only its boundary rows and
+    columns change (``_add_ring``).  ``g(x, y, t)`` returns the components
+    (g_x, g_y); it is called once, on the Gauss points of all four sides
+    (bottom, top, left, right, each with the points of the axis it runs
+    along), stacked as the rows of one (2 n_cells_x + 2 n_cells_y, k + 2)
+    array.
     """
     ax, ay = axes
-    load = np.zeros((ay.n, ax.n))
-    for row, y, sign in ((0, ay.ends[0], -1.0), (-1, ay.ends[1], 1.0)):  # bottom, top: n = (0, sign)
-        load[row, :] += sign * ax.load(g(ax.points, np.full_like(ax.points, y), t)[1])
-    for col, x, sign in ((0, ax.ends[0], -1.0), (-1, ax.ends[1], 1.0)):  # left, right: n = (sign, 0)
-        load[:, col] += sign * ay.load(g(np.full_like(ay.points, x), ay.points, t)[0])
-    return load
+    nx, ny = len(ax.points), len(ay.points)
+    x = np.concatenate([ax.points, ax.points, np.full_like(ay.points, ax.ends[0]), np.full_like(ay.points, ax.ends[1])])
+    y = np.concatenate([np.full_like(ax.points, ay.ends[0]), np.full_like(ax.points, ay.ends[1]), ay.points, ay.points])
+    gx, gy = (np.broadcast_to(np.asarray(v, dtype=float), x.shape) for v in g(x, y, t))
+    rows = [-ax.load(gy[:nx]), ax.load(gy[nx : 2 * nx])]  # bottom, top: n = (0, -+1)
+    cols = [-ay.load(gx[2 * nx : 2 * nx + ny]), ay.load(gx[2 * nx + ny :])]  # left, right: n = (-+1, 0)
+    _add_ring(load, scale, rows, cols)
 
 
-def curl_boundary_load(axes, U) -> np.ndarray:
-    """(curl u, tau . grad eta_i) over the boundary, tau the counterclockwise tangent.
+def add_curl_load(axes, U, scale: float, load: np.ndarray):
+    """load += scale * (curl u, tau . grad eta_i) over the boundary, tau the counterclockwise tangent.
 
-    Returns an (ndof_y, ndof_x) array that is zero off the boundary ring.
-    With Ux, Uy the components reshaped to (ndof_y, ndof_x), the bottom row
-    is Kx Uy[0] - Cx^T (d0y Ux): curl u = du_y/dx - du_x/dy on y = y0,
-    tested against the x derivative of the row's basis.  The top row flips
-    the sign of the tangent, and the columns follow in y.  Exact: no
-    quadrature is involved beyond that of the 1D factors.
+    ``load`` is an (ndof_y, ndof_x) array; only its boundary rows and
+    columns change (``_add_ring``).  With Ux, Uy the components reshaped to
+    (ndof_y, ndof_x), the bottom row gains Kx Uy[0] - Cx^T (d0y Ux): curl u
+    = du_y/dx - du_x/dy on y = y0, tested against the x derivative of the
+    row's basis.  The top row flips the sign of the tangent, and the
+    columns follow in y.  Exact: no quadrature is involved beyond that of
+    the 1D factors.
     """
     ax, ay = axes
     Ux, Uy = (u.reshape(ay.n, ax.n) for u in U)
-    load = np.zeros((ay.n, ax.n))
-    for row, d, sign in ((0, ay.d0, 1.0), (-1, ay.d1, -1.0)):  # bottom, top: tau = (sign, 0)
-        load[row, :] += sign * (ax.K @ Uy[row] - ax.CT @ (d @ Ux))
-    for col, d, sign in ((0, ax.d0, -1.0), (-1, ax.d1, 1.0)):  # left, right: tau = (0, sign)
-        load[:, col] += sign * (ay.CT @ (Uy @ d) - ay.K @ Ux[:, col])
-    return load
+    rows = [sign * (ax.K @ Uy[row] - ax.CT @ (d @ Ux)) for row, d, sign in ((0, ay.d0, 1.0), (-1, ay.d1, -1.0))]
+    cols = [sign * (ay.CT @ (Uy @ d) - ay.K @ Ux[:, col]) for col, d, sign in ((0, ax.d0, -1.0), (-1, ax.d1, 1.0))]
+    _add_ring(load, scale, rows, cols)
+
+
+def _add_ring(load: np.ndarray, scale: float, rows, cols):
+    """load += scale * ring for the ring data of one boundary load: ``rows`` the
+    bottom and top rows, ``cols`` the left and right columns, whose corner
+    entries belong to both (and sum there, the rows' first).  The four
+    arrays are the caller's own; the corners of ``rows`` are overwritten.
+    """
+    (bottom, top), (left, right) = rows, cols
+    bottom[0] += left[0]
+    bottom[-1] += right[0]
+    top[0] += left[-1]
+    top[-1] += right[-1]
+    load[0] += scale * bottom
+    load[-1] += scale * top
+    load[1:-1, 0] += scale * left[1:-1]
+    load[1:-1, -1] += scale * right[1:-1]
 
 
 def norm_bound(x_sums, y_sums, alpha: float, beta: float) -> float:
@@ -103,7 +123,6 @@ class XPass:
         gradient(1)            (dx/dy, eta_i)     = Cy (X Mx^T)
         gradient_transpose(0)  (x, d eta_i/dx)    = My (X Cx)
         gradient_transpose(1)  (x, d eta_i/dy)    = Cy^T (X Mx^T)
-        combination(a, b)      (a M + b A) x      = My (a X Mx^T + b X Kx^T) + b Ky (X Mx^T)
         l2_projection(0)       M^{-1} (dx/dx, eta_i)  = X Dx^T
         l2_projection(1)       M^{-1} (dx/dy, eta_i)  = Dy X
 
@@ -145,10 +164,6 @@ class XPass:
 
     def gradient_transpose(self, d: int) -> np.ndarray:
         return (self._ay.M @ self._times(self._ax.CT) if d == 0 else self._ay.CT @ self._XMt).ravel()
-
-    def combination(self, alpha: float, beta: float) -> np.ndarray:
-        mixed = alpha * self._XMt + beta * self._times(self._ax.K)
-        return (self._ay.M @ mixed + beta * (self._ay.K @ self._XMt)).ravel()
 
     def l2_projection(self, d: int) -> np.ndarray:
         X = self.x.reshape(self.grid)

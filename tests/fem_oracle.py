@@ -13,6 +13,15 @@ by term in 50-digit mpmath arithmetic (float64 polynomial coefficients lose
 ~1e-12 to cancellation at degree 4); 2D element matrices follow from the
 tensor structure, and the global scatter matches local nodes to global
 indices by geometric position only.
+
+Three references keep full-grid formulas the package no longer uses:
+``combination`` is (alpha M + beta A) x through a field's ``XPass``, the way
+the pass once formed it; ``full_grid_lift`` is the momentum solve's
+Dirichlet lift as the package once took it, the ring data scattered into a
+zero grid array, multiplied by the full 2D operator and cut to the interior
+rows; ``sampled_speed_sq`` is the largest |u|^2 at the support and the
+quadrature points, from a fresh ``values_at_quad`` of each component, as the
+Courant step once sampled it.
 """
 
 import mpmath
@@ -164,3 +173,26 @@ def permutation_to_space(space, oracle_coords):
     perm = np.array([lookup[key(*pt)] for pt in oracle_coords])
     assert len(set(perm)) == len(perm)
     return perm
+
+
+def combination(p, alpha, beta):
+    """(alpha M + beta A) x = My (alpha X Mx^T + beta X Kx^T) + beta Ky (X Mx^T) for the pass p of x."""
+    ax, ay = p._ax, p._ay
+    mixed = alpha * p._XMt + beta * p._times(ax.K)
+    return (ay.M @ mixed + beta * (ay.K @ p._XMt)).ravel()
+
+
+def full_grid_lift(ops, coeff, boundary_values):
+    """(M + coeff A) x_b on the (ndof_y - 2, ndof_x - 2) interior grid, x_b the ring data."""
+    space = ops.space
+    x = np.zeros(space.n_dofs)
+    x[space.boundary_dofs] = boundary_values
+    lift = combination(ops.x_pass(x), 1.0, coeff)
+    return lift.reshape(space.ndof_y, space.ndof_x)[1:-1, 1:-1]
+
+
+def sampled_speed_sq(space, U):
+    """max |u|^2 over the support points and the volume quadrature points."""
+    qx = space.values_at_quad(U[0])
+    qy = space.values_at_quad(U[1])
+    return max(float((U[0] ** 2 + U[1] ** 2).max()), float((qx * qx + qy * qy).max()))

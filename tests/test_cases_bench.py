@@ -22,6 +22,7 @@ from gepup.bench import ConvergenceTable, run_convergence, run_simulation, solut
 from gepup.cases import vortex_u_theta
 from gepup.fem import basis_1d
 from gepup.imex import StepperConfig, courant_dt
+from fem_oracle import sampled_speed_sq
 
 
 # ---- case definitions ---------------------------------------------------------
@@ -303,13 +304,37 @@ def test_courant_step_is_recomputed_every_step():
     expected = []
 
     def on_step(step, state, ops):
-        expected.append(courant_dt(ops.space, state.U, config.courant, dt_max=config.dt_max))
+        speed_sq = sampled_speed_sq(ops.space, state.U)
+        expected.append(courant_dt(ops.space, speed_sq, config.courant, dt_max=config.dt_max))
 
     res = run_simulation(taylor_green_case(100.0), 2, 3, config, t_end=0.2, on_step=on_step)
     dts = [m["dt"] for m in res.monitors[1:]]
     assert res.steps >= 3
     assert dts[:-1] == expected[: res.steps - 1]
     assert dts[-1] <= expected[res.steps - 1]
+
+
+@pytest.mark.parametrize(
+    "case, t_end", [(taylor_green_case(100.0), 0.3), (single_vortex_case(100.0), 2.5)], ids=["taylor-green", "vortex"]
+)
+def test_monitors_equal_the_full_grid_formulas_bit_for_bit(case, t_end):
+    # every state's div_l2 and speed_sq come from the quadrature pass of its
+    # pressure load; they must equal divergence_l2 of W and the max of |u|^2
+    # over fresh values_at_quad samples and the nodes exactly, and so must the
+    # monitor rows and the Courant steps built from them
+    config = StepperConfig(tableau="ark4")
+    seen = []
+
+    def on_step(step, state, ops):
+        assert state.div_l2 == ops.divergence_l2(state.W)
+        assert state.speed_sq == sampled_speed_sq(ops.space, state.U)
+        speed_sq = sampled_speed_sq(ops.space, state.U)
+        seen.append((ops.divergence_l2(state.W), courant_dt(ops.space, speed_sq, config.courant, config.dt_max)))
+
+    res = run_simulation(case, 3, 2, config, t_end=t_end, on_step=on_step)
+    assert res.steps >= 2
+    assert [m["div_l2"] for m in res.monitors] == [div for div, _ in seen]
+    assert [m["dt"] for m in res.monitors[1:-1]] == [dt for _, dt in seen[:-2]]
 
 
 def test_zero_step_path_gives_projection_error_and_k_plus_1_rates():
@@ -416,7 +441,7 @@ def test_solution_errors_sample_the_exact_pressure_once_per_point_set():
     counted = dataclasses.replace(case, exact_p=lambda x, y, t: calls.append(x.shape) or case.exact_p(x, y, t))
     errors = solution_errors(res.ops, res.state, counted)
     space = res.ops.space
-    assert calls == [space.quad_coords.shape[:2], (space.n_dofs,)]
+    assert calls == [space.quad_axes[0].shape, space.node_axes[0].shape]
     x, y = space.quad_coords[:, :, 0], space.quad_coords[:, :, 1]
     pmean = float(np.sum(case.exact_p(x, y, res.state.t) @ space.wdet)) / float(np.sum(np.ones_like(x) @ space.wdet))
     q_norms = error_norms(

@@ -14,7 +14,7 @@ from gepup import (
 )
 from gepup.fem import Axis, basis_1d, lagrange_1d
 from gepup.linsolve import FOLD_MIN_DOFS, mirrored_basis
-from fem_oracle import assemble_mass, assemble_stiffness, exact_global_matrices, permutation_to_space
+from fem_oracle import assemble_mass, assemble_stiffness, combination, exact_global_matrices, permutation_to_space
 
 
 # ---- reference element ------------------------------------------------------
@@ -334,7 +334,7 @@ def test_tensor_matvec_is_bitwise_the_dense_times_csr_product(k, alpha, beta, rn
     X = x.reshape(space.ndof_y, space.ndof_x)
     P1 = X @ sp.csr_matrix(Mx.T)
     expected = My @ (alpha * P1 + beta * (X @ sp.csr_matrix(Kx.T))) + beta * (Ky @ P1)
-    product = XPass(space.axes, x).combination(alpha, beta)
+    product = combination(XPass(space.axes, x), alpha, beta)
     assert np.array_equal(product, np.asarray(expected).ravel())
     K = alpha * assemble_mass(space) + beta * assemble_stiffness(space)
     assert np.abs(product - K @ x).max() <= 1e-14 * np.abs(K @ x).max()

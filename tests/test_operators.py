@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -13,7 +15,7 @@ from gepup import (
 from gepup.imex import advance_step, load_tableau
 from gepup.linsolve import REL_TOL, SolverError
 from gepup.operators import GepupOperators, check_boundary_compatibility
-from fem_oracle import assemble_mass, assemble_stiffness
+from fem_oracle import assemble_mass, assemble_stiffness, combination, full_grid_lift, sampled_speed_sq
 from load_oracle import derivative_load, fphi_terms, fq_terms, fu_terms, fw_terms, value_load
 
 
@@ -293,7 +295,7 @@ def test_pass_products_match_the_direct_products(domain, cells):
         assert_close(p.mass, M @ w)
         assert_close(p.stiffness, A @ w)
         for alpha, beta in ((1.0, 0.0), (0.0, 1.0), (1.0, 0.3)):
-            assert_close(p.combination(alpha, beta), (alpha * M + beta * A) @ w)
+            assert_close(combination(p, alpha, beta), (alpha * M + beta * A) @ w)
         assert_close(p.gradient_transpose(d), derivative_load(space, space.values_at_quad(w), d))
     for field in (Phi, Q):
         p = ops.x_pass(field)
@@ -328,6 +330,49 @@ def assert_matches_terms(load, terms):
     scale = max(np.abs(term).max() for term in terms)
     assert scale > 0.0
     assert np.abs(load - sum(terms)).max() <= 1e-13 * scale
+
+
+FRAME_DOMAIN = RectDomain((0.3, -0.2), (1.0, 0.7))  # hx != hy for 1..5 cells per axis
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_lift_frame_matches_the_full_grid_lift(k):
+    # the lift is zero more than k rows or columns from the ring; its strips
+    # hold the full-grid product's entries bit for bit.  One and two cells
+    # leave no rows between the bottom and the top strips, and up to four
+    # cells keep every dof of an axis's frame; seven cuts the frame
+    rng = np.random.default_rng(47 + k)
+    for nx in (1, 2, 3, 4, 5, 7):
+        for ny in (1, 2, 3, 4, 5, 7):
+            domain = UNIT_SQUARE if nx == ny else FRAME_DOMAIN
+            ops = GepupOperators(domain, (nx, ny), k)
+            op = ops.momentum_operator(0.37)
+            ring = rng.standard_normal(len(ops.space.boundary_dofs))
+            lift = full_grid_lift(ops, op.coeff, ring)
+            frame = np.zeros_like(lift)
+            covered = np.zeros(lift.shape, dtype=int)
+            for index, strip in op.lift_frame(ring):
+                frame[index] = strip
+                covered[index] += 1
+            assert covered.max(initial=1) == 1, (nx, ny)  # the strips are disjoint
+            assert np.array_equal(frame, lift), (nx, ny)
+            assert lift.size == 0 or np.abs(lift).max() > 0.0
+
+
+def test_each_boundary_load_samples_its_data_once():
+    # the potential load samples g, the pressure load dg/dt, once each: one
+    # call on the Gauss points of all four sides
+    ops, U, W, _, _, case = load_setup(3)
+    calls = []
+
+    def counted(fn):
+        return lambda x, y, t: calls.append(x.shape) or fn(x, y, t)
+
+    counted_case = dataclasses.replace(case, g=counted(case.g), dg_dt=counted(case.dg_dt))
+    ops.eval_Fphi(W, counted_case, 0.4)
+    ops.eval_Fq(U, counted_case, 0.4)
+    ax, ay = ops.space.axes
+    assert calls == [(2 * ax.n_cells + 2 * ay.n_cells, ops.space.degree + 2)] * 2
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -400,6 +445,19 @@ def test_state_carries_the_explicit_loads_of_its_fields():
 # ---- divergence monitor -----------------------------------------------------------
 
 
+@pytest.mark.parametrize("convection", [True, False])
+def test_state_monitors_equal_the_full_grid_formulas(convection):
+    # state_at reads div_l2 and the quadrature speeds off the pressure pass;
+    # without convection the pass still samples u for them
+    ops, U, _, _, Phi, case = load_setup(3, convection)
+    state = ops.state_at(0.4, U, Phi, case)
+    assert state.div_l2 == ops.divergence_l2(U)
+    assert state.speed_sq == sampled_speed_sq(ops.space, U)
+    Q, F = ops.pressure(U, case, 0.4)
+    assert np.array_equal(state.Q, Q)
+    assert all(np.array_equal(a, b) for a, b in zip(state.F, F))
+
+
 def test_divergence_of_constant_field(ops):
     W = interp2(ops.space, lambda x, y: (np.full_like(x, 3.0), np.full_like(x, 2.0)))
     assert ops.divergence_l2(W) < 1e-13
@@ -419,14 +477,12 @@ def test_divergence_of_linear_expanding_field(ops):
 
 
 def test_compatibility_check_rejects_net_inflow():
-    bad = make_case(g=lambda x, y, t: (np.ones_like(x), np.zeros_like(x)))
+    # g = (x, 0) leaves through the right side only: net flux 1
+    bad = make_case(g=lambda x, y, t: (x, np.zeros_like(x)))
     ok = make_case(g=lambda x, y, t: (x, -y))
 
     with pytest.raises(ValueError, match="flux"):
-        check_boundary_compatibility(
-            CaseDefinition(name="bad", nu=1.0, g=lambda x, y, t: (x, np.zeros_like(x)), u0=zero_vec),
-            times=(0.0,),
-        )
+        check_boundary_compatibility(bad, times=(0.0,))
     check_boundary_compatibility(ok, times=(0.0,))
     check_boundary_compatibility(taylor_green_case(100.0), times=(0.0, 0.5, 1.0))
 

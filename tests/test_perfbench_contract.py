@@ -5,14 +5,18 @@ on_step=)``, writes VTK frames with ``write_vtk(velocity=, pressure=)``
 after ``vorticity_indicator`` and ``dorfler_mark``, and its output check
 reads the state's ``W``, ``U``, ``Phi`` and ``Q``.  Running its own
 ``simulate`` here makes a change that breaks any of those calls fail the
-test suite rather than the benchmark.
+test suite rather than the benchmark.  Its Taylor-Green inputs are
+translated copies of the package's exact-solution fields, which the error
+norms call on the axes of the grid; both must meet that broadcast contract.
 """
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gepup
+import gepup.fem
 import gepup.bench
 import gepup.output
 
@@ -47,3 +51,39 @@ def test_benchmark_simulation_runs_and_passes_its_output_check(perfbench, spec, 
     if frames is not None:
         names = sorted(p.name for p in frames.iterdir())
         assert names == [f"frame-{step:04d}.vtk" for step in range(sim.steps + 1)] + ["monitors.csv"]
+
+
+EXACT_FIELDS = ("exact_u", "exact_p", "exact_u_grads", "exact_p_grad")
+
+
+def components(value):
+    """The arrays of a field's value: one array, or a tuple of them, possibly nested."""
+    return [leaf for v in value for leaf in components(v)] if isinstance(value, tuple) else [value]
+
+
+@pytest.mark.parametrize("source", ["package", "benchmark"])
+def test_exact_solution_fields_meet_the_broadcast_contract(perfbench, source):
+    # the error norms call the exact solution on the axes of the grid, x of
+    # shape (1, n) and y of shape (m, 1); each component must broadcast to the
+    # values of the full (m, n) coordinate arrays, bit for bit.  The benchmark
+    # passes translated copies of the package's Taylor-Green fields
+    _, workloads = perfbench
+    case = gepup.taylor_green_case(100.0)
+    if source == "benchmark":
+        case, _ = workloads.make_case(workloads.Workload(**TG), 3)
+    space = gepup.build_space(gepup.UNIT_SQUARE, (3, 2), 2)
+    for axes in (space.quad_axes, space.node_axes):
+        full = np.broadcast_arrays(*axes)
+        for name in EXACT_FIELDS:
+            fn = getattr(case, name)
+            on_axes, on_grid = components(fn(*axes, 0.3)), components(fn(*full, 0.3))
+            assert len(on_axes) == len(on_grid) > 0, name
+            for a, b in zip(on_axes, on_grid):
+                assert np.array_equal(np.broadcast_to(a, full[0].shape), b), name
+    # the norms from axis samples equal those from the element-order point samples
+    U = [gepup.interpolate(space, lambda x, y, t, d=d: np.cos(x + d * y)) for d in range(2)]
+    x, y = space.quad_coords[:, :, 0], space.quad_coords[:, :, 1]
+    nodes = space.support_points.T
+    grads = [[np.broadcast_to(g, x.shape) for g in pair] for pair in case.exact_u_grads(x, y, 0.3)]
+    direct = gepup.fem.sampled_error_norms(space, U, case.exact_u(x, y, 0.3), case.exact_u(*nodes, 0.3), grads)
+    assert gepup.error_norms(space, U, case.exact_u, 0.3, case.exact_u_grads) == direct

@@ -377,16 +377,21 @@ class FeSpace:
 
     # ---- field evaluation --------------------------------------------------
 
+    # The two reorderings return writable arrays: a reshape of the read-only
+    # broadcast view copies unless the order already matches (one cell in x,
+    # or a full node grid), and then the view itself must not be returned.
+
     def quad_order(self, values) -> np.ndarray:
         """Samples on the ``quad_axes`` grid (broadcastable to it) as (n_elements, n_quad)."""
         (_, nx), (ny, _) = (a.shape for a in self.quad_axes)
         q = self.degree + 2
         grid = np.broadcast_to(np.asarray(values, dtype=float), (ny, nx)).reshape(ny // q, q, nx // q, q)
-        return grid.transpose(0, 2, 1, 3).reshape(-1, q * q)
+        return np.require(grid.transpose(0, 2, 1, 3).reshape(-1, q * q), requirements="W")
 
     def node_order(self, values) -> np.ndarray:
         """Samples on the ``node_axes`` grid (broadcastable to it) as (n_dofs,)."""
-        return np.broadcast_to(np.asarray(values, dtype=float), (self.ndof_y, self.ndof_x)).ravel()
+        grid = np.broadcast_to(np.asarray(values, dtype=float), (self.ndof_y, self.ndof_x))
+        return np.require(grid.ravel(), requirements="W")
 
     def values_at_quad(self, coeffs: np.ndarray) -> np.ndarray:
         """(n_elements, n_quad) field values at the volume quadrature points."""

@@ -18,7 +18,7 @@ mirrored back from them.  The modes are laid out even block first, then
 odd block, so no spectrum here is in ascending order.  Each ``fem.Axis``
 computes its bases once for its full and interior blocks and keeps them,
 so a ``FastDiagonalization`` only combines the bases of two axes into its
-own 2D spectrum; the solvers of one grid share one ``WorkPair``.  Every
+own 2D spectrum; the solvers of one grid share one pair of work arrays.  Every
 solve is followed by a normwise backward-error check, so that a wrong or
 non-finite result raises instead of propagating.
 """
@@ -36,7 +36,6 @@ __all__ = [
     "Eigenbasis",
     "eigenpairs",
     "mirrored_basis",
-    "WorkPair",
     "FastDiagonalization",
     "REL_TOL",
     "check_backward_error",
@@ -222,19 +221,6 @@ def eigenpairs(K, M) -> Eigenbasis:
     return Eigenbasis(lam_e, Ye * np.sqrt(0.5), lam_o, Yo * np.sqrt(0.5))
 
 
-class WorkPair:
-    """Two work arrays of ``size`` doubles, shared by solvers whose applies never
-    overlap, and allocated at the first apply that reads them: allocated with
-    the solvers, they cost a set-up thousands of minor page faults (tg-q3-l6)."""
-
-    def __init__(self, size: int):
-        self.size = size
-
-    @functools.cached_property
-    def arrays(self) -> np.ndarray:
-        return np.empty((2, self.size))
-
-
 class FastDiagonalization:
     """The 2D fast-diagonalization solver of one grid from the 1D eigenpairs of its axes.
 
@@ -245,16 +231,16 @@ class FastDiagonalization:
     ``neumann_scale`` is the pseudo-inverse of that spectrum for a
     pure-Neumann A, whose nullspace, the constants, is the first mode; it
     is formed by the first ``solve_neumann``, so a solver that never makes
-    one (the interior solver) holds none.  Both are this object's own.  The
-    two work arrays of ``apply`` are the leading ``lam.size`` entries of
-    ``work`` (a ``WorkPair`` of at least that size), which the full and the
-    interior solver of one grid share.
+    one (the interior solver) holds none.  Both are this object's own.
+    ``apply`` works in two arrays of ``lam.size`` entries, this object's own
+    unless ``work_owner`` is set to a solver of at least that size whose
+    applies never overlap this one's: then the leading entries of its two.
     """
 
-    def __init__(self, x_basis: Eigenbasis, y_basis: Eigenbasis, work: WorkPair):
+    def __init__(self, x_basis: Eigenbasis, y_basis: Eigenbasis):
         self.x, self.y = x_basis, y_basis
         self.lam = y_basis.lam[:, None] + x_basis.lam[None, :]
-        self.work = work
+        self.work_owner = None
 
     @functools.cached_property
     def neumann_scale(self) -> np.ndarray:
@@ -268,7 +254,7 @@ class FastDiagonalization:
         The two forward transforms write their outputs transposed, so that
         both folds run along contiguous rows; the way back takes y along the
         rows, then x along the columns.  Beside the result, the apply works
-        in its two work arrays only.
+        in the two work arrays only.
         """
         ny, nx = self.lam.shape
         spare, half = self._work
@@ -282,7 +268,11 @@ class FastDiagonalization:
 
     @functools.cached_property
     def _work(self) -> np.ndarray:
-        return self.work.arrays[:, : self.lam.size]
+        # allocated at the first apply: allocated with the object, the two arrays
+        # cost a set-up thousands of minor page faults (tg-q3-l6)
+        if self.work_owner is not None:
+            return self.work_owner._work[:, : self.lam.size]
+        return np.empty((2, self.lam.size))
 
     def solve_neumann(self, b: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Solve the singular A x = b (constant nullspace) with weights @ x = 0.

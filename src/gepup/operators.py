@@ -32,7 +32,7 @@ import numpy as np
 
 from . import fem, tensorops
 from .fem import UNIT_SQUARE, RectDomain
-from .linsolve import FastDiagonalization, WorkPair, check_backward_error
+from .linsolve import FastDiagonalization, check_backward_error
 from .tensorops import XPass, norm_bound
 
 __all__ = ["CaseDefinition", "GepupState", "GepupOperators", "check_boundary_compatibility"]
@@ -239,7 +239,7 @@ class GepupOperators:
     (``fem.Axis``); only their 2D spectra and scales are built here: the
     full (Neumann) pairs for the Poisson solves and the end-of-step mass
     solve, the interior pairs for the Dirichlet-eliminated momentum solve.
-    The two solvers share one ``linsolve.WorkPair``.  The projection's mass
+    The interior solver works in the full solver's work arrays.  The projection's mass
     solves are 1D, the axes' dense factors M^{-1} C (``XPass.l2_projection``).
     Each solve returns the ``XPass`` of its solution, whose products serve
     both its backward-error check and what the scheme next does with the
@@ -268,9 +268,9 @@ class GepupOperators:
         self.norm_M = norm_bound(ax.row_sums, ay.row_sums, 1.0, 0.0)
         self.norm_A = norm_bound(ax.row_sums, ay.row_sums, 0.0, 1.0)
         self.mass_weights = self.x_pass(np.ones(self.space.n_dofs)).mass
-        work = WorkPair(self.space.n_dofs)  # no apply of one solver overlaps one of the other
-        self.eig = FastDiagonalization(ax.eig, ay.eig, work)
-        self.interior_eig = FastDiagonalization(ax.interior_eig, ay.interior_eig, work)
+        self.eig = FastDiagonalization(ax.eig, ay.eig)
+        self.interior_eig = FastDiagonalization(ax.interior_eig, ay.interior_eig)
+        self.interior_eig.work_owner = self.eig  # no apply of one solver overlaps one of the other
         self.residuals = dict.fromkeys(SOLVE_CLASSES, 0.0)
 
     def reset_residuals(self):

@@ -432,6 +432,26 @@ def test_repeated_runs_are_bit_identical():
     assert second.monitors == first.monitors
 
 
+@pytest.mark.parametrize("base_cells", [(1, 1), (1, 2), (2, 1)])
+def test_solution_errors_on_one_cell_axes(base_cells):
+    # with one cell in x the axis samples reorder to element order without a
+    # copy; the errors must still come out, equal to the L2 norms of the exact
+    # solution sampled at the quadrature points themselves
+    case = taylor_green_case(100.0)
+    res = run_simulation(case, 2, 0, StepperConfig(), t_end=0.0, base_cells=base_cells)
+    space, state = res.ops.space, res.state
+    x, y = space.quad_coords[:, :, 0], space.quad_coords[:, :, 1]
+
+    def l2(diff):
+        return float(np.sqrt(np.sum(diff * diff @ space.wdet)))
+
+    p = case.exact_p(x, y, 0.0)
+    p -= float(np.sum(p @ space.wdet)) / float(np.sum(np.ones_like(p) @ space.wdet))
+    u_sq = sum(l2(space.values_at_quad(u) - e) ** 2 for u, e in zip(state.U, case.exact_u(x, y, 0.0)))
+    assert res.errors["q_L2"] == pytest.approx(l2(space.values_at_quad(state.Q) - p), rel=1e-13)
+    assert res.errors["u_L2"] == pytest.approx(np.sqrt(u_sq), rel=1e-13)
+
+
 def test_solution_errors_sample_the_exact_pressure_once_per_point_set():
     # one call at the quadrature points serves the gauge mean and the error norms,
     # one more at the nodes; the errors are those of the exact pressure sampled anew

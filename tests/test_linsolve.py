@@ -7,7 +7,7 @@ import scipy.linalg
 
 from gepup import RectDomain, SolverError, UNIT_SQUARE, linsolve, lid_cavity_case
 from gepup.fem import Axis
-from gepup.linsolve import REL_TOL, FastDiagonalization, WorkPair, check_backward_error, eigenpairs
+from gepup.linsolve import REL_TOL, FastDiagonalization, check_backward_error, eigenpairs
 from gepup.operators import GepupOperators
 from fem_oracle import assemble_mass, assemble_stiffness
 
@@ -98,7 +98,7 @@ def test_apply_matches_a_dense_eigh_oracle(axis, block, path, rng, monkeypatch):
         monkeypatch.setattr(linsolve, "FOLD_MIN_DOFS", PATHS[path])
     ax, ay = Axis(*ORACLE_AXES[axis]), Axis(*Y_AXIS)
     basis = (lambda a: a.eig) if block == "full" else (lambda a: a.interior_eig)
-    fdm = FastDiagonalization(basis(ax), basis(ay), WorkPair(ax.n * ay.n))
+    fdm = FastDiagonalization(basis(ax), basis(ay))
     n = len(basis(ax).lam)
     assert (basis(ax).S is None) == (n >= linsolve.FOLD_MIN_DOFS)
     (lam_x, Sx), (lam_y, Sy) = dense_transform(ax, block), dense_transform(ay, block)
@@ -121,13 +121,13 @@ def test_apply_matches_a_dense_eigh_oracle(axis, block, path, rng, monkeypatch):
 def test_folded_apply_allocates_nothing_beyond_its_result(block, rng):
     # n = 193 and 191 (Q3, 64 cells): both fold.  A ufunc with a reversed operand
     # would allocate numpy's iteration buffers (64 KB and more a call); the
-    # forward copies into the work pair leave a few Python objects only
+    # forward copies into the work arrays leave a few Python objects only
     axis = Axis(64, 1.0, 3, 0.0)
     basis = axis.eig if block == "full" else axis.interior_eig
     assert basis.S is None
-    fdm = FastDiagonalization(basis, basis, WorkPair(axis.n**2))
+    fdm = FastDiagonalization(basis, basis)
     b = rng.standard_normal(fdm.lam.size)
-    fdm.apply(b, 1.0)  # the first apply allocates the work pair
+    fdm.apply(b, 1.0)  # the first apply allocates the work arrays
     tracemalloc.start()
     try:
         x = fdm.apply(b, 1.0)
@@ -139,10 +139,11 @@ def test_folded_apply_allocates_nothing_beyond_its_result(block, rng):
 
 def test_full_and_interior_solvers_share_one_work_pair():
     ops = GepupOperators(UNIT_SQUARE, (4, 4), 3)
-    assert ops.eig.work is ops.interior_eig.work
-    assert "arrays" not in ops.eig.work.__dict__  # allocated at the first apply, not with the operators
+    assert ops.interior_eig.work_owner is ops.eig
+    assert "_work" not in ops.eig.__dict__  # allocated at the first apply, not with the operators
     ops.interior_eig.apply(np.ones(ops.interior_eig.lam.size), 1.0)
     ops.eig.apply(np.ones(ops.eig.lam.size), 1.0)
+    assert ops.eig._work.shape == (2, ops.eig.lam.size)
     assert np.shares_memory(ops.eig._work, ops.interior_eig._work)
 
 
@@ -162,7 +163,7 @@ PATH_LAPLACIAN = [[1, -1, 0], [-1, 2, -1], [0, -1, 1]]
 
 def one_axis_solver(M, K):
     # a 1 x n tensor grid whose y factors (My = 1, Ky = 0) make the grid's M, A the given M, K
-    return FastDiagonalization(eigenpairs(K, M), eigenpairs(np.zeros((1, 1)), np.eye(1)), WorkPair(len(K)))
+    return FastDiagonalization(eigenpairs(K, M), eigenpairs(np.zeros((1, 1)), np.eye(1)))
 
 
 def path_graph_solver():

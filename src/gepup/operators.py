@@ -458,6 +458,8 @@ class GepupOperators:
     # ---- diagnostics -------------------------------------------------------------
 
     def divergence_l2(self, W: list[np.ndarray]) -> float:
+        """The L2 norm of div W by a fresh quadrature pass: the formula that a
+        state's ``div_l2`` repeats bit for bit, for fields without a state."""
         space = self.space
         div = W[0][space.element_dofs] @ space.quad_dx + W[1][space.element_dofs] @ space.quad_dy
         return float(np.sqrt(np.sum(div * div @ space.wdet)))

@@ -97,7 +97,7 @@ def _monitor_entry(step: int, state: GepupState, dt: float, ops: GepupOperators)
         "t": state.t,
         "dt": dt,
         "div_l2": state.div_l2,
-        "kinetic_energy": ops.kinetic_energy(state.W),
+        "kinetic_energy": state.kinetic_energy,
         **{f"res_{c}": ops.residuals[c] for c in SOLVE_CLASSES},
     }
 

@@ -19,8 +19,9 @@ and the blocks of M and K near the two ends, each computed once, on first
 use.
 The two axes of a square grid are one object, so they compute all of it
 once; everything an axis holds is read-only.  The module also holds the
-element quadrature loads of the nonlinear term, nodal interpolation and
-error norms, which sample the exact solution on the axes.  The global
+element tables of the nonlinear term's quadrature pass (run in
+``operators``), nodal interpolation and error norms, which sample the exact
+solution on the axes.  The global
 matrices are never assembled: ``tensorops`` applies them, and the boundary
 loads, as products on the axes.
 
@@ -329,7 +330,10 @@ class FeSpace:
     point grids as broadcastable axis arrays, x of shape (1, n) and y of
     shape (m, 1): a callback evaluated on them returns the grid, which
     ``quad_order`` and ``node_order`` lay out like ``values_at_quad`` and
-    the coefficients.
+    the coefficients.  ``boundary_dofs`` lists the dofs of the boundary ring;
+    ``interior_dofs`` (the others) and ``quad_coords`` (the quadrature
+    points per element) are built on first read, since a run needs neither
+    unless its case has a forcing.
     """
 
     def __init__(self, domain: RectDomain, cells: tuple[int, int], degree: int):
@@ -347,8 +351,6 @@ class FeSpace:
         self.element_dofs = (ay.cell_dofs[:, None, :, None] * ax.n + ax.cell_dofs[None, :, None, :]).reshape(n_el, -1)
         X, Y = np.meshgrid(ax.nodes, ay.nodes, indexing="xy")
         self.support_points = np.column_stack([X.ravel(), Y.ravel()])
-        grid = np.broadcast_arrays(ax.points[None, :, None, :], ay.points[:, None, :, None])
-        self.quad_coords = np.stack(grid, axis=-1).reshape(n_el, -1, 2)
 
         self.quad_axes = ax.points.reshape(1, -1), ay.points.reshape(-1, 1)
         self.node_axes = ax.nodes.reshape(1, -1), ay.nodes.reshape(-1, 1)
@@ -356,7 +358,6 @@ class FeSpace:
         on_boundary = np.ones((ay.n, ax.n), dtype=bool)
         on_boundary[1:-1, 1:-1] = False
         self.boundary_dofs = np.flatnonzero(on_boundary)
-        self.interior_dofs = np.flatnonzero(~on_boundary)
 
         self.wdet = np.kron(b.weights, b.weights) * (ax.h * ay.h)
         phi, dphi = _tensor_tables(b.vals, b.ders, b.vals, b.ders)
@@ -374,6 +375,18 @@ class FeSpace:
         self.load_phi, self.load_dx, self.load_dy = (
             np.ascontiguousarray(self.wdet[:, None] * T.T) for T in (self.quad_phi, self.quad_dx, self.quad_dy)
         )
+
+    @functools.cached_property
+    def quad_coords(self) -> np.ndarray:
+        """(n_elements, n_quad, 2) physical (x, y) of the quadrature points, built on first read."""
+        ax, ay = self.axes
+        grid = np.broadcast_arrays(ax.points[None, :, None, :], ay.points[:, None, :, None])
+        return np.stack(grid, axis=-1).reshape(len(self.element_dofs), -1, 2)
+
+    @functools.cached_property
+    def interior_dofs(self) -> np.ndarray:
+        """The dofs off the boundary ring, ascending, built on first read."""
+        return np.setdiff1d(np.arange(self.n_dofs), self.boundary_dofs)
 
     # ---- field evaluation --------------------------------------------------
 
@@ -401,19 +414,6 @@ class FeSpace:
         """d/dx and d/dy of the field at the volume quadrature points."""
         local = coeffs[self.element_dofs]
         return local @ self.quad_dx, local @ self.quad_dy
-
-    # ---- load assembly -----------------------------------------------------
-
-    def assemble_load(self, quad_values: np.ndarray) -> np.ndarray:
-        """Load vector with entries sum_q w_q v(x_q) eta_i(x_q) from (nE, nq) values."""
-        contrib = quad_values @ self.load_phi
-        return np.bincount(self.element_dofs.ravel(), weights=contrib.ravel(), minlength=self.n_dofs)
-
-    def assemble_gradtest_load(self, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
-        """Load with entries sum_q w_q v(x_q) . grad eta_i(x_q)."""
-        contrib = vx @ self.load_dx
-        contrib += vy @ self.load_dy
-        return np.bincount(self.element_dofs.ravel(), weights=contrib.ravel(), minlength=self.n_dofs)
 
 
 def build_space(domain: RectDomain, cells: tuple[int, int], degree: int) -> FeSpace:

@@ -19,9 +19,11 @@ pressure equation integrates curl(u) against the tangential derivative of
 the test function, with the counterclockwise tangent (-n_y, n_x).  It and
 the boundary fluxes (g . n, eta) are ``tensorops`` products on the space's
 1D axes, added in place onto the boundary rows and columns of a load; the
-nonlinear term reads the space's physical element tables.  The state after
-a step, or the initial state, takes its monitors (the L2 norm of div u and
-the largest sampled speed) from the quadrature pass of its pressure call.
+nonlinear term is integrated by one quadrature pass over the space's
+physical element tables, in blocks of ``BLOCK_ELEMENTS`` elements.  The
+state after a step, or the initial state, takes its monitors (the L2 norm
+of div u, the largest sampled speed and the kinetic energy) from the
+quadrature pass of its pressure call.
 """
 
 from __future__ import annotations
@@ -39,6 +41,9 @@ __all__ = ["CaseDefinition", "GepupState", "GepupOperators", "check_boundary_com
 
 SOLVE_CLASSES = ("momentum", "poisson_phi", "poisson_q", "mass")
 EXACT_FIELDS = ("exact_u", "exact_p", "exact_u_grads", "exact_p_grad")  # a case sets all or none
+# elements per block of the quadrature pass: at Q3 one block's buffers take
+# about 0.6 MB, so they stay in a core's L2 cache between the block's products
+BLOCK_ELEMENTS = 512
 
 
 @dataclass
@@ -109,13 +114,18 @@ class GepupState:
     """Discrete fields at one time: evolved velocity W, projected velocity U,
     projection potential Phi and pressure Q (both mass-mean-zero).
 
+    A state from ``GepupOperators.state_at`` has W equal to U: the
+    end-of-step update replaces W with the projected velocity, so ``W`` is
+    the list ``U`` itself, not a copy, and neither is written in place.
     ``F`` holds the explicit loads (f - u . grad u - grad q, eta_i) per
     component at (U, Q, t), from the pressure solve that gave Q; the next
     time step reads them as its first explicit stage.  ``div_l2`` (the L2
-    norm of div u) and ``speed_sq`` (the largest |u|^2 at the support and
-    the quadrature points, for the Courant step) come from the quadrature
-    pass of the same pressure load.  After changing U by hand, take the
-    state from ``GepupOperators.state_at`` again.
+    norm of div u), ``speed_sq`` (the largest |u|^2 at the support and
+    the quadrature points, for the Courant step) and ``kinetic_energy``
+    (half the integral of |u|^2 by the quadrature rule, which is exact for
+    it, so it equals 1/2 u . M u to rounding) come from the quadrature pass
+    of the same pressure load.  After changing U by hand, take the state
+    from ``GepupOperators.state_at`` again.
     """
 
     t: float
@@ -126,6 +136,7 @@ class GepupState:
     F: list[np.ndarray]
     div_l2: float
     speed_sq: float
+    kinetic_energy: float
 
 
 class ConstrainedOperator:
@@ -138,16 +149,20 @@ class ConstrainedOperator:
     The lift, (M + coeff A) x_b on the interior rows for the ring data x_b,
     is zero more than k rows or columns from the ring: ``lift_frame`` forms
     it there as strips from two thin products, with no full-grid array.  The
-    solution's ``XPass`` gives the backward-error check its K x_i: on the
-    interior rows, K x_i is (M + coeff A) x less the lift.  ``norm_K``
-    bounds the norm of the interior block K.
+    backward-error check is that of the interior equations [K L] x = rhs_i
+    the solve satisfies, x the whole solution (interior and ring): the
+    solution's ``XPass`` gives (M + coeff A) x, whose interior rows are
+    K x_i + L x_b, and ``norm`` bounds the norm of M + coeff A, and so of
+    [K L].  The ring data enter the scale, so a solution whose interior
+    terms cancel does not read the round-off of the ring's products as a
+    backward error.
     """
 
     def __init__(self, ops: "GepupOperators", coeff: float):
         self.ops = ops
         self.coeff = coeff
         ax, ay = ops.space.axes
-        self.norm_K = norm_bound(ax.interior_row_sums, ay.interior_row_sums, 1.0, coeff)
+        self.norm = norm_bound(ax.row_sums, ay.row_sums, 1.0, coeff)
         self.scale = 1.0 / (1.0 + coeff * ops.interior_eig.lam)
 
     def lift_frame(self, boundary_values: np.ndarray) -> list[tuple[tuple[slice, slice], np.ndarray]]:
@@ -205,20 +220,18 @@ class ConstrainedOperator:
         """
         ops = self.ops
         grid = ops.grid
-        frame = self.lift_frame(boundary_values)
-        b = rhs.reshape(grid)[1:-1, 1:-1].copy()
-        for index, strip in frame:
+        rhs_i = rhs.reshape(grid)[1:-1, 1:-1]
+        b = rhs_i.copy()
+        for index, strip in self.lift_frame(boundary_values):
             b[index] -= strip
         xi = ops.interior_eig.apply(b.ravel(), self.scale)
         x = np.empty_like(rhs)
         x[ops.space.boundary_dofs] = boundary_values
         x.reshape(grid)[1:-1, 1:-1] = xi.reshape(b.shape)
         p = ops.x_pass(x)
-        Kxi = p.stiffness.reshape(grid)[1:-1, 1:-1] * self.coeff
-        Kxi += p.mass.reshape(grid)[1:-1, 1:-1]
-        for index, strip in frame:
-            Kxi[index] -= strip
-        ops.record_solve("momentum", b.ravel(), Kxi.ravel(), xi, self.norm_K)
+        Ax = p.stiffness.reshape(grid)[1:-1, 1:-1] * self.coeff
+        Ax += p.mass.reshape(grid)[1:-1, 1:-1]
+        ops.record_solve("momentum", rhs_i, Ax, x, self.norm)
         return p
 
 
@@ -290,78 +303,84 @@ class GepupOperators:
         """Constrained mass + coeff*stiffness solver (coeff = nu*dt*gamma)."""
         return ConstrainedOperator(self, coeff)
 
-    # ---- pointwise field samples --------------------------------------------
-
-    def _quad_xy(self):
-        qc = self.space.quad_coords
-        return qc[:, :, 0], qc[:, :, 1]
-
-    def _forcing(self, case: CaseDefinition, t: float):
-        if case.f is None:
-            return None
-        x, y = self._quad_xy()
-        fx, fy = case.f(x, y, t)
-        return np.broadcast_to(np.asarray(fx, dtype=float), x.shape), np.broadcast_to(
-            np.asarray(fy, dtype=float), x.shape
-        )
-
     # ---- load evaluators -----------------------------------------------------
 
     def _nonlinear_loads(self, U: list[np.ndarray], case: CaseDefinition, t: float, monitors: bool):
         """(f - u . grad u, eta_i) per component and (f - u . grad u, grad eta_i), from one quadrature pass.
 
-        With ``monitors``, the pass also returns (div_l2, speed_sq) of u from
-        the same samples (see ``_advection``), else None.
+        The pass walks the elements in blocks of ``BLOCK_ELEMENTS``, reusing
+        one set of block buffers: each block gathers u, samples it and its
+        derivatives at the quadrature points, forms v = f - u . grad u there
+        and writes v's contributions to the three loads into its rows of three
+        (n_elements, n_local) arrays, which one bincount each scatters at the
+        end.  The forcing is sampled per block, on its rows of the space's
+        ``quad_coords``.
+
+        With ``monitors``, the pass also returns (div_l2, speed_sq,
+        kinetic_energy) of u from the same samples, else None: the L2 norm of
+        du_x/dx + du_y/dy, the largest u_x^2 + u_y^2 at the quadrature points
+        and half the weighted sum of u_x^2 + u_y^2 there.  They take the
+        arithmetic of ``divergence_l2`` and of the ``values_at_quad`` samples
+        per block, so on one block they equal those bit for bit; across
+        blocks the sums differ at round-off and the maximum not at all.
         """
         space = self.space
-        stats = None
-        if self.convection or monitors:
-            vx, vy, stats = self._advection(U, monitors)
-        if not self.convection:
-            vx, vy = np.zeros(space.quad_coords.shape[:2]), np.zeros(space.quad_coords.shape[:2])
-        forcing = self._forcing(case, t)
-        if forcing is not None:
-            vx += forcing[0]
-            vy += forcing[1]
-        return [space.assemble_load(vx), space.assemble_load(vy)], space.assemble_gradtest_load(vx, vy), stats
-
-    def _advection(self, U: list[np.ndarray], monitors: bool):
-        """-(u . grad u) per component at the quadrature points, and, with ``monitors``,
-        (div_l2, speed_sq): the L2 norm of du_x/dx + du_y/dy and the largest
-        u_x^2 + u_y^2 at the quadrature points, else None.
-
-        The monitors take the arithmetic of ``divergence_l2`` and of the
-        ``values_at_quad`` samples, so they equal those bit for bit, and
-        they work in the pass's own three arrays: no more arrays of the
-        quadrature grid are alive at once than without them.
-        """
-        space = self.space
+        dofs, wdet = space.element_dofs, space.wdet
         phi, dx, dy = space.quad_phi, space.quad_dx, space.quad_dy
-        lx, ly = U[0][space.element_dofs], U[1][space.element_dofs]
-        ux, uy = lx @ phi, ly @ phi
-        vx, vy, work = (np.empty_like(ux) for _ in range(3))
-        stats = None
-        if monitors:
-            np.multiply(ux, ux, out=vx)
-            vx += np.multiply(uy, uy, out=vy)
-            speed_sq = float(vx.max())
-        np.matmul(lx, dx, out=vx)  # du_x/dx
-        np.matmul(ly, dy, out=vy)  # du_y/dy
-        if monitors:
-            np.add(vx, vy, out=work)
-            work *= work
-            stats = float(np.sqrt(np.sum(work @ space.wdet))), speed_sq
-        np.multiply(uy, vy, out=work)  # u_y du_y/dy
-        np.matmul(ly, dx, out=vy)  # du_y/dx
-        vx *= ux
-        vy *= ux
-        vy += work
-        np.matmul(lx, dy, out=work)  # du_x/dy
-        work *= uy
-        vx += work
-        vx *= -1.0
-        vy *= -1.0
-        return vx, vy, stats
+        n_el, n_local = dofs.shape
+        contrib = np.empty((3, n_el, n_local))  # (v_x, eta_i), (v_y, eta_i), (v, grad eta_i)
+        size = min(BLOCK_ELEMENTS, n_el)
+        local = np.empty((2, size, n_local))
+        samples = np.empty((5, size, len(wdet)))
+        div_sq = speed_sq = energy = 0.0
+        for start in range(0, n_el, size):
+            stop = min(start + size, n_el)
+            lx, ly = local[:, : stop - start]
+            ux, uy, vx, vy, work = samples[:, : stop - start]
+            if self.convection or monitors:
+                # mode "clip": with the default "raise", take buffers its output
+                np.take(U[0], dofs[start:stop], out=lx, mode="clip")
+                np.take(U[1], dofs[start:stop], out=ly, mode="clip")
+                np.matmul(lx, phi, out=ux)
+                np.matmul(ly, phi, out=uy)
+                if monitors:
+                    np.multiply(ux, ux, out=vx)
+                    vx += np.multiply(uy, uy, out=vy)
+                    speed_sq = np.maximum(speed_sq, vx.max())  # a NaN sample stays NaN
+                    energy += float(np.sum(vx @ wdet))
+                np.matmul(lx, dx, out=vx)  # du_x/dx
+                np.matmul(ly, dy, out=vy)  # du_y/dy
+                if monitors:
+                    np.add(vx, vy, out=work)
+                    work *= work
+                    div_sq += float(np.sum(work @ wdet))
+            if self.convection:
+                np.multiply(uy, vy, out=work)  # u_y du_y/dy
+                np.matmul(ly, dx, out=vy)  # du_y/dx
+                vx *= ux
+                vy *= ux
+                vy += work
+                np.matmul(lx, dy, out=work)  # du_x/dy
+                work *= uy
+                vx += work
+                vx *= -1.0
+                vy *= -1.0
+            else:
+                vx.fill(0.0)
+                vy.fill(0.0)
+            if case.f is not None:
+                qc = space.quad_coords[start:stop]
+                fx, fy = case.f(qc[:, :, 0], qc[:, :, 1], t)
+                vx += fx
+                vy += fy
+            np.matmul(vx, space.load_phi, out=contrib[0, start:stop])
+            np.matmul(vy, space.load_phi, out=contrib[1, start:stop])
+            np.matmul(vx, space.load_dx, out=contrib[2, start:stop])
+            contrib[2, start:stop] += np.matmul(vy, space.load_dy, out=lx)
+        index = dofs.ravel()
+        conv = [np.bincount(index, weights=c.ravel(), minlength=space.n_dofs) for c in contrib]
+        stats = (float(np.sqrt(div_sq)), float(speed_sq), 0.5 * energy) if monitors else None
+        return conv[:2], conv[2], stats
 
     def eval_Fphi(self, W: list, case: CaseDefinition, t: float) -> np.ndarray:
         """Potential load (w, grad eta_i) - (n.g, eta_i) over the boundary.
@@ -446,25 +465,28 @@ class GepupOperators:
     def state_at(self, t: float, U: list[np.ndarray], Phi: np.ndarray, case: CaseDefinition) -> GepupState:
         """The state of the projected velocity U (and its potential Phi) at t.
 
-        W is a copy of U; Q and F come as from ``pressure``, and the monitors
-        ``div_l2`` and ``speed_sq`` from the same quadrature pass, whose
-        samples of u and of its derivatives they reuse.
+        W is U itself; Q and F come as from ``pressure``, and the monitors
+        ``div_l2``, ``speed_sq`` and ``kinetic_energy`` from the same
+        quadrature pass, whose samples of u and of its derivatives they reuse.
         """
-        load, conv, (div_l2, quad_speed_sq) = self._pressure_loads(U, case, t, True)
+        load, conv, (div_l2, quad_speed_sq, energy) = self._pressure_loads(U, case, t, True)
         Q, F = self._solve_pressure(load, conv)
         speed_sq = max(float((U[0] ** 2 + U[1] ** 2).max()), quad_speed_sq)
-        return GepupState(t, [u.copy() for u in U], U, Phi, Q, F, div_l2, speed_sq)
+        return GepupState(t, U, U, Phi, Q, F, div_l2, speed_sq, energy)
 
     # ---- diagnostics -------------------------------------------------------------
 
     def divergence_l2(self, W: list[np.ndarray]) -> float:
         """The L2 norm of div W by a fresh quadrature pass: the formula that a
-        state's ``div_l2`` repeats bit for bit, for fields without a state."""
+        state's ``div_l2`` repeats (bit for bit when the pass is one block),
+        for fields without a state."""
         space = self.space
         div = W[0][space.element_dofs] @ space.quad_dx + W[1][space.element_dofs] @ space.quad_dy
         return float(np.sqrt(np.sum(div * div @ space.wdet)))
 
     def kinetic_energy(self, W: list[np.ndarray]) -> float:
+        """1/2 w . M w by fresh mass products: the value a state's ``kinetic_energy``
+        repeats to rounding, for fields without a state."""
         return 0.5 * sum(float(w @ self.x_pass(w).mass) for w in W)
 
     def boundary_values(self, case: CaseDefinition, t: float) -> tuple[np.ndarray, np.ndarray]:

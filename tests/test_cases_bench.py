@@ -18,6 +18,7 @@ from gepup import (
     taylor_green_case,
     vorticity_indicator,
 )
+from gepup import operators
 from gepup.bench import ConvergenceTable, run_convergence, run_simulation, solution_errors
 from gepup.cases import vortex_u_theta
 from gepup.fem import basis_1d
@@ -335,6 +336,35 @@ def test_monitors_equal_the_full_grid_formulas_bit_for_bit(case, t_end):
     assert res.steps >= 2
     assert [m["div_l2"] for m in res.monitors] == [div for div, _ in seen]
     assert [m["dt"] for m in res.monitors[1:-1]] == [dt for _, dt in seen[:-2]]
+
+
+@pytest.mark.parametrize(
+    "case, t_end", [(taylor_green_case(100.0), 0.3), (single_vortex_case(100.0), 2.5)], ids=["taylor-green", "vortex"]
+)
+def test_monitors_match_the_full_grid_formulas_across_blocks(case, t_end, monkeypatch):
+    # the 16 elements in blocks of 5, 5, 5 and 1: the largest sampled speed
+    # is still exact, and the sums of div_l2 and of the kinetic energy agree
+    # with the full-grid formulas to rounding
+    monkeypatch.setattr(operators, "BLOCK_ELEMENTS", 5)
+    rel = 1e-13
+
+    def on_step(step, state, ops):
+        assert state.speed_sq == sampled_speed_sq(ops.space, state.U)
+        assert abs(state.div_l2 - ops.divergence_l2(state.W)) <= rel * state.div_l2
+        energy = ops.kinetic_energy(state.W)
+        assert abs(state.kinetic_energy - energy) <= rel * energy
+
+    res = run_simulation(case, 3, 2, StepperConfig(tableau="ark4"), t_end=t_end, on_step=on_step)
+    assert res.steps >= 2
+    assert res.monitors[-1]["kinetic_energy"] == res.state.kinetic_energy
+
+
+def test_a_run_builds_no_quadrature_coordinates_or_interior_dof_list():
+    # a case without forcing samples nothing at the quadrature points by
+    # coordinate, and no solve lists the interior dofs
+    res = run_simulation(taylor_green_case(100.0), 2, 2, StepperConfig(), t_end=0.05)
+    assert res.steps >= 1
+    assert not {"quad_coords", "interior_dofs"} & set(vars(res.ops.space))
 
 
 def test_zero_step_path_gives_projection_error_and_k_plus_1_rates():

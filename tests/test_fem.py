@@ -14,6 +14,7 @@ from gepup import (
 )
 from gepup.fem import Axis, basis_1d, lagrange_1d
 from gepup.linsolve import FOLD_MIN_DOFS, mirrored_basis
+from gepup.operators import CaseDefinition
 from fem_oracle import assemble_mass, assemble_stiffness, combination, exact_global_matrices, permutation_to_space
 
 
@@ -258,14 +259,17 @@ def test_error_norm_h1_includes_l2_part(space_q3_8x8):
     assert h1 == pytest.approx(np.sqrt(1.0 / 3.0 + 1.0), rel=1e-12)
 
 
-def test_galerkin_orthogonality_proxy(space_q3_8x8):
-    # for u in the space, A @ coeffs(u) equals the load (grad u, grad eta_i)
+def test_galerkin_orthogonality_proxy(ops_q3_l3):
+    # for u in the space, A @ coeffs(u) equals the load (grad u, grad eta_i):
+    # the pressure load of a resting, inviscid flow forced by grad u
+    space = ops_q3_l3.space
     f = lambda x, y, t: x**3 - 2 * x * y**2 + y
-    coeffs = interpolate(space_q3_8x8, f)
-    A = assemble_stiffness(space_q3_8x8)
-    x = space_q3_8x8.quad_coords[:, :, 0]
-    y = space_q3_8x8.quad_coords[:, :, 1]
-    load = space_q3_8x8.assemble_gradtest_load(3 * x**2 - 2 * y**2, -4 * x * y + 1.0)
+    coeffs = interpolate(space, f)
+    A = assemble_stiffness(space)
+    zero = lambda x, y, t=0.0: (np.zeros_like(x), np.zeros_like(x))
+    case = CaseDefinition("grad-u", 0.0, zero, zero, f=lambda x, y, t: (3 * x**2 - 2 * y**2, -4 * x * y + 1.0))
+    z = np.zeros(space.n_dofs)
+    load, _ = ops_q3_l3.eval_Fq([z, z], case, 0.0)
     assert np.abs(A @ coeffs - load).max() < 1e-12
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from gepup import RectDomain, SolverError, UNIT_SQUARE, linsolve, lid_cavity_case
+from gepup import RectDomain, SolverError, UNIT_SQUARE, linsolve, lid_cavity_case, taylor_green_case
 from gepup.fem import Axis
 from gepup.linsolve import REL_TOL, FastDiagonalization, check_backward_error, eigenpairs
 from gepup.operators import GepupOperators
@@ -308,8 +308,8 @@ def test_backward_error_check_catches_a_wrong_solve(rng):
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_momentum_check_with_nonzero_dirichlet_data(rng):
-    # the check's K x_i is (M + c A) x on the interior rows less the lift of
-    # the boundary values, which the lid's unit wall makes nonzero
+    # the check's product is (M + c A) x on the interior rows, ring values
+    # included, which the lid's unit wall makes nonzero
     ops = GepupOperators(UNIT_SQUARE, (4, 4), 3)
     space = ops.space
     gx, _ = ops.boundary_values(lid_cavity_case(1000.0), 0.0)
@@ -330,6 +330,36 @@ def test_momentum_check_with_nonzero_dirichlet_data(rng):
     bad[-1] = np.nan
     with pytest.raises(SolverError, match="momentum solve"):
         ops.momentum_operator(coeff).solve(b, bad)
+
+
+@pytest.mark.parametrize("cells, k", [((1, 1), 2), ((8, 8), 3)], ids=["one-q2-cell", "q3-l3"])
+def test_momentum_check_scales_by_the_whole_solution(cells, k, monkeypatch):
+    # rhs = (M + c A) u for the Taylor-Green interpolant u, with u's ring
+    # values as the Dirichlet data.  On one Q2 cell the one interior value
+    # (the stagnant centre) and its load are round-off, while the ring's terms
+    # in its row are about 0.1: scaled by the whole solution, the round-off
+    # of those terms is no backward error.  An interior solution off by 1e-8
+    # of the solution's norm still fails the check
+    ops = GepupOperators(UNIT_SQUARE, cells, k)
+    space = ops.space
+    op = ops.momentum_operator(5e-4)
+    apply = ops.interior_eig.apply
+    rng = np.random.default_rng(8)
+    exact = taylor_green_case(100.0).exact_u(space.support_points[:, 0], space.support_points[:, 1], 0.0)
+    for u in exact:
+        p = ops.x_pass(u)
+        rhs = p.mass + op.coeff * p.stiffness
+        ring = u[space.boundary_dofs]
+        ops.reset_residuals()
+        x = op.solve(rhs, ring).x
+        assert ops.residuals["momentum"] <= REL_TOL
+        assert np.abs(x - u).max() <= 1e-13
+        delta = rng.standard_normal(len(space.interior_dofs))
+        delta *= 1e-8 * np.linalg.norm(x) / np.linalg.norm(delta)
+        monkeypatch.setattr(ops.interior_eig, "apply", lambda b, scale: apply(b, scale) + delta)
+        with pytest.raises(SolverError, match=r"momentum solve: backward error \d"):
+            op.solve(rhs, ring)
+        monkeypatch.undo()
 
 
 def test_backward_error_is_normwise_relative():

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from gepup import (
     interpolate,
     taylor_green_case,
 )
+from gepup import operators
 from gepup.imex import advance_step, load_tableau
 from gepup.linsolve import REL_TOL, SolverError
 from gepup.operators import GepupOperators, check_boundary_compatibility
@@ -419,6 +421,50 @@ def test_Fq_and_its_convection_loads_match_quadrature(k):
         assert np.array_equal(F[d], conv[d] - ops.x_pass(Q).gradient(d))
 
 
+@pytest.mark.parametrize("convection", [True, False])
+@pytest.mark.parametrize("block", [8, 2, 3], ids=["one-block", "four-blocks", "partial-last-block"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_blocked_pass_matches_quadrature(k, block, convection, monkeypatch):
+    # the 4 x 2 elements in one block, in four full blocks, and in blocks of
+    # 3, 3 and 2; the case has a forcing, so each block samples it too
+    monkeypatch.setattr(operators, "BLOCK_ELEMENTS", block)
+    ops, U, W, Q, Phi, case = load_setup(k, convection)
+    load, conv = ops.eval_Fq(U, case, 0.4)
+    value_terms = fw_terms(ops.space, U, Q, case, 0.4)
+    grad_terms = fq_terms(ops.space, U, case, 0.4)
+    if not convection:
+        value_terms = [terms[:1] for terms in value_terms]
+        grad_terms = grad_terms[:2] + grad_terms[4:]
+    for d in range(2):
+        assert_matches_terms(conv[d], value_terms[d][:2])
+    assert_matches_terms(load, grad_terms)
+
+
+def test_pressure_pass_allocates_no_full_grid_samples(monkeypatch):
+    # one pressure pass at Q3 L5 holds at most the three (n_elements, n_local)
+    # contribution arrays, the three loads and one block's buffers (u and its
+    # derivatives gathered, five sample arrays), plus a few arrays of the
+    # ring for the boundary loads; a pass over full-grid samples exceeds it
+    ops = GepupOperators(UNIT_SQUARE, (32, 32), 3)
+    space = ops.space
+    case = taylor_green_case(100.0)
+    U = [np.ascontiguousarray(u) for u in case.exact_u(space.support_points[:, 0], space.support_points[:, 1], 0.0)]
+    ops.eval_Fq(U, case, 0.0)  # the axes' factors are built on first use
+    n_el, n_local = space.element_dofs.shape
+    n_quad = len(space.wdet)
+    for block in (operators.BLOCK_ELEMENTS, 128):
+        monkeypatch.setattr(operators, "BLOCK_ELEMENTS", block)
+        bound = 8 * (3 * n_el * n_local + 3 * space.n_dofs + block * (2 * n_local + 5 * n_quad))
+        bound += 8 * 8 * (space.ndof_x + space.ndof_y)
+        tracemalloc.start()
+        try:
+            ops.eval_Fq(U, case, 0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (block, peak, bound)
+
+
 def test_loads_without_convection_keep_forcing_and_pressure():
     ops, U, W, _, Phi, case = load_setup(2, convection=False)
     Q, F = ops.pressure(U, case, 0.4)
@@ -437,6 +483,7 @@ def test_state_carries_the_explicit_loads_of_its_fields():
     case = taylor_green_case(100.0)
     first = ops.initial_state(case, 0.0)
     for state in (first, advance_step(first, 0.01, load_tableau("ark4"), case, ops)):
+        assert state.W is state.U
         conv = ops.eval_Fq(state.U, case, state.t)[1]
         for d in range(2):
             assert np.array_equal(state.F[d], conv[d] - ops.x_pass(state.Q).gradient(d))

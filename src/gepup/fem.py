@@ -20,8 +20,9 @@ use.
 The two axes of a square grid are one object, so they compute all of it
 once; everything an axis holds is read-only.  The module also holds the
 element tables of the nonlinear term's quadrature pass (run in
-``operators``), nodal interpolation and error norms, which sample the exact
-solution on the axes.  The global
+``operators``, in blocks of ``BLOCK_ELEMENTS``), nodal interpolation and
+error norms, which sample the exact solution on the axes, in bands of
+whole element rows of about as many elements.  The global
 matrices are never assembled: ``tensorops`` applies them, and the boundary
 loads, as products on the axes.
 
@@ -53,6 +54,10 @@ __all__ = [
 ]
 
 MAX_DEGREE = 4
+# elements per block of the quadrature pass (``operators``) and, about, per
+# band of the error norms: at Q3 one block's buffers take about 0.6 MB, so
+# they stay in a core's L2 cache between the block's products
+BLOCK_ELEMENTS = 512
 
 
 @dataclass(frozen=True)
@@ -187,12 +192,12 @@ class Axis:
     with coefficients c.  The factors and the solver's 1D quantities are
     computed on first use and kept, so that an axis that only integrates
     loads never assembles them: ``interior`` (the M and K blocks without
-    the two end dofs), the absolute row sums ``row_sums`` and
-    ``interior_row_sums`` of both blocks' M and K, the generalized
-    eigenpairs ``eig`` and ``interior_eig`` of the full and interior (K, M)
-    blocks (``linsolve.eigenpairs``: each a ``linsolve.Eigenbasis`` of the
-    even and odd half-size pairs, its modes even block first, which also
-    keeps the full-size S below ``linsolve.FOLD_MIN_DOFS`` dofs), the
+    the two end dofs), the absolute row sums ``row_sums`` of M and K, the
+    generalized eigenpairs ``eig`` and ``interior_eig`` of the full and
+    interior (K, M) blocks (``linsolve.eigenpairs``: each a
+    ``linsolve.Eigenbasis`` of the even and odd half-size pairs, its modes
+    even block first, which also keeps the full-size S below
+    ``linsolve.FOLD_MIN_DOFS`` dofs), the
     dense ``D`` = M^{-1} C, formed from ``eig``, ``CT`` = C^T as CSR and
     the blocks ``frame`` of M and K on the dofs near the two ends (the
     Dirichlet lift of a momentum solve).
@@ -255,11 +260,6 @@ class Axis:
     def row_sums(self) -> tuple[np.ndarray, np.ndarray]:
         """The absolute row sums of M and K (``tensorops.norm_bound``)."""
         return _frozen(_abs_row_sums(self.M)), _frozen(_abs_row_sums(self.K))
-
-    @functools.cached_property
-    def interior_row_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ``row_sums`` of the ``interior`` M and K."""
-        return tuple(_frozen(_abs_row_sums(F)) for F in self.interior)
 
     @functools.cached_property
     def eig(self) -> Eigenbasis:
@@ -328,12 +328,13 @@ class FeSpace:
     (n_elements, n_quad) samples against the basis.  ``quad_axes`` and
     ``node_axes`` are the (x, y) coordinates of the quadrature and support
     point grids as broadcastable axis arrays, x of shape (1, n) and y of
-    shape (m, 1): a callback evaluated on them returns the grid, which
-    ``quad_order`` and ``node_order`` lay out like ``values_at_quad`` and
-    the coefficients.  ``boundary_dofs`` lists the dofs of the boundary ring;
-    ``interior_dofs`` (the others) and ``quad_coords`` (the quadrature
-    points per element) are built on first read, since a run needs neither
-    unless its case has a forcing.
+    shape (m, 1): a callback evaluated on them (at the quadrature points,
+    on a band of rows of y) returns the grid, which ``quad_order`` and
+    ``node_order`` lay out like ``values_at_quad`` and the coefficients.
+    ``boundary_dofs`` lists the dofs of the boundary ring; ``interior_dofs``
+    (the others) and ``quad_coords`` (the quadrature points per element)
+    are built on first read, since a run needs neither unless its case has
+    a forcing.
     """
 
     def __init__(self, domain: RectDomain, cells: tuple[int, int], degree: int):
@@ -394,9 +395,11 @@ class FeSpace:
     # broadcast view copies unless the order already matches (one cell in x,
     # or a full node grid), and then the view itself must not be returned.
 
-    def quad_order(self, values) -> np.ndarray:
-        """Samples on the ``quad_axes`` grid (broadcastable to it) as (n_elements, n_quad)."""
-        (_, nx), (ny, _) = (a.shape for a in self.quad_axes)
+    def quad_order(self, values, rows: slice) -> np.ndarray:
+        """Samples on the grid of the ``quad_axes`` x by the ``rows`` of their y
+        (broadcastable to it), whole element rows, as (n_elements of the rows, n_quad)."""
+        x, y = self.quad_axes
+        nx, ny = x.shape[1], len(y[rows])
         q = self.degree + 2
         grid = np.broadcast_to(np.asarray(values, dtype=float), (ny, nx)).reshape(ny // q, q, nx // q, q)
         return np.require(grid.transpose(0, 2, 1, 3).reshape(-1, q * q), requirements="W")
@@ -405,6 +408,18 @@ class FeSpace:
         """Samples on the ``node_axes`` grid (broadcastable to it) as (n_dofs,)."""
         grid = np.broadcast_to(np.asarray(values, dtype=float), (self.ndof_y, self.ndof_x))
         return np.require(grid.ravel(), requirements="W")
+
+    def element_bands(self) -> list[tuple[slice, slice]]:
+        """The bands of whole element rows that the error norms walk, each of
+        max(1, ``BLOCK_ELEMENTS`` // nx) rows (the last may hold fewer), as
+        (elements, rows): its slice of the element numbering and of the rows
+        of the ``quad_axes`` y."""
+        nx, ny = (a.n_cells for a in self.axes)
+        q = self.degree + 2
+        step = max(1, BLOCK_ELEMENTS // nx)
+        return [
+            (slice(j * nx, min(j + step, ny) * nx), slice(j * q, min(j + step, ny) * q)) for j in range(0, ny, step)
+        ]
 
     def values_at_quad(self, coeffs: np.ndarray) -> np.ndarray:
         """(n_elements, n_quad) field values at the volume quadrature points."""
@@ -433,47 +448,76 @@ def error_norms(space: FeSpace, fields, exact, t: float, exact_grads=None) -> di
     ``exact(x, y, t)`` returning its components and ``exact_grads(x, y, t)``
     one (d/dx, d/dy) pair per component; a scalar field is one array, with
     ``exact`` returning values and ``exact_grads`` one pair.  ``exact`` is
-    called once on the space's ``quad_axes`` and once on its ``node_axes``,
-    ``exact_grads`` once on the ``quad_axes``: each must accept broadcastable
-    coordinates, x of shape (1, n) and y of shape (m, 1), and return values
-    that broadcast to (m, n).  See ``sampled_error_norms`` for the norms.
+    called once on the space's ``node_axes`` and, like ``exact_grads``, once
+    per band of ``element_bands`` on the ``quad_axes`` x and the band's rows
+    of their y, so each quadrature point is sampled once and no full grid of
+    samples is held.  Each must accept broadcastable coordinates, x of shape
+    (1, n) and y of shape (m, 1), and return values that broadcast to
+    (m, n).  See ``sampled_error_norms`` for the norms.
     """
     if isinstance(fields, np.ndarray):
         grads = None if exact_grads is None else (lambda x, y, tt: (exact_grads(x, y, tt),))
         return error_norms(space, [fields], lambda x, y, tt: (exact(x, y, tt),), t, grads)
-    quad = [space.quad_order(e) for e in exact(*space.quad_axes, t)]
+    x, y = space.quad_axes
+
+    def sample(elements, rows):
+        quad = [space.quad_order(e, rows) for e in exact(x, y[rows], t)]
+        if exact_grads is None:
+            return quad, None
+        return quad, [[space.quad_order(g, rows) for g in pair] for pair in exact_grads(x, y[rows], t)]
+
     nodal = [space.node_order(e) for e in exact(*space.node_axes, t)]
-    grads = None
-    if exact_grads is not None:
-        grads = [[space.quad_order(g) for g in pair] for pair in exact_grads(*space.quad_axes, t)]
-    return sampled_error_norms(space, fields, quad, nodal, grads)
+    return sampled_error_norms(space, fields, nodal, sample)
 
 
-def sampled_error_norms(space: FeSpace, fields, quad, nodal, quad_grads) -> dict:
-    """``error_norms`` of the component arrays ``fields`` from samples of the exact
-    field: per component, ``quad`` (n_elements, n_quad) at the quadrature
-    points, ``nodal`` (n_dofs,) at the support points and, or None,
-    ``quad_grads`` one (d/dx, d/dy) pair at the quadrature points.
+def sampled_error_norms(space: FeSpace, fields, nodal, sample) -> dict:
+    """``error_norms`` of the component arrays ``fields`` from samples of the
+    exact field: per component, ``nodal`` (n_dofs,) at the support points
+    and, per band (elements, rows) of ``space.element_bands()``, the pair
+    (quad, quad_grads) that ``sample(elements, rows)`` returns: ``quad``
+    (band elements, n_quad) at the band's quadrature points in element
+    order and, or None, ``quad_grads`` one (d/dx, d/dy) pair there.  A
+    band's samples are dropped before the next band is sampled.
 
-    L2 and H1 (full norm) sum the components in quadrature; Linf is the
-    largest Euclidean magnitude of the error at the quadrature and support
-    points.
+    L2 and H1 (full norm) sum the components in quadrature, band by band;
+    Linf is the largest Euclidean magnitude of the error at the quadrature
+    and support points.
     """
-    l2sq = 0.0
-    quad_sq = nodal_sq = 0.0
-    for f, e_quad, e_nodal in zip(fields, quad, nodal):
-        diff = space.values_at_quad(f) - e_quad
-        diff *= diff
-        l2sq += float(np.sum(diff @ space.wdet))
-        quad_sq = quad_sq + diff
+    l2sq = quad_max = 0.0
+    grad_sq = []  # per band, the components' squared gradient errors, or None
+    for elements, rows in space.element_bands():
+        l2, grads, band_max = _band_errors(space, fields, elements, *sample(elements, rows))
+        for term in l2:
+            l2sq += term
+        grad_sq.append(grads)
+        quad_max = np.maximum(quad_max, band_max)  # a NaN stays NaN
+    nodal_sq = 0.0
+    for f, e_nodal in zip(fields, nodal):
         nodal_sq = nodal_sq + (f - e_nodal) ** 2
-    out = {"L2": np.sqrt(l2sq), "Linf": float(np.sqrt(max(np.max(quad_sq), np.max(nodal_sq))))}
-    if quad_grads is not None:
-        h1sq = l2sq
-        for f, (ex, ey) in zip(fields, quad_grads):
-            gx, gy = space.grads_at_quad(f)
-            dxs = gx - ex
-            dys = gy - ey
-            h1sq += float(np.sum(dxs * dxs @ space.wdet) + np.sum(dys * dys @ space.wdet))
+    out = {"L2": np.sqrt(l2sq), "Linf": float(np.sqrt(max(quad_max, np.max(nodal_sq))))}
+    if grad_sq[0] is not None:
+        h1sq = l2sq  # the gradient terms add on after all the L2 terms, as on one band
+        for grads in grad_sq:
+            for term in grads:
+                h1sq += term
         out["H1"] = np.sqrt(h1sq)
     return out
+
+
+def _band_errors(space: FeSpace, fields, elements: slice, quad, quad_grads):
+    """Per component, the squared L2 error and, or None, squared gradient error
+    on the band ``elements``, and the band's largest squared error magnitude."""
+    l2, grads = [], None if quad_grads is None else []
+    quad_sq = 0.0
+    for d, (f, e_quad) in enumerate(zip(fields, quad)):
+        local = f[space.element_dofs[elements]]
+        diff = local @ space.quad_phi - e_quad
+        diff *= diff
+        l2.append(float(np.sum(diff @ space.wdet)))
+        quad_sq = quad_sq + diff
+        if grads is not None:
+            ex, ey = quad_grads[d]
+            dxs = local @ space.quad_dx - ex
+            dys = local @ space.quad_dy - ey
+            grads.append(float(np.sum(dxs * dxs @ space.wdet) + np.sum(dys * dys @ space.wdet)))
+    return l2, grads, np.max(quad_sq)

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction as _F
 
 import numpy as np
+from scipy.linalg.blas import daxpy
 
 from .linsolve import SolverError
 from .operators import CaseDefinition, GepupOperators, GepupState
@@ -350,10 +351,15 @@ def advance_step(
     load F_s comes from the ``pressure`` call of its projected velocity;
     the first stage's is the one ``state`` carries, and the end-of-step
     state (``GepupOperators.state_at``) forms the next state's.  M W_d and
-    A W_d come from the ``XPass`` the momentum solve returns (for W^n, from one pass at the start), and
-    a stage's right-hand side is one GEMV per component over the stored
-    F_j and A W_j.  A SolverError leaves with the stage (or the end-of-step
-    projection) and its time.
+    A W_d come from the ``XPass`` the momentum solve returns (for W^n, from
+    one pass at the start).  No stage's F_j or A W_j is kept: per
+    component, one (n, N) array holds the right-hand sides of stages
+    1..n-1 and the end-of-step load, each a running sum that starts from
+    M W^n (the end-of-step load from zero, M W_{n-1} added last), and
+    stage j's terms are added into the rows of the later targets, in place
+    (BLAS axpy, zero weights skipped), as soon as they are known.  A
+    SolverError leaves with the stage (or the end-of-step projection) and
+    its time.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -364,42 +370,46 @@ def advance_step(
 
     t0 = state.t
     t1 = t0 + dt
-    N = ops.space.n_dofs
-    # per component d and stage j, the explicit load F and A W side by side,
-    # so that a stage's right-hand side is one GEMV over its first s rows;
-    # not zero-filled: stage j's rows are written before any stage reads them
-    loads = np.empty((2, n, 2, N))
-    F, AW = loads[:, :, 0], loads[:, :, 1]
-    coeffs = np.stack([dt * AE, -nu * dt * AI], axis=2)  # (stage, j, [F, AW])
+    # row r of a component's sums is the right-hand side of stage r + 1, the
+    # last row the end-of-step load; column j of a weight table weights the
+    # stage-j term in each row, and only rows j..n-1 take stage j's terms
+    weights_F = dt * np.vstack([AE[1:], b - AE[n - 1]])
+    weights_AW = -nu * dt * np.vstack([AI[1:], np.zeros(n)])
+    sums = np.empty((2, n, ops.space.n_dofs))
+
+    def add(j, weights, terms):
+        for d in range(2):
+            for r in range(j, n):
+                if weights[r, j] != 0.0:
+                    daxpy(terms[d], sums[d, r], a=weights[r, j])
+
     phase, t_phase = "stage 0", t0
     try:
         W = [ops.x_pass(w) for w in state.W]
-        MWn = [w.mass for w in W]
-        AW[:, 0] = [w.stiffness for w in W]
-        F[:, 0] = state.F
+        for d in range(2):
+            sums[d, : n - 1] = W[d].mass
+        sums[:, n - 1] = 0.0
+        add(0, weights_AW, [w.stiffness for w in W])
+        del W
+        add(0, weights_F, state.F)
 
         for s in range(1, n):
             ts = t0 + c[s] * dt
             phase, t_phase = f"stage {s}", ts
             gb = ops.boundary_values(case, ts)
-            W = []
-            for d in range(2):
-                rhs = coeffs[s, :s].ravel() @ loads[d, :s].reshape(2 * s, N)
-                rhs += MWn[d]
-                W.append(momentum.solve(rhs, gb[d]))
-                AW[d, s] = W[d].stiffness
+            W = [momentum.solve(sums[d, s - 1], gb[d]) for d in range(2)]
+            add(s, weights_AW, [w.stiffness for w in W])
             U_s, _ = ops.leray_project(W, case, ts)
             MW_s = [w.mass for w in W]
             # a pass holds several fields: drop the passes of W_s and W* once read
             del W
-            F[:, s] = ops.pressure(U_s, case, ts)[1]
+            add(s, weights_F, ops.pressure(U_s, case, ts)[1])
 
         phase, t_phase = "end-of-step projection", t1
         W_star = []
         for d in range(2):
-            rhs = (dt * (b - AE[n - 1])) @ F[d]
-            rhs += MW_s[d]
-            W_star.append(ops.solve_mass(rhs))
+            sums[d, n - 1] += MW_s[d]
+            W_star.append(ops.solve_mass(sums[d, n - 1]))
         U1, Phi1 = ops.leray_project(W_star, case, t1)
         del W_star
         state1 = ops.state_at(t1, U1, Phi1, case)

@@ -20,7 +20,7 @@ the test function, with the counterclockwise tangent (-n_y, n_x).  It and
 the boundary fluxes (g . n, eta) are ``tensorops`` products on the space's
 1D axes, added in place onto the boundary rows and columns of a load; the
 nonlinear term is integrated by one quadrature pass over the space's
-physical element tables, in blocks of ``BLOCK_ELEMENTS`` elements.  The
+physical element tables, in blocks of ``fem.BLOCK_ELEMENTS`` elements.  The
 state after a step, or the initial state, takes its monitors (the L2 norm
 of div u, the largest sampled speed and the kinetic energy) from the
 quadrature pass of its pressure call.
@@ -41,9 +41,6 @@ __all__ = ["CaseDefinition", "GepupState", "GepupOperators", "check_boundary_com
 
 SOLVE_CLASSES = ("momentum", "poisson_phi", "poisson_q", "mass")
 EXACT_FIELDS = ("exact_u", "exact_p", "exact_u_grads", "exact_p_grad")  # a case sets all or none
-# elements per block of the quadrature pass: at Q3 one block's buffers take
-# about 0.6 MB, so they stay in a core's L2 cache between the block's products
-BLOCK_ELEMENTS = 512
 
 
 @dataclass
@@ -58,8 +55,9 @@ class CaseDefinition:
     ``exact_u_grads(x, y, t) -> ((uxx, uxy), (uyx, uyy))`` and
     ``exact_p_grad(x, y, t) -> (px, py)``, or by none of them.  The error
     norms call them on the axes of a grid (``fem.error_norms``): x of shape
-    (1, n) and y of shape (m, 1), so each must broadcast its arguments as
-    numpy does and return components that broadcast to (m, n).
+    (1, n) and y of shape (m, 1), where y may be a band of the rows of the
+    grid's y axis, so each must broadcast its arguments as numpy does and
+    return components that broadcast to (m, n).
     """
 
     name: str
@@ -308,7 +306,7 @@ class GepupOperators:
     def _nonlinear_loads(self, U: list[np.ndarray], case: CaseDefinition, t: float, monitors: bool):
         """(f - u . grad u, eta_i) per component and (f - u . grad u, grad eta_i), from one quadrature pass.
 
-        The pass walks the elements in blocks of ``BLOCK_ELEMENTS``, reusing
+        The pass walks the elements in blocks of ``fem.BLOCK_ELEMENTS``, reusing
         one set of block buffers: each block gathers u, samples it and its
         derivatives at the quadrature points, forms v = f - u . grad u there
         and writes v's contributions to the three loads into its rows of three
@@ -329,7 +327,7 @@ class GepupOperators:
         phi, dx, dy = space.quad_phi, space.quad_dx, space.quad_dy
         n_el, n_local = dofs.shape
         contrib = np.empty((3, n_el, n_local))  # (v_x, eta_i), (v_y, eta_i), (v, grad eta_i)
-        size = min(BLOCK_ELEMENTS, n_el)
+        size = min(fem.BLOCK_ELEMENTS, n_el)
         local = np.empty((2, size, n_local))
         samples = np.empty((5, size, len(wdet)))
         div_sq = speed_sq = energy = 0.0

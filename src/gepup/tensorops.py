@@ -101,7 +101,7 @@ def norm_bound(x_sums, y_sums, alpha: float, beta: float) -> float:
 
     The bound is the operator's infinity norm bounded through the absolute
     row sums of the factors; it bounds the 2-norm because the operator is
-    symmetric.  For the interior block, pass the axes' ``interior_row_sums``.
+    symmetric.
     """
     (rmx, rkx), (rmy, rky) = x_sums, y_sums
     rows = abs(alpha) * np.outer(rmy, rmx) + abs(beta) * (np.outer(rmy, rkx) + np.outer(rky, rmx))

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,11 +19,12 @@ from gepup import (
     taylor_green_case,
     vorticity_indicator,
 )
-from gepup import operators
+from gepup import fem
 from gepup.bench import ConvergenceTable, run_convergence, run_simulation, solution_errors
 from gepup.cases import vortex_u_theta
 from gepup.fem import basis_1d
 from gepup.imex import StepperConfig, courant_dt
+from gepup.operators import GepupOperators
 from fem_oracle import sampled_speed_sq
 
 
@@ -345,7 +347,7 @@ def test_monitors_match_the_full_grid_formulas_across_blocks(case, t_end, monkey
     # the 16 elements in blocks of 5, 5, 5 and 1: the largest sampled speed
     # is still exact, and the sums of div_l2 and of the kinetic energy agree
     # with the full-grid formulas to rounding
-    monkeypatch.setattr(operators, "BLOCK_ELEMENTS", 5)
+    monkeypatch.setattr(fem, "BLOCK_ELEMENTS", 5)
     rel = 1e-13
 
     def on_step(step, state, ops):
@@ -499,3 +501,81 @@ def test_solution_errors_sample_the_exact_pressure_once_per_point_set():
     )
     assert errors == res.errors
     assert [errors[f"q_{key}"] for key in ("L2", "H1", "Linf")] == [q_norms[key] for key in ("L2", "H1", "Linf")]
+
+
+BAND_GRIDS = [((1, 1), 2), ((3, 2), 2), ((1, 8), 0)]  # (base_cells, level): square, non-square, one cell wide
+BAND_IDS = ["square", "base-3x2", "one-cell-wide"]
+
+
+@pytest.mark.parametrize("base_cells, level", BAND_GRIDS, ids=BAND_IDS)
+def test_error_callbacks_see_each_quadrature_row_once(base_cells, level, monkeypatch):
+    # in bands of 5 or fewer elements (whole element rows, at least one), the
+    # exact velocity, its gradients and the pressure gradient are each called
+    # on every row of the quadrature grid exactly once, in order, and the
+    # velocity once more at the nodes; the pressure keeps its two calls
+    case = taylor_green_case(100.0)
+    res = run_simulation(case, 3, level, StepperConfig(), t_end=0.02, base_cells=base_cells)
+    monkeypatch.setattr(fem, "BLOCK_ELEMENTS", 5)
+    space = res.ops.space
+    assert len(space.element_bands()) > 1
+    calls = {name: [] for name in ("exact_u", "exact_u_grads", "exact_p", "exact_p_grad")}
+
+    def counted(name):
+        fn = getattr(case, name)
+        return lambda x, y, t: calls[name].append((x.shape, y)) or fn(x, y, t)
+
+    solution_errors(res.ops, res.state, dataclasses.replace(case, **{name: counted(name) for name in calls}))
+    (quad_x, quad_y), (node_x, node_y) = space.quad_axes, space.node_axes
+    for name in ("exact_u", "exact_u_grads", "exact_p_grad"):
+        quad_rows = [y for shape, y in calls[name] if shape == quad_x.shape]
+        assert len(quad_rows) == len(space.element_bands()), name
+        assert np.array_equal(np.concatenate(quad_rows), quad_y), name
+    assert [shape for shape, _ in calls["exact_u"]].count(node_x.shape) == 1
+    assert len(calls["exact_u_grads"]) == len(calls["exact_p_grad"]) == len(space.element_bands())
+    assert [(shape, y.shape) for shape, y in calls["exact_p"]] == [(quad_x.shape, quad_y.shape), (node_x.shape, node_y.shape)]
+
+
+@pytest.mark.parametrize("base_cells, level", BAND_GRIDS, ids=BAND_IDS)
+def test_banded_error_norms_match_one_band(base_cells, level, monkeypatch):
+    # bands change only the order in which the sums add up; bound fixed in advance
+    rel = 1e-13
+    case = taylor_green_case(100.0)
+    res = run_simulation(case, 3, level, StepperConfig(), t_end=0.02, base_cells=base_cells)
+    n_el = len(res.ops.space.element_dofs)
+    errors = {}
+    for block in (5, n_el):
+        monkeypatch.setattr(fem, "BLOCK_ELEMENTS", block)
+        errors[block] = solution_errors(res.ops, res.state, case)
+    assert len(res.ops.space.element_bands()) == 1
+    for key, value in errors[n_el].items():
+        assert abs(errors[5][key] - value) <= rel * value, key
+    assert errors[n_el] == res.errors
+
+
+def test_solution_errors_hold_one_band_of_samples(monkeypatch):
+    # at Q3 L6 the error norms hold the exact pressure on the whole quadrature
+    # grid (for its mean), five nodal arrays (the exact pressure and velocity
+    # at the nodes, and the velocity's two components as the callback returns
+    # them) and, per band, 14 sample arrays (the exact velocity and its four
+    # derivatives as the callbacks return them, two of their temporaries and
+    # the element-order copies) and the band's gathered coefficients.
+    # Measured: 82% of the bound; sampled as one band, 2.8 times it
+    ops = GepupOperators(UNIT_SQUARE, (64, 64), 3)
+    case = taylor_green_case(100.0)
+    state = ops.initial_state(case, 0.0)
+    space = ops.space
+    n_el, n_local = space.element_dofs.shape
+    n_quad = len(space.wdet)
+    band = space.element_bands()[0][0]
+    band_el = band.stop - band.start
+    bound = 8 * (n_el * n_quad + 5 * space.n_dofs + 14 * band_el * n_quad + band_el * n_local)
+    peaks = []
+    for block in (fem.BLOCK_ELEMENTS, n_el):
+        monkeypatch.setattr(fem, "BLOCK_ELEMENTS", block)
+        tracemalloc.start()
+        try:
+            solution_errors(ops, state, case)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= bound < peaks[1], (peaks, bound)

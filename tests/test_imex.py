@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from gepup.linsolve import REL_TOL, FastDiagonalization
 from gepup.tensorops import XPass
 from gepup.operators import CaseDefinition, GepupOperators
 from fem_oracle import assemble_mass, assemble_stiffness, sampled_speed_sq
+from stage_record_oracle import advance_step_with_record
 from ark_order_oracle import (
     esdirk_stability,
     max_residual_through_order,
@@ -307,6 +309,65 @@ def test_work_per_step(monkeypatch, tableau, fdm_applies, mass_checks, x_passes,
         "x_pass": x_passes,
         "x_product": x_products,
     }
+
+
+def forced_tg_case():
+    return dataclasses.replace(
+        taylor_green_case(100.0), name="tg-forced", f=lambda x, y, t: (np.sin(3 * x) * np.cos(y) + t, x * y - 0.5)
+    )
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+@pytest.mark.parametrize("convection", [True, False], ids=["convection", "no-convection"])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("tableau", ["ark4", "ark5"])
+def test_running_sums_match_the_stored_record_step(tableau, k, convection, forced):
+    # the right-hand sides summed in place as each stage's terms come in give
+    # the step of the stored (2, n, 2, N) record with one GEMV per stage, to
+    # the rounding of the other summation order.  The pressure is measured
+    # against the dynamic pressure |u|^2 as well: without convection the
+    # Taylor-Green pressure is only about 2e-4, the rounding of the terms
+    # that cancel in it
+    rel = 1e-13
+    case = forced_tg_case() if forced else taylor_green_case(100.0)
+    ops = GepupOperators(UNIT_SQUARE, (4, 3), k, convection=convection)
+    tab = load_tableau(tableau)
+    state = ops.initial_state(case, 0.0)
+    for _ in range(2):
+        ref = advance_step_with_record(state, 0.05, tab, case, ops)
+        state = advance_step(state, 0.05, tab, case, ops)
+        assert state.t == ref.t
+        u_max = max(np.abs(u).max() for u in ref.U)
+        for u, u_ref in zip(state.U, ref.U):
+            assert np.abs(u - u_ref).max() <= rel * u_max
+        assert np.abs(state.Q - ref.Q).max() <= rel * max(np.abs(ref.Q).max(), u_max**2)
+
+
+@pytest.mark.parametrize("tableau", ["ark4", "ark5"])
+def test_a_step_holds_running_sums_not_a_stage_record(tableau):
+    # one step at Q3 L5 holds the (2, n, N) running sums and the working set
+    # of a stage: the passes of its fields, the projection, the pressure
+    # solve, and the three (n_elements, n_local) contribution arrays of the
+    # quadrature pass.  Measured for both tableaus: 26.2 N doubles besides
+    # the sums, the contributions' 5.2 N included; the bound allows 24 N and
+    # the contributions.  The stored (2, n, 2, N) record adds 2 n N and
+    # exceeds it
+    ops = GepupOperators(UNIT_SQUARE, (32, 32), 3)
+    case = taylor_green_case(100.0)
+    tab = load_tableau(tableau)
+    state = advance_step(ops.initial_state(case, 0.0), 0.01, tab, case, ops)  # work arrays built on first use
+    N = ops.space.n_dofs
+    n_el, n_local = ops.space.element_dofs.shape
+    bound = 8 * (2 * tab.n_stages * N + 24 * N + 3 * n_el * n_local)
+    peaks = []
+    for step in (advance_step, advance_step_with_record):
+        tracemalloc.start()
+        try:
+            step(state, 0.01, tab, case, ops)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= bound < peaks[1], (peaks, bound)
 
 
 @pytest.mark.parametrize("cells, pencils, distinct_axes", [((8, 8), 2, 1), ((8, 4), 4, 2)])

@@ -13,7 +13,7 @@ from gepup import (
     interpolate,
     taylor_green_case,
 )
-from gepup import operators
+from gepup import fem
 from gepup.imex import advance_step, load_tableau
 from gepup.linsolve import REL_TOL, SolverError
 from gepup.operators import GepupOperators, check_boundary_compatibility
@@ -427,7 +427,7 @@ def test_Fq_and_its_convection_loads_match_quadrature(k):
 def test_blocked_pass_matches_quadrature(k, block, convection, monkeypatch):
     # the 4 x 2 elements in one block, in four full blocks, and in blocks of
     # 3, 3 and 2; the case has a forcing, so each block samples it too
-    monkeypatch.setattr(operators, "BLOCK_ELEMENTS", block)
+    monkeypatch.setattr(fem, "BLOCK_ELEMENTS", block)
     ops, U, W, Q, Phi, case = load_setup(k, convection)
     load, conv = ops.eval_Fq(U, case, 0.4)
     value_terms = fw_terms(ops.space, U, Q, case, 0.4)
@@ -452,8 +452,8 @@ def test_pressure_pass_allocates_no_full_grid_samples(monkeypatch):
     ops.eval_Fq(U, case, 0.0)  # the axes' factors are built on first use
     n_el, n_local = space.element_dofs.shape
     n_quad = len(space.wdet)
-    for block in (operators.BLOCK_ELEMENTS, 128):
-        monkeypatch.setattr(operators, "BLOCK_ELEMENTS", block)
+    for block in (fem.BLOCK_ELEMENTS, 128):
+        monkeypatch.setattr(fem, "BLOCK_ELEMENTS", block)
         bound = 8 * (3 * n_el * n_local + 3 * space.n_dofs + block * (2 * n_local + 5 * n_quad))
         bound += 8 * 8 * (space.ndof_x + space.ndof_y)
         tracemalloc.start()

@@ -70,15 +70,6 @@ VORTEX_CENTER = (0.5, 0.5)
 VORTEX_U_MAX = 0.068  # peak of u_theta, reached at r = VORTEX_RADIUS
 
 
-def vortex_u_theta(r):
-    """Piecewise angular speed profile: cubic core, 1/r outer decay."""
-    r = np.asarray(r, dtype=float)
-    inner = 0.5 * r - 4.0 * r**3
-    edge = 0.5 * VORTEX_RADIUS - 4.0 * VORTEX_RADIUS**3
-    outer = VORTEX_RADIUS * edge / np.where(r > 0, r, 1.0)
-    return np.where(r < VORTEX_RADIUS, inner, outer)
-
-
 def single_vortex_case(reynolds: float) -> CaseDefinition:
     """Axisymmetric vortex in a no-slip box; the initial field is not
     solenoidal near the boundary and is projected before time stepping."""

@@ -19,12 +19,13 @@ and the blocks of M and K near the two ends, each computed once, on first
 use.
 The two axes of a square grid are one object, so they compute all of it
 once; everything an axis holds is read-only.  The module also holds the
-element tables of the nonlinear term's quadrature pass (run in
-``operators``, in blocks of ``BLOCK_ELEMENTS``), nodal interpolation and
-error norms, which sample the exact solution on the axes, in bands of
-whole element rows of about as many elements.  The global
-matrices are never assembled: ``tensorops`` applies them, and the boundary
-loads, as products on the axes.
+element tables, the one walk over the elements of every quadrature pass
+(``FeSpace.element_bands``: bands of whole element rows, about
+``BLOCK_ELEMENTS`` elements each), nodal interpolation and the error norms.
+The nonlinear term's pass (run in ``operators``) and the error norms walk
+those bands and sample their case callbacks on the axes, one band of rows
+at a time.  The global matrices are never assembled: ``tensorops``
+applies them, and the boundary loads, as products on the axes.
 
 Vector fields are represented as one coefficient array per component; all
 components share the scalar space.
@@ -54,9 +55,9 @@ __all__ = [
 ]
 
 MAX_DEGREE = 4
-# elements per block of the quadrature pass (``operators``) and, about, per
-# band of the error norms: at Q3 one block's buffers take about 0.6 MB, so
-# they stay in a core's L2 cache between the block's products
+# elements, about, per band of ``FeSpace.element_bands``, the walk of every
+# quadrature pass: at Q3 one band's buffers take about 0.6 MB, so they stay
+# in a core's L2 cache between the band's products
 BLOCK_ELEMENTS = 512
 
 
@@ -329,12 +330,10 @@ class FeSpace:
     ``node_axes`` are the (x, y) coordinates of the quadrature and support
     point grids as broadcastable axis arrays, x of shape (1, n) and y of
     shape (m, 1): a callback evaluated on them (at the quadrature points,
-    on a band of rows of y) returns the grid, which ``quad_order`` and
-    ``node_order`` lay out like ``values_at_quad`` and the coefficients.
-    ``boundary_dofs`` lists the dofs of the boundary ring; ``interior_dofs``
-    (the others) and ``quad_coords`` (the quadrature points per element)
-    are built on first read, since a run needs neither unless its case has
-    a forcing.
+    on a band of rows of y) returns the grid, which ``quad_order`` lays out
+    in element order, (elements, n_quad) like coeffs[element_dofs] @
+    quad_phi, and ``node_order`` like the coefficients.  ``boundary_dofs``
+    lists the dofs of the boundary ring.
     """
 
     def __init__(self, domain: RectDomain, cells: tuple[int, int], degree: int):
@@ -377,18 +376,6 @@ class FeSpace:
             np.ascontiguousarray(self.wdet[:, None] * T.T) for T in (self.quad_phi, self.quad_dx, self.quad_dy)
         )
 
-    @functools.cached_property
-    def quad_coords(self) -> np.ndarray:
-        """(n_elements, n_quad, 2) physical (x, y) of the quadrature points, built on first read."""
-        ax, ay = self.axes
-        grid = np.broadcast_arrays(ax.points[None, :, None, :], ay.points[:, None, :, None])
-        return np.stack(grid, axis=-1).reshape(len(self.element_dofs), -1, 2)
-
-    @functools.cached_property
-    def interior_dofs(self) -> np.ndarray:
-        """The dofs off the boundary ring, ascending, built on first read."""
-        return np.setdiff1d(np.arange(self.n_dofs), self.boundary_dofs)
-
     # ---- field evaluation --------------------------------------------------
 
     # The two reorderings return writable arrays: a reshape of the read-only
@@ -410,25 +397,16 @@ class FeSpace:
         return np.require(grid.ravel(), requirements="W")
 
     def element_bands(self) -> list[tuple[slice, slice]]:
-        """The bands of whole element rows that the error norms walk, each of
-        max(1, ``BLOCK_ELEMENTS`` // nx) rows (the last may hold fewer), as
+        """The bands of whole element rows that every quadrature pass walks, each
+        of max(1, ``BLOCK_ELEMENTS`` // nx) rows (the last may hold fewer), as
         (elements, rows): its slice of the element numbering and of the rows
-        of the ``quad_axes`` y."""
+        of the ``quad_axes`` y.  The first band is the largest."""
         nx, ny = (a.n_cells for a in self.axes)
         q = self.degree + 2
         step = max(1, BLOCK_ELEMENTS // nx)
         return [
             (slice(j * nx, min(j + step, ny) * nx), slice(j * q, min(j + step, ny) * q)) for j in range(0, ny, step)
         ]
-
-    def values_at_quad(self, coeffs: np.ndarray) -> np.ndarray:
-        """(n_elements, n_quad) field values at the volume quadrature points."""
-        return coeffs[self.element_dofs] @ self.quad_phi
-
-    def grads_at_quad(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """d/dx and d/dy of the field at the volume quadrature points."""
-        local = coeffs[self.element_dofs]
-        return local @ self.quad_dx, local @ self.quad_dy
 
 
 def build_space(domain: RectDomain, cells: tuple[int, int], degree: int) -> FeSpace:

@@ -20,10 +20,11 @@ the test function, with the counterclockwise tangent (-n_y, n_x).  It and
 the boundary fluxes (g . n, eta) are ``tensorops`` products on the space's
 1D axes, added in place onto the boundary rows and columns of a load; the
 nonlinear term is integrated by one quadrature pass over the space's
-physical element tables, in blocks of ``fem.BLOCK_ELEMENTS`` elements.  The
-state after a step, or the initial state, takes its monitors (the L2 norm
-of div u, the largest sampled speed and the kinetic energy) from the
-quadrature pass of its pressure call.
+physical element tables, band by band of ``FeSpace.element_bands`` (the
+walk the error norms take too), sampling the forcing on the space's
+quadrature axes.  The state after a step, or the initial state, takes its
+monitors (the L2 norm of div u, the largest sampled speed and the kinetic
+energy) from the quadrature pass of its pressure call.
 """
 
 from __future__ import annotations
@@ -53,11 +54,12 @@ class CaseDefinition:
     reporting; it is given by all four of ``exact_u(x, y, t) -> (ux, uy)``,
     ``exact_p(x, y, t) -> p``,
     ``exact_u_grads(x, y, t) -> ((uxx, uxy), (uyx, uyy))`` and
-    ``exact_p_grad(x, y, t) -> (px, py)``, or by none of them.  The error
-    norms call them on the axes of a grid (``fem.error_norms``): x of shape
-    (1, n) and y of shape (m, 1), where y may be a band of the rows of the
-    grid's y axis, so each must broadcast its arguments as numpy does and
-    return components that broadcast to (m, n).
+    ``exact_p_grad(x, y, t) -> (px, py)``, or by none of them.  The
+    quadrature passes call ``f`` and the exact fields on the axes of a grid
+    (``GepupOperators.eval_Fq``, ``fem.error_norms``): x of shape (1, n) and
+    y of shape (m, 1), where y may be a band of the rows of the grid's y
+    axis, so each must broadcast its arguments as numpy does and return
+    components that broadcast to (m, n).
     """
 
     name: str
@@ -306,39 +308,40 @@ class GepupOperators:
     def _nonlinear_loads(self, U: list[np.ndarray], case: CaseDefinition, t: float, monitors: bool):
         """(f - u . grad u, eta_i) per component and (f - u . grad u, grad eta_i), from one quadrature pass.
 
-        The pass walks the elements in blocks of ``fem.BLOCK_ELEMENTS``, reusing
-        one set of block buffers: each block gathers u, samples it and its
-        derivatives at the quadrature points, forms v = f - u . grad u there
-        and writes v's contributions to the three loads into its rows of three
-        (n_elements, n_local) arrays, which one bincount each scatters at the
-        end.  The forcing is sampled per block, on its rows of the space's
-        ``quad_coords``.
+        The pass walks the bands of ``space.element_bands()``, reusing one set
+        of buffers sized for the first (largest) band: each band gathers u,
+        samples it and its derivatives at the quadrature points, forms
+        v = f - u . grad u there and writes v's contributions to the three
+        loads into its rows of three (n_elements, n_local) arrays, which one
+        bincount each scatters at the end.  ``f`` is called once per band, on
+        the ``quad_axes`` x and the band's rows of their y, and laid out by
+        ``quad_order``.
 
         With ``monitors``, the pass also returns (div_l2, speed_sq,
         kinetic_energy) of u from the same samples, else None: the L2 norm of
         du_x/dx + du_y/dy, the largest u_x^2 + u_y^2 at the quadrature points
-        and half the weighted sum of u_x^2 + u_y^2 there.  They take the
-        arithmetic of ``divergence_l2`` and of the ``values_at_quad`` samples
-        per block, so on one block they equal those bit for bit; across
-        blocks the sums differ at round-off and the maximum not at all.
+        and half the weighted sum of u_x^2 + u_y^2 there, each summed band by
+        band; the maximum does not depend on the bands, the sums do at
+        round-off.
         """
         space = self.space
         dofs, wdet = space.element_dofs, space.wdet
         phi, dx, dy = space.quad_phi, space.quad_dx, space.quad_dy
         n_el, n_local = dofs.shape
+        bands = space.element_bands()
+        x, y = space.quad_axes
         contrib = np.empty((3, n_el, n_local))  # (v_x, eta_i), (v_y, eta_i), (v, grad eta_i)
-        size = min(fem.BLOCK_ELEMENTS, n_el)
+        size = bands[0][0].stop  # the first band: the largest, from element 0
         local = np.empty((2, size, n_local))
         samples = np.empty((5, size, len(wdet)))
         div_sq = speed_sq = energy = 0.0
-        for start in range(0, n_el, size):
-            stop = min(start + size, n_el)
-            lx, ly = local[:, : stop - start]
-            ux, uy, vx, vy, work = samples[:, : stop - start]
+        for elements, rows in bands:
+            lx, ly = local[:, : elements.stop - elements.start]
+            ux, uy, vx, vy, work = samples[:, : elements.stop - elements.start]
             if self.convection or monitors:
                 # mode "clip": with the default "raise", take buffers its output
-                np.take(U[0], dofs[start:stop], out=lx, mode="clip")
-                np.take(U[1], dofs[start:stop], out=ly, mode="clip")
+                np.take(U[0], dofs[elements], out=lx, mode="clip")
+                np.take(U[1], dofs[elements], out=ly, mode="clip")
                 np.matmul(lx, phi, out=ux)
                 np.matmul(ly, phi, out=uy)
                 if monitors:
@@ -367,14 +370,13 @@ class GepupOperators:
                 vx.fill(0.0)
                 vy.fill(0.0)
             if case.f is not None:
-                qc = space.quad_coords[start:stop]
-                fx, fy = case.f(qc[:, :, 0], qc[:, :, 1], t)
-                vx += fx
-                vy += fy
-            np.matmul(vx, space.load_phi, out=contrib[0, start:stop])
-            np.matmul(vy, space.load_phi, out=contrib[1, start:stop])
-            np.matmul(vx, space.load_dx, out=contrib[2, start:stop])
-            contrib[2, start:stop] += np.matmul(vy, space.load_dy, out=lx)
+                fx, fy = case.f(x, y[rows], t)
+                vx += space.quad_order(fx, rows)
+                vy += space.quad_order(fy, rows)
+            np.matmul(vx, space.load_phi, out=contrib[0, elements])
+            np.matmul(vy, space.load_phi, out=contrib[1, elements])
+            np.matmul(vx, space.load_dx, out=contrib[2, elements])
+            contrib[2, elements] += np.matmul(vy, space.load_dy, out=lx)
         index = dofs.ravel()
         conv = [np.bincount(index, weights=c.ravel(), minlength=space.n_dofs) for c in contrib]
         stats = (float(np.sqrt(div_sq)), float(speed_sq), 0.5 * energy) if monitors else None
@@ -471,21 +473,6 @@ class GepupOperators:
         Q, F = self._solve_pressure(load, conv)
         speed_sq = max(float((U[0] ** 2 + U[1] ** 2).max()), quad_speed_sq)
         return GepupState(t, U, U, Phi, Q, F, div_l2, speed_sq, energy)
-
-    # ---- diagnostics -------------------------------------------------------------
-
-    def divergence_l2(self, W: list[np.ndarray]) -> float:
-        """The L2 norm of div W by a fresh quadrature pass: the formula that a
-        state's ``div_l2`` repeats (bit for bit when the pass is one block),
-        for fields without a state."""
-        space = self.space
-        div = W[0][space.element_dofs] @ space.quad_dx + W[1][space.element_dofs] @ space.quad_dy
-        return float(np.sqrt(np.sum(div * div @ space.wdet)))
-
-    def kinetic_energy(self, W: list[np.ndarray]) -> float:
-        """1/2 w . M w by fresh mass products: the value a state's ``kinetic_energy``
-        repeats to rounding, for fields without a state."""
-        return 0.5 * sum(float(w @ self.x_pass(w).mass) for w in W)
 
     def boundary_values(self, case: CaseDefinition, t: float) -> tuple[np.ndarray, np.ndarray]:
         """g evaluated at the boundary support points (per component)."""

@@ -14,7 +14,13 @@ by term in 50-digit mpmath arithmetic (float64 polynomial coefficients lose
 tensor structure, and the global scatter matches local nodes to global
 indices by geometric position only.
 
-Three references keep full-grid formulas the package no longer uses:
+Full-grid references for what the package takes band by band or not at
+all: ``quad_coords`` (each element's quadrature points, from the reference
+Gauss points and the element's cell indices, not from the space's
+``quad_axes``), ``values_at_quad`` and ``grads_at_quad`` (a field and its
+gradient at every quadrature point, in element order), ``interior_dofs``,
+``divergence_l2`` and ``kinetic_energy`` (the formulas a state's monitors
+repeat) and ``vortex_u_theta`` (the single vortex's angular speed).
 ``combination`` is (alpha M + beta A) x through a field's ``XPass``, the way
 the pass once formed it; ``full_grid_lift`` is the momentum solve's
 Dirichlet lift as the package once took it, the ring data scattered into a
@@ -28,6 +34,7 @@ import mpmath
 import numpy as np
 import scipy.sparse as sp
 
+from gepup.cases import VORTEX_RADIUS
 from gepup.fem import gauss_legendre_01, gauss_lobatto_01, shape_eval
 
 mpmath.mp.dps = 50
@@ -191,8 +198,62 @@ def full_grid_lift(ops, coeff, boundary_values):
     return lift.reshape(space.ndof_y, space.ndof_x)[1:-1, 1:-1]
 
 
+def quad_coords(space):
+    """Physical x and y of the quadrature points, each (n_elements, n_quad), y slow.
+
+    Element e = j * nx + i takes origin + (cell + point) * h per axis, the
+    reference Gauss points offset by its cell indices (i, j): the arithmetic
+    of an axis's Gauss points, so that a callback sampled here equals one
+    sampled on the ``quad_axes`` bit for bit.
+    """
+    ax, ay = space.axes
+    q, _ = gauss_legendre_01(space.degree + 2)
+    j, i = np.divmod(np.arange(ax.n_cells * ay.n_cells), ax.n_cells)
+    x = ax.ends[0] + (i[:, None, None] + q[None, None, :]) * ax.h
+    y = ay.ends[0] + (j[:, None, None] + q[None, :, None]) * ay.h
+    return tuple(c.reshape(len(i), -1) for c in np.broadcast_arrays(x, y))
+
+
+def values_at_quad(space, coeffs):
+    """(n_elements, n_quad) field values at the volume quadrature points."""
+    return coeffs[space.element_dofs] @ space.quad_phi
+
+
+def grads_at_quad(space, coeffs):
+    """d/dx and d/dy of the field at the volume quadrature points."""
+    local = coeffs[space.element_dofs]
+    return local @ space.quad_dx, local @ space.quad_dy
+
+
+def interior_dofs(space):
+    """The dofs off the boundary ring, ascending."""
+    return np.setdiff1d(np.arange(space.n_dofs), space.boundary_dofs)
+
+
+def divergence_l2(space, W):
+    """The L2 norm of div W by a fresh full-grid quadrature pass: the formula
+    that a state's ``div_l2`` repeats (bit for bit when the pass is one band)."""
+    div = W[0][space.element_dofs] @ space.quad_dx + W[1][space.element_dofs] @ space.quad_dy
+    return float(np.sqrt(np.sum(div * div @ space.wdet)))
+
+
+def kinetic_energy(ops, W):
+    """1/2 w . M w by fresh mass products: the value a state's
+    ``kinetic_energy`` repeats to rounding."""
+    return 0.5 * sum(float(w @ ops.x_pass(w).mass) for w in W)
+
+
+def vortex_u_theta(r):
+    """The single vortex's angular speed: cubic core, 1/r outer decay."""
+    r = np.asarray(r, dtype=float)
+    inner = 0.5 * r - 4.0 * r**3
+    edge = 0.5 * VORTEX_RADIUS - 4.0 * VORTEX_RADIUS**3
+    outer = VORTEX_RADIUS * edge / np.where(r > 0, r, 1.0)
+    return np.where(r < VORTEX_RADIUS, inner, outer)
+
+
 def sampled_speed_sq(space, U):
     """max |u|^2 over the support points and the volume quadrature points."""
-    qx = space.values_at_quad(U[0])
-    qy = space.values_at_quad(U[1])
+    qx = values_at_quad(space, U[0])
+    qy = values_at_quad(space, U[1])
     return max(float((U[0] ** 2 + U[1] ** 2).max()), float((qx * qx + qy * qy).max()))

@@ -15,7 +15,7 @@ be a small remainder of large terms.
 import numpy as np
 
 from gepup.fem import gauss_legendre_01, shape_eval
-from fem_oracle import element_tables
+from fem_oracle import element_tables, grads_at_quad, quad_coords, values_at_quad
 
 
 def value_load(space, vals):
@@ -33,8 +33,7 @@ def derivative_load(space, vals, d):
 
 
 def _at_quad(space, fn, t):
-    x = space.quad_coords[:, :, 0]
-    y = space.quad_coords[:, :, 1]
+    x, y = quad_coords(space)
     return [np.broadcast_to(np.asarray(v, dtype=float), x.shape) for v in fn(x, y, t)]
 
 
@@ -84,25 +83,25 @@ def _curl_load(space, U, nu):
 
 def _advection(space, U):
     """u . grad u_d at the quadrature points, d = x, y."""
-    ux = space.values_at_quad(U[0])
-    uy = space.values_at_quad(U[1])
+    ux = values_at_quad(space, U[0])
+    uy = values_at_quad(space, U[1])
     out = []
     for d in range(2):
-        gx, gy = space.grads_at_quad(U[d])
+        gx, gy = grads_at_quad(space, U[d])
         out.append(ux * gx + uy * gy)
     return out
 
 
 def fu_terms(space, W_d, Phi, d):
     """(w_d, eta_i) and -(dphi/dx_d, eta_i)."""
-    return [value_load(space, space.values_at_quad(W_d)), -value_load(space, space.grads_at_quad(Phi)[d])]
+    return [value_load(space, values_at_quad(space, W_d)), -value_load(space, grads_at_quad(space, Phi)[d])]
 
 
 def fphi_terms(space, W, case, t):
     """(w_x, d eta_i/dx), (w_y, d eta_i/dy) and -(g . n, eta_i) on the boundary."""
     return [
-        derivative_load(space, space.values_at_quad(W[0]), 0),
-        derivative_load(space, space.values_at_quad(W[1]), 1),
+        derivative_load(space, values_at_quad(space, W[0]), 0),
+        derivative_load(space, values_at_quad(space, W[1]), 1),
         _flux_load(space, case.g, t),
     ]
 
@@ -111,7 +110,7 @@ def fw_terms(space, U, Q, case, t):
     """Per component d: (f_d, eta_i), -(u . grad u_d, eta_i) and -(dq/dx_d, eta_i)."""
     f = _at_quad(space, case.f, t)
     adv = _advection(space, U)
-    dq = space.grads_at_quad(Q)
+    dq = grads_at_quad(space, Q)
     return [[value_load(space, f[d]), -value_load(space, adv[d]), -value_load(space, dq[d])] for d in range(2)]
 
 

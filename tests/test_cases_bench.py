@@ -21,11 +21,10 @@ from gepup import (
 )
 from gepup import fem
 from gepup.bench import ConvergenceTable, run_convergence, run_simulation, solution_errors
-from gepup.cases import vortex_u_theta
 from gepup.fem import basis_1d
 from gepup.imex import StepperConfig, courant_dt
 from gepup.operators import GepupOperators
-from fem_oracle import sampled_speed_sq
+from fem_oracle import divergence_l2, kinetic_energy, quad_coords, sampled_speed_sq, values_at_quad, vortex_u_theta
 
 
 # ---- case definitions ---------------------------------------------------------
@@ -49,8 +48,7 @@ def test_taylor_green_pressure_corner_and_mean():
     assert case.exact_p(0.0, 0.0, 0.0) == pytest.approx(-0.5, abs=1e-15)
     # quadrature oracle for the zero mean
     space = build_space(UNIT_SQUARE, (16, 16), 3)
-    x = space.quad_coords[:, :, 0]
-    y = space.quad_coords[:, :, 1]
+    x, y = quad_coords(space)
     mean = float(np.sum(case.exact_p(x, y, 0.0) @ space.wdet))
     assert abs(mean) < 1e-14
 
@@ -151,8 +149,7 @@ def test_indicator_matches_analytic_curl(space8):
     eta = vorticity_indicator(space8, U)
     # analytic curl 2 pi cos(pi x) cos(pi y): per-element peak over the same
     # sample points
-    xq = space8.quad_coords[:, :, 0]
-    yq = space8.quad_coords[:, :, 1]
+    xq, yq = quad_coords(space8)
     curl_q = 2 * np.pi * np.cos(np.pi * xq) * np.cos(np.pi * yq)
     n, h = 8, 1 / 8
     nodes = basis_1d(3).nodes
@@ -322,17 +319,17 @@ def test_courant_step_is_recomputed_every_step():
 )
 def test_monitors_equal_the_full_grid_formulas_bit_for_bit(case, t_end):
     # every state's div_l2 and speed_sq come from the quadrature pass of its
-    # pressure load; they must equal divergence_l2 of W and the max of |u|^2
-    # over fresh values_at_quad samples and the nodes exactly, and so must the
+    # pressure load; they must equal the oracle's divergence_l2 of W and the max
+    # of |u|^2 over fresh values_at_quad samples and the nodes exactly, and so must the
     # monitor rows and the Courant steps built from them
     config = StepperConfig(tableau="ark4")
     seen = []
 
     def on_step(step, state, ops):
-        assert state.div_l2 == ops.divergence_l2(state.W)
+        assert state.div_l2 == divergence_l2(ops.space, state.W)
         assert state.speed_sq == sampled_speed_sq(ops.space, state.U)
         speed_sq = sampled_speed_sq(ops.space, state.U)
-        seen.append((ops.divergence_l2(state.W), courant_dt(ops.space, speed_sq, config.courant, config.dt_max)))
+        seen.append((divergence_l2(ops.space, state.W), courant_dt(ops.space, speed_sq, config.courant, config.dt_max)))
 
     res = run_simulation(case, 3, 2, config, t_end=t_end, on_step=on_step)
     assert res.steps >= 2
@@ -352,8 +349,8 @@ def test_monitors_match_the_full_grid_formulas_across_blocks(case, t_end, monkey
 
     def on_step(step, state, ops):
         assert state.speed_sq == sampled_speed_sq(ops.space, state.U)
-        assert abs(state.div_l2 - ops.divergence_l2(state.W)) <= rel * state.div_l2
-        energy = ops.kinetic_energy(state.W)
+        assert abs(state.div_l2 - divergence_l2(ops.space, state.W)) <= rel * state.div_l2
+        energy = kinetic_energy(ops, state.W)
         assert abs(state.kinetic_energy - energy) <= rel * energy
 
     res = run_simulation(case, 3, 2, StepperConfig(tableau="ark4"), t_end=t_end, on_step=on_step)
@@ -361,12 +358,31 @@ def test_monitors_match_the_full_grid_formulas_across_blocks(case, t_end, monkey
     assert res.monitors[-1]["kinetic_energy"] == res.state.kinetic_energy
 
 
-def test_a_run_builds_no_quadrature_coordinates_or_interior_dof_list():
-    # a case without forcing samples nothing at the quadrature points by
-    # coordinate, and no solve lists the interior dofs
-    res = run_simulation(taylor_green_case(100.0), 2, 2, StepperConfig(), t_end=0.05)
-    assert res.steps >= 1
-    assert not {"quad_coords", "interior_dofs"} & set(vars(res.ops.space))
+def test_a_forced_run_samples_f_once_per_band_on_the_quadrature_axes(monkeypatch):
+    # every quadrature pass calls f once per band of element rows, with the
+    # quadrature x axis and the band's rows of the y axis, in order; a zero
+    # forcing returned as scalars leaves the run bit-identical to the unforced one
+    monkeypatch.setattr(fem, "BLOCK_ELEMENTS", 5)
+    case = taylor_green_case(100.0)
+    calls = []
+
+    def f(x, y, t):
+        calls.append((x, y))
+        return 0.0, 0.0
+
+    config = StepperConfig()
+    forced = run_simulation(dataclasses.replace(case, f=f), 2, 2, config, t_end=0.05)
+    space = forced.ops.space
+    (quad_x, quad_y), n_bands = space.quad_axes, len(space.element_bands())
+    assert forced.steps >= 1 and n_bands == 4
+    assert len(calls) > 0 and len(calls) % n_bands == 0
+    assert all(np.array_equal(x, quad_x) for x, _ in calls)
+    for start in range(0, len(calls), n_bands):
+        assert np.array_equal(np.concatenate([y for _, y in calls[start : start + n_bands]]), quad_y)
+    unforced = run_simulation(case, 2, 2, config, t_end=0.05)
+    assert forced.monitors == unforced.monitors
+    for a, b in zip(forced.state.U + [forced.state.Q], unforced.state.U + [unforced.state.Q]):
+        assert np.array_equal(a, b)
 
 
 def test_zero_step_path_gives_projection_error_and_k_plus_1_rates():
@@ -472,15 +488,15 @@ def test_solution_errors_on_one_cell_axes(base_cells):
     case = taylor_green_case(100.0)
     res = run_simulation(case, 2, 0, StepperConfig(), t_end=0.0, base_cells=base_cells)
     space, state = res.ops.space, res.state
-    x, y = space.quad_coords[:, :, 0], space.quad_coords[:, :, 1]
+    x, y = quad_coords(space)
 
     def l2(diff):
         return float(np.sqrt(np.sum(diff * diff @ space.wdet)))
 
     p = case.exact_p(x, y, 0.0)
     p -= float(np.sum(p @ space.wdet)) / float(np.sum(np.ones_like(p) @ space.wdet))
-    u_sq = sum(l2(space.values_at_quad(u) - e) ** 2 for u, e in zip(state.U, case.exact_u(x, y, 0.0)))
-    assert res.errors["q_L2"] == pytest.approx(l2(space.values_at_quad(state.Q) - p), rel=1e-13)
+    u_sq = sum(l2(values_at_quad(space, u) - e) ** 2 for u, e in zip(state.U, case.exact_u(x, y, 0.0)))
+    assert res.errors["q_L2"] == pytest.approx(l2(values_at_quad(space, state.Q) - p), rel=1e-13)
     assert res.errors["u_L2"] == pytest.approx(np.sqrt(u_sq), rel=1e-13)
 
 
@@ -494,7 +510,7 @@ def test_solution_errors_sample_the_exact_pressure_once_per_point_set():
     errors = solution_errors(res.ops, res.state, counted)
     space = res.ops.space
     assert calls == [space.quad_axes[0].shape, space.node_axes[0].shape]
-    x, y = space.quad_coords[:, :, 0], space.quad_coords[:, :, 1]
+    x, y = quad_coords(space)
     pmean = float(np.sum(case.exact_p(x, y, res.state.t) @ space.wdet)) / float(np.sum(np.ones_like(x) @ space.wdet))
     q_norms = error_norms(
         space, res.state.Q, lambda xx, yy, tt: case.exact_p(xx, yy, tt) - pmean, res.state.t, case.exact_p_grad

@@ -15,7 +15,15 @@ from gepup import (
 from gepup.fem import Axis, basis_1d, lagrange_1d
 from gepup.linsolve import FOLD_MIN_DOFS, mirrored_basis
 from gepup.operators import CaseDefinition
-from fem_oracle import assemble_mass, assemble_stiffness, combination, exact_global_matrices, permutation_to_space
+from fem_oracle import (
+    assemble_mass,
+    assemble_stiffness,
+    combination,
+    exact_global_matrices,
+    permutation_to_space,
+    quad_coords,
+    values_at_quad,
+)
 
 
 # ---- reference element ------------------------------------------------------
@@ -207,9 +215,8 @@ def test_interpolate_constant(space_q3_8x8):
 def test_interpolate_reproduces_qk_polynomials(space_q3_8x8):
     f = lambda x, y, t: x**3 * y**2 - 2 * x * y + 0.5 * y**3
     coeffs = interpolate(space_q3_8x8, f)
-    vals = space_q3_8x8.values_at_quad(coeffs)
-    x = space_q3_8x8.quad_coords[:, :, 0]
-    y = space_q3_8x8.quad_coords[:, :, 1]
+    vals = values_at_quad(space_q3_8x8, coeffs)
+    x, y = quad_coords(space_q3_8x8)
     assert np.abs(vals - f(x, y, 0.0)).max() < 1e-13
 
 
@@ -356,10 +363,13 @@ def test_space_geometry_and_tables_come_from_the_axes(k):
     b = basis_1d(k)
     quad_points = np.array([(x, y) for y in b.points for x in b.points])  # y slow, as the local numbering
     node_points = np.array([(x, y) for y in b.nodes for x in b.nodes])
+    # the quadrature axes, laid out in element order, are the oracle's points bit for bit
+    on_axes = np.stack([space.quad_order(c, slice(None)) for c in np.broadcast_arrays(*space.quad_axes)], axis=-1)
+    assert np.array_equal(on_axes, np.stack(quad_coords(space), axis=-1))
     for e in range(nx * ny):
         j, i = divmod(e, nx)
         origin = np.array([0.25, -1.0]) + np.array([i, j]) * h
-        assert np.abs(space.quad_coords[e] - (origin + quad_points * h)).max() <= 1e-15
+        assert np.abs(on_axes[e] - (origin + quad_points * h)).max() <= 1e-15
         nodes = space.support_points[space.element_dofs[e]]
         assert np.abs(nodes - (origin + node_points * h)).max() <= 1e-15
     # the Kronecker tables are the point-by-point shape functions, scaled once by 1/h

@@ -21,7 +21,7 @@ from gepup.imex import StepperConfig, advance_step, courant_dt
 from gepup.linsolve import REL_TOL, FastDiagonalization
 from gepup.tensorops import XPass
 from gepup.operators import CaseDefinition, GepupOperators
-from fem_oracle import assemble_mass, assemble_stiffness, sampled_speed_sq
+from fem_oracle import assemble_mass, assemble_stiffness, interior_dofs, kinetic_energy, sampled_speed_sq
 from stage_record_oracle import advance_step_with_record
 from ark_order_oracle import (
     esdirk_stability,
@@ -177,7 +177,7 @@ def test_rest_state_is_exact():
 def test_helmholtz_operator_is_spd():
     ops = GepupOperators(UNIT_SQUARE, (4, 4), 3)
     coeff = 0.05
-    interior = ops.space.interior_dofs
+    interior = interior_dofs(ops.space)
     M, A = assemble_mass(ops.space), assemble_stiffness(ops.space)
     full = (M + coeff * A).toarray()
     K = full[np.ix_(interior, interior)]
@@ -246,7 +246,7 @@ def test_stage_solve_matches_scalar_amplification_oracle():
     ops = PureDiffusionOps(UNIT_SQUARE, (4, 4), 2)
     case = zero_case()
     tab = load_tableau("ark4")
-    interior = ops.space.interior_dofs
+    interior = interior_dofs(ops.space)
     A_ii = assemble_stiffness(ops.space)[np.ix_(interior, interior)].toarray()
     M_ii = assemble_mass(ops.space)[np.ix_(interior, interior)].toarray()
     lam, vecs = scipy.linalg.eigh(A_ii, M_ii)
@@ -439,10 +439,10 @@ def test_kinetic_energy_decays_without_forcing():
         tab = load_tableau("ark4")
         state = ops.initial_state(case, 0.0)
         dt = courant_dt(ops.space, state.speed_sq, 0.8, dt_max=0.05)
-        energy = ops.kinetic_energy(state.W)
+        energy = kinetic_energy(ops, state.W)
         for _ in range(5):
             state = advance_step(state, dt, tab, case, ops)
-            e_new = ops.kinetic_energy(state.W)
+            e_new = kinetic_energy(ops, state.W)
             assert e_new <= energy * (1.0 + 1e-10)
             energy = e_new
 

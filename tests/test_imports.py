@@ -14,6 +14,14 @@ origins, and every module reads the space's physical tables (``quad_phi``,
 ``quad_dx``, ...) or, as the test oracles do, tabulates ``shape_eval``
 itself.
 
+The reader gate keeps test-only code out of the package: every ``def``
+and ``class`` in the package and in ``perfbench`` is referenced somewhere
+in that code, as a name or an attribute (strings and docstrings do not
+count), unless it is a dunder or a module exports it in ``__all__``.
+References live by name, so a method shares its readers with every
+attribute of the same name.  A reference that only tests need lives in a
+test oracle (``tests/fem_oracle.py``).
+
 The settable-value gate counts the package's knobs: the defaults of every
 ``def``, the dataclass fields that have a default and the ``--`` flags of
 ``add_argument``.  A default that every caller outside the tests
@@ -88,6 +96,49 @@ def test_structure_gate_flags_fem_internals():
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.stem != "fem"], ids=lambda p: p.name)
 def test_only_fem_reads_the_reference_element(path):
     assert fem_internal_reads(path.read_text()) == []
+
+
+READ_SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def unread_definitions(sources: dict[str, str]) -> list[str]:
+    """The ``def`` and ``class`` names in ``sources`` (module name -> source)
+    that no Name or Attribute node of any of them references, as
+    "module.name", except dunders and names in a module's ``__all__``."""
+    referenced, defined = set(), []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                referenced.update(elt.value for elt in node.value.elts)
+    return sorted(
+        f"{module}.{name}"
+        for module, name in defined
+        if name not in referenced and not (name.startswith("__") and name.endswith("__"))
+    )
+
+
+def test_reader_gate_flags_a_definition_nothing_references():
+    a = (
+        "__all__ = ['public']\n"
+        "def public(): pass\n"
+        "def helper(): pass\n"
+        "def unread():\n    'helper is called in a docstring'\n"
+        "class Unused:\n    def __init__(self): pass\n    def method(self): pass\n"
+    )
+    b = "from a import helper\nhelper()\nx.method\ns = 'Unused'\n"
+    assert unread_definitions({"a": a, "b": b}) == ["a.Unused", "a.unread"]
+
+
+def test_every_package_definition_has_a_reader():
+    assert unread_definitions({f"{p.parent.name}/{p.stem}": p.read_text() for p in READ_SOURCES}) == []
 
 
 SETTABLE_VALUES = {"def defaults": 8, "dataclass defaults": 10, "cli flags": 12}

@@ -17,7 +17,16 @@ from gepup import fem
 from gepup.imex import advance_step, load_tableau
 from gepup.linsolve import REL_TOL, SolverError
 from gepup.operators import GepupOperators, check_boundary_compatibility
-from fem_oracle import assemble_mass, assemble_stiffness, combination, full_grid_lift, sampled_speed_sq
+from fem_oracle import (
+    assemble_mass,
+    assemble_stiffness,
+    combination,
+    divergence_l2,
+    full_grid_lift,
+    grads_at_quad,
+    sampled_speed_sq,
+    values_at_quad,
+)
 from load_oracle import derivative_load, fphi_terms, fq_terms, fu_terms, fw_terms, value_load
 
 
@@ -298,21 +307,21 @@ def test_pass_products_match_the_direct_products(domain, cells):
         assert_close(p.stiffness, A @ w)
         for alpha, beta in ((1.0, 0.0), (0.0, 1.0), (1.0, 0.3)):
             assert_close(combination(p, alpha, beta), (alpha * M + beta * A) @ w)
-        assert_close(p.gradient_transpose(d), derivative_load(space, space.values_at_quad(w), d))
+        assert_close(p.gradient_transpose(d), derivative_load(space, values_at_quad(space, w), d))
     for field in (Phi, Q):
         p = ops.x_pass(field)
         assert_close(p.stiffness, A @ field)
         for d in range(2):
-            assert_close(p.gradient(d), value_load(space, space.grads_at_quad(field)[d]))
+            assert_close(p.gradient(d), value_load(space, grads_at_quad(space, field)[d]))
     # the potential load reads the passes it is given
     case = make_case()
     passes = [ops.x_pass(w) for w in W]
     assert np.array_equal(ops.eval_Fphi(passes, case, 0.0), ops.eval_Fphi(W, case, 0.0))
 
 
-def load_setup(k, convection=True):
-    """Q_k operators on 4 x 2 cells (hx != hy), random fields and a case with every data term."""
-    ops = GepupOperators(LOAD_DOMAIN, (4, 2), k, convection=convection)
+def load_setup(k, convection=True, cells=(4, 2)):
+    """Q_k operators on ``cells`` (hx != hy), random fields and a case with every data term."""
+    ops = GepupOperators(LOAD_DOMAIN, cells, k, convection=convection)
     rng = np.random.default_rng(100 + k)
     U, W = ([rng.standard_normal(ops.space.n_dofs) for _ in range(2)] for _ in range(2))
     Q, Phi = (rng.standard_normal(ops.space.n_dofs) for _ in range(2))
@@ -422,13 +431,17 @@ def test_Fq_and_its_convection_loads_match_quadrature(k):
 
 
 @pytest.mark.parametrize("convection", [True, False])
-@pytest.mark.parametrize("block", [8, 2, 3], ids=["one-block", "four-blocks", "partial-last-block"])
+@pytest.mark.parametrize(
+    "block, bands", [(8, [8]), (2, [2, 2, 2, 2]), (6, [6, 2])], ids=["one-block", "four-blocks", "partial-last-block"]
+)
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_blocked_pass_matches_quadrature(k, block, convection, monkeypatch):
-    # the 4 x 2 elements in one block, in four full blocks, and in blocks of
-    # 3, 3 and 2; the case has a forcing, so each block samples it too
+def test_blocked_pass_matches_quadrature(k, block, bands, convection, monkeypatch):
+    # the 2 x 4 elements in one band, in four full one-row bands, and in a
+    # band of three rows and a partial last band of one; the case has a
+    # forcing, so each band samples it too
     monkeypatch.setattr(fem, "BLOCK_ELEMENTS", block)
-    ops, U, W, Q, Phi, case = load_setup(k, convection)
+    ops, U, W, Q, Phi, case = load_setup(k, convection, cells=(2, 4))
+    assert [elements.stop - elements.start for elements, _ in ops.space.element_bands()] == bands
     load, conv = ops.eval_Fq(U, case, 0.4)
     value_terms = fw_terms(ops.space, U, Q, case, 0.4)
     grad_terms = fq_terms(ops.space, U, case, 0.4)
@@ -498,7 +511,7 @@ def test_state_monitors_equal_the_full_grid_formulas(convection):
     # without convection the pass still samples u for them
     ops, U, _, _, Phi, case = load_setup(3, convection)
     state = ops.state_at(0.4, U, Phi, case)
-    assert state.div_l2 == ops.divergence_l2(U)
+    assert state.div_l2 == divergence_l2(ops.space, U)
     assert state.speed_sq == sampled_speed_sq(ops.space, U)
     Q, F = ops.pressure(U, case, 0.4)
     assert np.array_equal(state.Q, Q)
@@ -507,17 +520,17 @@ def test_state_monitors_equal_the_full_grid_formulas(convection):
 
 def test_divergence_of_constant_field(ops):
     W = interp2(ops.space, lambda x, y: (np.full_like(x, 3.0), np.full_like(x, 2.0)))
-    assert ops.divergence_l2(W) < 1e-13
+    assert divergence_l2(ops.space, W) < 1e-13
 
 
 def test_divergence_of_solenoidal_linear_field(ops):
     W = interp2(ops.space, lambda x, y: (x, -y))
-    assert ops.divergence_l2(W) < 1e-13
+    assert divergence_l2(ops.space, W) < 1e-13
 
 
 def test_divergence_of_linear_expanding_field(ops):
     W = interp2(ops.space, lambda x, y: (x, y))
-    assert ops.divergence_l2(W) == pytest.approx(2.0, rel=1e-13)
+    assert divergence_l2(ops.space, W) == pytest.approx(2.0, rel=1e-13)
 
 
 # ---- case compatibility check ------------------------------------------------------

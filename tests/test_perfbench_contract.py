@@ -19,6 +19,7 @@ import gepup
 import gepup.fem
 import gepup.bench
 import gepup.output
+from fem_oracle import quad_coords
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -82,7 +83,7 @@ def test_exact_solution_fields_meet_the_broadcast_contract(perfbench, source):
                 assert np.array_equal(np.broadcast_to(a, full[0].shape), b), name
     # the norms from axis samples equal those from the element-order point samples
     U = [gepup.interpolate(space, lambda x, y, t, d=d: np.cos(x + d * y)) for d in range(2)]
-    x, y = space.quad_coords[:, :, 0], space.quad_coords[:, :, 1]
+    x, y = quad_coords(space)
     nodes = space.support_points.T
     grads = [[np.broadcast_to(g, x.shape) for g in pair] for pair in case.exact_u_grads(x, y, 0.3)]
     quad = case.exact_u(x, y, 0.3)

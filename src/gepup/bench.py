@@ -69,33 +69,27 @@ def solution_errors(ops: GepupOperators, state: GepupState, case: CaseDefinition
     The pressure gauge is aligned by shifting the exact pressure to zero
     mean over the domain before differencing (the computed pressure is
     mean-zero by construction).  H1 seminorms accompany the full norms.
-    The exact pressure is sampled once on the ``quad_axes``, for the mean
-    and, band by band (``FeSpace.element_bands``), for the norms, and once
-    at the nodes; everything else is sampled per band (``fem.error_norms``).
+    The exact pressure is sampled once per band (``FeSpace.element_bands``)
+    on the ``quad_axes`` for the mean, and then, shifted, by
+    ``fem.error_norms`` like every other exact field: once more per band
+    and once at the nodes.
     """
     if not case.has_exact_solution:
         raise ValueError(f"case {case.name!r} has no exact solution")
     space = ops.space
     t = state.t
     x, y = space.quad_axes
-    p_grid = np.broadcast_to(case.exact_p(x, y, t), (y.shape[0], x.shape[1]))
     area = p_sum = 0.0
     for _, rows in space.element_bands():
-        p = space.quad_order(p_grid[rows], rows)
+        p = space.quad_order(case.exact_p(x, y[rows], t), rows)
         area += float(np.sum(np.ones_like(p) @ space.wdet))
         p_sum += float(np.sum(p @ space.wdet))
     pmean = p_sum / area
-    p_nodes = space.node_order(case.exact_p(*space.node_axes, t)) - pmean
-
-    def p_samples(elements, rows):
-        p = space.quad_order(p_grid[rows], rows)
-        p -= pmean
-        return [p], [[space.quad_order(g, rows) for g in case.exact_p_grad(x, y[rows], t)]]
 
     errs = {}
     for name, norms in (
         ("u", fem.error_norms(space, state.U, case.exact_u, t, case.exact_u_grads)),
-        ("q", fem.sampled_error_norms(space, [state.Q], [p_nodes], p_samples)),
+        ("q", fem.error_norms(space, state.Q, lambda x, y, t: case.exact_p(x, y, t) - pmean, t, case.exact_p_grad)),
     ):
         errs.update({f"{name}_{key}": norms[key] for key in ("L2", "H1", "Linf")})
         errs[f"{name}_H1semi"] = float(np.sqrt(norms["H1"] ** 2 - norms["L2"] ** 2))

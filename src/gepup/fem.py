@@ -22,10 +22,14 @@ once; everything an axis holds is read-only.  The module also holds the
 element tables, the one walk over the elements of every quadrature pass
 (``FeSpace.element_bands``: bands of whole element rows, about
 ``BLOCK_ELEMENTS`` elements each), nodal interpolation and the error norms.
-The nonlinear term's pass (run in ``operators``) and the error norms walk
-those bands and sample their case callbacks on the axes, one band of rows
-at a time.  The global matrices are never assembled: ``tensorops``
-applies them, and the boundary loads, as products on the axes.
+A case callback is only ever sampled on the axes: at the quadrature points
+on the ``quad_axes``, one band of rows at a time (the nonlinear term's pass
+in ``operators`` and the error norms), and at the nodes on the
+``node_axes``; ``FeSpace.quad_order`` and ``node_order`` lay the samples
+out, so no (n_dofs, 2) list of point coordinates is built on the run path
+(the boundary data take 1D coordinates of the sides from the axes).  The global
+matrices are never assembled: ``tensorops`` applies them, and the boundary
+loads, as products on the axes.
 
 Vector fields are represented as one coefficient array per component; all
 components share the scalar space.
@@ -51,7 +55,6 @@ __all__ = [
     "build_space",
     "interpolate",
     "error_norms",
-    "sampled_error_norms",
 ]
 
 MAX_DEGREE = 4
@@ -317,8 +320,10 @@ class FeSpace:
     matrices are My (x) Mx and My (x) Kx + Ky (x) Mx.  Element
     e = j*nx + i has the dofs ay.cell_dofs[j] (x) ax.cell_dofs[i] in local
     order, the support points are the grid of the axes' ``nodes`` and the
-    quadrature points the grid of their Gauss ``points``.  ``h_max`` is the
-    larger cell width.  The element tables are Kronecker products of the 1D
+    quadrature points the grid of their Gauss ``points``; the flat
+    (n_dofs, 2) list ``support_points`` is built on first read, which only
+    VTK output does.  ``h_max`` is the larger cell width.  The element
+    tables are Kronecker products of the 1D
     tables of ``basis_1d``, scaled to physical derivatives once: ``quad_phi``,
     ``quad_dx``, ``quad_dy`` (n_local, n_quad) at the quadrature points and
     ``node_dx``, ``node_dy`` (n_local, n_local) at the nodes, C-contiguous,
@@ -349,8 +354,6 @@ class FeSpace:
 
         n_el = nx * ny
         self.element_dofs = (ay.cell_dofs[:, None, :, None] * ax.n + ax.cell_dofs[None, :, None, :]).reshape(n_el, -1)
-        X, Y = np.meshgrid(ax.nodes, ay.nodes, indexing="xy")
-        self.support_points = np.column_stack([X.ravel(), Y.ravel()])
 
         self.quad_axes = ax.points.reshape(1, -1), ay.points.reshape(-1, 1)
         self.node_axes = ax.nodes.reshape(1, -1), ay.nodes.reshape(-1, 1)
@@ -375,6 +378,12 @@ class FeSpace:
         self.load_phi, self.load_dx, self.load_dy = (
             np.ascontiguousarray(self.wdet[:, None] * T.T) for T in (self.quad_phi, self.quad_dx, self.quad_dy)
         )
+
+    @functools.cached_property
+    def support_points(self) -> np.ndarray:
+        """The (n_dofs, 2) support point coordinates, in dof order (the VTK points)."""
+        X, Y = np.meshgrid(self.axes[0].nodes, self.axes[1].nodes, indexing="xy")
+        return np.column_stack([X.ravel(), Y.ravel()])
 
     # ---- field evaluation --------------------------------------------------
 
@@ -414,9 +423,9 @@ def build_space(domain: RectDomain, cells: tuple[int, int], degree: int) -> FeSp
 
 
 def interpolate(space: FeSpace, fn, t: float = 0.0) -> np.ndarray:
-    """Nodal interpolant: coefficient j = fn(x_j, y_j, t)."""
-    pts = space.support_points
-    return np.asarray(fn(pts[:, 0], pts[:, 1], t), dtype=float)
+    """Nodal interpolant: ``fn(x, y, t)``, which must broadcast as numpy does,
+    sampled on the space's ``node_axes``, in dof order."""
+    return space.node_order(fn(*space.node_axes, t))
 
 
 def error_norms(space: FeSpace, fields, exact, t: float, exact_grads=None) -> dict:
@@ -425,59 +434,42 @@ def error_norms(space: FeSpace, fields, exact, t: float, exact_grads=None) -> di
     A vector field is a list of per-component coefficient arrays, with
     ``exact(x, y, t)`` returning its components and ``exact_grads(x, y, t)``
     one (d/dx, d/dy) pair per component; a scalar field is one array, with
-    ``exact`` returning values and ``exact_grads`` one pair.  ``exact`` is
-    called once on the space's ``node_axes`` and, like ``exact_grads``, once
-    per band of ``element_bands`` on the ``quad_axes`` x and the band's rows
-    of their y, so each quadrature point is sampled once and no full grid of
-    samples is held.  Each must accept broadcastable coordinates, x of shape
-    (1, n) and y of shape (m, 1), and return values that broadcast to
-    (m, n).  See ``sampled_error_norms`` for the norms.
-    """
-    if isinstance(fields, np.ndarray):
-        grads = None if exact_grads is None else (lambda x, y, tt: (exact_grads(x, y, tt),))
-        return error_norms(space, [fields], lambda x, y, tt: (exact(x, y, tt),), t, grads)
-    x, y = space.quad_axes
-
-    def sample(elements, rows):
-        quad = [space.quad_order(e, rows) for e in exact(x, y[rows], t)]
-        if exact_grads is None:
-            return quad, None
-        return quad, [[space.quad_order(g, rows) for g in pair] for pair in exact_grads(x, y[rows], t)]
-
-    nodal = [space.node_order(e) for e in exact(*space.node_axes, t)]
-    return sampled_error_norms(space, fields, nodal, sample)
-
-
-def sampled_error_norms(space: FeSpace, fields, nodal, sample) -> dict:
-    """``error_norms`` of the component arrays ``fields`` from samples of the
-    exact field: per component, ``nodal`` (n_dofs,) at the support points
-    and, per band (elements, rows) of ``space.element_bands()``, the pair
-    (quad, quad_grads) that ``sample(elements, rows)`` returns: ``quad``
-    (band elements, n_quad) at the band's quadrature points in element
-    order and, or None, ``quad_grads`` one (d/dx, d/dy) pair there.  A
-    band's samples are dropped before the next band is sampled.
+    ``exact`` returning values and ``exact_grads`` one pair.  ``exact`` and
+    ``exact_grads`` are called once per band of ``element_bands`` on the
+    ``quad_axes`` x and the band's rows of their y, so each quadrature point
+    is sampled once and a band's samples are dropped before the next band
+    is sampled; ``exact`` is called once more on the ``node_axes``.  Each
+    must accept broadcastable coordinates, x of shape (1, n) and y of shape
+    (m, 1), and return values that broadcast to (m, n).
 
     L2 and H1 (full norm) sum the components in quadrature, band by band;
     Linf is the largest Euclidean magnitude of the error at the quadrature
     and support points.
     """
+    if isinstance(fields, np.ndarray):
+        grads = None if exact_grads is None else (lambda x, y, tt: (exact_grads(x, y, tt),))
+        return error_norms(space, [fields], lambda x, y, tt: (exact(x, y, tt),), t, grads)
+    x, y = space.quad_axes
     l2sq = quad_max = 0.0
-    grad_sq = []  # per band, the components' squared gradient errors, or None
+    grad_terms = []  # per band and component, the squared gradient errors
     for elements, rows in space.element_bands():
-        l2, grads, band_max = _band_errors(space, fields, elements, *sample(elements, rows))
+        quad = [space.quad_order(e, rows) for e in exact(x, y[rows], t)]
+        quad_grads = None
+        if exact_grads is not None:
+            quad_grads = [[space.quad_order(g, rows) for g in pair] for pair in exact_grads(x, y[rows], t)]
+        l2, grads, band_max = _band_errors(space, fields, elements, quad, quad_grads)
         for term in l2:
             l2sq += term
-        grad_sq.append(grads)
+        grad_terms += grads or []
         quad_max = np.maximum(quad_max, band_max)  # a NaN stays NaN
     nodal_sq = 0.0
-    for f, e_nodal in zip(fields, nodal):
-        nodal_sq = nodal_sq + (f - e_nodal) ** 2
+    for f, e in zip(fields, exact(*space.node_axes, t)):
+        nodal_sq = nodal_sq + (f - space.node_order(e)) ** 2
     out = {"L2": np.sqrt(l2sq), "Linf": float(np.sqrt(max(quad_max, np.max(nodal_sq))))}
-    if grad_sq[0] is not None:
+    if exact_grads is not None:
         h1sq = l2sq  # the gradient terms add on after all the L2 terms, as on one band
-        for grads in grad_sq:
-            for term in grads:
-                h1sq += term
+        for term in grad_terms:
+            h1sq += term
         out["H1"] = np.sqrt(h1sq)
     return out
 

@@ -54,12 +54,14 @@ class CaseDefinition:
     reporting; it is given by all four of ``exact_u(x, y, t) -> (ux, uy)``,
     ``exact_p(x, y, t) -> p``,
     ``exact_u_grads(x, y, t) -> ((uxx, uxy), (uyx, uyy))`` and
-    ``exact_p_grad(x, y, t) -> (px, py)``, or by none of them.  The
-    quadrature passes call ``f`` and the exact fields on the axes of a grid
-    (``GepupOperators.eval_Fq``, ``fem.error_norms``): x of shape (1, n) and
-    y of shape (m, 1), where y may be a band of the rows of the grid's y
-    axis, so each must broadcast its arguments as numpy does and return
-    components that broadcast to (m, n).
+    ``exact_p_grad(x, y, t) -> (px, py)``, or by none of them.  ``f``,
+    ``u0`` and the exact fields are called on the axes of a grid
+    (``GepupOperators.eval_Fq``, ``initial_state``, ``fem.error_norms``):
+    x of shape (1, n) and y of shape (m, 1), where y may be a band of the
+    rows of the grid's y axis, so each must broadcast its arguments as
+    numpy does and return components that broadcast to (m, n).  ``g`` and
+    ``dg_dt`` are called on the boundary, with matching 1D arrays x and y,
+    and return components that broadcast to their shape.
     """
 
     name: str
@@ -475,18 +477,14 @@ class GepupOperators:
         return GepupState(t, U, U, Phi, Q, F, div_l2, speed_sq, energy)
 
     def boundary_values(self, case: CaseDefinition, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """g evaluated at the boundary support points (per component)."""
-        pts = self.space.support_points[self.space.boundary_dofs]
-        gx, gy = case.g(pts[:, 0], pts[:, 1], t)
-        shape = pts[:, 0].shape
-        return (
-            np.broadcast_to(np.asarray(gx, dtype=float), shape).copy(),
-            np.broadcast_to(np.asarray(gy, dtype=float), shape).copy(),
-        )
+        """g at the boundary support points (per component), in ``boundary_dofs`` order, from one call."""
+        ax, ay = self.space.axes
+        rows, cols = np.divmod(self.space.boundary_dofs, ax.n)
+        x, y = ax.nodes[cols], ay.nodes[rows]
+        return tuple(np.broadcast_to(np.asarray(g, dtype=float), x.shape).copy() for g in case.g(x, y, t))
 
     def initial_state(self, case: CaseDefinition, t0: float) -> GepupState:
-        """Interpolate the initial velocity, project it, and prime the chain."""
-        pts = self.space.support_points
-        V = [np.broadcast_to(np.asarray(v, dtype=float), pts[:, 0].shape) for v in case.u0(pts[:, 0], pts[:, 1])]
+        """Interpolate the initial velocity on the nodes, project it, and prime the chain."""
+        V = [self.space.node_order(v) for v in case.u0(*self.space.node_axes)]
         U, Phi = self.leray_project(V, case, t0)
         return self.state_at(t0, U, Phi, case)

@@ -500,16 +500,30 @@ def test_solution_errors_on_one_cell_axes(base_cells):
     assert res.errors["u_L2"] == pytest.approx(np.sqrt(u_sq), rel=1e-13)
 
 
-def test_solution_errors_sample_the_exact_pressure_once_per_point_set():
-    # one call at the quadrature points serves the gauge mean and the error norms,
-    # one more at the nodes; the errors are those of the exact pressure sampled anew
+def test_solution_errors_sample_the_exact_pressure_once_per_point_set(monkeypatch):
+    # the exact pressure is called on each band's rows of the quadrature grid
+    # for the gauge mean, on each band's rows again for the error norms, and
+    # once at the nodes; the errors are those of the shifted exact pressure
+    # sampled anew.  In bands of 5 elements no call sees the whole grid
     case = taylor_green_case(100.0)
     res = run_simulation(case, 2, 2, StepperConfig(), t_end=0.05)
-    calls = []
-    counted = dataclasses.replace(case, exact_p=lambda x, y, t: calls.append(x.shape) or case.exact_p(x, y, t))
-    errors = solution_errors(res.ops, res.state, counted)
     space = res.ops.space
-    assert calls == [space.quad_axes[0].shape, space.node_axes[0].shape]
+
+    def counted_errors():
+        calls = []
+
+        def exact_p(x, y, t):
+            calls.append((x.shape, y.shape))
+            return case.exact_p(x, y, t)
+
+        return calls, solution_errors(res.ops, res.state, dataclasses.replace(case, exact_p=exact_p))
+
+    def expected_calls():
+        band_shapes = [(space.quad_axes[0].shape, space.quad_axes[1][rows].shape) for _, rows in space.element_bands()]
+        return 2 * band_shapes + [(space.node_axes[0].shape, space.node_axes[1].shape)]
+
+    calls, errors = counted_errors()
+    assert calls == expected_calls()
     x, y = quad_coords(space)
     pmean = float(np.sum(case.exact_p(x, y, res.state.t) @ space.wdet)) / float(np.sum(np.ones_like(x) @ space.wdet))
     q_norms = error_norms(
@@ -517,6 +531,11 @@ def test_solution_errors_sample_the_exact_pressure_once_per_point_set():
     )
     assert errors == res.errors
     assert [errors[f"q_{key}"] for key in ("L2", "H1", "Linf")] == [q_norms[key] for key in ("L2", "H1", "Linf")]
+    monkeypatch.setattr(fem, "BLOCK_ELEMENTS", 5)
+    calls, _ = counted_errors()
+    assert len(space.element_bands()) > 1
+    assert calls == expected_calls()
+    assert (space.quad_axes[0].shape, space.quad_axes[1].shape) not in calls
 
 
 BAND_GRIDS = [((1, 1), 2), ((3, 2), 2), ((1, 8), 0)]  # (base_cells, level): square, non-square, one cell wide
@@ -528,7 +547,8 @@ def test_error_callbacks_see_each_quadrature_row_once(base_cells, level, monkeyp
     # in bands of 5 or fewer elements (whole element rows, at least one), the
     # exact velocity, its gradients and the pressure gradient are each called
     # on every row of the quadrature grid exactly once, in order, and the
-    # velocity once more at the nodes; the pressure keeps its two calls
+    # velocity once more at the nodes; the pressure is called on every row
+    # twice, in order, for its gauge mean and for its norms, and once at the nodes
     case = taylor_green_case(100.0)
     res = run_simulation(case, 3, level, StepperConfig(), t_end=0.02, base_cells=base_cells)
     monkeypatch.setattr(fem, "BLOCK_ELEMENTS", 5)
@@ -548,7 +568,11 @@ def test_error_callbacks_see_each_quadrature_row_once(base_cells, level, monkeyp
         assert np.array_equal(np.concatenate(quad_rows), quad_y), name
     assert [shape for shape, _ in calls["exact_u"]].count(node_x.shape) == 1
     assert len(calls["exact_u_grads"]) == len(calls["exact_p_grad"]) == len(space.element_bands())
-    assert [(shape, y.shape) for shape, y in calls["exact_p"]] == [(quad_x.shape, quad_y.shape), (node_x.shape, node_y.shape)]
+    *p_quad, (p_node_x, p_node_y) = calls["exact_p"]
+    assert len(p_quad) == 2 * len(space.element_bands())
+    assert all(shape == quad_x.shape for shape, _ in p_quad)
+    assert np.array_equal(np.concatenate([y for _, y in p_quad]), np.concatenate([quad_y, quad_y]))
+    assert (p_node_x, p_node_y.shape) == (node_x.shape, node_y.shape)
 
 
 @pytest.mark.parametrize("base_cells, level", BAND_GRIDS, ids=BAND_IDS)
@@ -569,13 +593,14 @@ def test_banded_error_norms_match_one_band(base_cells, level, monkeypatch):
 
 
 def test_solution_errors_hold_one_band_of_samples(monkeypatch):
-    # at Q3 L6 the error norms hold the exact pressure on the whole quadrature
-    # grid (for its mean), five nodal arrays (the exact pressure and velocity
-    # at the nodes, and the velocity's two components as the callback returns
-    # them) and, per band, 14 sample arrays (the exact velocity and its four
-    # derivatives as the callbacks return them, two of their temporaries and
-    # the element-order copies) and the band's gathered coefficients.
-    # Measured: 82% of the bound; sampled as one band, 2.8 times it
+    # at Q3 L6 no sample of the whole quadrature grid is held: the exact
+    # pressure's gauge mean is summed band by band too.  The error norms hold
+    # five nodal arrays (the exact velocity's two components as the callback
+    # returns them, the running sum of squared errors, a component's error and
+    # its square) and, per band, 14 sample arrays (the exact velocity and its
+    # four derivatives as the callbacks return them, two of their temporaries
+    # and the element-order copies) and the band's gathered coefficients.
+    # Measured: 74% of the bound; sampled as one band, 3.5 times it
     ops = GepupOperators(UNIT_SQUARE, (64, 64), 3)
     case = taylor_green_case(100.0)
     state = ops.initial_state(case, 0.0)
@@ -584,7 +609,7 @@ def test_solution_errors_hold_one_band_of_samples(monkeypatch):
     n_quad = len(space.wdet)
     band = space.element_bands()[0][0]
     band_el = band.stop - band.start
-    bound = 8 * (n_el * n_quad + 5 * space.n_dofs + 14 * band_el * n_quad + band_el * n_local)
+    bound = 8 * (5 * space.n_dofs + 14 * band_el * n_quad + band_el * n_local)
     peaks = []
     for block in (fem.BLOCK_ELEMENTS, n_el):
         monkeypatch.setattr(fem, "BLOCK_ELEMENTS", block)

@@ -413,7 +413,7 @@ def test_initial_state_samples_the_initial_velocity_once():
     case.u0 = lambda x, y: calls.append(x.shape) or u0(x, y)
     ops = GepupOperators(UNIT_SQUARE, (4, 4), 3)
     ops.initial_state(case, 0.0)
-    assert calls == [(ops.space.n_dofs,)]
+    assert calls == [ops.space.node_axes[0].shape]
 
 
 @pytest.mark.parametrize(

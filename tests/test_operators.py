@@ -9,11 +9,15 @@ from gepup import (
     UNIT_SQUARE,
     CaseDefinition,
     RectDomain,
+    StepperConfig,
     error_norms,
     interpolate,
+    lid_cavity_case,
+    run_simulation,
     taylor_green_case,
 )
 from gepup import fem
+from gepup.output import write_vtk
 from gepup.imex import advance_step, load_tableau
 from gepup.linsolve import REL_TOL, SolverError
 from gepup.operators import GepupOperators, check_boundary_compatibility
@@ -384,6 +388,46 @@ def test_each_boundary_load_samples_its_data_once():
     ops.eval_Fq(U, counted_case, 0.4)
     ax, ay = ops.space.axes
     assert calls == [(2 * ax.n_cells + 2 * ay.n_cells, ops.space.degree + 2)] * 2
+
+
+def ring_data(x, y, t):
+    return (x * x - 3.0 * y + t, x * y * y + 0.5)
+
+
+@pytest.mark.parametrize(
+    "case, domain, cells, k",
+    [
+        (make_case(g=ring_data), RectDomain((0.25, -1.0), (2.0, 3.0)), (3, 5), 3),
+        (lid_cavity_case(100.0), UNIT_SQUARE, (4, 4), 2),
+    ],
+    ids=["shifted-rectangle", "lid"],
+)
+def test_boundary_values_sample_g_once_at_the_boundary_support_points(case, domain, cells, k):
+    # one call of g on the ring coordinates, in boundary_dofs order, equal bit
+    # for bit to g at the support points of the boundary dofs
+    ops = GepupOperators(domain, cells, k)
+    calls = []
+    counted = dataclasses.replace(case, g=lambda x, y, t: calls.append(x.shape) or case.g(x, y, t))
+    values = ops.boundary_values(counted, 0.4)
+    pts = np.ascontiguousarray(ops.space.support_points[ops.space.boundary_dofs].T)
+    assert calls == [(len(ops.space.boundary_dofs),)]
+    for got, want in zip(values, case.g(*pts, 0.4), strict=True):
+        assert np.array_equal(got, np.broadcast_to(want, got.shape))
+    if case.name == "lid-cavity":  # the corners belong to the resting walls
+        corners = np.isin(pts[0], (0.0, 1.0)) & np.isin(pts[1], (0.0, 1.0))
+        assert corners.sum() == 4
+        assert not np.any(values[0][corners]) and not np.any(values[1][corners])
+        assert np.any(values[0] == 1.0)
+
+
+def test_support_points_are_built_only_for_vtk_output(tmp_path):
+    # a run samples every callback on the axes; only VTK output lays out the
+    # (n_dofs, 2) list of support points
+    res = run_simulation(taylor_green_case(100.0), 2, 2, StepperConfig(), t_end=0.02)
+    space = res.ops.space
+    assert "support_points" not in space.__dict__
+    write_vtk(space, tmp_path / "frame.vtk", velocity=res.state.U, pressure=res.state.Q)
+    assert "support_points" in space.__dict__
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

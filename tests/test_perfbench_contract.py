@@ -6,8 +6,9 @@ after ``vorticity_indicator`` and ``dorfler_mark``, and its output check
 reads the state's ``W``, ``U``, ``Phi`` and ``Q``.  Running its own
 ``simulate`` here makes a change that breaks any of those calls fail the
 test suite rather than the benchmark.  Its Taylor-Green inputs are
-translated copies of the package's exact-solution fields, which the error
-norms call on the axes of the grid; both must meet that broadcast contract.
+translated copies of the package's initial velocity and exact-solution
+fields, which the initial state and the error norms call on the axes of the
+grid; both must meet that broadcast contract.
 """
 
 from pathlib import Path
@@ -16,10 +17,9 @@ import numpy as np
 import pytest
 
 import gepup
-import gepup.fem
 import gepup.bench
 import gepup.output
-from fem_oracle import quad_coords
+from fem_oracle import grads_at_quad, quad_coords, values_at_quad
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -65,31 +65,41 @@ def components(value):
 @pytest.mark.parametrize("source", ["package", "benchmark"])
 def test_exact_solution_fields_meet_the_broadcast_contract(perfbench, source):
     # the error norms call the exact solution on the axes of the grid, x of
-    # shape (1, n) and y of shape (m, 1); each component must broadcast to the
-    # values of the full (m, n) coordinate arrays, bit for bit.  The benchmark
-    # passes translated copies of the package's Taylor-Green fields
+    # shape (1, n) and y of shape (m, 1), and the initial state calls u0 on the
+    # node axes; each component must broadcast to the values of the full (m, n)
+    # coordinate arrays, bit for bit.  The benchmark passes translated copies
+    # of the package's Taylor-Green fields
     _, workloads = perfbench
-    case = gepup.taylor_green_case(100.0)
+    cases = [gepup.taylor_green_case(100.0), gepup.single_vortex_case(1000.0), gepup.lid_cavity_case(100.0)]
     if source == "benchmark":
-        case, _ = workloads.make_case(workloads.Workload(**TG), 3)
+        cases = [workloads.make_case(workloads.Workload(**TG), 3)[0]]
     space = gepup.build_space(gepup.UNIT_SQUARE, (3, 2), 2)
-    for axes in (space.quad_axes, space.node_axes):
+
+    def assert_broadcasts(fn, axes, *t):
         full = np.broadcast_arrays(*axes)
-        for name in EXACT_FIELDS:
-            fn = getattr(case, name)
-            on_axes, on_grid = components(fn(*axes, 0.3)), components(fn(*full, 0.3))
-            assert len(on_axes) == len(on_grid) > 0, name
-            for a, b in zip(on_axes, on_grid):
-                assert np.array_equal(np.broadcast_to(a, full[0].shape), b), name
-    # the norms from axis samples equal those from the element-order point samples
+        on_axes, on_grid = components(fn(*axes, *t)), components(fn(*full, *t))
+        assert len(on_axes) == len(on_grid) > 0
+        for a, b in zip(on_axes, on_grid):
+            assert np.array_equal(np.broadcast_to(a, full[0].shape), b)
+
+    for case in cases:
+        assert_broadcasts(case.u0, space.node_axes)
+        for name in EXACT_FIELDS if case.has_exact_solution else ():
+            for axes in (space.quad_axes, space.node_axes):
+                assert_broadcasts(getattr(case, name), axes, 0.3)
+    # the norms from axis samples match those from the element-order point
+    # samples, which sum in another order; bound fixed in advance
+    case = cases[0]
     U = [gepup.interpolate(space, lambda x, y, t, d=d: np.cos(x + d * y)) for d in range(2)]
     x, y = quad_coords(space)
-    nodes = space.support_points.T
-    grads = [[np.broadcast_to(g, x.shape) for g in pair] for pair in case.exact_u_grads(x, y, 0.3)]
-    quad = case.exact_u(x, y, 0.3)
-
-    def sample(elements, rows):
-        return [e[elements] for e in quad], [[g[elements] for g in pair] for pair in grads]
-
-    direct = gepup.fem.sampled_error_norms(space, U, case.exact_u(*nodes, 0.3), sample)
-    assert gepup.error_norms(space, U, case.exact_u, 0.3, case.exact_u_grads) == direct
+    diffs = [values_at_quad(space, u) - e for u, e in zip(U, case.exact_u(x, y, 0.3))]
+    grad_diffs = [
+        g - e for u, pair in zip(U, case.exact_u_grads(x, y, 0.3)) for g, e in zip(grads_at_quad(space, u), pair)
+    ]
+    l2sq = sum(float(np.sum(d * d @ space.wdet)) for d in diffs)
+    h1sq = l2sq + sum(float(np.sum(d * d @ space.wdet)) for d in grad_diffs)
+    nodal_sq = sum((u - e) ** 2 for u, e in zip(U, case.exact_u(*space.support_points.T, 0.3)))
+    linf = np.sqrt(max(np.max(sum(d * d for d in diffs)), np.max(nodal_sq)))
+    norms = gepup.error_norms(space, U, case.exact_u, 0.3, case.exact_u_grads)
+    for key, value in (("L2", np.sqrt(l2sq)), ("H1", np.sqrt(h1sq)), ("Linf", linf)):
+        assert norms[key] == pytest.approx(value, rel=1e-13, abs=0.0), key

@@ -14,8 +14,6 @@ from .fem import (
     UNIT_SQUARE,
     FeSpace,
     build_space,
-    shape_eval,
-    interpolate,
     error_norms,
 )
 from .linsolve import SolverError

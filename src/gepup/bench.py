@@ -84,6 +84,7 @@ def solution_errors(ops: GepupOperators, state: GepupState, case: CaseDefinition
         p = space.quad_order(case.exact_p(x, y[rows], t), rows)
         area += float(np.sum(np.ones_like(p) @ space.wdet))
         p_sum += float(np.sum(p @ space.wdet))
+    del p  # the last band's samples, before the norms sample again
     pmean = p_sum / area
 
     errs = {}

@@ -21,7 +21,7 @@ The two axes of a square grid are one object, so they compute all of it
 once; everything an axis holds is read-only.  The module also holds the
 element tables, the one walk over the elements of every quadrature pass
 (``FeSpace.element_bands``: bands of whole element rows, about
-``BLOCK_ELEMENTS`` elements each), nodal interpolation and the error norms.
+``BLOCK_ELEMENTS`` elements each) and the error norms.
 A case callback is only ever sampled on the axes: at the quadrature points
 on the ``quad_axes``, one band of rows at a time (the nonlinear term's pass
 in ``operators`` and the error norms), and at the nodes on the
@@ -51,9 +51,7 @@ __all__ = [
     "UNIT_SQUARE",
     "Axis",
     "FeSpace",
-    "shape_eval",
     "build_space",
-    "interpolate",
     "error_norms",
 ]
 
@@ -155,20 +153,6 @@ def _tensor_tables(vx, dx, vy, dy) -> tuple[np.ndarray, np.ndarray]:
     return np.kron(vy, vx), np.stack([np.kron(vy, dx), np.kron(dy, vx)], axis=-1)
 
 
-def shape_eval(degree: int, point) -> tuple[np.ndarray, np.ndarray]:
-    """Shape values ((k+1)^2,) and gradients ((k+1)^2, 2) at one reference point.
-
-    Local numbering is row-major over the (k+1)^2 Gauss-Lobatto node lattice
-    of the unit square (x fastest).
-    """
-    nodes = basis_1d(degree).nodes
-    pt = np.atleast_2d(np.asarray(point, dtype=float))
-    if pt.shape != (1, 2) or pt.min() < -1e-12 or pt.max() > 1.0 + 1e-12:
-        raise ValueError(f"point must lie in the closed unit square, got {point}")
-    phi, dphi = _tensor_tables(*lagrange_1d(nodes, pt[:, 0]), *lagrange_1d(nodes, pt[:, 1]))
-    return phi[0], dphi[0]
-
-
 def _frozen(a):
     """``a`` made read-only: an ndarray, or a CSR matrix's data, indices and indptr."""
     for b in (a.data, a.indices, a.indptr) if sp.issparse(a) else (a,):
@@ -195,10 +179,10 @@ class Axis:
     ``d0`` and ``d1``, so that d0 @ c is the end derivative of the 1D field
     with coefficients c.  The factors and the solver's 1D quantities are
     computed on first use and kept, so that an axis that only integrates
-    loads never assembles them: ``interior`` (the M and K blocks without
-    the two end dofs), the absolute row sums ``row_sums`` of M and K, the
-    generalized eigenpairs ``eig`` and ``interior_eig`` of the full and
-    interior (K, M) blocks (``linsolve.eigenpairs``: each a
+    loads never assembles them: the absolute row sums ``row_sums`` of M and
+    K, the generalized eigenpairs ``eig`` and ``interior_eig`` of the full
+    (K, M) blocks and of those without the two end dofs
+    (``linsolve.eigenpairs``: each a
     ``linsolve.Eigenbasis`` of the even and odd half-size pairs, its modes
     even block first, which also keeps the full-size S below
     ``linsolve.FOLD_MIN_DOFS`` dofs), the
@@ -256,11 +240,6 @@ class Axis:
         return self._assembled(b.vals.T @ (b.weights[:, None] * b.ders))
 
     @functools.cached_property
-    def interior(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        """M and K without their first and last rows and columns (the Dirichlet-eliminated block)."""
-        return _frozen(self.M[1:-1, 1:-1]), _frozen(self.K[1:-1, 1:-1])
-
-    @functools.cached_property
     def row_sums(self) -> tuple[np.ndarray, np.ndarray]:
         """The absolute row sums of M and K (``tensorops.norm_bound``)."""
         return _frozen(_abs_row_sums(self.M)), _frozen(_abs_row_sums(self.K))
@@ -272,9 +251,8 @@ class Axis:
 
     @functools.cached_property
     def interior_eig(self) -> Eigenbasis:
-        """The ``eig`` of the ``interior`` block."""
-        M, K = self.interior
-        return eigenpairs(K, M)
+        """The ``eig`` of K and M without their end rows and columns (the Dirichlet-eliminated block)."""
+        return eigenpairs(self.K[1:-1, 1:-1], self.M[1:-1, 1:-1])
 
     @functools.cached_property
     def D(self) -> np.ndarray:
@@ -422,14 +400,8 @@ def build_space(domain: RectDomain, cells: tuple[int, int], degree: int) -> FeSp
     return FeSpace(domain, cells, degree)
 
 
-def interpolate(space: FeSpace, fn, t: float = 0.0) -> np.ndarray:
-    """Nodal interpolant: ``fn(x, y, t)``, which must broadcast as numpy does,
-    sampled on the space's ``node_axes``, in dof order."""
-    return space.node_order(fn(*space.node_axes, t))
-
-
-def error_norms(space: FeSpace, fields, exact, t: float, exact_grads=None) -> dict:
-    """Errors of ``fields`` against ``exact``: {"L2", "Linf"} and, given ``exact_grads``, "H1".
+def error_norms(space: FeSpace, fields, exact, t: float, exact_grads) -> dict:
+    """Errors of ``fields`` against ``exact`` and ``exact_grads``: {"L2", "H1", "Linf"}.
 
     A vector field is a list of per-component coefficient arrays, with
     ``exact(x, y, t)`` returning its components and ``exact_grads(x, y, t)``
@@ -437,9 +409,9 @@ def error_norms(space: FeSpace, fields, exact, t: float, exact_grads=None) -> di
     ``exact`` returning values and ``exact_grads`` one pair.  ``exact`` and
     ``exact_grads`` are called once per band of ``element_bands`` on the
     ``quad_axes`` x and the band's rows of their y, so each quadrature point
-    is sampled once and a band's samples are dropped before the next band
-    is sampled; ``exact`` is called once more on the ``node_axes``.  Each
-    must accept broadcastable coordinates, x of shape (1, n) and y of shape
+    is sampled once and a band's samples are freed before the next band is
+    sampled; ``exact`` is called once more on the ``node_axes``.  Each must
+    accept broadcastable coordinates, x of shape (1, n) and y of shape
     (m, 1), and return values that broadcast to (m, n).
 
     L2 and H1 (full norm) sum the components in quadrature, band by band;
@@ -447,47 +419,42 @@ def error_norms(space: FeSpace, fields, exact, t: float, exact_grads=None) -> di
     and support points.
     """
     if isinstance(fields, np.ndarray):
-        grads = None if exact_grads is None else (lambda x, y, tt: (exact_grads(x, y, tt),))
-        return error_norms(space, [fields], lambda x, y, tt: (exact(x, y, tt),), t, grads)
-    x, y = space.quad_axes
+        pairs = lambda x, y, tt: (exact_grads(x, y, tt),)
+        return error_norms(space, [fields], lambda x, y, tt: (exact(x, y, tt),), t, pairs)
     l2sq = quad_max = 0.0
     grad_terms = []  # per band and component, the squared gradient errors
     for elements, rows in space.element_bands():
-        quad = [space.quad_order(e, rows) for e in exact(x, y[rows], t)]
-        quad_grads = None
-        if exact_grads is not None:
-            quad_grads = [[space.quad_order(g, rows) for g in pair] for pair in exact_grads(x, y[rows], t)]
-        l2, grads, band_max = _band_errors(space, fields, elements, quad, quad_grads)
+        l2, grads, band_max = _band_errors(space, fields, exact, exact_grads, t, elements, rows)
         for term in l2:
             l2sq += term
-        grad_terms += grads or []
+        grad_terms += grads
         quad_max = np.maximum(quad_max, band_max)  # a NaN stays NaN
     nodal_sq = 0.0
     for f, e in zip(fields, exact(*space.node_axes, t)):
         nodal_sq = nodal_sq + (f - space.node_order(e)) ** 2
-    out = {"L2": np.sqrt(l2sq), "Linf": float(np.sqrt(max(quad_max, np.max(nodal_sq))))}
-    if exact_grads is not None:
-        h1sq = l2sq  # the gradient terms add on after all the L2 terms, as on one band
-        for term in grad_terms:
-            h1sq += term
-        out["H1"] = np.sqrt(h1sq)
-    return out
+    h1sq = l2sq  # the gradient terms add on after all the L2 terms, as on one band
+    for term in grad_terms:
+        h1sq += term
+    return {"L2": np.sqrt(l2sq), "H1": np.sqrt(h1sq), "Linf": float(np.sqrt(max(quad_max, np.max(nodal_sq))))}
 
 
-def _band_errors(space: FeSpace, fields, elements: slice, quad, quad_grads):
-    """Per component, the squared L2 error and, or None, squared gradient error
-    on the band ``elements``, and the band's largest squared error magnitude."""
-    l2, grads = [], None if quad_grads is None else []
+def _band_errors(space: FeSpace, fields, exact, exact_grads, t: float, elements: slice, rows: slice):
+    """Per component, the squared L2 and squared gradient errors on the band
+    ``elements`` (the ``rows`` of the ``quad_axes`` y), and the band's largest
+    squared error magnitude.  The band's samples are taken here, so they are
+    freed on return."""
+    x, y = space.quad_axes
+    quad = [space.quad_order(e, rows) for e in exact(x, y[rows], t)]
+    quad_grads = [[space.quad_order(g, rows) for g in pair] for pair in exact_grads(x, y[rows], t)]
+    l2, grads = [], []
     quad_sq = 0.0
-    for d, (f, e_quad) in enumerate(zip(fields, quad)):
+    for f, e_quad, (ex, ey) in zip(fields, quad, quad_grads):
         local = f[space.element_dofs[elements]]
         diff = local @ space.quad_phi - e_quad
         diff *= diff
         l2.append(float(np.sum(diff @ space.wdet)))
         quad_sq = quad_sq + diff
-        if grads is not None:
-            ex, ey = quad_grads[d]
-            dxs = local @ space.quad_dx - ex
-            dys = local @ space.quad_dy - ey
-            grads.append(float(np.sum(dxs * dxs @ space.wdet) + np.sum(dys * dys @ space.wdet)))
+        dxs = local @ space.quad_dx - ex
+        dys = local @ space.quad_dy - ey
+        grads.append(float(np.sum(dxs * dxs @ space.wdet) + np.sum(dys * dys @ space.wdet)))
     return l2, grads, np.max(quad_sq)

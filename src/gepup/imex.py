@@ -7,8 +7,10 @@ share the weights b and abscissae c; the ESDIRK half is stiffly accurate
 explicit loads.
 
 Tableau coefficients are shipped as exact rationals with a SHA-256 checksum
-over their canonical form, and c is derived from them as the exact row sums
-of the explicit table; ``load_tableau`` refuses corrupted data and
+over their canonical form (the order and the two tables), and everything
+else is derived from them: c as the exact row sums of the explicit table,
+b as the last implicit row (stiff accuracy) and gamma as its last diagonal
+entry; ``load_tableau`` refuses corrupted data and
 ``validate_tableau`` re-derives the structural and order conditions.  The
 checksum stays although the constants sit next to it: ``validate_tableau``
 checks the order conditions only through order 3, and the full set of
@@ -101,7 +103,6 @@ _ARK4_IMPLICIT = (
         _F(1, 4),
     ),
 )
-_ARK4_B = _ARK4_IMPLICIT[-1]
 
 # Eight-stage, fifth-order ERK-ESDIRK pair; L-stable, stiffly accurate,
 # gamma = 41/200 (Kennedy & Carpenter, Appl. Numer. Math. 44, 2003).
@@ -181,24 +182,19 @@ _ARK5_IMPLICIT = (
         _F(41, 200),
     ),
 )
-_ARK5_B = _ARK5_IMPLICIT[-1]
 
 _TABLEAU_DATA = {
     "ark4": {
         "order": 4,
-        "gamma": _F(1, 4),
         "explicit": _ARK4_EXPLICIT,
         "implicit": _ARK4_IMPLICIT,
-        "b": _ARK4_B,
-        "sha256": "e0de7e0c7207cdf8f212eb8a654ce9b4e1d942050cd8a7f7f03aedd993c3ffed",
+        "sha256": "d2af7423e62c0a7de40cad2a7577d017ee9b8cbaa3c04a95fe37735a18e22844",
     },
     "ark5": {
         "order": 5,
-        "gamma": _F(41, 200),
         "explicit": _ARK5_EXPLICIT,
         "implicit": _ARK5_IMPLICIT,
-        "b": _ARK5_B,
-        "sha256": "ebb7bd5873cbecee0e7020b511ef1264986e693365b05541874144c55730aec6",
+        "sha256": "67a4831169f302f9f23533e1c9ef3e18fa8eb563fef36b0d73d7d8ed19535c72",
     },
 }
 
@@ -206,11 +202,9 @@ TABLEAU_IDS = tuple(sorted(_TABLEAU_DATA))
 
 
 def _canonical_digest(data: dict) -> str:
-    parts = [str(data["order"]), str(data["gamma"])]
-    for key in ("explicit", "implicit", "b"):
-        block = data[key]
-        rows = block if key != "b" else (block,)
-        for row in rows:
+    parts = [str(data["order"])]
+    for key in ("explicit", "implicit"):
+        for row in data[key]:
             parts.append(",".join(f"{f.numerator}/{f.denominator}" for f in row))
     return hashlib.sha256(";".join(parts).encode()).hexdigest()
 
@@ -234,7 +228,6 @@ def load_tableau(name: str) -> ButcherTableau:
     n = len(data["implicit"])
     AE = _to_square(data["explicit"], n)
     AI = _to_square(data["implicit"], n)
-    b = np.array([float(v) for v in data["b"]])
     c = np.array([float(sum(row)) for row in data["explicit"]])  # exact row sums, rounded once
     tab = ButcherTableau(
         name=name,
@@ -242,9 +235,9 @@ def load_tableau(name: str) -> ButcherTableau:
         n_stages=n,
         a_explicit=AE,
         a_implicit=AI,
-        b=b,
+        b=AI[-1].copy(),  # stiffly accurate
         c=c,
-        gamma=float(data["gamma"]),
+        gamma=float(AI[-1, -1]),
     )
     problems = validate_tableau(tab)
     if problems:

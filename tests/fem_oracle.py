@@ -1,5 +1,10 @@
 """Oracles for the global matrices, which the package itself never assembles.
 
+``shape_eval`` tabulates the reference shape functions point by point and
+``interpolate`` samples a callback at the nodes; no run needs either (the
+package builds its element tables as Kronecker products of 1D tables and
+samples the case callbacks itself).
+
 ``assemble_mass``/``assemble_stiffness`` build the 2D CSR matrices by
 element quadrature and a scatter through the element dof table, the way
 the package once did; tests use them as references for the tensor-product
@@ -35,9 +40,29 @@ import numpy as np
 import scipy.sparse as sp
 
 from gepup.cases import VORTEX_RADIUS
-from gepup.fem import gauss_legendre_01, gauss_lobatto_01, shape_eval
+from gepup.fem import basis_1d, gauss_legendre_01, gauss_lobatto_01, lagrange_1d
 
 mpmath.mp.dps = 50
+
+
+def shape_eval(degree, point):
+    """Shape values ((k+1)^2,) and gradients ((k+1)^2, 2) at one reference point.
+
+    Local numbering is row-major over the (k+1)^2 Gauss-Lobatto node lattice
+    of the unit square (x fastest).
+    """
+    nodes = basis_1d(degree).nodes
+    pt = np.atleast_2d(np.asarray(point, dtype=float))
+    if pt.shape != (1, 2) or pt.min() < -1e-12 or pt.max() > 1.0 + 1e-12:
+        raise ValueError(f"point must lie in the closed unit square, got {point}")
+    (vx, dx), (vy, dy) = lagrange_1d(nodes, pt[:, 0]), lagrange_1d(nodes, pt[:, 1])
+    return np.kron(vy, vx)[0], np.stack([np.kron(vy, dx), np.kron(dy, vx)], axis=-1)[0]
+
+
+def interpolate(space, fn, t=0.0):
+    """Nodal interpolant: ``fn(x, y, t)``, which must broadcast as numpy does,
+    sampled on the space's ``node_axes``, in dof order."""
+    return space.node_order(fn(*space.node_axes, t))
 
 
 def element_tables(space):

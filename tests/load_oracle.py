@@ -14,8 +14,8 @@ be a small remainder of large terms.
 
 import numpy as np
 
-from gepup.fem import gauss_legendre_01, shape_eval
-from fem_oracle import element_tables, grads_at_quad, quad_coords, values_at_quad
+from gepup.fem import gauss_legendre_01
+from fem_oracle import element_tables, grads_at_quad, quad_coords, shape_eval, values_at_quad
 
 
 def value_load(space, vals):

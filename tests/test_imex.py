@@ -10,7 +10,6 @@ from gepup import (
     UNIT_SQUARE,
     ButcherTableau,
     build_space,
-    interpolate,
     load_tableau,
     single_vortex_case,
     taylor_green_case,
@@ -21,7 +20,7 @@ from gepup.imex import StepperConfig, advance_step, courant_dt
 from gepup.linsolve import REL_TOL, FastDiagonalization
 from gepup.tensorops import XPass
 from gepup.operators import CaseDefinition, GepupOperators
-from fem_oracle import assemble_mass, assemble_stiffness, interior_dofs, kinetic_energy, sampled_speed_sq
+from fem_oracle import assemble_mass, assemble_stiffness, interior_dofs, interpolate, kinetic_energy, sampled_speed_sq
 from stage_record_oracle import advance_step_with_record
 from ark_order_oracle import (
     esdirk_stability,
@@ -96,15 +95,42 @@ def test_checksum_rejects_corruption(monkeypatch):
         load_tableau("ark4")
 
 
+# b and gamma as Kennedy & Carpenter (Appl. Numer. Math. 44, 2003) list them
+PUBLISHED_B_GAMMA = {
+    "ark4": (
+        (Fraction(82889, 524892), 0, Fraction(15625, 83664), Fraction(69875, 102672), Fraction(-2260, 8211)),
+        Fraction(1, 4),
+    ),
+    "ark5": (
+        (
+            Fraction(-872700587467, 9133579230613),
+            0,
+            0,
+            Fraction(22348218063261, 9555858737531),
+            Fraction(-1143369518992, 8141816002931),
+            Fraction(-39379526789629, 19018526304540),
+            Fraction(32727382324388, 42900044865799),
+        ),
+        Fraction(41, 200),
+    ),
+}
+
+
 @pytest.mark.parametrize("name", ["ark4", "ark5"])
 def test_abscissae_are_the_exact_explicit_row_sums(name):
-    # c comes from the checksummed explicit table: each exact rational row sum, rounded once
+    # c comes from the checksummed explicit table: each exact rational row sum,
+    # rounded once; b and gamma from the implicit one, as its last row and last
+    # diagonal entry (stiff accuracy), and they are the published values
     import gepup.imex as imex
 
     rows = imex._TABLEAU_DATA[name]["explicit"]
     exact = [float(sum(row, Fraction(0))) for row in rows]
-    assert load_tableau(name).c.tolist() == exact
-    assert "c" not in imex._TABLEAU_DATA[name]
+    tab = load_tableau(name)
+    assert tab.c.tolist() == exact
+    b, gamma = PUBLISHED_B_GAMMA[name]
+    assert tab.b.tolist() == [float(v) for v in (*b, gamma)]
+    assert tab.gamma == float(gamma)
+    assert not {"b", "c", "gamma"} & set(imex._TABLEAU_DATA[name])
 
 
 def test_final_correction_is_explicit_only():
@@ -209,9 +235,8 @@ def test_richardson_differences_sit_on_the_spatial_floor():
         y1 = run(1, dt)
         y4 = run(4, dt / 4)
         zero = lambda x, y, t: (np.zeros_like(x), np.zeros_like(x))
-        floors.append(
-            error_norms(ops.space, [y1.U[0] - y4.U[0], y1.U[1] - y4.U[1]], zero, 0.0)["L2"]
-        )
+        flat = lambda x, y, t: (zero(x, y, t),) * 2
+        floors.append(error_norms(ops.space, [y1.U[0] - y4.U[0], y1.U[1] - y4.U[1]], zero, 0.0, flat)["L2"])
     assert floors[0] < 2e-5   # measured 4.4e-6 at h = 1/8
     assert floors[1] < floors[0] / 8.0  # measured ~28x drop to h = 1/16
 
@@ -228,7 +253,7 @@ def test_taylor_green_q4_l6_step_meets_default_tolerance():
     assert all(0.0 < r <= REL_TOL for r in ops.residuals.values()), ops.residuals
     # margin: measured at most 1.2e-15 in every solve class
     assert all(r <= REL_TOL / 100 for r in ops.residuals.values()), ops.residuals
-    err = error_norms(ops.space, state.U, case.exact_u, dt)["L2"]
+    err = error_norms(ops.space, state.U, case.exact_u, dt, case.exact_u_grads)["L2"]
     assert err < 1e-9
 
 

@@ -11,16 +11,18 @@ the element tables: no other module, in the package or the test suite,
 reads a ``.mesh``, a reference element ``.ref`` or inverse cell sizes
 ``inv_h``.  The space's two ``axes`` hold the cell counts, widths and
 origins, and every module reads the space's physical tables (``quad_phi``,
-``quad_dx``, ...) or, as the test oracles do, tabulates ``shape_eval``
-itself.
+``quad_dx``, ...) or, as the test oracles do, tabulates the shape
+functions itself (``fem_oracle.shape_eval``).
 
 The reader gate keeps test-only code out of the package: every ``def``
 and ``class`` in the package and in ``perfbench`` is referenced somewhere
 in that code, as a name or an attribute (strings and docstrings do not
-count), unless it is a dunder or a module exports it in ``__all__``.
-References live by name, so a method shares its readers with every
-attribute of the same name.  A reference that only tests need lives in a
-test oracle (``tests/fem_oracle.py``).
+count), unless it is a dunder.  Exported names get no exemption: neither
+a module's ``__all__`` nor a package ``__init__``, whose re-exports are the
+only mention of a name that no code runs, counts as a reader.  References
+live by name, so a method shares its readers with every attribute of the
+same name.  A reference that only tests need lives in a test oracle
+(``tests/fem_oracle.py``).
 
 The settable-value gate counts the package's knobs: the defaults of every
 ``def``, the dataclass fields that have a default and the ``--`` flags of
@@ -103,21 +105,18 @@ READ_SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("
 
 def unread_definitions(sources: dict[str, str]) -> list[str]:
     """The ``def`` and ``class`` names in ``sources`` (module name -> source)
-    that no Name or Attribute node of any of them references, as
-    "module.name", except dunders and names in a module's ``__all__``."""
+    that no Name or Attribute node of any of them outside an ``__init__``
+    module references, as "module.name", except dunders."""
     referenced, defined = set(), []
     for module, source in sources.items():
-        tree = ast.parse(source)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+        reads = not module.endswith("__init__")
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and reads:
                 referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and reads:
                 referenced.add(node.attr)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.append((module, node.name))
-        for node in tree.body:
-            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-                referenced.update(elt.value for elt in node.value.elts)
     return sorted(
         f"{module}.{name}"
         for module, name in defined
@@ -127,21 +126,24 @@ def unread_definitions(sources: dict[str, str]) -> list[str]:
 
 def test_reader_gate_flags_a_definition_nothing_references():
     a = (
-        "__all__ = ['public']\n"
+        "__all__ = ['public', 'exported']\n"
         "def public(): pass\n"
+        "def exported(): pass\n"
         "def helper(): pass\n"
         "def unread():\n    'helper is called in a docstring'\n"
         "class Unused:\n    def __init__(self): pass\n    def method(self): pass\n"
     )
-    b = "from a import helper\nhelper()\nx.method\ns = 'Unused'\n"
-    assert unread_definitions({"a": a, "b": b}) == ["a.Unused", "a.unread"]
+    b = "from a import helper\nhelper()\nx.method\ns = 'Unused'\nimport pkg\npkg.public()\n"
+    init = "from a import exported, public\n__all__ = ['exported', 'public']\nexported.__doc__\n"
+    expected = ["a.Unused", "a.exported", "a.unread"]
+    assert unread_definitions({"a": a, "b": b, "pkg/__init__": init}) == expected
 
 
 def test_every_package_definition_has_a_reader():
     assert unread_definitions({f"{p.parent.name}/{p.stem}": p.read_text() for p in READ_SOURCES}) == []
 
 
-SETTABLE_VALUES = {"def defaults": 8, "dataclass defaults": 10, "cli flags": 12}
+SETTABLE_VALUES = {"def defaults": 6, "dataclass defaults": 10, "cli flags": 12}
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from gepup import UNIT_SQUARE, RectDomain, build_space, interpolate, taylor_green_case
+from gepup import UNIT_SQUARE, RectDomain, build_space, taylor_green_case
 from gepup.bench import ConvergenceTable
 from gepup.cli import UsageError, main, parse_config
 from gepup.output import (
@@ -13,6 +13,7 @@ from gepup.output import (
     write_monitor_csv,
     write_vtk,
 )
+from fem_oracle import interpolate
 from vtk_check import read_legacy_vtk, write_vtk_per_value
 
 

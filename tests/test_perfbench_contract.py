@@ -19,7 +19,7 @@ import pytest
 import gepup
 import gepup.bench
 import gepup.output
-from fem_oracle import grads_at_quad, quad_coords, values_at_quad
+from fem_oracle import grads_at_quad, interpolate, quad_coords, values_at_quad
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -90,7 +90,7 @@ def test_exact_solution_fields_meet_the_broadcast_contract(perfbench, source):
     # the norms from axis samples match those from the element-order point
     # samples, which sum in another order; bound fixed in advance
     case = cases[0]
-    U = [gepup.interpolate(space, lambda x, y, t, d=d: np.cos(x + d * y)) for d in range(2)]
+    U = [interpolate(space, lambda x, y, t, d=d: np.cos(x + d * y)) for d in range(2)]
     x, y = quad_coords(space)
     diffs = [values_at_quad(space, u) - e for u, e in zip(U, case.exact_u(x, y, 0.3))]
     grad_diffs = [

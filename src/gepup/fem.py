@@ -8,9 +8,10 @@ Gauss-Lobatto support points and tensor Gauss-Legendre quadrature with
 affine cells).  Everything is
 built from one cached 1D tabulation, ``basis_1d``: an ``Axis`` lays it out
 along one axis of the grid (1D mass, stiffness and derivative factors,
-support coordinates, Gauss points), and a ``FeSpace`` is the product of its
-two axes, whose element dofs, support and quadrature points and element
-tables are Kronecker products of the 1D ones (sum factorization, Orszag,
+kept as the dense row panels of a ``BandedFactor``, support coordinates,
+Gauss points), and a ``FeSpace`` is the product of its two axes, whose
+element dofs, support and quadrature points and element tables are
+Kronecker products of the 1D ones (sum factorization, Orszag,
 J. Comput. Phys. 37, 1980).  The axis also owns what the solver derives
 from its factors: the row sums behind the solves' norm bounds, the
 generalized eigenpairs of its full and interior blocks (as even and odd
@@ -42,7 +43,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .linsolve import Eigenbasis, eigenpairs
 
@@ -50,6 +50,7 @@ __all__ = [
     "RectDomain",
     "UNIT_SQUARE",
     "Axis",
+    "BandedFactor",
     "FeSpace",
     "build_space",
     "error_norms",
@@ -153,18 +154,65 @@ def _tensor_tables(vx, dx, vy, dy) -> tuple[np.ndarray, np.ndarray]:
     return np.kron(vy, vx), np.stack([np.kron(vy, dx), np.kron(dy, vx)], axis=-1)
 
 
-def _frozen(a):
-    """``a`` made read-only: an ndarray, or a CSR matrix's data, indices and indptr."""
-    for b in (a.data, a.indices, a.indptr) if sp.issparse(a) else (a,):
-        b.flags.writeable = False
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
     return a
 
 
-def _abs_row_sums(F: sp.csr_matrix) -> np.ndarray:
-    sums = np.zeros(F.shape[0])
-    rows = np.flatnonzero(np.diff(F.indptr))
-    sums[rows] = np.add.reduceat(np.abs(F.data), F.indptr[rows])
-    return sums
+# rows per panel of a ``BandedFactor``: a Q4 panel is 32 by 40 doubles (10 KB),
+# small enough for a core's L1 cache; 48 and 64 rows measured slower per product
+PANEL_ROWS = 32
+
+
+class BandedFactor:
+    """A read-only n-by-n 1D factor F of half-bandwidth k (F[i, j] = 0 for
+    |i - j| > k), kept as its dense row panels.
+
+    Panel p holds rows r0 = p * ``PANEL_ROWS`` up to r0 + ``PANEL_ROWS`` of F
+    on the columns r0 - k up to r0 + ``PANEL_ROWS`` + k (both cut to 0..n),
+    which hold every nonzero of those rows: ``panels`` lists (rows, cols,
+    block, block^T) with the two index ranges as slices and both blocks
+    C-contiguous (a GEMM runs slower on a transposed operand).  ``F @ Z``
+    (the y side of a 2D product, Z of shape (n,) or (n, m)) and
+    ``times_t(X)`` = X F^T (the x side, X of shape (n,) or (m, n)) take one
+    GEMM per panel, each writing its rows (or columns) of a new
+    C-contiguous result; operands may be strided views.  Every block is
+    read-only.
+    """
+
+    def __init__(self, dense: np.ndarray, k: int):
+        self.n = n = len(dense)
+        self.bandwidth = k
+        panels = []
+        for r0 in range(0, n, PANEL_ROWS):
+            rows = slice(r0, min(r0 + PANEL_ROWS, n))
+            cols = slice(max(0, r0 - k), min(n, r0 + PANEL_ROWS + k))
+            block = dense[rows, cols].copy()
+            panels.append((rows, cols, _frozen(block), _frozen(block.T.copy())))
+        self.panels = tuple(panels)
+
+    def __matmul__(self, Z: np.ndarray) -> np.ndarray:
+        out = np.empty((self.n, *Z.shape[1:]))
+        for rows, cols, block, _ in self.panels:
+            np.matmul(block, Z[cols], out=out[rows])
+        return out
+
+    def times_t(self, X: np.ndarray) -> np.ndarray:
+        """X F^T."""
+        out = np.empty((*X.shape[:-1], self.n))
+        for rows, cols, _, block_t in self.panels:
+            np.matmul(X[..., cols], block_t, out=out[..., rows])
+        return out
+
+    def toarray(self) -> np.ndarray:
+        F = np.zeros((self.n, self.n))
+        for rows, cols, block, _ in self.panels:
+            F[rows, cols] = block
+        return F
+
+    def abs_row_sums(self) -> np.ndarray:
+        """The absolute row sums of F (``tensorops.norm_bound``)."""
+        return np.concatenate([np.abs(block).sum(axis=1) for _, _, block, _ in self.panels])
 
 
 class Axis:
@@ -172,10 +220,10 @@ class Axis:
     from ``origin``, degree k.
 
     Holds the 1D mass, stiffness and derivative factors ``M``, ``K`` and
-    ``C`` (C[i, j] = int phi_i phi_j'); the support coordinates ``nodes``
-    (n,); the (k+2)-point Gauss points of each cell, ``points``
-    (n_cells, k+2), with the weighted basis values that turn samples there
-    into a 1D load (``load``); and the basis derivatives at the two ends,
+    ``C`` (C[i, j] = int phi_i phi_j'), each a ``BandedFactor``; the
+    support coordinates ``nodes`` (n,); the (k+2)-point Gauss points of
+    each cell, ``points`` (n_cells, k+2), with the weighted basis values
+    that turn samples there into a 1D load (``load``); and the basis derivatives at the two ends,
     ``d0`` and ``d1``, so that d0 @ c is the end derivative of the 1D field
     with coefficients c.  The factors and the solver's 1D quantities are
     computed on first use and kept, so that an axis that only integrates
@@ -186,11 +234,11 @@ class Axis:
     ``linsolve.Eigenbasis`` of the even and odd half-size pairs, its modes
     even block first, which also keeps the full-size S below
     ``linsolve.FOLD_MIN_DOFS`` dofs), the
-    dense ``D`` = M^{-1} C, formed from ``eig``, ``CT`` = C^T as CSR and
-    the blocks ``frame`` of M and K on the dofs near the two ends (the
-    Dirichlet lift of a momentum solve).
-    Every array, CSR arrays included, is read-only, because one axis serves
-    as both axes of a square grid.
+    dense ``D`` = M^{-1} C, formed from ``eig``, the ``BandedFactor`` ``CT``
+    = C^T and the blocks ``frame`` of M and K on the dofs near the two ends
+    (the Dirichlet lift of a momentum solve).
+    Every array, the factors' panels included, is read-only, because one
+    axis serves as both axes of a square grid.
     """
 
     def __init__(self, n_cells: int, length: float, degree: int, origin: float):
@@ -216,43 +264,41 @@ class Axis:
             _frozen(a)
         self._basis = b
 
-    def _assembled(self, local: np.ndarray) -> sp.csr_matrix:
+    def _assembled(self, local: np.ndarray) -> BandedFactor:
         """The 1D factor whose every cell block is the (k+1, k+1) ``local``."""
-        width = self.cell_dofs.shape[1]
-        rows = np.repeat(self.cell_dofs, width, axis=1).ravel()
-        cols = np.tile(self.cell_dofs, (1, width)).ravel()
-        data = np.tile(local.ravel(), self.n_cells)
-        return _frozen(sp.coo_matrix((data, (rows, cols)), shape=(self.n, self.n)).tocsr())
+        F = np.zeros((self.n, self.n))
+        np.add.at(F, (self.cell_dofs[:, :, None], self.cell_dofs[:, None, :]), local)
+        return BandedFactor(F, len(local) - 1)
 
     @functools.cached_property
-    def M(self) -> sp.csr_matrix:
+    def M(self) -> BandedFactor:
         b = self._basis
         return self._assembled(b.vals.T @ (b.weights[:, None] * b.vals) * self.h)
 
     @functools.cached_property
-    def K(self) -> sp.csr_matrix:
+    def K(self) -> BandedFactor:
         b = self._basis
         return self._assembled(b.ders.T @ (b.weights[:, None] * b.ders) / self.h)
 
     @functools.cached_property
-    def C(self) -> sp.csr_matrix:
+    def C(self) -> BandedFactor:
         b = self._basis
         return self._assembled(b.vals.T @ (b.weights[:, None] * b.ders))
 
     @functools.cached_property
     def row_sums(self) -> tuple[np.ndarray, np.ndarray]:
         """The absolute row sums of M and K (``tensorops.norm_bound``)."""
-        return _frozen(_abs_row_sums(self.M)), _frozen(_abs_row_sums(self.K))
+        return _frozen(self.M.abs_row_sums()), _frozen(self.K.abs_row_sums())
 
     @functools.cached_property
     def eig(self) -> Eigenbasis:
         """The even and odd eigenpairs of (K, M): K S = M S diag(lam), S^T M S = I."""
-        return eigenpairs(self.K, self.M)
+        return eigenpairs(self.K.toarray(), self.M.toarray())
 
     @functools.cached_property
     def interior_eig(self) -> Eigenbasis:
         """The ``eig`` of K and M without their end rows and columns (the Dirichlet-eliminated block)."""
-        return eigenpairs(self.K[1:-1, 1:-1], self.M[1:-1, 1:-1])
+        return eigenpairs(self.K.toarray()[1:-1, 1:-1], self.M.toarray()[1:-1, 1:-1])
 
     @functools.cached_property
     def D(self) -> np.ndarray:
@@ -262,25 +308,25 @@ class Axis:
         return _frozen(self.eig.to_nodes(CtS.T, spare, np.empty((self.n, self.n))))
 
     @functools.cached_property
-    def CT(self) -> sp.csr_matrix:
-        """C^T as CSR."""
-        return _frozen(sp.csr_matrix(self.C.T))
+    def CT(self) -> BandedFactor:
+        return BandedFactor(self.C.toarray().T, self.C.bandwidth)
 
     @functools.cached_property
-    def frame(self) -> tuple[np.ndarray, sp.csr_matrix, sp.csr_matrix]:
+    def frame(self) -> tuple[np.ndarray, BandedFactor, BandedFactor]:
         """(keep, M, K): the dofs within 2k of either end, ascending, and the blocks
         of M and K on them; an axis of fewer than five cells keeps every dof.
 
         A row within k of an end couples only to dofs within 2k of it, so
-        each such row of the blocks holds all of its entries, in the same
-        CSR order: a product with them reproduces those rows of a product
-        with M or K bit for bit.  The other rows are cut and unusable.
+        each such row of the blocks holds all of its entries; the other rows
+        are cut and unusable.  The blocks are banded like M and K, and at
+        most 4k + 2 rows, so each is one panel.
         """
-        reach = 2 * (self.cell_dofs.shape[1] - 1)
+        k = self.cell_dofs.shape[1] - 1
         keep = np.arange(self.n)
-        if self.n > 2 * (reach + 1):
-            keep = np.concatenate([keep[: reach + 1], keep[-(reach + 1) :]])
-        return _frozen(keep), _frozen(self.M[keep][:, keep]), _frozen(self.K[keep][:, keep])
+        if self.n > 2 * (2 * k + 1):
+            keep = np.concatenate([keep[: 2 * k + 1], keep[-(2 * k + 1) :]])
+        cut = np.ix_(keep, keep)
+        return _frozen(keep), BandedFactor(self.M.toarray()[cut], k), BandedFactor(self.K.toarray()[cut], k)
 
     def load(self, values) -> np.ndarray:
         """1D load sum_q w_q v(x_q) phi_i(x_q) from samples v at ``points``."""

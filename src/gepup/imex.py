@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction as _F
 
 import numpy as np
-from scipy.linalg.blas import daxpy
 
 from .linsolve import SolverError
 from .operators import CaseDefinition, GepupOperators, GepupState
@@ -350,7 +349,8 @@ def advance_step(
     1..n-1 and the end-of-step load, each a running sum that starts from
     M W^n (the end-of-step load from zero, M W_{n-1} added last), and
     stage j's terms are added into the rows of the later targets, in place
-    (BLAS axpy, zero weights skipped), as soon as they are known.  A
+    (each weighted term formed in one step-owned work vector, zero weights
+    skipped), as soon as they are known.  A
     SolverError leaves with the stage (or the end-of-step projection) and
     its time.
     """
@@ -369,12 +369,13 @@ def advance_step(
     weights_F = dt * np.vstack([AE[1:], b - AE[n - 1]])
     weights_AW = -nu * dt * np.vstack([AI[1:], np.zeros(n)])
     sums = np.empty((2, n, ops.space.n_dofs))
+    work = np.empty(ops.space.n_dofs)
 
     def add(j, weights, terms):
         for d in range(2):
             for r in range(j, n):
                 if weights[r, j] != 0.0:
-                    daxpy(terms[d], sums[d, r], a=weights[r, j])
+                    sums[d, r] += np.multiply(terms[d], weights[r, j], out=work)
 
     phase, t_phase = "stage 0", t0
     try:

@@ -10,8 +10,9 @@ axis diagonalize it exactly (Lynch, Rice & Thomas, Numer. Math. 6, 1964):
 with S = Sy (x) Sx.  One solve is therefore four dense 1D transforms of the
 (ndof_y, ndof_x) coefficient array, two per axis, and an elementwise scale.
 The 1D pairs come from ``eigenpairs``, the only caller of
-``scipy.linalg.eigh``: every axis is symmetric about its midpoint, so it
-solves the even and the odd half-size pencil of each 1D pencil and keeps
+``numpy.linalg.eigh``: every axis is symmetric about its midpoint, so it
+solves the even and the odd half-size pencil of each 1D pencil, each by
+Cholesky reduction to a standard symmetric eigenproblem, and keeps
 the two halves as an ``Eigenbasis``, which transforms through them (a fold
 and two half-size GEMMs) or, below ``FOLD_MIN_DOFS``, through the full S
 mirrored back from them.  The modes are laid out even block first, then
@@ -28,8 +29,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
 
 __all__ = [
     "SolverError",
@@ -198,27 +197,38 @@ def _unfold(F: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def eigenpairs(K, M) -> Eigenbasis:
-    """Generalized eigenpairs of a 1D stiffness factor K and mass factor M:
-    K S = M S diag(lam), S^T M S = I.  Sparse factors are made dense first.
+def eigenpairs(K: np.ndarray, M: np.ndarray) -> Eigenbasis:
+    """Generalized eigenpairs of a dense 1D stiffness factor K and mass factor M:
+    K S = M S diag(lam), S^T M S = I.
 
     Both factors must be mirror symmetric, J F J = F for the reflection
     J: i -> n-1-i, as on every axis of a uniform grid; otherwise ValueError.
     The eigenvectors then split into an even (J v = v) and an odd
     (J v = -v) family (Solomonoff, J. Comput. Phys. 98, 1992).  On the
     basis e_j + sign * e_{n-1-j} of each family the pencil is 2 * _fold,
-    so each family comes from one half-size ``eigh`` of the folded K and M,
-    whose vectors, scaled by 1/sqrt(2), are the ``Eigenbasis`` halves.
+    so each family comes from one half-size pencil of the folded K and M
+    (``_pencil_eigh``), whose vectors, scaled by 1/sqrt(2), are the
+    ``Eigenbasis`` halves.
     """
-    K, M = (F.toarray() if sp.issparse(F) else np.asarray(F, dtype=float) for F in (K, M))
     for name, F in (("K", K), ("M", M)):
         if np.abs(F[::-1, ::-1] - F).max(initial=0.0) > MIRROR_TOL * np.abs(F).max(initial=0.0):
             raise ValueError(f"eigenpairs needs a mirror-symmetric pencil; {name} is not")
     n = len(K)
     m, c = n // 2, n - n // 2  # sizes of the odd and the even family
-    lam_e, Ye = scipy.linalg.eigh(_fold(K, c, 1.0), _fold(M, c, 1.0))
-    lam_o, Yo = scipy.linalg.eigh(_fold(K, m, -1.0), _fold(M, m, -1.0))
+    lam_e, Ye = _pencil_eigh(_fold(K, c, 1.0), _fold(M, c, 1.0))
+    lam_o, Yo = _pencil_eigh(_fold(K, m, -1.0), _fold(M, m, -1.0))
     return Eigenbasis(lam_e, Ye * np.sqrt(0.5), lam_o, Yo * np.sqrt(0.5))
+
+
+def _pencil_eigh(K: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending pairs of the symmetric-definite pencil K y = lam M y, y^T M y = 1,
+    by Cholesky reduction: M = L L^T, V the eigenvectors of L^{-1} K L^{-T}, Y = L^{-T} V.
+
+    ``numpy.linalg.eigh`` reads the lower triangle of the reduced matrix only.
+    """
+    L_inv = np.linalg.inv(np.linalg.cholesky(M))
+    lam, V = np.linalg.eigh(L_inv @ K @ L_inv.T)
+    return lam, L_inv.T @ V
 
 
 class FastDiagonalization:

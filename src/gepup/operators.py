@@ -173,11 +173,12 @@ class ConstrainedOperator:
 
         Returns disjoint (index, strip) pairs whose strips hold the lift's
         entries within k rows or columns of the ring; it is zero elsewhere.
-        The entries are those of the full-grid product, bit for bit: the rows
-        near the bottom and the top come from the same product on the grid
-        of the y axis's ``frame`` dofs by all x dofs, the columns near the
-        left and the right side from the one on all y dofs by the x axis's
-        ``frame`` dofs.  Each is about 4k + 2 dofs thin.
+        The entries are those of the full-grid product to rounding (a panel
+        GEMM of a thin operand may sum the same terms in another order): the
+        rows near the bottom and the top come from the same product on the
+        grid of the y axis's ``frame`` dofs by all x dofs, the columns near
+        the left and the right side from the one on all y dofs by the x
+        axis's ``frame`` dofs.  Each is about 4k + 2 dofs thin.
         """
         ax, ay = self.ops.space.axes
         k = self.ops.space.degree
@@ -202,7 +203,7 @@ class ConstrainedOperator:
     def _lift_on(self, boundary_values, rows, cols, x_factors, y_factors) -> np.ndarray:
         """(M + coeff A) x_b on the grid of the y dofs ``rows`` by the x dofs ``cols``
         (each ascending, from the first dof to the last), through the given M and K
-        blocks, with the arithmetic of the full-grid product My (X Mx^T + coeff
+        blocks, in the form of the full-grid product My (X Mx^T + coeff
         X Kx^T) + coeff Ky (X Mx^T)."""
         (Mx, Kx), (My, Ky) = x_factors, y_factors
         nx = self.ops.space.ndof_x
@@ -210,9 +211,8 @@ class ConstrainedOperator:
         X[0], X[-1] = boundary_values[:nx][cols], boundary_values[-nx:][cols]
         sides = boundary_values[nx:-nx].reshape(-1, 2)  # (left, right) per interior row
         X[1:-1, 0], X[1:-1, -1] = sides[rows[1:-1] - 1].T
-        XT = X.T
-        XMt = (Mx @ XT).T
-        mixed = XMt + self.coeff * (Kx @ XT).T
+        XMt = Mx.times_t(X)
+        mixed = XMt + self.coeff * Kx.times_t(X)
         return My @ mixed + self.coeff * (Ky @ XMt)
 
     def solve(self, rhs: np.ndarray, boundary_values: np.ndarray) -> XPass:

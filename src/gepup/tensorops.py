@@ -30,7 +30,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "add_normal_load",
@@ -112,10 +111,10 @@ class XPass:
     """One field x over the grid of the axes (x, y) and its products through their 1D factors.
 
     Every mass, stiffness and derivative product of the field starts with a
-    product of its (ndof_y, ndof_x) array X with one x factor, and X Mx^T
-    starts four of them.  The pass transposes X once and keeps X Mx^T, so
-    that a solve's backward-error check, the scheme's products and the
-    linear loads of one field share its x-direction work:
+    product of its (ndof_y, ndof_x) array X with one x factor, X F^T
+    (``fem.BandedFactor.times_t``), and X Mx^T starts four of them.  The
+    pass keeps X Mx^T, so that a solve's backward-error check, the scheme's
+    products and the linear loads of one field share its x-direction work:
 
         mass                   M x                = My (X Mx^T)
         stiffness              A x                = My (X Kx^T) + Ky (X Mx^T)
@@ -140,12 +139,8 @@ class XPass:
         self._ax, self._ay = axes
         self.grid = (self._ay.n, self._ax.n)
 
-    @functools.cached_property
-    def _XT(self) -> np.ndarray:
-        return np.ascontiguousarray(self.x.reshape(self.grid).T)
-
-    def _times(self, F: sp.csr_matrix) -> np.ndarray:
-        return (F @ self._XT).T.copy()  # X F^T, C-contiguous
+    def _times(self, F) -> np.ndarray:
+        return F.times_t(self.x.reshape(self.grid))
 
     @functools.cached_property
     def _XMt(self) -> np.ndarray:

@@ -30,7 +30,8 @@ repeat) and ``vortex_u_theta`` (the single vortex's angular speed).
 the pass once formed it; ``full_grid_lift`` is the momentum solve's
 Dirichlet lift as the package once took it, the ring data scattered into a
 zero grid array, multiplied by the full 2D operator and cut to the interior
-rows; ``sampled_speed_sq`` is the largest |u|^2 at the support and the
+rows, and ``lift_magnitude`` the magnitudes of its terms;
+``sampled_speed_sq`` is the largest |u|^2 at the support and the
 quadrature points, from a fresh ``values_at_quad`` of each component, as the
 Courant step once sampled it.
 """
@@ -221,6 +222,19 @@ def full_grid_lift(ops, coeff, boundary_values):
     x[space.boundary_dofs] = boundary_values
     lift = combination(ops.x_pass(x), 1.0, coeff)
     return lift.reshape(space.ndof_y, space.ndof_x)[1:-1, 1:-1]
+
+
+def lift_magnitude(ops, coeff, boundary_values):
+    """The magnitudes of the terms of ``full_grid_lift``: the same products of the
+    absolute factors and the absolute ring data, through dense factors."""
+    space = ops.space
+    ax, ay = space.axes
+    X = np.zeros(space.n_dofs)
+    X[space.boundary_dofs] = np.abs(boundary_values)
+    X = X.reshape(space.ndof_y, space.ndof_x)
+    Mx, Kx, My, Ky = (np.abs(F.toarray()) for F in (ax.M, ax.K, ay.M, ay.K))
+    XMt = X @ Mx.T
+    return (My @ (XMt + coeff * (X @ Kx.T)) + coeff * (Ky @ XMt))[1:-1, 1:-1]
 
 
 def quad_coords(space):

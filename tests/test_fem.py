@@ -336,22 +336,63 @@ def test_one_dimensional_factors_match_cellwise_loop(k):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("alpha,beta", [(1.0, 0.0), (0.0, 1.0), (1.0, 0.3)])
 def test_tensor_matvec_is_bitwise_the_dense_times_csr_product(k, alpha, beta, rng):
-    import scipy.sparse as sp
-
+    # every axis of this grid is one panel, whose block is the whole factor: the
+    # pass's products are then the GEMMs with the dense factors (the x factors
+    # transposed and contiguous, as the panels keep them), bit for bit
     from gepup.tensorops import XPass, norm_bound
 
     space = build_space(RectDomain((0.25, -1.0), (2.0, 3.0)), (4, 2), k)
     ax, ay = space.axes
-    Mx, Kx, My, Ky = ax.M, ax.K, ay.M, ay.K
+    assert all(len(F.panels) == 1 for F in (ax.M, ax.K, ay.M, ay.K))
+    MxT, KxT = (np.ascontiguousarray(F.toarray().T) for F in (ax.M, ax.K))
+    My, Ky = ay.M.toarray(), ay.K.toarray()
     x = rng.standard_normal(space.n_dofs)
     X = x.reshape(space.ndof_y, space.ndof_x)
-    P1 = X @ sp.csr_matrix(Mx.T)
-    expected = My @ (alpha * P1 + beta * (X @ sp.csr_matrix(Kx.T))) + beta * (Ky @ P1)
+    P1 = X @ MxT
+    expected = My @ (alpha * P1 + beta * (X @ KxT)) + beta * (Ky @ P1)
     product = combination(XPass(space.axes, x), alpha, beta)
-    assert np.array_equal(product, np.asarray(expected).ravel())
+    assert np.array_equal(product, expected.ravel())
     K = alpha * assemble_mass(space) + beta * assemble_stiffness(space)
     assert np.abs(product - K @ x).max() <= 1e-14 * np.abs(K @ x).max()
     assert norm_bound(ax.row_sums, ay.row_sums, alpha, beta) >= abs(K).sum(axis=1).max() * (1 - 1e-14)
+
+
+FACTORS = {"M": lambda axis: axis.M, "K": lambda axis: axis.K, "C": lambda axis: axis.C, "CT": lambda axis: axis.CT}
+
+
+@pytest.mark.parametrize("name", FACTORS)
+@pytest.mark.parametrize("cells", [1, 2, 5, 13, 64])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_banded_factor_products_match_the_dense_products(k, cells, name, rng):
+    # n = k * cells + 1 falls below and above ``PANEL_ROWS``: one panel up to
+    # 21 dofs, a short last panel on 13 cells above Q2 (27 .. 53 dofs) and a
+    # last panel of one row on 64 cells (65 .. 257 dofs).  Each entry of a
+    # product is an inner product of at most 2k + 1 nonzero terms (zeros add
+    # nothing), which the panels and the dense GEMM sum in different orders:
+    # each is within (2k + 1) u of the exact value, relative to the sum of the
+    # absolute terms (u = 2^-53), so the two differ by at most (4k + 2) u <= 18 u
+    # of it, and the bound is 2e-15 (18.01 u)
+    axis = Axis(cells, 1.5, k, 0.25)
+    F = FACTORS[name](axis)
+    dense = F.toarray()
+    assert np.all(np.triu(dense, k + 1) == 0.0) and np.all(np.tril(dense, -k - 1) == 0.0)
+    n = axis.n
+    Z = rng.standard_normal((n, 7))
+    Y = rng.standard_normal((n, 3 * n))[:, ::3]  # strided along both axes
+    z = Y[:, 1]  # strided, as a column of the curl load's Ux
+    cases = [
+        (F @ Z, dense @ Z, np.abs(dense) @ np.abs(Z)),
+        (F.times_t(Z.T), Z.T @ dense.T, np.abs(Z.T) @ np.abs(dense.T)),
+        (F @ Y, dense @ Y, np.abs(dense) @ np.abs(Y)),
+        (F.times_t(Y.T), Y.T @ dense.T, np.abs(Y.T) @ np.abs(dense.T)),
+        (F @ z, dense @ z, np.abs(dense) @ np.abs(z)),
+        (F.times_t(z), z @ dense.T, np.abs(z) @ np.abs(dense.T)),
+    ]
+    sums = np.abs(dense).sum(axis=1)
+    cases.append((F.abs_row_sums(), sums, sums))
+    for product, expected, magnitude in cases:
+        assert product.shape == expected.shape and product.flags.c_contiguous
+        assert np.all(np.abs(product - expected) <= 2e-15 * magnitude)
 
 
 # ---- the space as a product of its axes ------------------------------------------
@@ -419,10 +460,12 @@ AXIS_ARRAYS = {
     "interior_eig.Ye": lambda axis: axis.interior_eig.Ye,
     "interior_eig.Yo": lambda axis: axis.interior_eig.Yo,
     "D": lambda axis: axis.D,
-    "M.data": lambda axis: axis.M.data,
-    "K.data": lambda axis: axis.K.data,
-    "C.indices": lambda axis: axis.C.indices,
-    "CT.data": lambda axis: axis.CT.data,
+    "M.panel": lambda axis: axis.M.panels[0][2],
+    "K.panel_t": lambda axis: axis.K.panels[0][3],
+    "C.panel": lambda axis: axis.C.panels[0][2],
+    "CT.panel_t": lambda axis: axis.CT.panels[0][3],
+    "frame.M.panel": lambda axis: axis.frame[1].panels[0][2],
+    "frame.keep": lambda axis: axis.frame[0],
     "nodes": lambda axis: axis.nodes,
     "row_sums.M": lambda axis: axis.row_sums[0],
     "row_sums.K": lambda axis: axis.row_sums[1],
@@ -473,7 +516,7 @@ EIGEN_AXES = {  # Axis arguments: odd n for k = 1..4, even n, and a one-cell Q1 
 def test_axis_eigenpairs_diagonalize_its_factors(axis, block):
     axis = Axis(*EIGEN_AXES[axis])
     cut = slice(None) if block == "full" else slice(1, -1)
-    M, K = (F[cut, cut].toarray() for F in (axis.M, axis.K))
+    M, K = (F.toarray()[cut, cut] for F in (axis.M, axis.K))
     basis = axis.eig if block == "full" else axis.interior_eig
     lam, S = basis.lam, mirrored_basis(basis.Ye, basis.Yo)
     # below the fold size the axis keeps S, assembled from its halves

@@ -24,6 +24,10 @@ live by name, so a method shares its readers with every attribute of the
 same name.  A reference that only tests need lives in a test oracle
 (``tests/fem_oracle.py``).
 
+The dependency gate runs the package in a fresh interpreter, as the
+command line does, and finds no ``scipy`` module loaded: numpy is the
+package's one runtime dependency, and scipy serves the test oracles only.
+
 The settable-value gate counts the package's knobs: the defaults of every
 ``def``, the dataclass fields that have a default and the ``--`` flags of
 ``add_argument``.  A default that every caller outside the tests
@@ -33,6 +37,10 @@ change that adds a knob updates the pinned count and says why.
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,6 +81,26 @@ def test_no_unused_imports(path):
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"gepup.{name}")
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+RUN_WITHOUT_SCIPY = """
+import json, sys
+import gepup, gepup.bench, gepup.cli, gepup.output
+code = gepup.cli.main(["run", "--case", "taylor-green", "--degree", "2", "--level", "0", "--base", "1",
+                       "--t-end", "0.05", "--outdir", sys.argv[1]])
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def test_the_package_runs_without_scipy(tmp_path):
+    # the imports and the one-cell run of test_cli_run_on_one_q2_cell, in a
+    # fresh interpreter, so that no test module's own scipy import counts
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent), "OPENBLAS_NUM_THREADS": "1"}
+    run = subprocess.run(
+        [sys.executable, "-c", RUN_WITHOUT_SCIPY, str(tmp_path)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1]) == [0, []]
 
 
 FEM_INTERNALS = ("ref", "inv_h", "mesh")

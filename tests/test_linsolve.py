@@ -82,7 +82,7 @@ Y_AXIS = (3, 2.0, 2, -1.0)  # n = 7: a rectangular grid, its y axis below the fo
 def dense_transform(axis, block):
     # S diag(lam) S^T of the block from one full-size eigh, in ascending order
     cut = slice(None) if block == "full" else slice(1, -1)
-    return scipy.linalg.eigh(axis.K[cut, cut].toarray(), axis.M[cut, cut].toarray())
+    return scipy.linalg.eigh(axis.K.toarray()[cut, cut], axis.M.toarray()[cut, cut])
 
 
 @pytest.mark.parametrize("path", ["default", *PATHS])

@@ -122,9 +122,12 @@ def run_simulation(
     """Advance a case from t0 to t_end with Courant-controlled steps.
 
     The grid cuts ``case.domain`` into base_cells * 2**level equal cells per
-    axis.  The step size is recomputed from the current velocity before every
-    step (``courant_dt`` of the state's ``speed_sq``; a new dt only rescales
-    the diagonal of the momentum solve), and the final step is shortened to
+    axis.  The step size is recomputed before every step from the current
+    velocity and the wall data (``courant_dt`` of the larger of the state's
+    ``speed_sq`` and the largest |g|^2 on the boundary ring at the step's
+    start, so that a flow started from rest by moving walls steps at the
+    walls' speed; a new dt only rescales the diagonal of the momentum
+    solve), and the final step is shortened to
     land exactly on t_end.  Each monitor row holds the largest backward error of every
     solve class in that step (``res_<class>``).  A SolverError names the
     step (0 for the initial state), phase and time; it is also raised when
@@ -154,7 +157,9 @@ def run_simulation(
 
     steps = 0
     while t_end - state.t > 1e-13 * max(1.0, abs(t_end)):
-        dt = courant_dt(ops.space, state.speed_sq, config.courant, dt_max=config.dt_max)
+        gx, gy = ops.boundary_values(case, state.t)
+        speed_sq = max(state.speed_sq, float(np.max(gx * gx + gy * gy)))
+        dt = courant_dt(ops.space, speed_sq, config.courant, dt_max=config.dt_max)
         if not t_end - state.t <= MAX_STEPS_LEFT * dt:
             exc = SolverError(
                 f"Courant step dt = {dt:.3e} would need more than {MAX_STEPS_LEFT:.0e} steps "

@@ -15,9 +15,10 @@ Kronecker products of the 1D ones (sum factorization, Orszag,
 J. Comput. Phys. 37, 1980).  The axis also owns what the solver derives
 from its factors: the row sums behind the solves' norm bounds, the
 generalized eigenpairs of its full and interior blocks (as even and odd
-halves, modes in that order, not ascending), the dense M^{-1} C and C^T
-and the blocks of M and K near the two ends, each computed once, on first
-use.
+halves, modes in that order, not ascending; ``cell_eigenbasis`` builds
+them from one cell's blocks by cell frequency, with no dense
+eigensolve), the dense M^{-1} C and C^T and the blocks of M and K near
+the two ends, each computed once, on first use.
 The two axes of a square grid are one object, so they compute all of it
 once; everything an axis holds is read-only.  The module also holds the
 element tables, the one walk over the elements of every quadrature pass
@@ -44,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linsolve import Eigenbasis, eigenpairs
+from .linsolve import Eigenbasis
 
 __all__ = [
     "RectDomain",
@@ -215,6 +216,97 @@ class BandedFactor:
         return np.concatenate([np.abs(block).sum(axis=1) for _, _, block, _ in self.panels])
 
 
+MIRROR_TOL = 1e-13  # allowed departure of a cell block from its mirror image, relative to its largest entry
+
+
+def cell_eigenbasis(K_cell: np.ndarray, M_cell: np.ndarray, n_cells: int, interior: bool) -> Eigenbasis:
+    """The generalized eigenpairs K S = M S diag(lam), S^T M S = I of the 1D
+    factors K and M assembled from ``n_cells`` equal (k+1, k+1) cell blocks
+    ``K_cell`` and ``M_cell`` (with their end rows and columns removed when
+    ``interior``), as an ``Eigenbasis``.
+
+    Both cell blocks must be mirror symmetric, J A J = A for the local
+    reflection J: a -> k - a, as on every axis of a uniform grid; otherwise
+    ValueError.  Then sums of cosines and sines over the cell index c
+    block-diagonalize the pencil by frequency j = 0..n_cells, theta_j =
+    pi j / n_cells, into blocks of at most k modes, one per cell pattern
+    (a column of P below): the vertices take cos(theta_j c); a mirror pair
+    (l, k - l) of bubble nodes takes cos(theta_j (c + 1/2)) on both nodes
+    and sin(theta_j (c + 1/2)) with opposite signs; a self-mirror bubble
+    node takes cos(theta_j (c + 1/2)).  The interior block swaps sin and
+    cos.  A mode's values on cell c are Re(exp(i theta_j c) u) for a fixed
+    u on the cell's nodes, so the block of a cell block A is (n_cells / 2)
+    Re(U^H A U) for the modes U of frequency j, plus (n_cells / 2)
+    Re(U^T A U) at j = 0 and n_cells, the two frequencies at which the sum
+    of exp(2 i theta_j c) over the cells does not vanish; a mode that is
+    zero at every node (a sine at j = 0; at j = n_cells, a sine on the
+    vertices or a cosine on the bubbles) is left out.  Each block pencil is
+    solved by whitening, M_j = Q diag(d) Q^T and W = Q diag(d)^(-1/2), and
+    the eigenpairs of W^T K_j W: one stacked pair of ``numpy.linalg.eigh``
+    calls for the inner frequencies and one for each end, every matrix at
+    most k by k.
+
+    Every mode of block j has the mirror parity (-1)^j, or (-1)^(j + 1) in
+    the interior block (Solomonoff, J. Comput. Phys. 98, 1992, gives the
+    parity split this extends).  The halves of the ``Eigenbasis`` are the
+    first rows of the even and of the odd modes, each family sorted
+    ascending, with the middle dof of an odd n halved in ``Ye``; the full
+    block's constant mode, of eigenvalue 0, comes first.  The work is
+    O(n_cells k^3) for the blocks and O(n^2) for the halves.
+    """
+    for name, F in (("K", K_cell), ("M", M_cell)):
+        if np.abs(F[::-1, ::-1] - F).max() > MIRROR_TOL * np.abs(F).max():
+            raise ValueError(f"cell_eigenbasis needs a mirror-symmetric pencil; {name} is not")
+    k = len(K_cell) - 1
+    P = np.zeros((k + 1, k))  # the vertices, then per bubble pair its sum and difference, then a middle node
+    P[[0, k], 0] = 1.0
+    odd = np.zeros(k, dtype=bool)  # the patterns that the cell's mirror negates
+    for l in range(1, (k + 1) // 2):
+        P[[l, k - l], 2 * l - 1] = 1.0
+        P[[l, k - l], 2 * l] = 1.0, -1.0
+        odd[2 * l] = True
+    if k % 2 == 0:
+        P[k // 2, k - 1] = 1.0
+    sine = odd != interior
+    freq = np.arange(n_cells + 1)
+    offset = np.full(k + 1, 0.5)  # each node's phase in cells: the bubble nodes take the cell's centre
+    offset[[0, k]] = 0.0, 1.0
+    U = np.exp(1j * np.pi / n_cells * np.multiply.outer(freq, offset))[:, :, None] * np.where(sine, -1j, 1.0) * P
+    UH, UT = U.conj().transpose(0, 2, 1), U.transpose(0, 2, 1)
+    ends = (freq % n_cells == 0)[:, None, None]
+    K_b, M_b = (0.5 * n_cells * ((UH @ A @ U).real + ends * (UT @ A @ U).real) for A in (K_cell, M_cell))
+    lam, mode_freq, V = [], [], []
+    for j, present in (
+        (slice(1, n_cells), np.ones(k, dtype=bool)),
+        (slice(0, 1), ~sine),
+        (slice(n_cells, None), sine != (np.arange(k) == 0)),
+    ):
+        Kj, Mj = (B[j][:, present][:, :, present] for B in (K_b, M_b))
+        d, Q = np.linalg.eigh(Mj)
+        W = Q / np.sqrt(d)[:, None, :]
+        mu, Z = np.linalg.eigh(W.transpose(0, 2, 1) @ Kj @ W)
+        lam.append(mu.ravel())
+        mode_freq.append(np.repeat(freq[j], mu.shape[1]))
+        # each mode's u on a cell's first k nodes, which hold every dof of the first half
+        V.append((U[j][:, :k, present] @ (W @ Z)).transpose(0, 2, 1).reshape(-1, k))
+    lam, mode_freq, V = (np.concatenate(a) for a in (lam, mode_freq, V))
+    n = k * n_cells + 1 - 2 * interior
+    cells = np.arange(-(-(n - n // 2 + interior) // k))  # the cells that hold the first half
+    # exp(i theta_j c) = table[j c mod 2 n_cells]: the phases need no trigonometry per entry
+    table = np.exp(1j * np.pi / n_cells * np.arange(2 * n_cells))
+    halves = []
+    for parity, size in ((0, n - n // 2), (1, n // 2)):
+        modes = np.flatnonzero((mode_freq + interior) % 2 == parity)
+        modes = modes[np.argsort(lam[modes], kind="stable")]
+        phase = table[np.multiply.outer(cells, mode_freq[modes]) % (2 * n_cells)][:, None, :]
+        Y = phase.real * V[modes].real.T
+        Y -= phase.imag * V[modes].imag.T
+        halves += [lam[modes], Y.reshape(k * len(cells), len(modes))[interior : interior + size]]
+    if n % 2:  # the middle dof is its own mirror
+        halves[1][n // 2] *= 0.5
+    return Eigenbasis(*halves)
+
+
 class Axis:
     """One axis of the grid: ``n_cells`` uniform cells of width ``h`` = length / n_cells
     from ``origin``, degree k.
@@ -229,11 +321,11 @@ class Axis:
     computed on first use and kept, so that an axis that only integrates
     loads never assembles them: the absolute row sums ``row_sums`` of M and
     K, the generalized eigenpairs ``eig`` and ``interior_eig`` of the full
-    (K, M) blocks and of those without the two end dofs
-    (``linsolve.eigenpairs``: each a
-    ``linsolve.Eigenbasis`` of the even and odd half-size pairs, its modes
-    even block first, which also keeps the full-size S below
-    ``linsolve.FOLD_MIN_DOFS`` dofs), the
+    (K, M) blocks and of those without the two end dofs (each a
+    ``linsolve.Eigenbasis`` of the even and odd halves, its modes even
+    block first, which also keeps the full-size S below
+    ``linsolve.FOLD_MIN_DOFS`` dofs), built by ``cell_eigenbasis`` from the
+    blocks of M and K on one cell, the
     dense ``D`` = M^{-1} C, formed from ``eig``, the ``BandedFactor`` ``CT``
     = C^T and the blocks ``frame`` of M and K on the dofs near the two ends
     (the Dirichlet lift of a momentum solve).
@@ -271,19 +363,26 @@ class Axis:
         return BandedFactor(F, len(local) - 1)
 
     @functools.cached_property
-    def M(self) -> BandedFactor:
+    def _cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (k+1, k+1) blocks of M, K and C on one cell, which every cell shares."""
         b = self._basis
-        return self._assembled(b.vals.T @ (b.weights[:, None] * b.vals) * self.h)
+        return (
+            _frozen(b.vals.T @ (b.weights[:, None] * b.vals) * self.h),
+            _frozen(b.ders.T @ (b.weights[:, None] * b.ders) / self.h),
+            _frozen(b.vals.T @ (b.weights[:, None] * b.ders)),
+        )
+
+    @functools.cached_property
+    def M(self) -> BandedFactor:
+        return self._assembled(self._cells[0])
 
     @functools.cached_property
     def K(self) -> BandedFactor:
-        b = self._basis
-        return self._assembled(b.ders.T @ (b.weights[:, None] * b.ders) / self.h)
+        return self._assembled(self._cells[1])
 
     @functools.cached_property
     def C(self) -> BandedFactor:
-        b = self._basis
-        return self._assembled(b.vals.T @ (b.weights[:, None] * b.ders))
+        return self._assembled(self._cells[2])
 
     @functools.cached_property
     def row_sums(self) -> tuple[np.ndarray, np.ndarray]:
@@ -293,12 +392,14 @@ class Axis:
     @functools.cached_property
     def eig(self) -> Eigenbasis:
         """The even and odd eigenpairs of (K, M): K S = M S diag(lam), S^T M S = I."""
-        return eigenpairs(self.K.toarray(), self.M.toarray())
+        M, K, _ = self._cells
+        return cell_eigenbasis(K, M, self.n_cells, False)
 
     @functools.cached_property
     def interior_eig(self) -> Eigenbasis:
         """The ``eig`` of K and M without their end rows and columns (the Dirichlet-eliminated block)."""
-        return eigenpairs(self.K.toarray()[1:-1, 1:-1], self.M.toarray()[1:-1, 1:-1])
+        M, K, _ = self._cells
+        return cell_eigenbasis(K, M, self.n_cells, True)
 
     @functools.cached_property
     def D(self) -> np.ndarray:
@@ -314,7 +415,8 @@ class Axis:
     @functools.cached_property
     def frame(self) -> tuple[np.ndarray, BandedFactor, BandedFactor]:
         """(keep, M, K): the dofs within 2k of either end, ascending, and the blocks
-        of M and K on them; an axis of fewer than five cells keeps every dof.
+        of M and K on them; an axis of at most 2(2k + 1) dofs keeps every dof,
+        that is one of n_cells <= 4 + 1/k (five cells at Q1, four above).
 
         A row within k of an end couples only to dofs within 2k of it, so
         each such row of the blocks holds all of its entries; the other rows

@@ -312,12 +312,15 @@ SPEED_FLOOR = 1e-12  # below this sampled speed the flow counts as at rest
 
 
 def courant_dt(space, speed_sq: float, courant: float, dt_max: float) -> float:
-    """Convection-limited step size from the largest sampled speed squared.
+    """Convection-limited step size from the largest speed squared.
 
-    ``speed_sq`` is the state's ``GepupState.speed_sq``: the largest
-    Euclidean velocity magnitude squared at the support points and the
-    volume quadrature points.  The element size is max(hx, hy).  Returns
-    dt_max when the flow is essentially at rest.
+    ``run_simulation`` passes the larger of the state's
+    ``GepupState.speed_sq`` (the largest Euclidean velocity magnitude
+    squared at the support points and the volume quadrature points) and the
+    largest |g|^2 of the wall data on the boundary ring at the step's start,
+    so that walls that set a resting flow in motion bound its first step.
+    The element size is max(hx, hy).  Returns dt_max when the flow and its
+    walls are essentially at rest.
     """
     umax = np.sqrt(speed_sq)
     if umax < SPEED_FLOOR:

@@ -9,19 +9,20 @@ axis diagonalize it exactly (Lynch, Rice & Thomas, Numer. Math. 6, 1964):
 
 with S = Sy (x) Sx.  One solve is therefore four dense 1D transforms of the
 (ndof_y, ndof_x) coefficient array, two per axis, and an elementwise scale.
-The 1D pairs come from ``eigenpairs``, the only caller of
-``numpy.linalg.eigh``: every axis is symmetric about its midpoint, so it
-solves the even and the odd half-size pencil of each 1D pencil, each by
-Cholesky reduction to a standard symmetric eigenproblem, and keeps
-the two halves as an ``Eigenbasis``, which transforms through them (a fold
-and two half-size GEMMs) or, below ``FOLD_MIN_DOFS``, through the full S
-mirrored back from them.  The modes are laid out even block first, then
-odd block, so no spectrum here is in ascending order.  Each ``fem.Axis``
-computes its bases once for its full and interior blocks and keeps them,
-so a ``FastDiagonalization`` only combines the bases of two axes into its
-own 2D spectrum; the solvers of one grid share one pair of work arrays.  Every
-solve is followed by a normwise backward-error check, so that a wrong or
-non-finite result raises instead of propagating.
+The 1D pairs come from ``fem.cell_eigenbasis``: the cells of an axis are
+uniform and mirror symmetric, so sums over the cell index split each 1D
+pencil into blocks of at most k by k, one per frequency, with no dense
+eigensolve.  Every mode is even or odd about the axis's midpoint, and an
+``Eigenbasis`` keeps the first half of the rows of each family, which it
+transforms through (a fold and two half-size GEMMs) or, below
+``FOLD_MIN_DOFS``, through the full S mirrored back from them.  The modes
+are laid out even block first, then odd block, so no spectrum here is in
+ascending order.  Each ``fem.Axis`` computes its bases once for its full
+and interior blocks and keeps them, so a ``FastDiagonalization`` only
+combines the bases of two axes into its own 2D spectrum; the solvers of
+one grid share one pair of work arrays.  Every solve is followed by a
+normwise backward-error check, so that a wrong or non-finite result
+raises instead of propagating.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import numpy as np
 __all__ = [
     "SolverError",
     "Eigenbasis",
-    "eigenpairs",
     "mirrored_basis",
     "FastDiagonalization",
     "REL_TOL",
@@ -67,16 +67,10 @@ class SolverError(Exception):
         return f"{', '.join(where)}: {self.reason}" if where else self.reason
 
 
-MIRROR_TOL = 1e-13  # allowed departure of J F J from F, relative to F's largest entry
 # Axes of at least this many dofs transform through their even and odd halves,
 # smaller ones through the full S: below it the fold's numpy call overhead
 # costs more than the half of the flops it saves (crossover table: ROADMAP item 7).
 FOLD_MIN_DOFS = 110
-
-
-def _fold(F: np.ndarray, size: int, sign: float) -> np.ndarray:
-    """F[i, j] + sign * F[i, n-1-j] for i, j < size: the even (+) or odd (-) half of F."""
-    return F[:size, :size] + sign * F[:size, ::-1][:, :size]
 
 
 def mirrored_basis(Ye: np.ndarray, Yo: np.ndarray) -> np.ndarray:
@@ -92,9 +86,10 @@ class Eigenbasis:
     """The generalized eigenpairs of one mirror-symmetric 1D pencil, as its even
     and odd halves, and the transforms of one axis of a 2D solve.
 
-    ``lam_e``, ``Ye`` are the c = n - n//2 pairs of the even half-size
-    pencil and ``lam_o``, ``Yo`` the m = n//2 pairs of the odd one, each
-    ascending, with the vectors scaled by 1/sqrt(2).  The full-size
+    ``lam_e``, ``Ye`` are the c = n - n//2 even pairs (J v = v for the
+    reflection J: i -> n-1-i) and ``lam_o``, ``Yo`` the m = n//2 odd ones
+    (J v = -v), each ascending, Ye and Yo the first c and m rows of their
+    eigenvectors, with the middle dof of an odd n halved.  The full-size
     eigenvectors are S = [P_e Ye, P_o Yo]: (P_e y)_i = (P_e y)_{n-1-i} = y_i
     and (P_o y)_i = -(P_o y)_{n-1-i} = y_i for i < m, and the middle dof of
     an odd n is 2 y_m in the even family.  ``lam`` and the columns of S are
@@ -195,40 +190,6 @@ def _unfold(F: np.ndarray, out: np.ndarray) -> np.ndarray:
     if c > m:  # the middle dof is its own mirror
         np.multiply(F[m], 2.0, out=out[m])
     return out
-
-
-def eigenpairs(K: np.ndarray, M: np.ndarray) -> Eigenbasis:
-    """Generalized eigenpairs of a dense 1D stiffness factor K and mass factor M:
-    K S = M S diag(lam), S^T M S = I.
-
-    Both factors must be mirror symmetric, J F J = F for the reflection
-    J: i -> n-1-i, as on every axis of a uniform grid; otherwise ValueError.
-    The eigenvectors then split into an even (J v = v) and an odd
-    (J v = -v) family (Solomonoff, J. Comput. Phys. 98, 1992).  On the
-    basis e_j + sign * e_{n-1-j} of each family the pencil is 2 * _fold,
-    so each family comes from one half-size pencil of the folded K and M
-    (``_pencil_eigh``), whose vectors, scaled by 1/sqrt(2), are the
-    ``Eigenbasis`` halves.
-    """
-    for name, F in (("K", K), ("M", M)):
-        if np.abs(F[::-1, ::-1] - F).max(initial=0.0) > MIRROR_TOL * np.abs(F).max(initial=0.0):
-            raise ValueError(f"eigenpairs needs a mirror-symmetric pencil; {name} is not")
-    n = len(K)
-    m, c = n // 2, n - n // 2  # sizes of the odd and the even family
-    lam_e, Ye = _pencil_eigh(_fold(K, c, 1.0), _fold(M, c, 1.0))
-    lam_o, Yo = _pencil_eigh(_fold(K, m, -1.0), _fold(M, m, -1.0))
-    return Eigenbasis(lam_e, Ye * np.sqrt(0.5), lam_o, Yo * np.sqrt(0.5))
-
-
-def _pencil_eigh(K: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ascending pairs of the symmetric-definite pencil K y = lam M y, y^T M y = 1,
-    by Cholesky reduction: M = L L^T, V the eigenvectors of L^{-1} K L^{-T}, Y = L^{-T} V.
-
-    ``numpy.linalg.eigh`` reads the lower triangle of the reduced matrix only.
-    """
-    L_inv = np.linalg.inv(np.linalg.cholesky(M))
-    lam, V = np.linalg.eigh(L_inv @ K @ L_inv.T)
-    return lam, L_inv.T @ V
 
 
 class FastDiagonalization:

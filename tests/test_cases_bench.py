@@ -306,19 +306,43 @@ def test_collapsed_courant_step_raises_at_step_one():
     assert "Courant step dt = " in str(err)
 
 
+def wall_speed_sq(ops, case, t):
+    # the largest |g|^2 at the boundary support points, from the flat point list
+    x, y = ops.space.support_points[ops.space.boundary_dofs].T
+    gx, gy = (np.broadcast_to(g, x.shape) for g in case.g(x, y, t))
+    return float(np.max(gx**2 + gy**2))
+
+
 def test_courant_step_is_recomputed_every_step():
+    # from the larger of the sampled speed and the wall speed at the step's
+    # start: the lid from rest steps at its wall speed until the flow outruns it
     config = StepperConfig(tableau="ark4")
-    expected = []
+    for case, t_end in ((taylor_green_case(100.0), 0.2), (lid_cavity_case(1000.0), 0.3)):
+        expected = []
 
-    def on_step(step, state, ops):
-        speed_sq = sampled_speed_sq(ops.space, state.U)
-        expected.append(courant_dt(ops.space, speed_sq, config.courant, dt_max=config.dt_max))
+        def on_step(step, state, ops):
+            speed_sq = max(sampled_speed_sq(ops.space, state.U), wall_speed_sq(ops, case, state.t))
+            expected.append(courant_dt(ops.space, speed_sq, config.courant, dt_max=config.dt_max))
 
-    res = run_simulation(taylor_green_case(100.0), 2, 3, config, t_end=0.2, on_step=on_step)
-    dts = [m["dt"] for m in res.monitors[1:]]
-    assert res.steps >= 3
-    assert dts[:-1] == expected[: res.steps - 1]
-    assert dts[-1] <= expected[res.steps - 1]
+        res = run_simulation(case, 2, 3, config, t_end=t_end, on_step=on_step)
+        dts = [m["dt"] for m in res.monitors[1:]]
+        assert res.steps >= 3
+        assert dts[:-1] == expected[: res.steps - 1]
+        assert dts[-1] <= expected[res.steps - 1]
+
+
+def test_the_lid_from_rest_takes_its_first_step_at_the_wall_speed():
+    # the cavity starts at rest, so only the lid's unit speed bounds the first
+    # step: 0.8 h / k, not dt_max = 1.0.  At Q2 L3 that step reaches t = 0.05,
+    # where div_l2 was 0.745 with the same step imposed through dt_max (ROADMAP
+    # item 25); the bound of 1.0 was fixed before this test first ran.  A unit
+    # first step ended with div_l2 = 17.0 at Q2 L4
+    config = StepperConfig()
+    res = run_simulation(lid_cavity_case(1000.0), 2, 3, config, t_end=0.1)
+    h, k = 1.0 / 8, 2
+    assert res.monitors[0]["kinetic_energy"] == 0.0
+    assert res.monitors[1]["dt"] == config.courant * h / k
+    assert res.monitors[1]["div_l2"] <= 1.0
 
 
 @pytest.mark.parametrize(
@@ -328,14 +352,14 @@ def test_monitors_equal_the_full_grid_formulas_bit_for_bit(case, t_end):
     # every state's div_l2 and speed_sq come from the quadrature pass of its
     # pressure load; they must equal the oracle's divergence_l2 of W and the max
     # of |u|^2 over fresh values_at_quad samples and the nodes exactly, and so must the
-    # monitor rows and the Courant steps built from them
+    # monitor rows and the Courant steps built from them and the wall speed
     config = StepperConfig(tableau="ark4")
     seen = []
 
     def on_step(step, state, ops):
         assert state.div_l2 == divergence_l2(ops.space, state.W)
         assert state.speed_sq == sampled_speed_sq(ops.space, state.U)
-        speed_sq = sampled_speed_sq(ops.space, state.U)
+        speed_sq = max(sampled_speed_sq(ops.space, state.U), wall_speed_sq(ops, case, state.t))
         seen.append((divergence_l2(ops.space, state.W), courant_dt(ops.space, speed_sq, config.courant, config.dt_max)))
 
     res = run_simulation(case, 3, 2, config, t_end=t_end, on_step=on_step)

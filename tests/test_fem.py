@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,6 +15,7 @@ from gepup import (
 from gepup.fem import Axis, basis_1d, lagrange_1d
 from gepup.linsolve import FOLD_MIN_DOFS, mirrored_basis
 from gepup.operators import CaseDefinition
+from eigen_oracle import dense_eigenpairs
 from fem_oracle import (
     assemble_mass,
     assemble_stiffness,
@@ -508,6 +511,11 @@ EIGEN_AXES = {  # Axis arguments: odd n for k = 1..4, even n, and a one-cell Q1 
     "q1-n4": (3, 1.5, 1, 0.0),
     "q3-n16": (5, 1.5, 3, 0.0),
     "q1-one-cell": (1, 1.5, 1, 0.0),
+    # 1, 2, 3, 4, 7 and 16 cells at each degree: the two end frequencies alone (one
+    # cell), one inner frequency, both parities of the cell count, and a one-dof Q1
+    # interior (two cells); and a Q3 axis above the fold size (64 cells)
+    **{f"q{k}-c{c}": (c, 0.7, k, -0.3) for k in (1, 2, 3, 4) for c in (1, 2, 3, 4, 7, 16)},
+    "q3-c64": (64, 1.0, 3, 0.0),
 }
 
 
@@ -520,8 +528,11 @@ def test_axis_eigenpairs_diagonalize_its_factors(axis, block):
     basis = axis.eig if block == "full" else axis.interior_eig
     lam, S = basis.lam, mirrored_basis(basis.Ye, basis.Yo)
     # below the fold size the axis keeps S, assembled from its halves
-    assert np.array_equal(basis.S, S)
-    # the eigenvalues of the two folded half-size pencils are those of the full-size pencil,
+    if len(lam) < FOLD_MIN_DOFS:
+        assert np.array_equal(basis.S, S)
+    else:
+        assert basis.S is None
+    # the eigenvalues of the cell-frequency blocks are those of the full-size pencil,
     # laid out even block first, then odd block, each ascending
     oracle = scipy.linalg.eigh(K, M, eigvals_only=True)
     assert lam.shape == oracle.shape and S.shape == M.shape
@@ -536,3 +547,31 @@ def test_axis_eigenpairs_diagonalize_its_factors(axis, block):
     residual = np.abs(KS - MS * lam).max(axis=0, initial=0.0)
     assert np.all(residual <= 1e-12 * scale * np.abs(S).max(axis=0, initial=0.0))
     assert np.abs(S.T @ MS - np.eye(len(lam))).max(initial=0.0) <= 1e-12
+    if block == "full":  # the first even mode is the constant, of eigenvalue 0
+        assert np.abs(S[:, 0] - S[0, 0]).max() <= 1e-12 * abs(S[0, 0])
+
+
+def test_axis_eigenpairs_hold_their_halves_and_no_dense_pencil():
+    # one Q3 L6 axis (n = 193, its interior 191) builds both bases from one
+    # cell's blocks.  Each basis holds its halves and their transposed copies,
+    # about n^2 doubles, and one family's products and phases take at most one
+    # more n^2 while a basis is built: 3 n^2 for both (measured: 2.67 n^2).
+    # The dense oracle copies out K and M (2 n^2) and folds and reduces them
+    # beside the two bases it returns (measured: 4.98 n^2)
+    axis, dense = Axis(64, 1.0, 3, 0.0), Axis(64, 1.0, 3, 0.0)
+    dense.M, dense.K  # both paths start from what the axis holds
+    bound = 8 * 3 * axis.n**2
+    cuts = (slice(None), slice(1, -1))
+    builds = (
+        lambda: (axis.eig, axis.interior_eig),
+        lambda: [dense_eigenpairs(dense.K.toarray()[c, c], dense.M.toarray()[c, c]) for c in cuts],
+    )
+    peaks = []
+    for build in builds:
+        tracemalloc.start()
+        try:
+            build()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= bound < peaks[1], (peaks, bound)

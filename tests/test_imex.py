@@ -399,12 +399,16 @@ def test_a_step_holds_running_sums_not_a_stage_record(tableau):
 @pytest.mark.parametrize("cells, pencils, distinct_axes", [((8, 8), 2, 1), ((8, 4), 4, 2)])
 def test_setup_work_per_operator(monkeypatch, cells, pencils, distinct_axes):
     # each distinct axis computes the eigenpairs of its full and interior
-    # blocks, with two half-size eigh calls per pencil (its even and odd
-    # halves), and forms its dense M^{-1} C from them, with no linear
-    # solve; the two axes of a square grid are one.  Nothing is kept between
-    # operators: a second one does it all again
+    # blocks by cell frequency: per pencil, two stacked eigh calls (the mass
+    # blocks' whitening, then the reduced stiffness blocks) for the inner
+    # frequencies and two for each end, every matrix at most k by k, and no
+    # Cholesky factor or inverse; it forms its dense M^{-1} C from them, with
+    # no linear solve.  The two axes of a square grid are one.  Nothing is
+    # kept between operators: a second one does it all again
+    k = 2
     case = taylor_green_case(100.0)
-    counts = {"eigh": 0, "solve": 0}
+    counts = {"eigh": 0, "cholesky": 0, "inv": 0, "solve": 0}
+    sizes = set()
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -412,13 +416,21 @@ def test_setup_work_per_operator(monkeypatch, cells, pencils, distinct_axes):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
-    monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+    def sized(fn):
+        def wrapper(a):
+            sizes.add(a.shape[-1])
+            return fn(a)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", sized(np.linalg.eigh)))
+    for name in ("cholesky", "inv", "solve"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     for n_ops in (1, 2):
-        ops = GepupOperators(UNIT_SQUARE, cells, 2)
+        ops = GepupOperators(UNIT_SQUARE, cells, k)
         ops.initial_state(case, 0.0)
         assert len({id(axis) for axis in ops.space.axes}) == distinct_axes
-        assert counts == {"eigh": n_ops * 2 * pencils, "solve": 0}
+        assert counts == {"eigh": n_ops * 6 * pencils, "cholesky": 0, "inv": 0, "solve": 0}
+    assert max(sizes) <= k
 
 
 def test_only_the_full_solver_forms_a_neumann_scale():

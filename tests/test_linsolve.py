@@ -6,9 +6,10 @@ import pytest
 import scipy.linalg
 
 from gepup import RectDomain, SolverError, UNIT_SQUARE, linsolve, lid_cavity_case, taylor_green_case
-from gepup.fem import Axis
-from gepup.linsolve import REL_TOL, FastDiagonalization, check_backward_error, eigenpairs
+from gepup.fem import Axis, cell_eigenbasis
+from gepup.linsolve import REL_TOL, FastDiagonalization, check_backward_error
 from gepup.operators import GepupOperators
+from eigen_oracle import dense_eigenpairs
 from fem_oracle import assemble_mass, assemble_stiffness, interior_dofs
 
 
@@ -149,11 +150,13 @@ def test_full_and_interior_solvers_share_one_work_pair():
 
 @pytest.mark.parametrize("asymmetric", ["K", "M"])
 def test_eigenpairs_reject_a_pencil_that_is_not_mirror_symmetric(rng, asymmetric):
-    # the even/odd fold is exact only for J K J = K and J M J = M
-    factors = {"K": mirrored(random_spd(rng, 6)), "M": mirrored(random_spd(rng, 6))}
-    factors[asymmetric] = random_spd(rng, 6)
-    with pytest.raises(ValueError, match=f"mirror-symmetric pencil; {asymmetric} is not"):
-        eigenpairs(factors["K"], factors["M"])
+    # the cell-frequency blocks and their parities are exact only for cell
+    # blocks with J K J = K and J M J = M, J the cell's reflection
+    blocks = {"K": mirrored(random_spd(rng, 4)), "M": mirrored(random_spd(rng, 4))}
+    blocks[asymmetric] = random_spd(rng, 4)
+    for interior in (False, True):
+        with pytest.raises(ValueError, match=f"mirror-symmetric pencil; {asymmetric} is not"):
+            cell_eigenbasis(blocks["K"], blocks["M"], 4, interior)
 
 
 # ---- pure-Neumann (Poisson) solve ---------------------------------------------
@@ -162,8 +165,9 @@ PATH_LAPLACIAN = [[1, -1, 0], [-1, 2, -1], [0, -1, 1]]
 
 
 def one_axis_solver(M, K):
-    # a 1 x n tensor grid whose y factors (My = 1, Ky = 0) make the grid's M, A the given M, K
-    return FastDiagonalization(eigenpairs(K, M), eigenpairs(np.zeros((1, 1)), np.eye(1)))
+    # a 1 x n tensor grid whose y factors (My = 1, Ky = 0) make the grid's M, A the given
+    # M, K; the pairs come from the dense oracle, which takes any mirror-symmetric pencil
+    return FastDiagonalization(dense_eigenpairs(K, M), dense_eigenpairs(np.zeros((1, 1)), np.eye(1)))
 
 
 def path_graph_solver():
@@ -259,7 +263,7 @@ def test_direct_solves_match_dense_references(k, rng):
 
 
 def test_zero_rhs_gives_zero_solution(ops_q3_l3):
-    fdm = one_axis_solver(np.eye(2), np.array([[3.0, 1.0], [1.0, 3.0]]))  # mirror symmetric, as eigenpairs needs
+    fdm = one_axis_solver(np.eye(2), np.array([[3.0, 1.0], [1.0, 3.0]]))  # mirror symmetric, as the oracle needs
     assert np.array_equal(fdm.apply(np.zeros(2), 1.0 / fdm.lam), np.zeros(2))
     z = np.zeros(ops_q3_l3.space.n_dofs)
     assert np.array_equal(ops_q3_l3.solve_mass(z).x, z)

@@ -347,8 +347,9 @@ FRAME_DOMAIN = RectDomain((0.3, -0.2), (1.0, 0.7))  # hx != hy for 1..5 cells pe
 def test_lift_frame_matches_the_full_grid_lift(k):
     # the lift is zero more than k rows or columns from the ring; its strips
     # hold the full-grid product's entries.  One and two cells leave no rows
-    # between the bottom and the top strips, and up to four cells keep every
-    # dof of an axis's frame; seven cuts the frame.  The strips sum the same
+    # between the bottom and the top strips, and an axis of at most 2(2k + 1)
+    # dofs, n_cells <= 4 + 1/k (five cells at Q1, four above), keeps every
+    # dof of its frame; seven cuts the frame.  The strips sum the same
     # terms as the full grid, but a panel GEMM's summation order depends on
     # its operand shapes (k = 3 on one by five cells differs in the last bit).
     # An entry takes at most 4k + 5 roundings along any path of its terms (two

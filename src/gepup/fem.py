@@ -17,8 +17,8 @@ from its factors: the row sums behind the solves' norm bounds, the
 generalized eigenpairs of its full and interior blocks (as even and odd
 halves, modes in that order, not ascending; ``cell_eigenbasis`` builds
 them from one cell's blocks by cell frequency, with no dense
-eigensolve), the dense M^{-1} C and C^T and the blocks of M and K near
-the two ends, each computed once, on first use.
+eigensolve), the dense M^{-1} C and C^T and the end columns of M and K (the
+Dirichlet lift of a momentum solve), each computed once, on first use.
 The two axes of a square grid are one object, so they compute all of it
 once; everything an axis holds is read-only.  The module also holds the
 element tables, the one walk over the elements of every quadrature pass
@@ -327,8 +327,8 @@ class Axis:
     ``linsolve.FOLD_MIN_DOFS`` dofs), built by ``cell_eigenbasis`` from the
     blocks of M and K on one cell, the
     dense ``D`` = M^{-1} C, formed from ``eig``, the ``BandedFactor`` ``CT``
-    = C^T and the blocks ``frame`` of M and K on the dofs near the two ends
-    (the Dirichlet lift of a momentum solve).
+    = C^T and the ``end_columns`` of M and K, their first and last columns
+    on the interior dofs (the Dirichlet lift of a momentum solve).
     Every array, the factors' panels included, is read-only, because one
     axis serves as both axes of a square grid.
     """
@@ -413,22 +413,15 @@ class Axis:
         return BandedFactor(self.C.toarray().T, self.C.bandwidth)
 
     @functools.cached_property
-    def frame(self) -> tuple[np.ndarray, BandedFactor, BandedFactor]:
-        """(keep, M, K): the dofs within 2k of either end, ascending, and the blocks
-        of M and K on them; an axis of at most 2(2k + 1) dofs keeps every dof,
-        that is one of n_cells <= 4 + 1/k (five cells at Q1, four above).
-
-        A row within k of an end couples only to dofs within 2k of it, so
-        each such row of the blocks holds all of its entries; the other rows
-        are cut and unusable.  The blocks are banded like M and K, and at
-        most 4k + 2 rows, so each is one panel.
-        """
+    def end_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The first and last columns of M and of K on the interior dofs, where they
+        are nonzero: per factor a (2, m) array, m = min(k, n - 2), whose row 0 is
+        the first column on interior dofs 0..m-1 and row 1 the last column on the
+        last m.  They are the end columns of the cell blocks without the end dof
+        itself (rows 1..k-1 on a one-cell axis)."""
         k = self.cell_dofs.shape[1] - 1
-        keep = np.arange(self.n)
-        if self.n > 2 * (2 * k + 1):
-            keep = np.concatenate([keep[: 2 * k + 1], keep[-(2 * k + 1) :]])
-        cut = np.ix_(keep, keep)
-        return _frozen(keep), BandedFactor(self.M.toarray()[cut], k), BandedFactor(self.K.toarray()[cut], k)
+        m = min(k, self.n - 2)
+        return tuple(_frozen(np.stack([F[1 : 1 + m, 0], F[k - m : k, k]])) for F in self._cells[:2])
 
     def load(self, values) -> np.ndarray:
         """1D load sum_q w_q v(x_q) phi_i(x_q) from samples v at ``points``."""

@@ -149,8 +149,9 @@ class ConstrainedOperator:
     factors, so it is solved directly in the interior eigenbasis; a new
     coeff only rescales the diagonal 1 + coeff * (lam_y + lam_x).
     The lift, (M + coeff A) x_b on the interior rows for the ring data x_b,
-    is zero more than k rows or columns from the ring: ``lift_frame`` forms
-    it there as strips from two thin products, with no full-grid array.  The
+    is zero more than k rows or columns from the ring: ``subtract_lift``
+    takes it there from 1D products of the ring's sides and the axes'
+    ``end_columns``, with no full-grid array.  The
     backward-error check is that of the interior equations [K L] x = rhs_i
     the solve satisfies, x the whole solution (interior and ring): the
     solution's ``XPass`` gives (M + coeff A) x, whose interior rows are
@@ -167,53 +168,32 @@ class ConstrainedOperator:
         self.norm = norm_bound(ax.row_sums, ay.row_sums, 1.0, coeff)
         self.scale = 1.0 / (1.0 + coeff * ops.interior_eig.lam)
 
-    def lift_frame(self, boundary_values: np.ndarray) -> list[tuple[tuple[slice, slice], np.ndarray]]:
-        """The lift (M + coeff A) x_b on the (ndof_y - 2, ndof_x - 2) interior grid,
-        x_b the ring data ``boundary_values`` (in ``boundary_dofs`` order) and zero elsewhere.
+    def subtract_lift(self, boundary_values: np.ndarray, b: np.ndarray):
+        """b -= the lift (M + coeff A) x_b, in place on the (ndof_y - 2, ndof_x - 2)
+        interior grid ``b``, x_b the ring data ``boundary_values`` (in
+        ``boundary_dofs`` order) and zero elsewhere.
 
-        Returns disjoint (index, strip) pairs whose strips hold the lift's
-        entries within k rows or columns of the ring; it is zero elsewhere.
-        The entries are those of the full-grid product to rounding (a panel
-        GEMM of a thin operand may sum the same terms in another order): the
-        rows near the bottom and the top come from the same product on the
-        grid of the y axis's ``frame`` dofs by all x dofs, the columns near
-        the left and the right side from the one on all y dofs by the x
-        axis's ``frame`` dofs.  Each is about 4k + 2 dofs thin.
+        The ring is X_b = e_0 r_0^T + e_N r_1^T + l e_0^T + rho e_M^T: its bottom
+        and top rows r_0, r_1 over all x dofs and its left and right columns l,
+        rho over the interior rows (the corners belong to the rows).  So the
+        lift My X_b (Mx + coeff Kx)^T + coeff Ky X_b Mx^T is eight outer
+        products, the bottom's my_0 (x) (Mx + coeff Kx) r_0 + coeff ky_0 (x)
+        Mx r_0 with my_0, ky_0 the y axis's ``end_columns``, and so on: four
+        strips k rows or columns thin, which add where they overlap.
         """
         ax, ay = self.ops.space.axes
-        k = self.ops.space.degree
-        (kx, Mxf, Kxf), (ky, Myf, Kyf) = ax.frame, ay.frame
-        rows = self._lift_on(boundary_values, ky, np.arange(ax.n), (ax.M, ax.K), (Myf, Kyf))
-        nyi, nxi = ay.n - 2, ax.n - 2
-        bottom, top = min(k, nyi), max(0, min(k, nyi - k))
-        strips = [
-            ((slice(0, bottom), slice(None)), rows[1 : 1 + bottom, 1:-1]),
-            ((slice(nyi - top, None), slice(None)), rows[len(ky) - 1 - top : len(ky) - 1, 1:-1]),
-        ]
-        if nyi > 2 * k:  # rows between the two: only their columns near the sides
-            cols = self._lift_on(boundary_values, np.arange(ay.n), kx, (Mxf, Kxf), (ay.M, ay.K))
-            left, right = min(k, nxi), max(0, min(k, nxi - k))
-            middle = slice(k, nyi - k)
-            strips += [
-                ((middle, slice(0, left)), cols[k + 1 : ay.n - 1 - k, 1 : 1 + left]),
-                ((middle, slice(nxi - right, None)), cols[k + 1 : ay.n - 1 - k, len(kx) - 1 - right : len(kx) - 1]),
-            ]
-        return strips
-
-    def _lift_on(self, boundary_values, rows, cols, x_factors, y_factors) -> np.ndarray:
-        """(M + coeff A) x_b on the grid of the y dofs ``rows`` by the x dofs ``cols``
-        (each ascending, from the first dof to the last), through the given M and K
-        blocks, in the form of the full-grid product My (X Mx^T + coeff
-        X Kx^T) + coeff Ky (X Mx^T)."""
-        (Mx, Kx), (My, Ky) = x_factors, y_factors
-        nx = self.ops.space.ndof_x
-        X = np.zeros((len(rows), len(cols)))
-        X[0], X[-1] = boundary_values[:nx][cols], boundary_values[-nx:][cols]
-        sides = boundary_values[nx:-nx].reshape(-1, 2)  # (left, right) per interior row
-        X[1:-1, 0], X[1:-1, -1] = sides[rows[1:-1] - 1].T
-        XMt = Mx.times_t(X)
-        mixed = XMt + self.coeff * Kx.times_t(X)
-        return My @ mixed + self.coeff * (Ky @ XMt)
+        nx, c = ax.n, self.coeff
+        sides = np.zeros((ay.n, 2))
+        sides[1:-1] = boundary_values[nx:-nx].reshape(-1, 2)  # (left, right) per interior row
+        rows = np.column_stack((boundary_values[:nx], boundary_values[-nx:]))
+        # the bottom and top strips run along x at the ends of y, the left and right ones the other way
+        for view, lines, along, across in ((b, rows, ax, ay), (b.T, sides, ay, ax)):
+            P = along.M @ lines
+            A = c * (along.K @ lines) + P
+            M_ends, K_ends = across.end_columns
+            m = M_ends.shape[1]
+            for side, strip in enumerate((slice(0, m), slice(len(view) - m, len(view)))):
+                view[strip] -= np.outer(M_ends[side], A[1:-1, side]) + np.outer(c * K_ends[side], P[1:-1, side])
 
     def solve(self, rhs: np.ndarray, boundary_values: np.ndarray) -> XPass:
         """Solve with x = boundary_values on the Dirichlet rows (strong elimination).
@@ -224,8 +204,7 @@ class ConstrainedOperator:
         grid = ops.grid
         rhs_i = rhs.reshape(grid)[1:-1, 1:-1]
         b = rhs_i.copy()
-        for index, strip in self.lift_frame(boundary_values):
-            b[index] -= strip
+        self.subtract_lift(boundary_values, b)
         xi = ops.interior_eig.apply(b.ravel(), self.scale)
         x = np.empty_like(rhs)
         x[ops.space.boundary_dofs] = boundary_values

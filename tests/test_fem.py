@@ -447,7 +447,7 @@ def test_square_grid_shares_one_axis_and_a_rectangle_has_two():
 def test_an_axis_that_only_integrates_loads_assembles_no_factor():
     axis = Axis(6, 1.5, 3, 0.25)
     axis.load(np.ones(axis.points.shape))
-    lazy = ("M", "K", "C", "row_sums", "eig", "interior_eig", "D", "CT")
+    lazy = ("M", "K", "C", "row_sums", "eig", "interior_eig", "D", "CT", "end_columns")
     assert not set(lazy) & set(vars(axis))
     assert axis.M is axis.M
 
@@ -467,8 +467,8 @@ AXIS_ARRAYS = {
     "K.panel_t": lambda axis: axis.K.panels[0][3],
     "C.panel": lambda axis: axis.C.panels[0][2],
     "CT.panel_t": lambda axis: axis.CT.panels[0][3],
-    "frame.M.panel": lambda axis: axis.frame[1].panels[0][2],
-    "frame.keep": lambda axis: axis.frame[0],
+    "end_columns.M": lambda axis: axis.end_columns[0],
+    "end_columns.K": lambda axis: axis.end_columns[1],
     "nodes": lambda axis: axis.nodes,
     "row_sums.M": lambda axis: axis.row_sums[0],
     "row_sums.K": lambda axis: axis.row_sums[1],

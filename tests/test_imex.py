@@ -1,4 +1,6 @@
 import dataclasses
+import os
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import gepup
 from gepup import (
     UNIT_SQUARE,
     ButcherTableau,
@@ -311,8 +314,8 @@ def test_work_per_step(monkeypatch, tableau, fdm_applies, mass_checks, x_passes,
     # a stage's Q and the end-of-step Q; M and C^T for W*_x; M for W*_y.
     # The only other passes are the M Z_d of each projection's two mass
     # checks (M).  The boundary lift of a momentum solve is no pass: it is
-    # zero more than k rows or columns from the ring, and ``lift_frame``
-    # forms it there from 1D products of the ring data.
+    # zero more than k rows or columns from the ring, and ``subtract_lift``
+    # forms it there from 1D products of the ring's sides.
     ops = GepupOperators(UNIT_SQUARE, (4, 4), 2)
     case = taylor_green_case(100.0)
     state = ops.initial_state(case, 0.0)
@@ -335,6 +338,32 @@ def test_work_per_step(monkeypatch, tableau, fdm_applies, mass_checks, x_passes,
         "x_pass": x_passes,
         "x_product": x_products,
     }
+
+
+@pytest.mark.parametrize("tableau, calls", [("ark4", 1185), ("ark5", 1579)], ids=["ark4", "ark5"])
+def test_python_calls_per_step(tableau, calls):
+    # the Python-level calls into the package during one step at Q2 on 4x4
+    # cells, after a first step has built what is built on first use.  Small
+    # grids are call-bound, so this count is their work measure; counting
+    # package code only keeps it independent of numpy's internals.  A change
+    # in work fails here until the pin moves with it
+    root = os.path.dirname(gepup.__file__) + os.sep
+    ops = GepupOperators(UNIT_SQUARE, (4, 4), 2)
+    case = taylor_green_case(100.0)
+    tab = load_tableau(tableau)
+    state = advance_step(ops.initial_state(case, 0.0), 0.01, tab, case, ops)
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event == "call" and frame.f_code.co_filename.startswith(root)
+
+    sys.setprofile(profile)
+    try:
+        advance_step(state, 0.01, tab, case, ops)
+    finally:
+        sys.setprofile(None)
+    assert count == calls
 
 
 def forced_tg_case():

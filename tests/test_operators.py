@@ -340,41 +340,62 @@ def assert_matches_terms(load, terms):
     assert np.abs(load - sum(terms)).max() <= 1e-13 * scale
 
 
-FRAME_DOMAIN = RectDomain((0.3, -0.2), (1.0, 0.7))  # hx != hy for 1..5 cells per axis
+FRAME_DOMAIN = RectDomain((0.3, -0.2), (1.0, 0.7))  # hx != hy for every pair of cell counts below
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_lift_frame_matches_the_full_grid_lift(k):
-    # the lift is zero more than k rows or columns from the ring; its strips
-    # hold the full-grid product's entries.  One and two cells leave no rows
-    # between the bottom and the top strips, and an axis of at most 2(2k + 1)
-    # dofs, n_cells <= 4 + 1/k (five cells at Q1, four above), keeps every
-    # dof of its frame; seven cuts the frame.  The strips sum the same
-    # terms as the full grid, but a panel GEMM's summation order depends on
-    # its operand shapes (k = 3 on one by five cells differs in the last bit).
-    # An entry takes at most 4k + 5 roundings along any path of its terms (two
-    # inner products of 2k + 1 terms, a scaling by the coefficient and two
-    # additions), so each order is within (4k + 5) u of the exact entry,
-    # relative to the sum of its absolute terms (``lift_magnitude``,
-    # u = 2^-53): two differ by at most (8k + 10) u of it
+    # the lift is zero more than k rows or columns from the ring; its four
+    # strips sum the full-grid product's terms in another order.  One cell
+    # leaves k - 1 interior rows, and below 2k of them (one and two cells) the
+    # bottom and top strips overlap; the strips of the two axes overlap at the
+    # corners, and 16 cells leave most rows in no strip.  Each order
+    # is within some number of roundings of the exact entry, relative to the
+    # sum of its absolute terms (``lift_magnitude``, u = 2^-53).  The full grid
+    # takes at most 4k + 5 along any path of a term (two inner products of
+    # 2k + 1 terms, a scaling by the coefficient and two additions).  A strip
+    # takes at most 2k + 5 (one inner product, the scaling, the sum with the
+    # other factor's product, the outer product with an end column, the sum of
+    # the strip's two outer products), and three more where four strips add
+    # up: 2k + 8.  The two differ by at most (6k + 13) u of the magnitude
     rng = np.random.default_rng(47 + k)
     u = np.finfo(float).eps / 2
-    for nx in (1, 2, 3, 4, 5, 7):
-        for ny in (1, 2, 3, 4, 5, 7):
+    for nx in (1, 2, 3, 4, 5, 7, 16):
+        for ny in (1, 2, 3, 4, 5, 7, 16):
             domain = UNIT_SQUARE if nx == ny else FRAME_DOMAIN
             ops = GepupOperators(domain, (nx, ny), k)
             op = ops.momentum_operator(0.37)
             ring = rng.standard_normal(len(ops.space.boundary_dofs))
             lift = full_grid_lift(ops, op.coeff, ring)
             magnitude = lift_magnitude(ops, op.coeff, ring)
-            frame = np.zeros_like(lift)
-            covered = np.zeros(lift.shape, dtype=int)
-            for index, strip in op.lift_frame(ring):
-                frame[index] = strip
-                covered[index] += 1
-            assert covered.max(initial=1) == 1, (nx, ny)  # the strips are disjoint
-            assert np.all(np.abs(frame - lift) <= (8 * k + 10) * u * magnitude), (nx, ny)
+            strips = np.zeros_like(lift)
+            op.subtract_lift(ring, strips)
+            assert np.all(np.abs(strips + lift) <= (6 * k + 13) * u * magnitude), (nx, ny)
             assert lift.size == 0 or np.abs(lift).max() > 0.0
+
+
+def test_lift_holds_strips_not_a_full_grid():
+    # one lift at Q3 L6 (n = 193) holds the strips of one side, k rows by n:
+    # the two outer products and their sum, and O(n) arrays besides (the ring's
+    # lines and sides, and the 1D products of two passes); measured: 22.7 n
+    # doubles.  The bound allows four strips and 16 n.  The full-grid lift
+    # holds the ring scattered into an n^2 grid and its products and exceeds it
+    ops = GepupOperators(UNIT_SQUARE, (64, 64), 3)
+    op = ops.momentum_operator(0.37)
+    ring = np.random.default_rng(53).standard_normal(len(ops.space.boundary_dofs))
+    b = np.zeros((ops.space.ndof_y - 2, ops.space.ndof_x - 2))
+    op.subtract_lift(ring, b)  # the axes' factors and end columns are built on first use
+    n, k = ops.space.ndof_x, ops.space.degree
+    bound = 8 * (4 * k * n + 16 * n)
+    peaks = []
+    for lift in (lambda: op.subtract_lift(ring, b), lambda: full_grid_lift(ops, op.coeff, ring)):
+        tracemalloc.start()
+        try:
+            lift()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= bound < peaks[1], (peaks, bound)
 
 
 def test_each_boundary_load_samples_its_data_once():

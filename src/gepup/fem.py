@@ -542,7 +542,7 @@ def build_space(domain: RectDomain, cells: tuple[int, int], degree: int) -> FeSp
 
 
 def error_norms(space: FeSpace, fields, exact, t: float, exact_grads) -> dict:
-    """Errors of ``fields`` against ``exact`` and ``exact_grads``: {"L2", "H1", "Linf"}.
+    """Errors of ``fields`` against ``exact`` and ``exact_grads``: {"L2", "H1semi", "H1", "Linf"}.
 
     A vector field is a list of per-component coefficient arrays, with
     ``exact(x, y, t)`` returning its components and ``exact_grads(x, y, t)``
@@ -555,28 +555,27 @@ def error_norms(space: FeSpace, fields, exact, t: float, exact_grads) -> dict:
     accept broadcastable coordinates, x of shape (1, n) and y of shape
     (m, 1), and return values that broadcast to (m, n).
 
-    L2 and H1 (full norm) sum the components in quadrature, band by band;
-    Linf is the largest Euclidean magnitude of the error at the quadrature
-    and support points.
+    L2 and the H1 seminorm ("H1semi") sum the components' squared value and
+    gradient errors in quadrature, band by band, each in its own sum; H1
+    (the full norm) is sqrt(L2^2 + H1semi^2).  Linf is the largest
+    Euclidean magnitude of the error at the quadrature and support points.
     """
     if isinstance(fields, np.ndarray):
         pairs = lambda x, y, tt: (exact_grads(x, y, tt),)
         return error_norms(space, [fields], lambda x, y, tt: (exact(x, y, tt),), t, pairs)
-    l2sq = quad_max = 0.0
-    grad_terms = []  # per band and component, the squared gradient errors
+    l2sq = semisq = quad_max = 0.0
     for elements, rows in space.element_bands():
         l2, grads, band_max = _band_errors(space, fields, exact, exact_grads, t, elements, rows)
         for term in l2:
             l2sq += term
-        grad_terms += grads
+        for term in grads:
+            semisq += term
         quad_max = np.maximum(quad_max, band_max)  # a NaN stays NaN
     nodal_sq = 0.0
     for f, e in zip(fields, exact(*space.node_axes, t)):
         nodal_sq = nodal_sq + (f - space.node_order(e)) ** 2
-    h1sq = l2sq  # the gradient terms add on after all the L2 terms, as on one band
-    for term in grad_terms:
-        h1sq += term
-    return {"L2": np.sqrt(l2sq), "H1": np.sqrt(h1sq), "Linf": float(np.sqrt(max(quad_max, np.max(nodal_sq))))}
+    linf = float(np.sqrt(max(quad_max, np.max(nodal_sq))))
+    return {"L2": np.sqrt(l2sq), "H1semi": np.sqrt(semisq), "H1": np.sqrt(l2sq + semisq), "Linf": linf}
 
 
 def _band_errors(space: FeSpace, fields, exact, exact_grads, t: float, elements: slice, rows: slice):

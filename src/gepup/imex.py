@@ -400,7 +400,7 @@ def advance_step(
             MW_s = [w.mass for w in W]
             # a pass holds several fields: drop the passes of W_s and W* once read
             del W
-            add(s, weights_F, ops.pressure(U_s, case, ts)[1])
+            add(s, weights_F, ops.pressure(U_s, case, ts, False)[1])
 
         phase, t_phase = "end-of-step projection", t1
         W_star = []

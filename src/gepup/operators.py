@@ -7,9 +7,10 @@ The evolved velocity w is not constrained to be solenoidal; the chain
 recovers the divergence-free velocity u = w - grad(phi) and extracts the
 pressure q from u.  One ``pressure`` call also forms the explicit load of
 the momentum equation at that (u, q): F = (f - u . grad u - grad q, eta),
-from the pressure load's quadrature pass and the pass of q.  All
-right-hand sides are loads against the scalar test basis; the two Poisson
-solves are pure-Neumann problems posed in the mean-zero subspace.  The
+from the pass of q and the quadrature pass of ``eval_Fq``, which forms
+every pressure load.  All right-hand sides are loads against the scalar
+test basis; the two Poisson solves are pure-Neumann problems posed in the
+mean-zero subspace.  The
 velocity needs no 2D solve: the mass matrix cancels against the mass
 factor of the load of d(phi)/dx_d, leaving
 u_d = w_d - (Mx^{-1} Cx or My^{-1} Cy products of phi).
@@ -18,13 +19,14 @@ In 2D the curl is the scalar du_y/dx - du_x/dy and the boundary term of the
 pressure equation integrates curl(u) against the tangential derivative of
 the test function, with the counterclockwise tangent (-n_y, n_x).  It and
 the boundary fluxes (g . n, eta) are ``tensorops`` products on the space's
-1D axes, added in place onto the boundary rows and columns of a load; the
+1D axes, added in place onto the boundary rows and columns of a load,
+each side whole, so a corner sums the two sides that meet there; the
 nonlinear term is integrated by one quadrature pass over the space's
 physical element tables, band by band of ``FeSpace.element_bands`` (the
 walk the error norms take too), sampling the forcing on the space's
 quadrature axes.  The state after a step, or the initial state, takes its
 monitors (the L2 norm of div u, the largest sampled speed and the kinetic
-energy) from the quadrature pass of its pressure call.
+energy) from the quadrature pass of its ``pressure`` call with monitors.
 """
 
 from __future__ import annotations
@@ -120,14 +122,14 @@ class GepupState:
     end-of-step update replaces W with the projected velocity, so ``W`` is
     the list ``U`` itself, not a copy, and neither is written in place.
     ``F`` holds the explicit loads (f - u . grad u - grad q, eta_i) per
-    component at (U, Q, t), from the pressure solve that gave Q; the next
+    component at (U, Q, t), from the ``pressure`` call that gave Q; the next
     time step reads them as its first explicit stage.  ``div_l2`` (the L2
     norm of div u), ``speed_sq`` (the largest |u|^2 at the support and
     the quadrature points, for the Courant step) and ``kinetic_energy``
     (half the integral of |u|^2 by the quadrature rule, which is exact for
     it, so it equals 1/2 u . M u to rounding) come from the quadrature pass
-    of the same pressure load.  After changing U by hand, take the state
-    from ``GepupOperators.state_at`` again.
+    of the same call, made with monitors.  After changing U by hand, take
+    the state from ``GepupOperators.state_at`` again.
     """
 
     t: float
@@ -373,17 +375,13 @@ class GepupOperators:
         tensorops.add_normal_load(self.space.axes, case.g, t, -1.0, load.reshape(self.grid))
         return load
 
-    def eval_Fq(self, U: list[np.ndarray], case: CaseDefinition, t: float) -> tuple[np.ndarray, list[np.ndarray]]:
+    def eval_Fq(self, U: list[np.ndarray], case: CaseDefinition, t: float, monitors: bool):
         """Pressure load (f - u.grad u, grad eta_i) + nu * curl boundary term - g_t flux term.
 
-        Also returns the loads (f - u . grad u, eta_i) per component that the
-        same quadrature pass yields, for the explicit loads of ``pressure``.
+        Returns (load, conv, stats): conv the loads (f - u . grad u, eta_i)
+        per component from the same quadrature pass, and stats the pass's
+        (div_l2, speed_sq, kinetic_energy) of u with ``monitors``, else None.
         """
-        load, conv, _ = self._pressure_loads(U, case, t, False)
-        return load, conv
-
-    def _pressure_loads(self, U: list[np.ndarray], case: CaseDefinition, t: float, monitors: bool):
-        """``eval_Fq``'s loads and, with ``monitors``, the (div_l2, speed_sq) of the pass."""
         conv, load, stats = self._nonlinear_loads(U, case, t, monitors)
         ring = load.reshape(self.grid)
         if case.nu != 0.0:
@@ -430,28 +428,26 @@ class GepupOperators:
             U.append(W[d].x - Z)
         return U, Phi.x
 
-    def pressure(self, U: list[np.ndarray], case: CaseDefinition, t: float) -> tuple[np.ndarray, list[np.ndarray]]:
+    def pressure(self, U: list[np.ndarray], case: CaseDefinition, t: float, monitors: bool):
         """The pressure Q at (U, t) and the explicit loads F_d = (f_d - u . grad u_d - dq/dx_d, eta_i).
 
-        One quadrature pass (``eval_Fq``) yields the pressure load and the
-        convection loads; G_d Q comes from the pass of Q that the Poisson
-        solve's check took, which is dropped on return.  Returns (Q, [F_x, F_y]).
+        One quadrature pass (``eval_Fq``) yields the pressure load, the
+        convection loads and the stats; G_d Q comes from the pass of Q that
+        the Poisson solve's check took, which is dropped on return.  Returns
+        (Q, [F_x, F_y], stats).
         """
-        return self._solve_pressure(*self.eval_Fq(U, case, t))
-
-    def _solve_pressure(self, load: np.ndarray, conv: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+        load, conv, stats = self.eval_Fq(U, case, t, monitors)
         Q = self.solve_poisson(load, "poisson_q")
-        return Q.x, [conv[d] - Q.gradient(d) for d in range(2)]
+        return Q.x, [conv[d] - Q.gradient(d) for d in range(2)], stats
 
     def state_at(self, t: float, U: list[np.ndarray], Phi: np.ndarray, case: CaseDefinition) -> GepupState:
         """The state of the projected velocity U (and its potential Phi) at t.
 
-        W is U itself; Q and F come as from ``pressure``, and the monitors
-        ``div_l2``, ``speed_sq`` and ``kinetic_energy`` from the same
-        quadrature pass, whose samples of u and of its derivatives they reuse.
+        W is U itself; Q, F and the monitors ``div_l2``, ``speed_sq`` and
+        ``kinetic_energy`` come from one ``pressure`` call with monitors,
+        whose quadrature pass samples u and its derivatives once for both.
         """
-        load, conv, (div_l2, quad_speed_sq, energy) = self._pressure_loads(U, case, t, True)
-        Q, F = self._solve_pressure(load, conv)
+        Q, F, (div_l2, quad_speed_sq, energy) = self.pressure(U, case, t, True)
         speed_sq = max(float((U[0] ** 2 + U[1] ** 2).max()), quad_speed_sq)
         return GepupState(t, U, U, Phi, Q, F, div_l2, speed_sq, energy)
 

@@ -79,19 +79,15 @@ def add_curl_load(axes, U, scale: float, load: np.ndarray):
 
 def _add_ring(load: np.ndarray, scale: float, rows, cols):
     """load += scale * ring for the ring data of one boundary load: ``rows`` the
-    bottom and top rows, ``cols`` the left and right columns, whose corner
-    entries belong to both (and sum there, the rows' first).  The four
-    arrays are the caller's own; the corners of ``rows`` are overwritten.
+    bottom and top rows, ``cols`` the left and right columns.  Each side is
+    added whole, so a corner sums the entries of the row and the column that
+    meet there.
     """
     (bottom, top), (left, right) = rows, cols
-    bottom[0] += left[0]
-    bottom[-1] += right[0]
-    top[0] += left[-1]
-    top[-1] += right[-1]
     load[0] += scale * bottom
     load[-1] += scale * top
-    load[1:-1, 0] += scale * left[1:-1]
-    load[1:-1, -1] += scale * right[1:-1]
+    load[:, 0] += scale * left
+    load[:, -1] += scale * right
 
 
 def norm_bound(x_sums, y_sums, alpha: float, beta: float) -> float:

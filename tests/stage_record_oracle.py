@@ -37,7 +37,7 @@ def advance_step_with_record(state, dt, tableau, case, ops):
         U_s, _ = ops.leray_project(W, case, ts)
         MW_s = [w.mass for w in W]
         del W
-        F[:, s] = ops.pressure(U_s, case, ts)[1]
+        F[:, s] = ops.pressure(U_s, case, ts, False)[1]
     W_star = []
     for d in range(2):
         rhs = (dt * (b - AE[n - 1])) @ F[d]

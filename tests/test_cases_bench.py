@@ -569,6 +569,17 @@ def test_solution_errors_sample_the_exact_pressure_once_per_point_set(monkeypatc
     assert (space.quad_axes[0].shape, space.quad_axes[1].shape) not in calls
 
 
+def test_solution_errors_report_the_error_norms_own_seminorm():
+    # the seminorm is error_norms' own sum of gradient terms, not
+    # sqrt(H1^2 - L2^2), which cancels once the L2 part dominates
+    case = taylor_green_case(100.0)
+    ops = GepupOperators(UNIT_SQUARE, (8, 8), 3)
+    state = ops.initial_state(case, 0.0)
+    errors = solution_errors(ops, state, case)
+    u_norms = error_norms(ops.space, state.U, case.exact_u, 0.0, case.exact_u_grads)
+    assert [errors[f"u_{key}"] for key in ("L2", "H1semi", "H1")] == [u_norms[key] for key in ("L2", "H1semi", "H1")]
+
+
 BAND_GRIDS = [((1, 1), 2), ((3, 2), 2), ((1, 8), 0)]  # (base_cells, level): square, non-square, one cell wide
 BAND_IDS = ["square", "base-3x2", "one-cell-wide"]
 

@@ -271,6 +271,33 @@ def test_error_norm_h1_includes_l2_part(space_q3_8x8):
     assert h1 == pytest.approx(np.sqrt(1.0 / 3.0 + 1.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("k, level", [(3, 4), (4, 5)])
+def test_error_norm_seminorm_ignores_a_constant_offset(k, level):
+    # an interpolant of sin(x + 2y) + 1 against sin(x + 2y): the error is 1
+    # plus the interpolation error, whose seminorm is the offset-free one.
+    # Derived bound, u = 2^-53, n local dofs, L the largest Euclidean norm of
+    # (sum_i |d phi_i/dx|, sum_i |d phi_i/dy|) at a quadrature point: the
+    # offset coefficients fl(s_i + 1) are off by at most u each, and the
+    # constant's gradients cancel exactly, so the true gradients differ by at
+    # most u L; each gathered gradient product rounds by at most n u sum
+    # |c_i| |d phi_i|, |c_i| <= 2 offset and <= 1 free, so 3 n u L for the
+    # two; by the triangle inequality in the weighted norm over the unit
+    # square the seminorms differ by at most the largest difference of the
+    # gradient samples, with 1e-12 of the seminorm for the sums' rounding.
+    # sqrt(H1^2 - L2^2) reads 0.0 at Q4 L5 and is off by 1.7 bounds at Q3 L4
+    space = build_space(UNIT_SQUARE, (2**level, 2**level), k)
+    exact = lambda x, y, t: np.sin(x + 2 * y)
+    grads = lambda x, y, t: (np.cos(x + 2 * y), 2 * np.cos(x + 2 * y))
+    free = error_norms(space, interpolate(space, exact), exact, 0.0, grads)
+    offset = error_norms(space, interpolate(space, lambda x, y, t: exact(x, y, t) + 1.0), exact, 0.0, grads)
+    L = np.hypot(np.abs(space.quad_dx).sum(axis=0), np.abs(space.quad_dy).sum(axis=0)).max()
+    u = 2.0**-53
+    bound = (1 + 3 * space.element_dofs.shape[1]) * u * L + 1e-12 * free["H1semi"]
+    assert abs(offset["H1semi"] - free["H1semi"]) <= bound
+    assert offset["L2"] == pytest.approx(1.0, abs=1e-11)
+    assert offset["H1"] == np.sqrt(offset["L2"] ** 2 + offset["H1semi"] ** 2)
+
+
 def test_galerkin_orthogonality_proxy(ops_q3_l3):
     # for u in the space, A @ coeffs(u) equals the load (grad u, grad eta_i):
     # the pressure load of a resting, inviscid flow forced by grad u
@@ -281,7 +308,7 @@ def test_galerkin_orthogonality_proxy(ops_q3_l3):
     zero = lambda x, y, t=0.0: (np.zeros_like(x), np.zeros_like(x))
     case = CaseDefinition("grad-u", 0.0, zero, zero, f=lambda x, y, t: (3 * x**2 - 2 * y**2, -4 * x * y + 1.0))
     z = np.zeros(space.n_dofs)
-    load, _ = ops_q3_l3.eval_Fq([z, z], case, 0.0)
+    load, _, _ = ops_q3_l3.eval_Fq([z, z], case, 0.0, False)
     assert np.abs(A @ coeffs - load).max() < 1e-12
 
 

@@ -25,6 +25,7 @@ from gepup.tensorops import XPass
 from gepup.operators import CaseDefinition, GepupOperators
 from fem_oracle import assemble_mass, assemble_stiffness, interior_dofs, interpolate, kinetic_energy, sampled_speed_sq
 from stage_record_oracle import advance_step_with_record
+from stokes_step_oracle import spectral_radius
 from ark_order_oracle import (
     esdirk_stability,
     max_residual_through_order,
@@ -269,8 +270,9 @@ def test_stage_solve_matches_scalar_amplification_oracle():
         def leray_project(self, W, case, t):
             return [self.x_pass(w).x.copy() for w in W], np.zeros(self.space.n_dofs)
 
-        def pressure(self, U, case, t):
-            return np.zeros(self.space.n_dofs), [np.zeros(self.space.n_dofs), np.zeros(self.space.n_dofs)]
+        def pressure(self, U, case, t, monitors):
+            zeros = [np.zeros(self.space.n_dofs) for _ in range(3)]
+            return zeros[0], zeros[1:], self.eval_Fq(U, case, t, monitors)[2]
 
     ops = PureDiffusionOps(UNIT_SQUARE, (4, 4), 2)
     case = zero_case()
@@ -340,7 +342,31 @@ def test_work_per_step(monkeypatch, tableau, fdm_applies, mass_checks, x_passes,
     }
 
 
-@pytest.mark.parametrize("tableau, calls", [("ark4", 1185), ("ark5", 1579)], ids=["ark4", "ark5"])
+@pytest.mark.parametrize("tableau", ["ark4", "ark5"])
+def test_every_pressure_load_goes_through_eval_Fq(tableau, monkeypatch):
+    # one pressure load per pressure call: the initial state's with its
+    # monitors, then in a step one per stage after the first and the
+    # end-of-step state's, again with monitors
+    ops = GepupOperators(UNIT_SQUARE, (4, 4), 2)
+    case = taylor_green_case(100.0)
+    tab = load_tableau(tableau)
+    monitors = []
+    eval_Fq = GepupOperators.eval_Fq
+
+    def counted(self, U, case, t, with_monitors):
+        monitors.append(with_monitors)
+        return eval_Fq(self, U, case, t, with_monitors)
+
+    monkeypatch.setattr(GepupOperators, "eval_Fq", counted)
+    state = ops.initial_state(case, 0.0)
+    assert monitors == [True]
+    monitors.clear()
+    advance_step(state, 0.01, tab, case, ops)
+    assert monitors == [False] * (tab.n_stages - 1) + [True]
+    assert len(monitors) == {"ark4": 6, "ark5": 8}[tableau]
+
+
+@pytest.mark.parametrize("tableau, calls", [("ark4", 1175), ("ark5", 1565)], ids=["ark4", "ark5"])
 def test_python_calls_per_step(tableau, calls):
     # the Python-level calls into the package during one step at Q2 on 4x4
     # cells, after a first step has built what is built on first use.  Small
@@ -566,6 +592,33 @@ def test_linear_stokes_steps_do_not_grow(tableau, r):
 @pytest.mark.parametrize("tableau, r", STOKES_CASES)
 def test_linear_stokes_steps_do_not_grow_q3(tableau, r):
     assert linear_stokes_growth(tableau, r, k=3, n=8) <= 1.0
+
+
+# ROADMAP item 14: the exact step matrix R on 4x4 Q2 cells (stokes_step_oracle).
+# Measured rho(R) at r = 0.1, 0.3, 1, 3, 10, 100: ark4 0.921, 0.781, 0.440,
+# 0.358, 1.149, 11.44 (item 1) and ark5 0.921, 1.258, 4.187, 12.55, 41.81,
+# 417.8 (item 15: past 1 already at r = 0.3, below the growth tests' grid)
+STEP_MATRIX_UNSTABLE = {
+    ("ark4", 10): "ROADMAP item 1",
+    ("ark4", 100): "ROADMAP item 1",
+    **{("ark5", r): "ROADMAP item 15" for r in (0.3, 1, 3, 10, 100)},
+}
+STEP_MATRIX_CASES = [
+    pytest.param(
+        tab,
+        r,
+        marks=pytest.mark.xfail(strict=True, reason=STEP_MATRIX_UNSTABLE[tab, r])
+        if (tab, r) in STEP_MATRIX_UNSTABLE
+        else (),
+    )
+    for tab in ("ark4", "ark5")
+    for r in (0.1, 0.3, 1, 3, 10, 100)
+]
+
+
+@pytest.mark.parametrize("tableau, r", STEP_MATRIX_CASES)
+def test_linear_stokes_step_matrix_is_stable(tableau, r):
+    assert spectral_radius(tableau, r, zero_case()) <= 1.0
 
 
 def decaying_tg_case():

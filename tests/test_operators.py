@@ -66,7 +66,7 @@ def interp2(space, fn):
 def test_Fw_all_zero(ops):
     N = ops.space.n_dofs
     z = np.zeros(N)
-    conv = ops.eval_Fq([z, z], make_case(), 0.0)[1]
+    conv = ops.eval_Fq([z, z], make_case(), 0.0, False)[1]
     assert np.allclose(conv[0], 0.0, atol=1e-15)
     assert np.allclose(ops.x_pass(z).gradient(0), 0.0, atol=1e-15)
 
@@ -75,7 +75,7 @@ def test_Fw_constant_forcing_gives_mass_row_sums(ops):
     N = ops.space.n_dofs
     z = np.zeros(N)
     case = make_case(f=lambda x, y, t: (np.ones_like(x), np.zeros_like(x)))
-    conv = ops.eval_Fq([z, z], case, 0.0)[1]
+    conv = ops.eval_Fq([z, z], case, 0.0, False)[1]
     assert np.allclose(conv[0], ops.mass_weights, atol=1e-14)
     assert np.allclose(conv[1], 0.0, atol=1e-15)
 
@@ -84,7 +84,7 @@ def test_Fw_shear_field_has_no_self_advection():
     # u = (y, 0): u . grad u_x = y * 0 + 0 * 1 = 0 pointwise
     ops1 = GepupOperators(UNIT_SQUARE, (1, 1), 2)
     U = interp2(ops1.space, lambda x, y: (y, np.zeros_like(x)))
-    conv = ops1.eval_Fq(U, make_case(), 0.0)[1]
+    conv = ops1.eval_Fq(U, make_case(), 0.0, False)[1]
     assert np.allclose(conv[0], 0.0, atol=1e-14)
 
 
@@ -201,7 +201,7 @@ def test_projection_passes_the_mass_check(monkeypatch):
 
 def test_Fq_zero_state(ops):
     z = np.zeros(ops.space.n_dofs)
-    load, _ = ops.eval_Fq([z, z], make_case(), 0.0)
+    load, _, _ = ops.eval_Fq([z, z], make_case(), 0.0, False)
     assert np.allclose(load, 0.0, atol=1e-15)
 
 
@@ -209,8 +209,8 @@ def test_Fq_constant_curl_has_zero_boundary_term(ops):
     # rigid rotation: curl = 2 everywhere; the closed-contour integral of a
     # tangential gradient vanishes, so the nu-dependent part must vanish
     U = interp2(ops.space, lambda x, y: (-y, x))
-    load_nu = ops.eval_Fq(U, make_case(nu=0.7), 0.0)[0]
-    load_00 = ops.eval_Fq(U, make_case(nu=0.0), 0.0)[0]
+    load_nu = ops.eval_Fq(U, make_case(nu=0.7), 0.0, False)[0]
+    load_00 = ops.eval_Fq(U, make_case(nu=0.0), 0.0, False)[0]
     assert np.abs(load_nu - load_00).max() < 1e-12
 
 
@@ -218,14 +218,14 @@ def test_Fq_boundary_term_sign_on_shear(ops):
     # u = (y^2, 0): curl = -2y; on the right face (tangent +e_y) the term
     # integrates -2y d(eta)/dy against nu, nonzero -> loads must differ
     U = interp2(ops.space, lambda x, y: (y**2, np.zeros_like(x)))
-    load_nu = ops.eval_Fq(U, make_case(nu=1.0), 0.0)[0]
-    load_00 = ops.eval_Fq(U, make_case(nu=0.0), 0.0)[0]
+    load_nu = ops.eval_Fq(U, make_case(nu=1.0), 0.0, False)[0]
+    load_00 = ops.eval_Fq(U, make_case(nu=0.0), 0.0, False)[0]
     assert np.abs(load_nu - load_00).max() > 1e-3
 
 
 def test_pressure_zero_for_rest_state(ops):
     z = np.zeros(ops.space.n_dofs)
-    Q = ops.pressure([z, z], make_case(), 0.0)[0]
+    Q = ops.pressure([z, z], make_case(), 0.0, False)[0]
     assert np.abs(Q).max() < 1e-12
 
 
@@ -242,7 +242,7 @@ def test_pressure_from_manufactured_gradient_forcing():
         space = ops_l.space
         case = make_case(f=gpsi)
         z = np.zeros(space.n_dofs)
-        Q = ops_l.pressure([z, z], case, 0.0)[0]
+        Q = ops_l.pressure([z, z], case, 0.0, False)[0]
         mean = 4.0 / np.pi**2  # int of sin sin over the unit square
         errs.append(error_norms(space, Q, lambda x, y, t: psi(x, y) - mean, 0.0, gpsi)["L2"])
     assert errs[0] < 2e-4
@@ -256,7 +256,7 @@ def test_pressure_approximates_known_field_from_velocity():
         ops_l = GepupOperators(UNIT_SQUARE, (2**level, 2**level), 3)
         space = ops_l.space
         U = interp2(space, lambda x, y: case.exact_u(x, y, 0.0))
-        Q = ops_l.pressure(U, case, 0.0)[0]
+        Q = ops_l.pressure(U, case, 0.0, False)[0]
         errs.append(error_norms(space, Q, case.exact_p, 0.0, case.exact_p_grad)["L2"])
     assert errs[1] < errs[0] / 10.0  # ~ (k+1)-order decay under refinement
 
@@ -264,7 +264,7 @@ def test_pressure_approximates_known_field_from_velocity():
 def test_pressure_is_mass_mean_zero_and_gauge_invariant(ops, rng):
     case = taylor_green_case(50.0)
     U = interp2(ops.space, lambda x, y: case.exact_u(x, y, 0.0))
-    Q = ops.pressure(U, case, 0.0)[0]
+    Q = ops.pressure(U, case, 0.0, False)[0]
     w = ops.mass_weights
     assert abs(w @ Q) <= 1e-10 * np.linalg.norm(Q) * np.linalg.norm(w)
     # shifting the potential by a constant must not change the projected velocity
@@ -409,7 +409,7 @@ def test_each_boundary_load_samples_its_data_once():
 
     counted_case = dataclasses.replace(case, g=counted(case.g), dg_dt=counted(case.dg_dt))
     ops.eval_Fphi(W, counted_case, 0.4)
-    ops.eval_Fq(U, counted_case, 0.4)
+    ops.eval_Fq(U, counted_case, 0.4, False)
     ax, ay = ops.space.axes
     assert calls == [(2 * ax.n_cells + 2 * ay.n_cells, ops.space.degree + 2)] * 2
 
@@ -478,7 +478,7 @@ def test_Fphi_tensor_form_matches_quadrature(k):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_Fw_tensor_form_matches_quadrature(k):
     ops, U, W, _, Phi, case = load_setup(k)
-    Q, F = ops.pressure(U, case, 0.4)
+    Q, F, _ = ops.pressure(U, case, 0.4, False)
     expected = fw_terms(ops.space, U, Q, case, 0.4)
     for d, load in enumerate(F):
         assert_matches_terms(load, expected[d])
@@ -487,13 +487,13 @@ def test_Fw_tensor_form_matches_quadrature(k):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_Fq_and_its_convection_loads_match_quadrature(k):
     ops, U, W, Q, Phi, case = load_setup(k)
-    load, conv = ops.eval_Fq(U, case, 0.4)
+    load, conv, _ = ops.eval_Fq(U, case, 0.4, False)
     assert_matches_terms(load, fq_terms(ops.space, U, case, 0.4))
     expected = fw_terms(ops.space, U, Q, case, 0.4)
     for d in range(2):
         assert_matches_terms(conv[d], expected[d][:2])
     # pressure's explicit loads are exactly these convection loads less G Q
-    Q, F = ops.pressure(U, case, 0.4)
+    Q, F, _ = ops.pressure(U, case, 0.4, False)
     for d in range(2):
         assert np.array_equal(F[d], conv[d] - ops.x_pass(Q).gradient(d))
 
@@ -510,7 +510,7 @@ def test_blocked_pass_matches_quadrature(k, block, bands, convection, monkeypatc
     monkeypatch.setattr(fem, "BLOCK_ELEMENTS", block)
     ops, U, W, Q, Phi, case = load_setup(k, convection, cells=(2, 4))
     assert [elements.stop - elements.start for elements, _ in ops.space.element_bands()] == bands
-    load, conv = ops.eval_Fq(U, case, 0.4)
+    load, conv, _ = ops.eval_Fq(U, case, 0.4, False)
     value_terms = fw_terms(ops.space, U, Q, case, 0.4)
     grad_terms = fq_terms(ops.space, U, case, 0.4)
     if not convection:
@@ -530,7 +530,7 @@ def test_pressure_pass_allocates_no_full_grid_samples(monkeypatch):
     space = ops.space
     case = taylor_green_case(100.0)
     U = [np.ascontiguousarray(u) for u in case.exact_u(space.support_points[:, 0], space.support_points[:, 1], 0.0)]
-    ops.eval_Fq(U, case, 0.0)  # the axes' factors are built on first use
+    ops.eval_Fq(U, case, 0.0, False)  # the axes' factors are built on first use
     n_el, n_local = space.element_dofs.shape
     n_quad = len(space.wdet)
     for block in (fem.BLOCK_ELEMENTS, 128):
@@ -539,7 +539,7 @@ def test_pressure_pass_allocates_no_full_grid_samples(monkeypatch):
         bound += 8 * 8 * (space.ndof_x + space.ndof_y)
         tracemalloc.start()
         try:
-            ops.eval_Fq(U, case, 0.0)
+            ops.eval_Fq(U, case, 0.0, False)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -548,11 +548,11 @@ def test_pressure_pass_allocates_no_full_grid_samples(monkeypatch):
 
 def test_loads_without_convection_keep_forcing_and_pressure():
     ops, U, W, _, Phi, case = load_setup(2, convection=False)
-    Q, F = ops.pressure(U, case, 0.4)
+    Q, F, _ = ops.pressure(U, case, 0.4, False)
     expected = fw_terms(ops.space, U, Q, case, 0.4)
     for d, load in enumerate(F):
         assert_matches_terms(load, [expected[d][0], expected[d][2]])
-    load, _ = ops.eval_Fq(U, case, 0.4)
+    load, _, _ = ops.eval_Fq(U, case, 0.4, False)
     terms = fq_terms(ops.space, U, case, 0.4)
     assert_matches_terms(load, terms[:2] + terms[4:])
 
@@ -565,7 +565,7 @@ def test_state_carries_the_explicit_loads_of_its_fields():
     first = ops.initial_state(case, 0.0)
     for state in (first, advance_step(first, 0.01, load_tableau("ark4"), case, ops)):
         assert state.W is state.U
-        conv = ops.eval_Fq(state.U, case, state.t)[1]
+        conv = ops.eval_Fq(state.U, case, state.t, False)[1]
         for d in range(2):
             assert np.array_equal(state.F[d], conv[d] - ops.x_pass(state.Q).gradient(d))
 
@@ -581,7 +581,7 @@ def test_state_monitors_equal_the_full_grid_formulas(convection):
     state = ops.state_at(0.4, U, Phi, case)
     assert state.div_l2 == divergence_l2(ops.space, U)
     assert state.speed_sq == sampled_speed_sq(ops.space, U)
-    Q, F = ops.pressure(U, case, 0.4)
+    Q, F, _ = ops.pressure(U, case, 0.4, False)
     assert np.array_equal(state.Q, Q)
     assert all(np.array_equal(a, b) for a, b in zip(state.F, F))
 

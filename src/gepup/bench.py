@@ -96,11 +96,12 @@ def solution_errors(ops: GepupOperators, state: GepupState, case: CaseDefinition
     return errs
 
 
-def _monitor_entry(step: int, state: GepupState, dt: float, ops: GepupOperators) -> dict:
+def _monitor_entry(step: int, state: GepupState, dt: float, courant: float, ops: GepupOperators) -> dict:
     return {
         "step": step,
         "t": state.t,
         "dt": dt,
+        "courant": courant,
         "div_l2": state.div_l2,
         "kinetic_energy": state.kinetic_energy,
         **{f"res_{c}": ops.residuals[c] for c in SOLVE_CLASSES},
@@ -127,8 +128,11 @@ def run_simulation(
     start, so that a flow started from rest by moving walls steps at the
     walls' speed; a new dt only rescales the diagonal of the momentum
     solve), and the final step is shortened to
-    land exactly on t_end.  Each monitor row holds the largest backward error of every
-    solve class in that step (``res_<class>``).  A SolverError names the
+    land exactly on t_end.  Each monitor row holds the step's Courant number
+    dt k |u|max / h_max (``courant``, from the same speed; 0 at step 0 and
+    the configured one unless ``dt_max`` or the shortened last step binds)
+    and the largest backward
+    error of every solve class in that step (``res_<class>``).  A SolverError names the
     step (0 for the initial state), phase and time; it is also raised when
     the Courant step has collapsed so far that more than ``MAX_STEPS_LEFT``
     further steps would be needed to reach t_end.
@@ -150,7 +154,7 @@ def run_simulation(
     except SolverError as exc:
         exc.step, exc.phase, exc.t = 0, "initial state", t0
         raise
-    monitors = [_monitor_entry(0, state, 0.0, ops)]
+    monitors = [_monitor_entry(0, state, 0.0, 0.0, ops)]
     if on_step is not None:
         on_step(0, state, ops)
 
@@ -175,7 +179,8 @@ def run_simulation(
             exc.step = steps + 1
             raise
         steps += 1
-        monitors.append(_monitor_entry(steps, state, dt, ops))
+        courant = dt * ops.space.degree * np.sqrt(speed_sq) / ops.space.h_max
+        monitors.append(_monitor_entry(steps, state, dt, courant, ops))
         if on_step is not None:
             on_step(steps, state, ops)
     state.t = t_end

@@ -28,8 +28,9 @@ A case callback is only ever sampled on the axes: at the quadrature points
 on the ``quad_axes``, one band of rows at a time (the nonlinear term's pass
 in ``operators`` and the error norms), and at the nodes on the
 ``node_axes``; ``FeSpace.quad_order`` and ``node_order`` lay the samples
-out, so no (n_dofs, 2) list of point coordinates is built on the run path
-(the boundary data take 1D coordinates of the sides from the axes).  The global
+out, so no (n_dofs, 2) list of point coordinates is built (the boundary
+data take 1D coordinates of the sides from the axes, and a VTK frame the
+node arrays).  The global
 matrices are never assembled: ``tensorops`` applies them, and the boundary
 loads, as products on the axes.
 
@@ -439,9 +440,8 @@ class FeSpace:
     matrices are My (x) Mx and My (x) Kx + Ky (x) Mx.  Element
     e = j*nx + i has the dofs ay.cell_dofs[j] (x) ax.cell_dofs[i] in local
     order, the support points are the grid of the axes' ``nodes`` and the
-    quadrature points the grid of their Gauss ``points``; the flat
-    (n_dofs, 2) list ``support_points`` is built on first read, which only
-    VTK output does.  ``h_max`` is the larger cell width.  The element
+    quadrature points the grid of their Gauss ``points``; no (n_dofs, 2)
+    list of either is built.  ``h_max`` is the larger cell width.  The element
     tables are Kronecker products of the 1D
     tables of ``basis_1d``, scaled to physical derivatives once: ``quad_phi``,
     ``quad_dx``, ``quad_dy`` (n_local, n_quad) at the quadrature points and
@@ -497,12 +497,6 @@ class FeSpace:
         self.load_phi, self.load_dx, self.load_dy = (
             np.ascontiguousarray(self.wdet[:, None] * T.T) for T in (self.quad_phi, self.quad_dx, self.quad_dy)
         )
-
-    @functools.cached_property
-    def support_points(self) -> np.ndarray:
-        """The (n_dofs, 2) support point coordinates, in dof order (the VTK points)."""
-        X, Y = np.meshgrid(self.axes[0].nodes, self.axes[1].nodes, indexing="xy")
-        return np.column_stack([X.ravel(), Y.ravel()])
 
     # ---- field evaluation --------------------------------------------------
 

@@ -32,36 +32,24 @@ def nodal_curl_and_div(space: FeSpace, velocity) -> tuple[np.ndarray, np.ndarray
     return curl_sum / counts, div_sum / counts
 
 
-def _subcell_connectivity(space: FeSpace) -> np.ndarray:
-    """Each element split into degree^2 bilinear sub-quads on the support lattice.
-
-    Rows run over the elements (row-major), then over each element's
-    sub-quads (row-major); corners are listed counterclockwise from SW.
-    """
-    ax, ay = space.axes
-    gy = ay.cell_dofs[:, None, :-1, None]
-    gx = ax.cell_dofs[None, :, None, :-1]
-    sw = (gy * space.ndof_x + gx).ravel()
-    return np.column_stack([sw, sw + 1, sw + 1 + space.ndof_x, sw + space.ndof_x])
-
-
-def _write_block(f, header: str, values, dtype: str):
-    """A header line, then ``values`` as raw ``dtype`` values and one newline."""
+def _write_block(f, header: str, values):
+    """A header line, then ``values`` as raw big-endian doubles and one newline."""
     f.write(f"{header}\n".encode())
-    f.write(np.ascontiguousarray(values, dtype=dtype).tobytes())
+    f.write(np.ascontiguousarray(values, dtype=">f8").tobytes())
     f.write(b"\n")
 
 
 def write_vtk(space: FeSpace, path, velocity, pressure, title: str = "fields"):
-    """Legacy binary VTK unstructured-grid snapshot (big-endian, exact doubles).
+    """Legacy binary VTK rectilinear-grid snapshot (big-endian, exact doubles).
 
-    High-order fields are sampled at the Lagrange support points and each
-    element is emitted as degree^2 bilinear sub-quads, so any VTK reader can
-    display them.  Point data: 3-component velocity (z = 0), pressure,
+    The support points are the grid of the axes' ``nodes``, x fastest, which
+    is the dof order, so the frame holds the two node arrays (and z = 0) and
+    no point or cell list; a VTK reader shows the lattice's cells as
+    bilinear quads.  Point data: 3-component velocity (z = 0), pressure,
     scalar vorticity and divergence (the latter two derived from the
     velocity).  Each block is its header line, its values as raw big-endian
-    doubles (``>f8``) or 32-bit integers (``>i4``), and one newline, so the
-    values read back are the arrays passed in, bit for bit.
+    doubles (``>f8``) and one newline, so the values read back are the
+    arrays passed in, bit for bit.
 
     Raises ``ValueError`` before the file is opened when a velocity
     component or the pressure does not hold ``space.n_dofs`` values, or when
@@ -74,20 +62,19 @@ def write_vtk(space: FeSpace, path, velocity, pressure, title: str = "fields"):
     title_line = title.encode()
     if b"\n" in title_line or len(title_line) > 255:
         raise ValueError(f"VTK title must be one line of at most 255 bytes, got {title!r}")
-    cells = _subcell_connectivity(space)
-    m = len(cells)
+    ax, ay = space.axes
     z = np.zeros(n)
     with open(path, "wb") as f:
-        f.write(b"# vtk DataFile Version 2.0\n" + title_line + b"\nBINARY\nDATASET UNSTRUCTURED_GRID\n")
-        _write_block(f, f"POINTS {n} double", np.column_stack([space.support_points, z]), ">f8")
-        _write_block(f, f"CELLS {m} {5 * m}", np.column_stack([np.full(m, 4), cells]), ">i4")
-        _write_block(f, f"CELL_TYPES {m}", np.full(m, 9), ">i4")
+        f.write(b"# vtk DataFile Version 2.0\n" + title_line + b"\nBINARY\nDATASET RECTILINEAR_GRID\n")
+        f.write(f"DIMENSIONS {ax.n} {ay.n} 1\n".encode())
+        for name, nodes in (("X", ax.nodes), ("Y", ay.nodes), ("Z", [0.0])):
+            _write_block(f, f"{name}_COORDINATES {len(nodes)} double", nodes)
 
         f.write(f"POINT_DATA {n}\n".encode())
-        _write_block(f, "VECTORS velocity double", np.column_stack([velocity[0], velocity[1], z]), ">f8")
-        _write_block(f, "SCALARS pressure double\nLOOKUP_TABLE default", pressure, ">f8")
+        _write_block(f, "VECTORS velocity double", np.column_stack([velocity[0], velocity[1], z]))
+        _write_block(f, "SCALARS pressure double\nLOOKUP_TABLE default", pressure)
         for name, values in zip(("vorticity", "divergence"), nodal_curl_and_div(space, velocity)):
-            _write_block(f, f"SCALARS {name} double\nLOOKUP_TABLE default", values, ">f8")
+            _write_block(f, f"SCALARS {name} double\nLOOKUP_TABLE default", values)
 
 
 ERROR_COLUMNS = ("u_L2", "u_H1", "u_Linf", "q_L2", "q_H1", "q_Linf")  # in CSV column order
@@ -121,6 +108,7 @@ MONITOR_FORMATS = {  # each monitor column, in file order, and the format of its
     "step": "d",
     "t": ".12g",
     "dt": ".12g",
+    "courant": ".6g",
     "div_l2": ".6e",
     "kinetic_energy": ".12e",
     **{f"res_{c}": ".3e" for c in SOLVE_CLASSES},
@@ -128,8 +116,8 @@ MONITOR_FORMATS = {  # each monitor column, in file order, and the format of its
 
 
 def write_monitor_csv(monitors: list[dict], path):
-    """Per-step monitor series (time, dt, divergence, energy, largest backward
-    error of each solve class)."""
+    """Per-step monitor series (time, dt, Courant number, divergence, energy,
+    largest backward error of each solve class)."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(MONITOR_FORMATS)

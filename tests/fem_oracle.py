@@ -1,7 +1,8 @@
 """Oracles for the global matrices, which the package itself never assembles.
 
-``shape_eval`` tabulates the reference shape functions point by point and
-``interpolate`` samples a callback at the nodes; no run needs either (the
+``shape_eval`` tabulates the reference shape functions point by point,
+``interpolate`` samples a callback at the nodes and ``support_points``
+lists the nodes' coordinates in dof order; no run needs any of them (the
 package builds its element tables as Kronecker products of 1D tables and
 samples the case callbacks itself).
 
@@ -64,6 +65,13 @@ def interpolate(space, fn, t=0.0):
     """Nodal interpolant: ``fn(x, y, t)``, which must broadcast as numpy does,
     sampled on the space's ``node_axes``, in dof order."""
     return space.node_order(fn(*space.node_axes, t))
+
+
+def support_points(space):
+    """The (n_dofs, 2) support point coordinates in dof order: the grid of the
+    axes' ``nodes``, x fastest."""
+    X, Y = np.meshgrid(space.axes[0].nodes, space.axes[1].nodes, indexing="xy")
+    return np.column_stack([X.ravel(), Y.ravel()])
 
 
 def element_tables(space):
@@ -202,7 +210,7 @@ def permutation_to_space(space, oracle_coords):
     def key(x, y):
         return (round(x * 1e12), round(y * 1e12))
 
-    lookup = {key(*pt): i for i, pt in enumerate(space.support_points)}
+    lookup = {key(*pt): i for i, pt in enumerate(support_points(space))}
     perm = np.array([lookup[key(*pt)] for pt in oracle_coords])
     assert len(set(perm)) == len(perm)
     return perm

@@ -29,6 +29,7 @@ from fem_oracle import (
     kinetic_energy,
     quad_coords,
     sampled_speed_sq,
+    support_points,
     values_at_quad,
     vortex_u_theta,
 )
@@ -308,7 +309,7 @@ def test_collapsed_courant_step_raises_at_step_one():
 
 def wall_speed_sq(ops, case, t):
     # the largest |g|^2 at the boundary support points, from the flat point list
-    x, y = ops.space.support_points[ops.space.boundary_dofs].T
+    x, y = support_points(ops.space)[ops.space.boundary_dofs].T
     gx, gy = (np.broadcast_to(g, x.shape) for g in case.g(x, y, t))
     return float(np.max(gx**2 + gy**2))
 
@@ -329,6 +330,18 @@ def test_courant_step_is_recomputed_every_step():
         assert res.steps >= 3
         assert dts[:-1] == expected[: res.steps - 1]
         assert dts[-1] <= expected[res.steps - 1]
+
+
+def test_monitor_rows_carry_the_step_courant_number():
+    # dt k |u|max / h_max from the speed that set dt: the configured number on
+    # every step but the last, which is shortened to land on t_end
+    config = StepperConfig()
+    res = run_simulation(taylor_green_case(100.0), 2, 3, config, t_end=0.2)
+    courant = [m["courant"] for m in res.monitors]
+    assert res.steps >= 3
+    assert courant[0] == 0.0
+    assert courant[1:-1] == pytest.approx([config.courant] * (res.steps - 1), rel=1e-14, abs=0.0)
+    assert courant[-1] <= config.courant
 
 
 def test_the_lid_from_rest_takes_its_first_step_at_the_wall_speed():

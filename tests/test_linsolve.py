@@ -10,7 +10,7 @@ from gepup.fem import Axis, cell_eigenbasis
 from gepup.linsolve import REL_TOL, FastDiagonalization, check_backward_error
 from gepup.operators import GepupOperators
 from eigen_oracle import dense_eigenpairs
-from fem_oracle import assemble_mass, assemble_stiffness, interior_dofs
+from fem_oracle import assemble_mass, assemble_stiffness, interior_dofs, support_points
 
 
 # FOLD_MIN_DOFS values that put every axis on one transform path: its even and
@@ -217,7 +217,7 @@ def test_neumann_mass_weighted_mean_zero(monkeypatch, rng):
 def test_neumann_known_discrete_solution(monkeypatch):
     for ops in ops_q3_l3_on_each_path(monkeypatch):
         space = ops.space
-        pts = space.support_points
+        pts = support_points(space)
         x_true = np.cos(np.pi * pts[:, 0]) * np.cos(2 * np.pi * pts[:, 1]) + pts[:, 0] ** 3
         x_true -= (ops.mass_weights @ x_true) / ops.mass_weights.sum()
         x = ops.solve_poisson(assemble_stiffness(space) @ x_true, "poisson_q").x
@@ -349,7 +349,7 @@ def test_momentum_check_scales_by_the_whole_solution(cells, k, monkeypatch):
     op = ops.momentum_operator(5e-4)
     apply = ops.interior_eig.apply
     rng = np.random.default_rng(8)
-    exact = taylor_green_case(100.0).exact_u(space.support_points[:, 0], space.support_points[:, 1], 0.0)
+    exact = taylor_green_case(100.0).exact_u(*support_points(space).T, 0.0)
     for u in exact:
         p = ops.x_pass(u)
         rhs = p.mass + op.coeff * p.stiffness

@@ -9,14 +9,11 @@ from gepup import (
     UNIT_SQUARE,
     CaseDefinition,
     RectDomain,
-    StepperConfig,
     error_norms,
     lid_cavity_case,
-    run_simulation,
     taylor_green_case,
 )
 from gepup import fem
-from gepup.output import write_vtk
 from gepup.imex import advance_step, load_tableau
 from gepup.linsolve import REL_TOL, SolverError
 from gepup.operators import GepupOperators, check_boundary_compatibility
@@ -30,6 +27,7 @@ from fem_oracle import (
     interpolate,
     lift_magnitude,
     sampled_speed_sq,
+    support_points,
     values_at_quad,
 )
 from load_oracle import derivative_load, fphi_terms, fq_terms, fu_terms, fw_terms, value_load
@@ -433,7 +431,7 @@ def test_boundary_values_sample_g_once_at_the_boundary_support_points(case, doma
     calls = []
     counted = dataclasses.replace(case, g=lambda x, y, t: calls.append(x.shape) or case.g(x, y, t))
     values = ops.boundary_values(counted, 0.4)
-    pts = np.ascontiguousarray(ops.space.support_points[ops.space.boundary_dofs].T)
+    pts = np.ascontiguousarray(support_points(ops.space)[ops.space.boundary_dofs].T)
     assert calls == [(len(ops.space.boundary_dofs),)]
     for got, want in zip(values, case.g(*pts, 0.4), strict=True):
         assert np.array_equal(got, np.broadcast_to(want, got.shape))
@@ -442,16 +440,6 @@ def test_boundary_values_sample_g_once_at_the_boundary_support_points(case, doma
         assert corners.sum() == 4
         assert not np.any(values[0][corners]) and not np.any(values[1][corners])
         assert np.any(values[0] == 1.0)
-
-
-def test_support_points_are_built_only_for_vtk_output(tmp_path):
-    # a run samples every callback on the axes; only VTK output lays out the
-    # (n_dofs, 2) list of support points
-    res = run_simulation(taylor_green_case(100.0), 2, 2, StepperConfig(), t_end=0.02)
-    space = res.ops.space
-    assert "support_points" not in space.__dict__
-    write_vtk(space, tmp_path / "frame.vtk", velocity=res.state.U, pressure=res.state.Q)
-    assert "support_points" in space.__dict__
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -529,7 +517,7 @@ def test_pressure_pass_allocates_no_full_grid_samples(monkeypatch):
     ops = GepupOperators(UNIT_SQUARE, (32, 32), 3)
     space = ops.space
     case = taylor_green_case(100.0)
-    U = [np.ascontiguousarray(u) for u in case.exact_u(space.support_points[:, 0], space.support_points[:, 1], 0.0)]
+    U = [np.ascontiguousarray(u) for u in case.exact_u(*support_points(space).T, 0.0)]
     ops.eval_Fq(U, case, 0.0, False)  # the axes' factors are built on first use
     n_el, n_local = space.element_dofs.shape
     n_quad = len(space.wdet)

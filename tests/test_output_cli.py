@@ -7,13 +7,12 @@ from gepup import UNIT_SQUARE, RectDomain, build_space, taylor_green_case
 from gepup.bench import ConvergenceTable
 from gepup.cli import UsageError, main, parse_config
 from gepup.output import (
-    _subcell_connectivity,
     nodal_curl_and_div,
     write_convergence_csv,
     write_monitor_csv,
     write_vtk,
 )
-from fem_oracle import interpolate
+from fem_oracle import interpolate, support_points
 from vtk_check import read_legacy_vtk, write_vtk_per_value
 
 
@@ -27,8 +26,7 @@ def test_vtk_single_q1_element_zero_fields(tmp_path):
     write_vtk(space, path, velocity=[z, z], pressure=z)
     data = read_legacy_vtk(path)
     assert len(data["points"]) == 4
-    assert len(data["cells"]) == 1
-    assert all(t == 9 for t in data["cell_types"])
+    assert data["n_cells"] == 1
     for arr in data["point_data"].values():
         assert np.allclose(arr, 0.0)
     assert set(data["point_data"]) == {"velocity", "pressure", "vorticity", "divergence"}
@@ -41,7 +39,7 @@ def test_vtk_2x2_q2_subcell_counts(tmp_path):
     write_vtk(space, path, velocity=[z, z], pressure=z)
     data = read_legacy_vtk(path)
     assert len(data["points"]) == 25
-    assert len(data["cells"]) == 16
+    assert data["n_cells"] == 16
 
 
 def test_vtk_taylor_green_pressure_range(tmp_path):
@@ -105,8 +103,7 @@ def test_vtk_round_trips_exact_doubles(tmp_path):
     write_vtk(space, path, velocity=U, pressure=Q, title=title)
     data = read_legacy_vtk(path)
     assert data["title"] == title
-    assert np.array_equal(data["points"], np.column_stack([space.support_points, np.zeros(space.n_dofs)]))
-    assert np.array_equal(data["cells"], _subcell_connectivity(space))
+    assert np.array_equal(data["points"], np.column_stack([support_points(space), np.zeros(space.n_dofs)]))
     fields = data["point_data"]
     assert np.array_equal(fields["velocity"], np.column_stack([U[0], U[1], np.zeros(space.n_dofs)]))
     assert np.array_equal(fields["pressure"], Q)
@@ -115,6 +112,29 @@ def test_vtk_round_trips_exact_doubles(tmp_path):
     assert np.array_equal(fields["divergence"], div)
     # array_equal does not see the sign of zero
     assert np.signbit(fields["velocity"][3, 0]) and np.signbit(fields["pressure"][8])
+
+
+def test_vtk_frame_layout_is_the_rectilinear_grid_of_the_axes_nodes(tmp_path):
+    # a shifted, non-square grid: the frame is its header lines, the axes'
+    # nodes, one z and six doubles per point, and one newline per block
+    space = build_space(RectDomain((-0.75, 2.5), (1.5, 0.625)), (3, 5), 3)
+    ax, ay = space.axes
+    nx, ny, n = space.ndof_x, space.ndof_y, space.n_dofs
+    assert (nx, ny) == (10, 16) and ax is not ay
+    rng = np.random.default_rng(5)
+    title = "layout pin"
+    path = tmp_path / "frame.vtk"
+    write_vtk(space, path, [rng.standard_normal(n), rng.standard_normal(n)], rng.standard_normal(n), title=title)
+    text = (
+        len("# vtk DataFile Version 2.0\n") + len(title.encode()) + 1 + len("BINARY\nDATASET RECTILINEAR_GRID\n")
+        + len(f"DIMENSIONS {nx} {ny} 1\n")
+        + len(f"X_COORDINATES {nx} double\n") + len(f"Y_COORDINATES {ny} double\n") + len("Z_COORDINATES 1 double\n")
+        + len(f"POINT_DATA {n}\n") + len("VECTORS velocity double\n")
+        + sum(len(f"SCALARS {name} double\nLOOKUP_TABLE default\n") for name in ("pressure", "vorticity", "divergence"))
+    )
+    assert path.stat().st_size == text + 8 * (nx + ny + 1 + 6 * n) + 7
+    x, y, z = read_legacy_vtk(path)["coordinates"]
+    assert np.array_equal(x, ax.nodes) and np.array_equal(y, ay.nodes) and np.array_equal(z, [0.0])
 
 
 @pytest.mark.parametrize("field", ["velocity[0]", "velocity[1]", "pressure"])
@@ -211,12 +231,12 @@ def test_csv_is_rfc4180_crlf(tmp_path):
 
 MONITORS = [
     {
-        "step": 0, "t": 0.0, "dt": 0.0, "div_l2": 1e-9, "kinetic_energy": 0.25,
+        "step": 0, "t": 0.0, "dt": 0.0, "courant": 0.0, "div_l2": 1e-9, "kinetic_energy": 0.25,
         "res_momentum": 0.0, "res_poisson_phi": 3.1e-16, "res_poisson_q": 4.2e-16,
         "res_mass": 2.5e-16,
     },
     {
-        "step": 1, "t": 0.05, "dt": 0.05, "div_l2": 2e-9, "kinetic_energy": 0.24,
+        "step": 1, "t": 0.05, "dt": 0.05, "courant": 0.8, "div_l2": 2e-9, "kinetic_energy": 0.24,
         "res_momentum": 6.2e-16, "res_poisson_phi": 3.3e-16, "res_poisson_q": 4.0e-16,
         "res_mass": 2.8e-16,
     },
@@ -230,6 +250,7 @@ def test_monitor_csv_round_trip(tmp_path):
         rows = list(csv.DictReader(f))
     assert len(rows) == 2
     assert float(rows[1]["t"]) == 0.05
+    assert float(rows[1]["courant"]) == 0.8
     assert float(rows[1]["res_mass"]) == 2.8e-16
     assert float(rows[0]["res_momentum"]) == 0.0
 
@@ -239,9 +260,9 @@ def test_csv_files_are_byte_stable(tmp_path):
     path = tmp_path / "mon.csv"
     write_monitor_csv(MONITORS, path)
     assert path.read_bytes() == (
-        b"step,t,dt,div_l2,kinetic_energy,res_momentum,res_poisson_phi,res_poisson_q,res_mass\r\n"
-        b"0,0,0,1.000000e-09,2.500000000000e-01,0.000e+00,3.100e-16,4.200e-16,2.500e-16\r\n"
-        b"1,0.05,0.05,2.000000e-09,2.400000000000e-01,6.200e-16,3.300e-16,4.000e-16,2.800e-16\r\n"
+        b"step,t,dt,courant,div_l2,kinetic_energy,res_momentum,res_poisson_phi,res_poisson_q,res_mass\r\n"
+        b"0,0,0,0,1.000000e-09,2.500000000000e-01,0.000e+00,3.100e-16,4.200e-16,2.500e-16\r\n"
+        b"1,0.05,0.05,0.8,2.000000e-09,2.400000000000e-01,6.200e-16,3.300e-16,4.000e-16,2.800e-16\r\n"
     )
     path = tmp_path / "conv.csv"
     write_convergence_csv(_table([(0.25, 8e-6), (0.125, 5e-7)]), path)
@@ -348,7 +369,7 @@ def test_cli_run_writes_outputs(tmp_path, capsys):
     # its own velocity, bit for bit
     data = read_legacy_vtk(tmp_path / "taylor-green-final.vtk")
     space = build_space(UNIT_SQUARE, (4, 4), 2)
-    assert np.array_equal(data["points"][:, :2], space.support_points)
+    assert np.array_equal(data["points"][:, :2], support_points(space))
     fields = data["point_data"]
     curl, div = nodal_curl_and_div(space, fields["velocity"][:, :2].T)
     assert np.array_equal(fields["vorticity"], curl)

@@ -1,5 +1,6 @@
-"""Minimal legacy binary VTK reader used to validate writer output structurally,
-and a per-value reference writer to compare the package's writer against."""
+"""Minimal legacy binary VTK reader of rectilinear-grid frames, used to
+validate writer output structurally, and a per-value reference writer to
+compare the package's writer against."""
 
 import struct
 from pathlib import Path
@@ -30,26 +31,21 @@ def read_legacy_vtk(path):
     assert line().startswith("# vtk DataFile Version"), "missing VTK header"
     title = line()
     assert line() == "BINARY"
-    assert line() == "DATASET UNSTRUCTURED_GRID"
+    assert line() == "DATASET RECTILINEAR_GRID"
     toks = line().split()
-    assert toks[0] == "POINTS" and toks[2:] == ["double"]
-    n_points = int(toks[1])
-    points = block(3 * n_points, ">f8").reshape(n_points, 3)
-    toks = line().split()
-    assert toks[0] == "CELLS" and len(toks) == 3
-    n_cells, total = int(toks[1]), int(toks[2])
-    assert total == 5 * n_cells, "quad rows have 5 values"
-    rows = block(total, ">i4").reshape(n_cells, 5)
-    assert np.all(rows[:, 0] == 4)
-    cells = rows[:, 1:]
-    assert np.all((0 <= cells) & (cells < n_points))
-    toks = line().split()
-    assert toks == ["CELL_TYPES", str(n_cells)]
-    cell_types = block(n_cells, ">i4")
+    assert toks[0] == "DIMENSIONS" and len(toks) == 4 and toks[3] == "1", "a planar grid"
+    dims = int(toks[1]), int(toks[2]), 1
+    coords = []
+    for name, count in zip("XYZ", dims):
+        assert line().split() == [f"{name}_COORDINATES", str(count), "double"]
+        values = block(count, ">f8")
+        assert np.all(np.diff(values) > 0), f"{name} coordinates do not strictly increase"
+        coords.append(values)
+    X, Y = np.meshgrid(coords[0], coords[1], indexing="xy")  # x fastest, the point order
+    n_points = X.size
+    points = np.column_stack([X.ravel(), Y.ravel(), np.full(n_points, coords[2][0])])
+    assert line().split() == ["POINT_DATA", str(n_points)]
     point_data = {}
-    if pos < len(data):
-        toks = line().split()
-        assert toks == ["POINT_DATA", str(n_points)]
     while pos < len(data):
         toks = line().split()
         if toks[:1] == ["VECTORS"]:
@@ -63,36 +59,19 @@ def read_legacy_vtk(path):
             raise AssertionError(f"unexpected VTK line: {' '.join(toks)!r}")
     return {
         "title": title,
+        "coordinates": coords,
         "points": points,
-        "cells": cells,
-        "cell_types": cell_types,
+        "n_cells": (dims[0] - 1) * (dims[1] - 1),
         "point_data": point_data,
     }
 
 
-def _subcell_connectivity_loop(space):
-    k = space.degree
-    ax, ay = space.axes
-    cells = []
-    for j in range(ay.n_cells):
-        for i in range(ax.n_cells):
-            for b in range(k):
-                for a in range(k):
-                    gx = k * i + a
-                    gy = k * j + b
-                    sw = gy * space.ndof_x + gx
-                    cells.append((sw, sw + 1, sw + 1 + space.ndof_x, sw + space.ndof_x))
-    return np.asarray(cells, dtype=int)
-
-
 def write_vtk_per_value(space, path, velocity, pressure, title="fields"):
-    """Reference VTK writer: the connectivity by nested loops and one
-    ``struct.pack`` per value."""
+    """Reference VTK writer: one ``struct.pack`` per value."""
     from gepup.output import nodal_curl_and_div
 
-    pts = space.support_points
+    ax, ay = space.axes
     n = space.n_dofs
-    cells = _subcell_connectivity_loop(space)
     with open(path, "wb") as f:
 
         def text(s):
@@ -106,18 +85,14 @@ def write_vtk_per_value(space, path, velocity, pressure, title="fields"):
         text("# vtk DataFile Version 2.0\n")
         text(f"{title}\n")
         text("BINARY\n")
-        text("DATASET UNSTRUCTURED_GRID\n")
-        text(f"POINTS {n} double\n")
-        doubles(v for x, y in pts for v in (x, y, 0.0))
-        text(f"CELLS {len(cells)} {5 * len(cells)}\n")
-        for quad in cells:
-            for v in (4, *quad):
-                f.write(struct.pack(">i", v))
-        text("\n")
-        text(f"CELL_TYPES {len(cells)}\n")
-        for _ in cells:
-            f.write(struct.pack(">i", 9))
-        text("\n")
+        text("DATASET RECTILINEAR_GRID\n")
+        text(f"DIMENSIONS {ax.n} {ay.n} 1\n")
+        text(f"X_COORDINATES {ax.n} double\n")
+        doubles(ax.nodes)
+        text(f"Y_COORDINATES {ay.n} double\n")
+        doubles(ay.nodes)
+        text("Z_COORDINATES 1 double\n")
+        doubles([0.0])
 
         text(f"POINT_DATA {n}\n")
         text("VECTORS velocity double\n")
